@@ -6,7 +6,20 @@ constraint, and checks that conditioning on the clock's coherent-state
 angle reproduces ordinary time evolution, number-phase uncertainty
 relations, and, in the large-size limit, Hamilton's equations with the
 same flow rate on both sides of the quantum-classical divide.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless one of
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is
+already set: on matrices of dimension tens to hundreds, BLAS threads cost
+more than they save.  The default reaches BLAS only when this package is
+imported before numpy or scipy.
 """
+
+import os
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+if not any(name in os.environ for name in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .algebra import (
     ClockModel,

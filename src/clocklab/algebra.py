@@ -216,7 +216,7 @@ def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
 
     r_diag = 0.0
     for i, da in enumerate(rep.diagonal_ops):
-        if np.linalg.norm(da - da.conj().T, 2) > tol:
+        if np.linalg.norm(da - da.conj().T) > tol:  # Frobenius >= 2-norm: no looser
             raise ValueError(f"diagonal operator {i} is not hermitian")
         for db in rep.diagonal_ops[i + 1:]:
             r_diag = max(r_diag, np.linalg.norm(_comm(da, db), 2))
@@ -318,7 +318,7 @@ def build_clock(rep: LieAlgebraRep, ell: int = 1, scale: float = 1.0) -> ClockMo
     epsilon = -scale * d1
     g1 = float(rep.weights[0])
     h_c = scale * (rep.diagonal_ops[0] - g1 * np.eye(rep.dim))
-    if np.linalg.norm(h_c - h_c.conj().T, 2) > 1e-12:
+    if np.linalg.norm(h_c - h_c.conj().T) > 1e-12:  # Frobenius >= 2-norm: no looser
         raise ValueError("assembled clock Hamiltonian is not hermitian")
     b2 = -float(np.dot(rep.weights, rep.structure_d[:, ell - 1]))
     return ClockModel(

@@ -11,7 +11,8 @@ Exit status is 0 when every check passed, 1 when at least one failed,
 and 2 when the configuration did not parse (in which case nothing is
 written).  Progress goes to stderr; the run directory path is the only
 thing printed to stdout.  File contents never embed wall-clock times,
-so rerunning with the same configuration reproduces them byte for byte.
+so rerunning with the same configuration and BLAS thread count
+reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import os
 import pathlib
 import sys
@@ -264,11 +266,10 @@ def load_config(path: str | None, overrides: dict[str, object],
         if key not in _KEYS or _KEYS[key][0] != "float":
             raise ConfigError(f"unknown tolerance {key!r}")
         cfg[key] = _cast(key, value.strip())
-        if cfg[key] <= 0:
-            raise ConfigError(f"tolerance {key!r} must be positive")
     for key in cfg:
-        if key.startswith("tol_") and cfg[key] <= 0:
-            raise ConfigError(f"tolerance {key!r} must be positive")
+        # inf would turn a gate into a no-op, and nan slips past "<= 0".
+        if key.startswith("tol_") and not (math.isfinite(cfg[key]) and cfg[key] > 0):
+            raise ConfigError(f"tolerance {key!r} must be finite and positive")
     if cfg["jobs"] < 1:
         raise ConfigError("jobs must be >= 1")
     if cfg["sym_algebra"] not in ("all", "su2", "h4", "su11"):
@@ -312,11 +313,15 @@ def _run_dir(root: pathlib.Path, sub: str) -> pathlib.Path:
     base = root / sub / stamp
     suffix = 1
     path = base
-    while path.exists():
-        suffix += 1
-        path = base.with_name(f"{stamp}-{suffix}")
-    path.mkdir(parents=True)
-    return path
+    while True:
+        # mkdir itself decides who owns a name, so two runs in the same
+        # microsecond cannot both pass an exists() check and then collide.
+        try:
+            path.mkdir(parents=True)
+            return path
+        except FileExistsError:
+            suffix += 1
+            path = base.with_name(f"{stamp}-{suffix}")
 
 
 def write_outputs(cfg: dict[str, object], sub: str, header: Sequence[str],

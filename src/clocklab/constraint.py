@@ -133,9 +133,8 @@ def build_psi(match: SpectralMatch, coefficients: np.ndarray) -> CompositeState:
         )
     dc = match.clock_evecs.shape[0]
     dg = match.system_evecs.shape[0]
-    mat = np.zeros((dc, dg), dtype=complex)
-    for c_k, (i, j) in zip(coefficients, match.pairs):
-        mat += c_k * np.outer(match.clock_evecs[:, i], match.system_evecs[:, j])
+    idx_c, idx_g = np.array(match.pairs).T
+    mat = (match.clock_evecs[:, idx_c] * coefficients) @ match.system_evecs[:, idx_g].T
 
     svals = np.linalg.svd(mat, compute_uv=False)
     probs = svals ** 2
@@ -143,8 +142,7 @@ def build_psi(match: SpectralMatch, coefficients: np.ndarray) -> CompositeState:
     entropy = float(-np.sum(probs * np.log(probs)))
 
     energy_resid = float(np.linalg.norm(
-        (match.clock_evals[[i for i, _ in match.pairs]]
-         - match.system_evals[[j for _, j in match.pairs]]) * coefficients
+        (match.clock_evals[idx_c] - match.system_evals[idx_g]) * coefficients
     ))
     if energy_resid > 1e-10:
         raise ValueError(f"matched pairs are not degenerate enough: ||H psi|| ~ {energy_resid:.2e}")

@@ -1,9 +1,11 @@
 """Experiment-runner behavior: exits, artifacts, precedence, determinism."""
 
+import datetime
 import json
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -75,6 +77,45 @@ def test_unknown_tolerance_exits_two(tmp_path):
     assert run(["symbol", "--out", str(tmp_path / "o"),
                 "--tol-override", "nonsense=1e-3"]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tolerance_override_exits_two(tmp_path, value):
+    """inf would switch the gate off; nan passes a plain "<= 0" test."""
+    assert run(["symbol", "--out", str(tmp_path / "o"),
+                "--tol-override", f"slope={value}"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tolerance_in_config_file_exits_two(tmp_path, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"tol_symbol_su2={value}\n")
+    assert run(["symbol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_dir_skips_a_stamp_that_already_exists(tmp_path, monkeypatch):
+    """A run landing on a taken stamp takes the next suffix instead of raising.
+
+    exists() is made to answer False, as when another run creates the
+    directory between a check and the mkdir.
+    """
+    frozen = datetime.datetime(2026, 1, 2, 3, 4, 5, 678901, tzinfo=datetime.timezone.utc)
+
+    class FrozenDatetime(datetime.datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return frozen
+
+    monkeypatch.setattr(cli, "datetime", types.SimpleNamespace(
+        datetime=FrozenDatetime, timezone=datetime.timezone))
+    monkeypatch.setattr(pathlib.Path, "exists", lambda self, **kwargs: False)
+    stamp = "20260102T030405678901"
+    (tmp_path / "symbol" / stamp).mkdir(parents=True)
+    (tmp_path / "symbol" / f"{stamp}-2").mkdir()
+    assert cli._run_dir(tmp_path, "symbol") == tmp_path / "symbol" / f"{stamp}-3"
+    assert (tmp_path / "symbol" / f"{stamp}-3").is_dir()
 
 
 def test_config_file_beats_defaults_and_cli_beats_file(tmp_path):

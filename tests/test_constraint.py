@@ -27,6 +27,51 @@ def make_state(j=6.0, rho=0.5, width=0.2):
     return clock, h_system, match, psi
 
 
+def outer_product_sum(match, coefficients):
+    """Reference for build_psi: sum_k c_k |e_k> (x) |f_k>, one pair at a time."""
+    c = np.asarray(coefficients, dtype=complex)
+    c = c / np.linalg.norm(c)
+    mat = np.zeros((match.clock_evecs.shape[0], match.system_evecs.shape[0]), dtype=complex)
+    for c_k, (i, j) in zip(c, match.pairs):
+        mat += c_k * np.outer(match.clock_evecs[:, i], match.system_evecs[:, j])
+    return mat
+
+
+def test_build_psi_matches_outer_product_sum_on_ladder():
+    """On the resonant spin ladder each entry gets one term: equal bit for bit.
+
+    With complex coefficients the matrix product may give -0.0 where the
+    running sum gives +0.0, so that case compares values, not bytes.
+    """
+    clock = intensive_su2_clock(40.0)
+    match = match_spectra(clock.h_c, resonant_ladder(clock, clock.dim),
+                          tol=1e-9 * clock.epsilon)
+    gaussian = gaussian_profile(match, energy_of_rho(clock, 0.45), 0.2)
+    psi = build_psi(match, gaussian)
+    assert psi.matrix.tobytes() == outer_product_sum(match, gaussian).tobytes()
+    complex_profile = random_profile(match, seed=5)
+    psi = build_psi(match, complex_profile)
+    assert np.array_equal(psi.matrix, outer_product_sum(match, complex_profile))
+
+
+def test_build_psi_matches_outer_product_sum_on_dense_pair():
+    """Non-diagonal hermitian factors: the sums differ only in rounding order."""
+    rng = np.random.default_rng(3)
+
+    def hermitian_with(evals):
+        z = rng.normal(size=(len(evals), len(evals))) + 1j * rng.normal(size=(len(evals),) * 2)
+        q, _ = np.linalg.qr(z)
+        return q @ np.diag(evals) @ q.conj().T
+
+    h_clock = hermitian_with([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    h_system = hermitian_with([1.0, 2.5, 3.0, 4.0, 7.0])
+    match = match_spectra(h_clock, h_system, tol=1e-9)
+    assert len(match.pairs) == 3
+    coefficients = random_profile(match, seed=7)
+    psi = build_psi(match, coefficients)
+    assert np.max(np.abs(psi.matrix - outer_product_sum(match, coefficients))) <= 1e-14
+
+
 def test_match_spectra_finds_all_pairs():
     """Every degenerate coincidence is returned, not just a greedy matching."""
     h_clock = np.diag([0.0, 1.0, 2.0])
