@@ -53,6 +53,8 @@ from .constraint import (
     chi2_identity_residual,
     conditional_state,
     gaussian_profile,
+    gaussian_state,
+    ladder_match,
     match_spectra,
     precs_decomposition_check,
     random_profile,
@@ -135,11 +137,13 @@ __all__ = [
     "displace",
     "energy_of_rho",
     "gaussian_profile",
+    "gaussian_state",
     "h4_stationary_experiment",
     "hamilton_check",
     "identity_resolution_check",
     "intensive_h4_clock",
     "intensive_su2_clock",
+    "ladder_match",
     "map_F",
     "match_spectra",
     "overlap",

@@ -37,9 +37,6 @@ class LieAlgebraRep:
         reference state and lowers the ladder index.
     structure_d : ndarray
         Real matrix ``d[delta, m]`` with ``[D_delta, R_m] = d[delta, m] R_m``.
-    structure_c : ndarray
-        Mixing coefficients among distinct ladder modes; empty for the
-        single-mode families implemented here.
     closure_q : ndarray
         Real coefficients with ``[R, R^dag] = sum_delta closure_q[delta] D_delta``.
     weights : ndarray
@@ -64,7 +61,6 @@ class LieAlgebraRep:
     diagonal_ops: tuple
     raising_ops: tuple
     structure_d: np.ndarray
-    structure_c: np.ndarray
     closure_q: np.ndarray
     weights: np.ndarray
     reference_state: np.ndarray
@@ -72,11 +68,6 @@ class LieAlgebraRep:
     exact_dim: int
     valid_dim: int
     params: dict
-
-    @property
-    def sigma2(self) -> int:
-        """Branch sign: +1 for trig-type manifolds, -1 for hyperbolic."""
-        return -1 if self.family == "su11" else 1
 
 
 def build_su2_rep(j: float) -> LieAlgebraRep:
@@ -104,7 +95,6 @@ def build_su2_rep(j: float) -> LieAlgebraRep:
         diagonal_ops=(d1,),
         raising_ops=(lowering,),
         structure_d=np.array([[-_SQRT2]]),
-        structure_c=np.zeros((0,)),
         closure_q=np.array([-_SQRT2]),
         weights=np.array([-_SQRT2 * j]),
         reference_state=ref,
@@ -138,7 +128,6 @@ def build_h4_rep(n_cut: int) -> LieAlgebraRep:
         diagonal_ops=(number, np.eye(dim)),
         raising_ops=(a,),
         structure_d=np.array([[-1.0], [0.0]]),
-        structure_c=np.zeros((0,)),
         closure_q=np.array([0.0, 1.0]),
         weights=np.array([0.0, 1.0]),
         reference_state=ref,
@@ -175,7 +164,6 @@ def build_su11_rep(k: float, n_cut: int) -> LieAlgebraRep:
         diagonal_ops=(d1,),
         raising_ops=(km,),
         structure_d=np.array([[-_SQRT2]]),
-        structure_c=np.zeros((0,)),
         closure_q=np.array([_SQRT2]),
         weights=np.array([_SQRT2 * k]),
         reference_state=ref,
@@ -210,9 +198,12 @@ def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
     Returns residual 2-norms; ``passed`` reflects the exact-subspace
     residual for truncated families and the full-space one otherwise.
     """
-    dims = rep.dim
-    proj = np.zeros((dims, dims))
-    proj[: rep.exact_dim, : rep.exact_dim] = np.eye(rep.exact_dim)
+    def on_exact(resid: np.ndarray) -> np.ndarray:
+        # proj @ resid @ proj for the projector on the exact subspace
+        out = resid.copy()
+        out[rep.exact_dim:, :] = 0.0
+        out[:, rep.exact_dim:] = 0.0
+        return out
 
     r_diag = 0.0
     for i, da in enumerate(rep.diagonal_ops):
@@ -227,13 +218,13 @@ def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
         for delta, d_op in enumerate(rep.diagonal_ops):
             resid = _comm(d_op, r_op) - rep.structure_d[delta, m] * r_op
             r_ladder = max(r_ladder, np.linalg.norm(resid, 2))
-            r_ladder_sub = max(r_ladder_sub, np.linalg.norm(proj @ resid @ proj, 2))
+            r_ladder_sub = max(r_ladder_sub, np.linalg.norm(on_exact(resid), 2))
 
     target = sum(q * d_op for q, d_op in zip(rep.closure_q, rep.diagonal_ops))
     r_op = rep.raising_ops[0]
     closure_resid = _comm(r_op, r_op.conj().T) - target
     r_close = np.linalg.norm(closure_resid, 2)
-    r_close_sub = np.linalg.norm(proj @ closure_resid @ proj, 2)
+    r_close_sub = np.linalg.norm(on_exact(closure_resid), 2)
 
     r_annih = max(
         float(np.linalg.norm(r_op @ rep.reference_state)) for r_op in rep.raising_ops
@@ -282,10 +273,6 @@ class ClockModel:
     @property
     def dim(self) -> int:
         return self.rep.dim
-
-    @property
-    def sigma2(self) -> int:
-        return self.rep.sigma2
 
     @property
     def lowering_op(self) -> np.ndarray:

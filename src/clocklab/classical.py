@@ -15,23 +15,10 @@ import numpy as np
 
 from .algebra import ClockModel
 from .constraint import CompositeState
+from .families import lookup
 from .gcs import clock_symbol_analytic, coherent_vector
 
 SUPPORT_THRESHOLD = 1e-6
-
-
-def _chart_radius(clock: ClockModel, rho: float) -> tuple[float, float]:
-    """Radial chart factor C(rho) and its derivative.
-
-    C^2/2 carries the whole energy dependence: (eps/2) C(rho)^2 equals the
-    coherent energy surface in every family.
-    """
-    if clock.rep.family == "h4":
-        return np.sqrt(2.0) * rho, np.sqrt(2.0)
-    amp = np.sqrt(2.0 * abs(clock.b2))
-    if clock.sigma2 > 0:
-        return amp * np.sin(rho), amp * np.cos(rho)
-    return -amp * np.sinh(rho), -amp * np.cosh(rho)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,7 +41,7 @@ def map_F(rho: float, phi: float, v: Sequence[float], clock: ClockModel) -> Darb
     v = np.asarray(v, dtype=float)
     if abs(float(np.sum(v * v)) - 1.0) > 1e-12:
         raise ValueError("v must be a unit vector")
-    c, _ = _chart_radius(clock, float(rho))
+    c, _ = lookup(clock.rep.family).chart_radius(clock, float(rho))
     return DarbouxPoint(
         q=c * np.cos(phi) * v,
         p=-c * np.sin(phi) * v,
@@ -73,11 +60,7 @@ def chart_hamiltonian(clock: ClockModel, point: DarbouxPoint) -> float:
 
 def two_form_coefficient(clock: ClockModel, rho: float, hbar: float = 1.0) -> float:
     """Closed-form coefficient of dphi ^ drho for the pulled-back two-form."""
-    if clock.rep.family == "h4":
-        return 2.0 * hbar * rho
-    if clock.sigma2 > 0:
-        return hbar * abs(clock.b2) * np.sin(2.0 * rho)
-    return hbar * abs(clock.b2) * np.sinh(2.0 * rho)
+    return lookup(clock.rep.family).two_form(clock, rho, hbar)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,7 +89,7 @@ def pullback_two_form(clock: ClockModel, rho: float, phi: float,
     makes the agreement a real check.
     """
     v = np.asarray(v, dtype=float)
-    c, cp = _chart_radius(clock, float(rho))
+    c, cp = lookup(clock.rep.family).chart_radius(clock, float(rho))
 
     def analytic_rho():
         return cp * np.cos(phi) * v, -cp * np.sin(phi) * v
@@ -196,7 +179,7 @@ def hamilton_check(clock: ClockModel, v: Sequence[float],
         c_coeff = two_form_coefficient(clock, rho, hbar)
         if abs(c_coeff) < 1e-12 * max(1.0, abs(clock.b2) * hbar):
             raise ValueError(f"grid touches a symplectic singularity at rho = {rho}")
-        c, cp = _chart_radius(clock, rho)
+        c, cp = lookup(clock.rep.family).chart_radius(clock, rho)
         for phi in phi_grid:
             phi = float(phi)
             if method == "analytic":
@@ -234,7 +217,7 @@ def classical_flow_rate(clock: ClockModel, v: Sequence[float] = (1.0,),
     c_coeff = two_form_coefficient(clock, float(rho), hbar)
     if abs(c_coeff) < 1e-12 * max(1.0, abs(clock.b2) * hbar):
         raise ValueError(f"symplectic coefficient vanishes at rho = {rho}")
-    c, cp = _chart_radius(clock, float(rho))
+    c, cp = lookup(clock.rep.family).chart_radius(clock, float(rho))
     dq_dphi = -c * np.sin(float(phi)) * v
     j = int(np.argmax(np.abs(dq_dphi)))
     if abs(dq_dphi[j]) < 1e-12:
@@ -245,42 +228,6 @@ def classical_flow_rate(clock: ClockModel, v: Sequence[float] = (1.0,),
 
 
 # --- joint coherent amplitudes over both manifolds --------------------------
-
-def _manifold_nodes(clock: ClockModel, n_polar: int | None, n_azim: int | None,
-                    radial_cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened (rho, phi, weight) quadrature covering one GCS manifold.
-
-    The azimuthal grid is uniform and sized so phase cross terms integrate
-    exactly; the radial rule is Gauss-Legendre in the measure's natural
-    variable (cos of the polar angle for spin, rho^2 for the oscillator).
-    """
-    rep = clock.rep
-    if rep.family == "su2":
-        j = rep.params["j"]
-        if n_polar is None:
-            n_polar = int(np.ceil(j)) + 1
-        if n_azim is None:
-            n_azim = rep.dim
-        x, w = np.polynomial.legendre.leggauss(n_polar)
-        rhos = np.arccos(x) / 2.0
-        radial_w = (2 * j + 1) * w / (2.0 * n_azim)
-    elif rep.family == "h4":
-        if n_polar is None:
-            n_polar = 160
-        if n_azim is None:
-            n_azim = rep.dim
-        u, w = np.polynomial.legendre.leggauss(n_polar)
-        cap2 = radial_cap * radial_cap
-        rhos = np.sqrt(0.5 * cap2 * (u + 1.0))
-        radial_w = 0.5 * cap2 * w / n_azim
-    else:
-        raise ValueError(f"no normalizable manifold measure for family {rep.family!r}")
-    phis = 2 * np.pi * np.arange(n_azim) / n_azim
-    rho_flat = np.repeat(rhos, n_azim)
-    phi_flat = np.tile(phis, len(rhos))
-    w_flat = np.repeat(radial_w, n_azim)
-    return rho_flat, phi_flat, w_flat
-
 
 def _coherent_matrix(clock: ClockModel, rho_flat, phi_flat) -> np.ndarray:
     cols = np.empty((clock.dim, len(rho_flat)), dtype=complex)
@@ -326,8 +273,10 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
     """
     if psi.dim_clock != clock_c.dim or psi.dim_system != clock_g.dim:
         raise ValueError("composite state dimensions do not match the two models")
-    rho_c, phi_c, w_c = _manifold_nodes(clock_c, n_polar_c, n_azim_c, radial_cap)
-    rho_g, phi_g, w_g = _manifold_nodes(clock_g, n_polar_g, n_azim_g, radial_cap)
+    rho_c, phi_c, w_c = lookup(clock_c.rep.family).nodes(clock_c.rep, n_polar_c, n_azim_c,
+                                                         radial_cap)
+    rho_g, phi_g, w_g = lookup(clock_g.rep.family).nodes(clock_g.rep, n_polar_g, n_azim_g,
+                                                         radial_cap)
     mc = _coherent_matrix(clock_c, rho_c, phi_c)
     mg = _coherent_matrix(clock_g, rho_g, phi_g)
     values = mc.conj().T @ psi.matrix @ mg.conj()

@@ -26,7 +26,6 @@ import math
 import os
 import pathlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -52,7 +51,8 @@ from .constraint import (
     chi2_identity_residual,
     conditional_state,
     gaussian_profile,
-    match_spectra,
+    gaussian_state,
+    ladder_match,
     precs_decomposition_check,
     random_profile,
     total_hamiltonian,
@@ -112,7 +112,6 @@ class ConfigError(Exception):
 _KEYS: dict[str, tuple[str, object]] = {
     "out": ("str", "runs"),
     "seed": ("int", 2026),
-    "jobs": ("int", 1),
     # verify-algebra
     "alg_su2_j": ("floatlist", (0.5, 2.0, 10.0, 25.0, 50.0)),
     "alg_h4_cut": ("int", 256),
@@ -202,20 +201,29 @@ _KEYS: dict[str, tuple[str, object]] = {
 }
 
 
+def _finite(raw: object) -> float:
+    # inf or nan would quietly switch off a gate or a grid: nan fails every
+    # comparison, so a reduction that skips it can still report a pass.
+    value = float(str(raw))
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 def _cast(key: str, raw: object) -> object:
     kind = _KEYS[key][0]
     try:
         if kind == "int":
             return int(str(raw))
         if kind == "float":
-            return float(str(raw))
+            return _finite(raw)
         if kind == "floatlist":
             if isinstance(raw, (tuple, list)):
-                return tuple(float(x) for x in raw)
+                return tuple(_finite(x) for x in raw)
             parts = [p for p in str(raw).split(",") if p.strip()]
             if not parts:
                 raise ValueError("empty list")
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(p) for p in parts)
         return str(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
@@ -266,12 +274,12 @@ def load_config(path: str | None, overrides: dict[str, object],
         if key not in _KEYS or _KEYS[key][0] != "float":
             raise ConfigError(f"unknown tolerance {key!r}")
         cfg[key] = _cast(key, value.strip())
-    for key in cfg:
-        # inf would turn a gate into a no-op, and nan slips past "<= 0".
-        if key.startswith("tol_") and not (math.isfinite(cfg[key]) and cfg[key] > 0):
-            raise ConfigError(f"tolerance {key!r} must be finite and positive")
-    if cfg["jobs"] < 1:
-        raise ConfigError("jobs must be >= 1")
+    for key, (kind, _) in _KEYS.items():
+        if key.startswith("tol_") and not cfg[key] > 0:
+            raise ConfigError(f"tolerance {key!r} must be positive")
+        # a grid or cutoff of zero would pass its gates without checking anything
+        if kind == "int" and key != "seed" and cfg[key] < 1:
+            raise ConfigError(f"{key!r} must be at least 1")
     if cfg["sym_algebra"] not in ("all", "su2", "h4", "su11"):
         raise ConfigError("sym_algebra must be one of all, su2, h4, su11")
     if cfg["con_profile"] not in ("gaussian", "random"):
@@ -280,9 +288,11 @@ def load_config(path: str | None, overrides: dict[str, object],
         raise ConfigError("stat_family must be su2 or h4")
     if cfg["sym_rho"]:
         try:
-            float(cfg["sym_rho"])
+            rho = _finite(cfg["sym_rho"])
         except ValueError:
-            raise ConfigError(f"sym_rho must be a number, got {cfg['sym_rho']!r}") from None
+            raise ConfigError(f"sym_rho must be a finite number, got {cfg['sym_rho']!r}") from None
+        if rho < 0:
+            raise ConfigError(f"sym_rho must be nonnegative, got {cfg['sym_rho']!r}")
         if cfg["sym_algebra"] == "all":
             raise ConfigError("single-point symbol mode needs an explicit algebra")
     return cfg
@@ -333,7 +343,6 @@ def write_outputs(cfg: dict[str, object], sub: str, header: Sequence[str],
         "subcommand": sub,
         "pass": passed,
         "seed": cfg["seed"],
-        "jobs": cfg["jobs"],
         "config_sha256": digest,
         "tolerances": {k: v for k, v in sorted(cfg.items()) if k.startswith("tol_")},
         "checks": checks,
@@ -349,14 +358,6 @@ def write_outputs(cfg: dict[str, object], sub: str, header: Sequence[str],
         fh.write("\n")
     (out / "config.echo").write_text(echo)
     return out, passed
-
-
-def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Order-preserving map, threaded when jobs > 1."""
-    if jobs <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _check(check_id: str, passed: bool, **metrics: object) -> dict:
@@ -379,7 +380,8 @@ def run_verify_algebra(cfg: dict[str, object]) -> tuple[list[str], list, list[di
     reps.append(build_h4_rep(int(cfg["alg_h4_cut"])))
     reps.append(build_su11_rep(float(cfg["alg_su11_k"]), int(cfg["alg_su11_cut"])))
     rows, checks = [], []
-    for rep, rpt in _pmap(lambda r: (r, verify_cartan(r, tol=tol)), reps, int(cfg["jobs"])):
+    for rep in reps:
+        rpt = verify_cartan(rep, tol=tol)
         label = {"su2": f"su2-j{rep.params.get('j', 0)!r}",
                  "h4": f"h4-n{rep.dim}",
                  "su11": f"su11-k{rep.params.get('k', 0)!r}-n{rep.dim}",
@@ -413,12 +415,8 @@ def run_bch_check(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     cases = [("su2", j, build_su2_rep(j)) for j in cfg["bch_su2_j"]]
     cases.append(("h4", float(cfg["bch_h4_cut"]), build_h4_rep(int(cfg["bch_h4_cut"]))))
     rows, checks = [], []
-
-    def worst(case):
-        _, _, rep = case
-        return max(_bch_point(rep, r, p) for r in rhos for p in phis)
-
-    for (family, size, rep), diff in zip(cases, _pmap(worst, cases, int(cfg["jobs"]))):
+    for family, size, rep in cases:
+        diff = max(_bch_point(rep, r, p) for r in rhos for p in phis)
         rows.append([family, rep.dim, n * n, diff])
         label = f"bch-{family}-j{size!r}" if family == "su2" else f"bch-h4-n{rep.dim}"
         checks.append(_check(label, diff <= tol, max_difference=diff, tolerance=tol))
@@ -428,16 +426,15 @@ def run_bch_check(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
 
 def _symbol_rows(clock, family: str, rhos: Sequence[float], relative: bool):
     rows = []
-    worst = 0.0
     for rho in rhos:
         numeric = clock_symbol_numeric(clock, float(rho))
         analytic = clock_symbol_analytic(clock, float(rho))
         err = abs(numeric - analytic)
         if relative:
             err = err / max(abs(analytic), 1e-30) if analytic != 0.0 else err
-        worst = max(worst, err)
         rows.append([family, float(rho), numeric, analytic, err])
-    return rows, worst
+    # np.max propagates nan, where max() would drop it and pass the gate
+    return rows, float(np.max([row[-1] for row in rows]))
 
 
 def run_symbol(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
@@ -472,16 +469,9 @@ def run_identity_resolution(cfg: dict[str, object]) -> tuple[list[str], list, li
     j = float(cfg["idr_j"])
     nodes = int(round(4 * j + 4))
     cut = int(cfg["idr_h4_cut"])
-
-    def su2_case(_):
-        return identity_resolution_check(build_su2_rep(j), n_polar=nodes, n_azim=nodes)
-
-    def h4_case(_):
-        return identity_resolution_check(
-            build_h4_rep(cut), n_polar=int(cfg["idr_h4_polar"]),
-            n_azim=cut, radial_cap=float(cfg["idr_cap"]))
-
-    dev_su2, dev_h4 = _pmap(lambda f: f(None), [su2_case, h4_case], int(cfg["jobs"]))
+    dev_su2 = identity_resolution_check(build_su2_rep(j), n_polar=nodes, n_azim=nodes)
+    dev_h4 = identity_resolution_check(build_h4_rep(cut), n_polar=int(cfg["idr_h4_polar"]),
+                                       n_azim=cut, radial_cap=float(cfg["idr_cap"]))
     rows = [["su2", nodes * nodes, dev_su2],
             ["h4", int(cfg["idr_h4_polar"]) * cut, dev_h4]]
     checks = [
@@ -497,7 +487,7 @@ def run_identity_resolution(cfg: dict[str, object]) -> tuple[list[str], list, li
 def run_constraint(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     clock = intensive_su2_clock(float(cfg["con_j"]))
     h_system = resonant_ladder(clock, clock.dim)
-    match = match_spectra(clock.h_c, h_system, tol=1e-9 * max(clock.epsilon, 1.0))
+    match = ladder_match(clock, h_system)
     rho, phi = float(cfg["con_rho"]), float(cfg["con_phi"])
     if cfg["con_profile"] == "random":
         coeff = random_profile(match, int(cfg["seed"]))
@@ -537,10 +527,9 @@ def run_constraint(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]
 def run_schrodinger(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     clock = intensive_su2_clock(float(cfg["sch_j"]))
     h_system = resonant_ladder(clock, clock.dim)
-    match = match_spectra(clock.h_c, h_system, tol=1e-9 * max(clock.epsilon, 1.0))
     rho, phi = float(cfg["sch_rho"]), float(cfg["sch_phi"])
-    psi = build_psi(match, gaussian_profile(match, center=energy_of_rho(clock, rho),
-                                            width=float(cfg["sch_width"])))
+    psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho),
+                         width=float(cfg["sch_width"]))
     res = schrodinger_residual(psi, clock, h_system, rho, phi, h=float(cfg["sch_h"]))
     phis = np.linspace(0.0, 2 * np.pi, int(cfg["sch_phi_points"]))
     prop = propagator_deviation(psi, clock, h_system, rho, phis)
@@ -641,39 +630,29 @@ def run_phase_audit(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]
     return ["record", "size", "value_a", "value_b"], rows, checks
 
 
-def _classical_point(args):
-    j, rho, width, threshold = args
-    clock = intensive_su2_clock(j)
-    h_system = resonant_ladder(clock, clock.dim)
-    match = match_spectra(clock.h_c, h_system, tol=1e-9 * max(clock.epsilon, 1.0))
-    psi = build_psi(match, gaussian_profile(match, center=energy_of_rho(clock, rho),
-                                            width=width))
-    beta = beta_distribution(psi, clock, clock, threshold=threshold)
-    report = classical_constraint_check(beta, clock, clock)
-    return beta, report
-
-
 def run_classical_limit(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     sizes = list(cfg["cls_sizes"])
     rho, width = float(cfg["cls_rho"]), float(cfg["cls_width"])
     threshold = float(cfg["cls_threshold"])
-    results = _pmap(_classical_point,
-                    [(j, rho, width, threshold) for j in sizes], int(cfg["jobs"]))
-    rows, norm_devs, support = [], [], []
-    for j, (beta, report) in zip(sizes, results):
+    rows, norm_devs, reports = [], [], []
+    for j in sizes:
+        clock = intensive_su2_clock(j)
+        psi = gaussian_state(clock, resonant_ladder(clock, clock.dim),
+                             center=energy_of_rho(clock, rho), width=width)
+        beta = beta_distribution(psi, clock, clock, threshold=threshold)
+        report = classical_constraint_check(beta, clock, clock)
+        reports.append(report)
         norm_devs.append(abs(beta.normalization - 1.0))
-        support.append(report.support_max)
         rows.append([j, beta.normalization, report.support_max, report.complement_max,
                      report.n_support])
         _progress(f"[classical-limit] j={j}: support mismatch {report.support_max:.4f}, "
                   f"off-support {report.complement_max:.4f}")
+    support = [r.support_max for r in reports]
     decreasing = all(a > b for a, b in zip(support, support[1:]))
-    control = all(r.complement_max > r.support_max for _, r in results)
+    control = all(r.complement_max > r.support_max for r in reports)
 
     sep_clock = intensive_su2_clock(float(cfg["cls_sep_j"]))
-    sep_system = resonant_ladder(sep_clock, sep_clock.dim)
-    sep_match = match_spectra(sep_clock.h_c, sep_system,
-                              tol=1e-9 * max(sep_clock.epsilon, 1.0))
+    sep_match = ladder_match(sep_clock, resonant_ladder(sep_clock, sep_clock.dim))
     coeff = np.zeros(len(sep_match.pairs))
     coeff[0] = 1.0
     sep_beta = beta_distribution(build_psi(sep_match, coeff), sep_clock, sep_clock,
@@ -724,9 +703,7 @@ def run_hamilton(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
 
     clock = clocks[0][1]
     h_system = resonant_ladder(clock, clock.dim)
-    match = match_spectra(clock.h_c, h_system, tol=1e-9 * max(clock.epsilon, 1.0))
-    psi = build_psi(match, gaussian_profile(match, center=energy_of_rho(clock, 0.45),
-                                            width=0.2))
+    psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, 0.45), width=0.2)
     q_rate = quantum_flow_rate(psi, clock, h_system, 0.45)
     c_rate = classical_flow_rate(clock)
     rate_err = abs(q_rate - c_rate)
@@ -767,7 +744,6 @@ def run_all(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat KEY=VALUE config file")
-    parser.add_argument("--jobs", metavar="N", help="worker threads for sweeps")
     parser.add_argument("--out", metavar="DIR", help="output root directory")
     parser.add_argument("--seed", metavar="N", help="seed for random coefficient profiles")
     parser.add_argument("--tol-override", metavar="KEY=VAL", action="append",
@@ -828,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides: dict[str, object] = {"jobs": args.jobs, "out": args.out, "seed": args.seed}
+    overrides: dict[str, object] = {"out": args.out, "seed": args.seed}
     for _, key, _ in _FLAG_MAP[args.subcommand]:
         overrides[key] = getattr(args, key)
     try:

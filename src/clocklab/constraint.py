@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 
 from .algebra import ClockModel
+from .families import lookup
 from .gcs import coherent_vector
 
 CHI2_FLOOR = 1e-14
@@ -152,6 +153,25 @@ def build_psi(match: SpectralMatch, coefficients: np.ndarray) -> CompositeState:
     )
 
 
+def ladder_match(clock: ClockModel, h_system: np.ndarray) -> SpectralMatch:
+    """match_spectra of a clock against a system at the library's tolerance.
+
+    Levels pair up within 1e-9 of the gap, and within 1e-9 absolute when
+    the gap is below one.  Raises when the spectra share no level.
+    """
+    match = match_spectra(clock.h_c, h_system, tol=1e-9 * max(clock.epsilon, 1.0))
+    if not match.pairs:
+        raise ValueError("no constraint states: the spectra share no level")
+    return match
+
+
+def gaussian_state(clock: ClockModel, h_system: np.ndarray,
+                   center: float, width: float) -> CompositeState:
+    """The constraint state with a Gaussian energy profile over ``ladder_match``."""
+    match = ladder_match(clock, h_system)
+    return build_psi(match, gaussian_profile(match, center=center, width=width))
+
+
 @dataclasses.dataclass(frozen=True)
 class ConditionalState:
     """System state conditioned on the clock reading (rho, phi).
@@ -220,30 +240,10 @@ def precs_decomposition_check(
     same measures as the identity resolution and compares against the
     partial trace.  Returns the 2-norm of the difference.
     """
-    rep = clock.rep
     rho_g = reduced_density_gamma(psi)
     acc = np.zeros_like(rho_g)
-    if rep.family == "su2":
-        j = rep.params["j"]
-        x, w = np.polynomial.legendre.leggauss(n_polar)
-        thetas = np.arccos(x)
-        phis = 2 * np.pi * np.arange(n_azim) / n_azim
-        for th, wt in zip(thetas, w):
-            weight = (2 * j + 1) * wt / (2.0 * n_azim)
-            for ph in phis:
-                cond = conditional_state(psi, clock, th / 2.0, ph)
-                acc += weight * np.outer(cond.unnormalized, cond.unnormalized.conj())
-    elif rep.family == "h4":
-        u, w_u = np.polynomial.legendre.leggauss(n_polar)
-        cap2 = radial_cap * radial_cap
-        u_nodes = 0.5 * cap2 * (u + 1.0)
-        u_weights = 0.5 * cap2 * w_u
-        phis = 2 * np.pi * np.arange(n_azim) / n_azim
-        for un, wn in zip(u_nodes, u_weights):
-            weight = wn / n_azim
-            for ph in phis:
-                cond = conditional_state(psi, clock, float(np.sqrt(un)), ph)
-                acc += weight * np.outer(cond.unnormalized, cond.unnormalized.conj())
-    else:
-        raise ValueError(f"manifold integration implemented for su2 and h4, not {rep.family!r}")
+    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim, radial_cap)
+    for rho, phi, w in zip(rhos, phis, weights):
+        vec = conditional_state(psi, clock, float(rho), float(phi)).unnormalized
+        acc += w * np.outer(vec, vec.conj())
     return float(np.linalg.norm(acc - rho_g, 2))

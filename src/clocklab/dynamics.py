@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import ClockModel, build_clock, build_su2_rep, intensive_su2_clock, intensive_h4_clock
-from .constraint import CompositeState, build_psi, conditional_state, gaussian_profile, match_spectra
+from .constraint import CompositeState, build_psi, conditional_state, gaussian_state, ladder_match
 from .gcs import clock_symbol_analytic, coherent_vector
 
 
@@ -196,14 +196,6 @@ def detuned_ladder(clock: ClockModel, n_levels: int, offset: float = 0.5) -> np.
     return np.diag(clock.epsilon * (np.arange(n_levels, dtype=float) + offset))
 
 
-def _matched_state(clock: ClockModel, h_system: np.ndarray,
-                   center: float, width: float) -> CompositeState:
-    match = match_spectra(clock.h_c, h_system, tol=1e-9 * max(clock.epsilon, 1.0))
-    if not match.pairs:
-        raise ValueError("no constraint states: the spectra share no level")
-    return build_psi(match, gaussian_profile(match, center=center, width=width))
-
-
 def su2_stationary_experiment(j: float, rho: float = 0.6, phi: float = 0.3,
                               width: float = 0.25, detune: float = 0.0) -> ConvergenceRecord:
     """Stationary residual for an intensive spin clock against its own ladder.
@@ -219,7 +211,7 @@ def su2_stationary_experiment(j: float, rho: float = 0.6, phi: float = 0.3,
         h_system = detuned_ladder(clock, clock.dim, offset=detune)
     else:
         h_system = resonant_ladder(clock, clock.dim)
-    psi = _matched_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
+    psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
     value = stationary_residual(psi, clock, h_system, rho, phi)
     return ConvergenceRecord(size=clock.dim, residual=value,
                              detail={"j": j, "rho": rho, "phi": phi, "width": width})
@@ -237,7 +229,7 @@ def h4_stationary_experiment(mean_n: int, level_fraction: float = 0.5,
     level = int(round(level_fraction * mean_n))
     rho = float(np.sqrt(level))
     h_system = resonant_ladder(clock, clock.dim)
-    psi = _matched_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
+    psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
     value = stationary_residual(psi, clock, h_system, rho, phi)
     return ConvergenceRecord(size=clock.rep.params["n_cut"], residual=value,
                              detail={"mean_n": mean_n, "rho": rho, "phi": phi,
@@ -257,9 +249,7 @@ def su2_first_order_experiment(j: float, rho: float = 0.35, phi: float = 0.4,
     clock = build_clock(build_su2_rep(j))
     n_levels = len(targets)
     h_system = resonant_ladder(clock, n_levels)
-    match = match_spectra(clock.h_c, h_system, tol=1e-9)
-    if not match.pairs:
-        raise ValueError("no constraint states: the spectra share no level")
+    match = ladder_match(clock, h_system)
     amps = coherent_vector(clock.rep, rho, 0.0).real[:n_levels]
     coeff = np.asarray(targets, dtype=float) / amps
     psi = build_psi(match, coeff)

@@ -1,0 +1,196 @@
+"""Closed forms of the three clock families, one object per family.
+
+Every formula that depends on which Lie algebra a clock is built from lives
+here (see ``Family``).  The matrices are built in ``algebra`` without any of
+them, so checks that compare the two sides stay independent.  Callers turn
+``LieAlgebraRep.family``, the family's name, into its object with ``lookup``.
+"""
+from __future__ import annotations
+
+import numpy as np
+from scipy.special import gammaln
+
+# builders are called through the module, so wrappers installed on algebra's
+# functions (the clockbench span tracer) see these calls too
+from . import algebra
+from .algebra import LieAlgebraRep
+
+POLE_GUARD = 1e-3
+
+
+class Family:
+    """The closed forms of one family.  Every subclass defines
+
+    - ``amplitudes(rep, rho)``: radial amplitudes c_n >= 0 of the
+      normalized coherent state, stable at every admissible rho;
+    - ``projective_radius(rho)``: |Lambda|, the modulus of the projective
+      coordinate, guarding the tangent pole;
+    - ``symbol(clock, rho)``: the closed-form clock symbol;
+    - ``chart_radius(clock, rho)``: the Darboux factor C(rho) and its
+      derivative, with (eps/2) C(rho)^2 the coherent energy surface;
+    - ``two_form(clock, rho, hbar)``: the coefficient of dphi ^ drho of the
+      pulled-back two-form;
+
+    and, where the family has them, ``rep_for_size`` and the radial rule
+    behind ``nodes``.  Adding a family means one subclass here and one
+    builder in ``algebra``.
+    """
+
+    name: str
+
+    def rep_for_size(self, size: int) -> LieAlgebraRep:
+        """Representation for one entry of a size sweep."""
+        raise ValueError(f"no size sweep for family {self.name!r}")
+
+    def _radial_rule(self, rep: LieAlgebraRep, n_polar: int | None, n_azim: int,
+                     radial_cap: float) -> tuple[np.ndarray, np.ndarray]:
+        raise ValueError(f"no normalizable manifold measure for family {self.name!r}")
+
+    def nodes(self, rep: LieAlgebraRep, n_polar: int | None = None,
+              n_azim: int | None = None,
+              radial_cap: float = 8.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flattened (rho, phi, weight) quadrature of the invariant measure.
+
+        Radial-major order.  The azimuthal grid is uniform (``rep.dim``
+        points by default) so phase cross terms integrate exactly; the
+        radial rule is Gauss-Legendre in the measure's natural variable.
+        The weights carry the full measure, so summing w |c><c| over the
+        nodes approximates the resolution of identity.
+        """
+        if n_azim is None:
+            n_azim = rep.dim
+        rhos, radial_w = self._radial_rule(rep, n_polar, n_azim, radial_cap)
+        phis = 2 * np.pi * np.arange(n_azim) / n_azim
+        rho_flat = np.repeat(rhos, n_azim)
+        phi_flat = np.tile(phis, len(rhos))
+        w_flat = np.repeat(radial_w, n_azim)
+        return rho_flat, phi_flat, w_flat
+
+
+class _SU2(Family):
+    """Spin: the sphere, trig branch."""
+
+    name = "su2"
+
+    def amplitudes(self, rep, rho):
+        n = np.arange(rep.dim, dtype=float)
+        j = rep.params["j"]
+        two_j = 2 * j
+        ln_binom = 0.5 * (gammaln(two_j + 1) - gammaln(n + 1) - gammaln(two_j - n + 1))
+        s, c = np.sin(rho), np.cos(rho)
+        # powers, not logs: endpoints rho = 0, pi/2 are exact this way
+        return np.exp(ln_binom) * s ** n * c ** (two_j - n)
+
+    def projective_radius(self, rho):
+        if abs(rho - np.pi / 2) < POLE_GUARD:
+            raise ValueError(
+                f"rho = {rho} is within {POLE_GUARD} of the tangent pole pi/2"
+            )
+        return np.tan(rho)
+
+    def symbol(self, clock, rho):
+        return float(0.5 * clock.epsilon * clock.b2 * (np.cos(2 * rho) - 1.0))
+
+    def chart_radius(self, clock, rho):
+        amp = np.sqrt(2.0 * abs(clock.b2))
+        return amp * np.sin(rho), amp * np.cos(rho)
+
+    def two_form(self, clock, rho, hbar):
+        return hbar * abs(clock.b2) * np.sin(2.0 * rho)
+
+    def rep_for_size(self, size):
+        """``size`` is 2j."""
+        return algebra.build_su2_rep(size / 2.0)
+
+    def _radial_rule(self, rep, n_polar, n_azim, radial_cap):
+        # (2j+1)/(4pi) d(cos theta) dphi with theta = 2 rho
+        j = rep.params["j"]
+        if n_polar is None:
+            n_polar = int(np.ceil(j)) + 1
+        x, w = np.polynomial.legendre.leggauss(n_polar)
+        return np.arccos(x) / 2.0, (2 * j + 1) * w / (2.0 * n_azim)
+
+
+class _H4(Family):
+    """Oscillator: the plane."""
+
+    name = "h4"
+
+    def amplitudes(self, rep, rho):
+        n = np.arange(rep.dim, dtype=float)
+        if rho == 0.0:
+            amps = np.zeros(rep.dim)
+            amps[0] = 1.0
+            return amps
+        ln = n * np.log(rho) - 0.5 * gammaln(n + 1) - rho * rho / 2.0
+        return np.exp(ln)
+
+    def projective_radius(self, rho):
+        return rho
+
+    def symbol(self, clock, rho):
+        return float(clock.epsilon * rho * rho)
+
+    def chart_radius(self, clock, rho):
+        return np.sqrt(2.0) * rho, np.sqrt(2.0)
+
+    def two_form(self, clock, rho, hbar):
+        return 2.0 * hbar * rho
+
+    def rep_for_size(self, size):
+        """``size`` is the Fock cutoff."""
+        return algebra.build_h4_rep(int(size))
+
+    def _radial_rule(self, rep, n_polar, n_azim, radial_cap):
+        # (1/pi) d^2 alpha, Gauss-Legendre in u = rho^2 over [0, radial_cap^2]
+        if n_polar is None:
+            n_polar = 160
+        u, w = np.polynomial.legendre.leggauss(n_polar)
+        cap2 = radial_cap * radial_cap
+        return np.sqrt(0.5 * cap2 * (u + 1.0)), 0.5 * cap2 * w / n_azim
+
+
+class _SU11(Family):
+    """Pseudo-spin discrete series: the hyperboloid; no quadrature, no size sweep."""
+
+    name = "su11"
+
+    def amplitudes(self, rep, rho):
+        n = np.arange(rep.dim, dtype=float)
+        k = rep.params["k"]
+        t = np.tanh(rho)
+        ln_poch = 0.5 * (gammaln(2 * k + n) - gammaln(n + 1) - gammaln(2 * k))
+        if t == 0.0:
+            amps = np.zeros(rep.dim)
+            amps[0] = 1.0
+            return amps
+        ln = ln_poch + n * np.log(t) + k * np.log1p(-t * t)
+        return np.exp(ln)
+
+    def projective_radius(self, rho):
+        return np.tanh(rho)
+
+    def symbol(self, clock, rho):
+        return float(0.5 * clock.epsilon * clock.b2 * (np.cosh(2 * rho) - 1.0))
+
+    def chart_radius(self, clock, rho):
+        amp = np.sqrt(2.0 * abs(clock.b2))
+        return -amp * np.sinh(rho), -amp * np.cosh(rho)
+
+    def two_form(self, clock, rho, hbar):
+        return hbar * abs(clock.b2) * np.sinh(2.0 * rho)
+
+
+su2 = _SU2()
+h4 = _H4()
+su11 = _SU11()
+
+FAMILIES: dict[str, Family] = {f.name: f for f in (su2, h4, su11)}
+
+
+def lookup(name: str) -> Family:
+    """The family object for a ``LieAlgebraRep.family`` name."""
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None

@@ -3,20 +3,19 @@
 States are labelled by a single complex coordinate lambda = rho*exp(i*phi)
 (one ladder mode).  Two independent construction routes are kept on
 purpose: ``displace`` exponentiates the anti-hermitian generator with a
-dense Pade expm, while ``coherent_normalized_form`` expands the normalized
-exponential-of-raising form whose argument is the projective coordinate
-Lambda.  Their agreement is the executable disentangling check.
+dense Pade expm, while ``coherent_vector`` evaluates the family's closed-form
+amplitudes (see ``families``).  Their agreement is the executable
+disentangling check.
 """
 from __future__ import annotations
 
 import dataclasses
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .algebra import ClockModel, LieAlgebraRep
+from .families import lookup
 
-POLE_GUARD = 1e-3
 TAIL_MASS_LIMIT = 1e-10
 
 
@@ -63,40 +62,6 @@ def displace(rep: LieAlgebraRep, omega: complex) -> CoherentState:
     return CoherentState(family=rep.family, dim=rep.dim, rho=rho, phi=phi, vector=vec)
 
 
-def _ladder_amplitudes(rep: LieAlgebraRep, rho: float) -> np.ndarray:
-    """Radial component amplitudes c_n >= 0 of the normalized state.
-
-    Closed per-family forms, stable at every admissible rho (no tangent
-    poles are evaluated).
-    """
-    n = np.arange(rep.dim, dtype=float)
-    if rep.family == "su2":
-        j = rep.params["j"]
-        two_j = 2 * j
-        ln_binom = 0.5 * (gammaln(two_j + 1) - gammaln(n + 1) - gammaln(two_j - n + 1))
-        s, c = np.sin(rho), np.cos(rho)
-        # powers, not logs: endpoints rho = 0, pi/2 are exact this way
-        return np.exp(ln_binom) * s ** n * c ** (two_j - n)
-    if rep.family == "h4":
-        if rho == 0.0:
-            amps = np.zeros(rep.dim)
-            amps[0] = 1.0
-            return amps
-        ln = n * np.log(rho) - 0.5 * gammaln(n + 1) - rho * rho / 2.0
-        return np.exp(ln)
-    if rep.family == "su11":
-        k = rep.params["k"]
-        t = np.tanh(rho)
-        ln_poch = 0.5 * (gammaln(2 * k + n) - gammaln(n + 1) - gammaln(2 * k))
-        if t == 0.0:
-            amps = np.zeros(rep.dim)
-            amps[0] = 1.0
-            return amps
-        ln = ln_poch + n * np.log(t) + k * np.log1p(-t * t)
-        return np.exp(ln)
-    raise ValueError(f"unknown family {rep.family!r}")
-
-
 def coherent_vector(rep: LieAlgebraRep, rho: float, phi: float) -> np.ndarray:
     """Normalized coherent components c_n(rho) * exp(i n phi).
 
@@ -106,7 +71,7 @@ def coherent_vector(rep: LieAlgebraRep, rho: float, phi: float) -> np.ndarray:
     """
     if rho < 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
-    amps = _ladder_amplitudes(rep, float(rho))
+    amps = lookup(rep.family).amplitudes(rep, float(rho))
     n = np.arange(rep.dim)
     return amps * np.exp(1j * n * phi)
 
@@ -124,39 +89,7 @@ def projective_coordinate(rep: LieAlgebraRep, rho: float, phi: float) -> complex
     itself for the oscillator; phase exp(i*phi) throughout.  Guards the
     tangent pole.
     """
-    if rep.family == "su2":
-        if abs(rho - np.pi / 2) < POLE_GUARD:
-            raise ValueError(
-                f"rho = {rho} is within {POLE_GUARD} of the tangent pole pi/2"
-            )
-        radial = np.tan(rho)
-    elif rep.family == "su11":
-        radial = np.tanh(rho)
-    else:
-        radial = rho
-    return radial * np.exp(1j * phi)
-
-
-def coherent_normalized_form(rep: LieAlgebraRep, rho: float, phi: float) -> CoherentState:
-    """Normalized exp(Lambda R^dag)|G> built by the explicit ladder recursion.
-
-    This route never calls expm; equality with ``displace`` is the
-    disentangling identity made executable.
-    """
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    lam_proj = projective_coordinate(rep, rho, phi)
-    r_dag = rep.raising_ops[0].conj().T
-    step = np.array([r_dag[m + 1, m] for m in range(rep.dim - 1)])
-    coeff = np.empty(rep.dim, dtype=complex)
-    coeff[0] = 1.0
-    for m in range(rep.dim - 1):
-        # (Lambda R^dag)^{m+1}/(m+1)! term, one rung at a time
-        coeff[m + 1] = coeff[m] * lam_proj * step[m] / (m + 1)
-    norm = np.linalg.norm(coeff)
-    vec = coeff / norm
-    return CoherentState(family=rep.family, dim=rep.dim, rho=float(rho),
-                         phi=float(phi), vector=vec)
+    return lookup(rep.family).projective_radius(rho) * np.exp(1j * phi)
 
 
 def overlap(a: CoherentState, b: CoherentState) -> complex:
@@ -177,12 +110,7 @@ def symbol(op: np.ndarray, state: CoherentState) -> complex:
 
 def clock_symbol_numeric(clock: ClockModel, rho: float, phi: float = 0.0) -> float:
     """<lambda|h_c|lambda> evaluated from the state vector."""
-    state = CoherentState(
-        family=clock.rep.family, dim=clock.dim, rho=rho, phi=phi,
-        vector=coherent_vector(clock.rep, rho, phi),
-    )
-    val = symbol(clock.h_c, state)
-    return float(val.real)
+    return float(symbol(clock.h_c, coherent_state(clock.rep, rho, phi)).real)
 
 
 def clock_symbol_analytic(clock: ClockModel, rho: float) -> float:
@@ -191,19 +119,7 @@ def clock_symbol_analytic(clock: ClockModel, rho: float) -> float:
     Trig branch: (eps*b2/2)(cos(2 rho) - 1); hyperbolic branch the same
     with cosh; oscillator: eps * rho^2.
     """
-    eps = clock.epsilon
-    if clock.rep.family == "h4":
-        return float(eps * rho * rho)
-    if clock.sigma2 == 1:
-        return float(0.5 * eps * clock.b2 * (np.cos(2 * rho) - 1.0))
-    return float(0.5 * eps * clock.b2 * (np.cosh(2 * rho) - 1.0))
-
-
-def _polar_nodes(n_polar: int, n_azim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n_polar)
-    theta = np.arccos(x)
-    phis = 2 * np.pi * np.arange(n_azim) / n_azim
-    return theta, w, phis
+    return lookup(clock.rep.family).symbol(clock, rho)
 
 
 def identity_resolution_check(
@@ -214,37 +130,18 @@ def identity_resolution_check(
 ) -> float:
     """Quadrature deviation of the resolution of identity, as a 2-norm.
 
-    su2: (2j+1)/(4pi) * integral over the sphere, Gauss-Legendre in
-    cos(theta) with theta = 2*rho and a uniform azimuthal grid.
-    h4: (1/pi) * d^2 alpha, Gauss-Legendre in u = rho^2 up to radial_cap^2
-    and a uniform angle grid; measured on the valid subspace.
+    Sums w |lambda><lambda| over the family's manifold quadrature (su2:
+    the sphere, Gauss-Legendre in cos(theta) with theta = 2*rho; h4: the
+    plane, Gauss-Legendre in rho^2 up to radial_cap^2) and compares with
+    the identity on the valid subspace.
     """
-    if rep.family == "su2":
-        j = rep.params["j"]
-        theta, w_theta, phis = _polar_nodes(n_polar, n_azim)
-        acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-        for th, wt in zip(theta, w_theta):
-            weight = (2 * j + 1) * wt / (2.0 * n_azim)
-            for ph in phis:
-                v = coherent_vector(rep, th / 2.0, ph)
-                acc += weight * np.outer(v, v.conj())
-        return float(np.linalg.norm(acc - np.eye(rep.dim), 2))
-    if rep.family == "h4":
-        u, w_u = np.polynomial.legendre.leggauss(n_polar)
-        # map [-1, 1] -> [0, cap^2] in the u = rho^2 variable
-        cap2 = radial_cap * radial_cap
-        u_nodes = 0.5 * cap2 * (u + 1.0)
-        u_weights = 0.5 * cap2 * w_u
-        phis = 2 * np.pi * np.arange(n_azim) / n_azim
-        nv = rep.valid_dim
-        acc = np.zeros((nv, nv), dtype=complex)
-        for un, wn in zip(u_nodes, u_weights):
-            weight = wn / n_azim
-            for ph in phis:
-                v = coherent_vector(rep, float(np.sqrt(un)), ph)[:nv]
-                acc += weight * np.outer(v, v.conj())
-        return float(np.linalg.norm(acc - np.eye(nv), 2))
-    raise ValueError(f"identity resolution implemented for su2 and h4, not {rep.family!r}")
+    rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim, radial_cap)
+    nv = rep.valid_dim
+    acc = np.zeros((nv, nv), dtype=complex)
+    for rho, phi, w in zip(rhos, phis, weights):
+        v = coherent_vector(rep, float(rho), float(phi))[:nv]
+        acc += w * np.outer(v, v.conj())
+    return float(np.linalg.norm(acc - np.eye(nv), 2))
 
 
 @dataclasses.dataclass(frozen=True)

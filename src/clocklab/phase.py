@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ClockModel, build_clock, build_h4_rep, build_su2_rep
+from .algebra import ClockModel, build_clock
+from .families import lookup
 from .gcs import CoherentState, coherent_state
 
 
@@ -89,11 +90,12 @@ def commutator_check(clock: ClockModel, phase: PhaseOperator) -> CommutatorRepor
     """
     m = clock.h_c @ phase.sin_phi - phase.sin_phi @ clock.h_c \
         - 1j * clock.epsilon * phase.cos_phi
-    interior = np.zeros(clock.dim)
-    interior[1:-1] = 1.0
-    p = np.diag(interior)
+    # the interior projector applied on both sides, without the products
+    interior = m.copy()
+    interior[[0, -1], :] = 0.0
+    interior[:, [0, -1]] = 0.0
     return CommutatorReport(
-        interior_residual=float(np.linalg.norm(p @ m @ p, 2)),
+        interior_residual=float(np.linalg.norm(interior, 2)),
         full_residual=float(np.linalg.norm(m, 2)),
         epsilon=clock.epsilon,
         dim=clock.dim,
@@ -134,13 +136,13 @@ def uncertainty_audit(state: CoherentState, clock: ClockModel,
 
 def uncertainty_grid_audit(clock: ClockModel, phase: PhaseOperator,
                            rhos: Sequence[float], phis: Sequence[float]) -> float:
-    """Worst slack over a coherent grid; callers pick tail-guarded rhos."""
-    worst = np.inf
-    for rho in rhos:
-        for phi in phis:
-            audit = uncertainty_audit(coherent_state(clock.rep, rho, phi), clock, phase)
-            worst = min(worst, audit.slack)
-    return float(worst)
+    """Worst slack over a coherent grid; callers pick tail-guarded rhos.
+
+    NaN when any slack is NaN, so a bad grid point fails the caller's gate.
+    """
+    slacks = [uncertainty_audit(coherent_state(clock.rep, rho, phi), clock, phase).slack
+              for rho in rhos for phi in phis]
+    return float(np.min(slacks))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,14 +183,10 @@ def classical_phase_expectations(family: str, sizes: Sequence[int],
     exp(-i*phi) as the clock grows; the table quantifies that approach.
     ``sizes`` are 2j values for spin clocks and cutoffs for the oscillator.
     """
+    kind = lookup(family)
     records = []
     for size in sizes:
-        if family == "su2":
-            clock = build_clock(build_su2_rep(size / 2.0))
-        elif family == "h4":
-            clock = build_clock(build_h4_rep(int(size)))
-        else:
-            raise ValueError(f"no phase-expectation sweep for family {family!r}")
+        clock = build_clock(kind.rep_for_size(size))
         phase = build_phase_operator(clock)
         vec = coherent_state(clock.rep, rho, phi).vector
         mean_sin = float(np.real(np.vdot(vec, phase.sin_phi @ vec)))

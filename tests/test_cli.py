@@ -2,6 +2,7 @@
 
 import datetime
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import types
 
 import pytest
 
-from clocklab import cli
+from clocklab import cli, intensive_su2_clock
 
 
 def run(args):
@@ -152,12 +153,46 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
-def test_jobs_do_not_change_data(tmp_path):
-    run(["verify-algebra", "--out", str(tmp_path / "a")])
-    run(["verify-algebra", "--jobs", "4", "--out", str(tmp_path / "b")])
-    a = only_run_dir(tmp_path / "a", "verify-algebra")
-    b = only_run_dir(tmp_path / "b", "verify-algebra")
-    assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
+def test_jobs_option_is_retired(tmp_path):
+    """--jobs and a jobs= line are refused with exit 2 and write nothing."""
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-algebra", "--jobs", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("jobs=2\n")
+    assert run(["verify-algebra", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_symbol_rho_must_be_finite_and_nonnegative(tmp_path, value):
+    """A nan point used to pass: max() dropped the nan error."""
+    assert run(["symbol", "--algebra", "su2", f"--rho={value}",
+                "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["ph_rho_min=nan\nph_rho_max=nan\n", "ph_sizes=10,inf\n"])
+def test_non_finite_float_in_config_exits_two(tmp_path, text):
+    """A nan grid used to pass the slack gate with worst_slack = inf."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run(["phase-audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args", [["symbol", "--points", "0"], ["phase-audit", "--grid", "0"]])
+def test_empty_grid_exits_two(tmp_path, args):
+    """An empty grid used to pass its gate without evaluating a point."""
+    assert run(args + ["--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_symbol_worst_error_keeps_nan():
+    clock = intensive_su2_clock(10.0)
+    rows, worst = cli._symbol_rows(clock, "su2", [0.3, float("nan")], relative=False)
+    assert len(rows) == 2
+    assert math.isnan(worst)
 
 
 def test_symbol_single_point_h4(tmp_path):

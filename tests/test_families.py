@@ -1,0 +1,133 @@
+"""Exact invariants of every registered family, drawn with hypothesis.
+
+Each test runs once per name in ``families.FAMILIES`` over a few
+representation sizes, with rho drawn from the tail-safe range: the radii
+at which the closed-form state leaves at most 1e-12 of its mass above the
+valid subspace, so the truncation is not felt.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from clocklab.algebra import build_clock, build_h4_rep, build_su2_rep, build_su11_rep
+from clocklab.classical import chart_hamiltonian, map_F
+from clocklab.constraint import conditional_state, gaussian_state
+from clocklab.dynamics import energy_of_rho, resonant_ladder
+from clocklab.families import FAMILIES
+from clocklab.gcs import clock_symbol_analytic, clock_symbol_numeric, coherent_vector, displace
+
+REPS = {
+    "su2": lambda: [build_su2_rep(j) for j in (0.5, 1.0, 2.5, 10.0, 20.0)],
+    "h4": lambda: [build_h4_rep(n) for n in (16, 32, 64)],
+    "su11": lambda: [build_su11_rep(k, n) for k, n in ((0.5, 32), (1.0, 32), (2.0, 64))],
+}
+RHO_CAP = 1.5
+TAIL = 1e-12
+
+names = pytest.mark.parametrize("name", sorted(FAMILIES))
+
+
+def _tail(rep, rho):
+    v = coherent_vector(rep, rho, 0.0)
+    return 1.0 - float(np.sum(np.abs(v[:rep.valid_dim]) ** 2))
+
+
+@functools.cache
+def cases(name):
+    """(rep, largest tail-safe rho) for each test size of the family."""
+    out = []
+    for rep in REPS[name]():
+        lo, hi = 0.0, RHO_CAP
+        if _tail(rep, hi) > TAIL:
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _tail(rep, mid) <= TAIL else (lo, mid)
+        else:
+            lo = hi
+        out.append((rep, lo))
+    return out
+
+
+def points(name):
+    """(rep, rho, phi) with rho in the rep's tail-safe range."""
+    return st.tuples(st.sampled_from(cases(name)),
+                     st.floats(0.0, 1.0),
+                     st.floats(0.0, 2 * np.pi)).map(
+        lambda t: (t[0][0], t[1] * t[0][1], t[2]))
+
+
+scales = st.sampled_from([0.05, 1.0, 3.0])
+
+
+@names
+def test_displace_equals_closed_form(name):
+    @given(points(name))
+    def check(point):
+        rep, rho, phi = point
+        direct = displace(rep, rho * np.exp(1j * phi)).vector
+        closed = coherent_vector(rep, rho, phi)
+        nv = rep.valid_dim
+        assert np.linalg.norm(direct[:nv] - closed[:nv]) <= 1e-10
+
+    check()
+
+
+@names
+def test_numeric_symbol_equals_closed_form(name):
+    @given(points(name), scales)
+    def check(point, scale):
+        rep, rho, phi = point
+        clock = build_clock(rep, scale=scale)
+        analytic = clock_symbol_analytic(clock, rho)
+        assert clock_symbol_numeric(clock, rho, phi) == pytest.approx(
+            analytic, rel=1e-8, abs=1e-12 * clock.epsilon * rep.dim)
+
+    check()
+
+
+@names
+def test_chart_hamiltonian_equals_symbol(name):
+    @given(points(name), scales, st.sampled_from([(1.0,), (0.6, 0.8)]))
+    def check(point, scale, v):
+        rep, rho, phi = point
+        clock = build_clock(rep, scale=scale)
+        analytic = clock_symbol_analytic(clock, rho)
+        assert chart_hamiltonian(clock, map_F(rho, phi, v, clock)) == pytest.approx(
+            analytic, rel=1e-12, abs=1e-14 * clock.epsilon)
+
+    check()
+
+
+@names
+def test_clock_lowers_by_the_gap_on_exact_subspace(name):
+    @given(st.sampled_from(cases(name)), scales)
+    def check(case, scale):
+        rep, _ = case
+        clock = build_clock(rep, scale=scale)
+        r_op = clock.lowering_op
+        resid = clock.h_c @ r_op - r_op @ clock.h_c + clock.epsilon * r_op
+        exact = rep.exact_dim
+        bound = 1e-14 * np.linalg.norm(clock.h_c) * np.linalg.norm(r_op)
+        assert np.abs(resid[:exact, :exact]).max() <= bound
+
+    check()
+
+
+@names
+def test_chi2_is_phase_independent_for_the_recipe_state(name):
+    @given(points(name), st.floats(0.0, 2 * np.pi), st.sampled_from([0.1, 0.5]))
+    def check(point, phi2, width):
+        rep, rho, phi = point
+        clock = build_clock(rep)
+        psi = gaussian_state(clock, resonant_ladder(clock, clock.dim),
+                             center=energy_of_rho(clock, rho),
+                             width=width * clock.epsilon * rep.dim)
+        a = conditional_state(psi, clock, rho, phi).chi2
+        b = conditional_state(psi, clock, rho, phi2).chi2
+        assert abs(a - b) <= 1e-13
+
+    check()

@@ -87,6 +87,14 @@ def test_uncertainty_bound_on_coherent_grid():
     assert worst >= -1e-12
 
 
+def test_uncertainty_grid_keeps_nan():
+    """A nan radius makes the worst slack nan, which fails a ">=" gate."""
+    clock = build_clock(build_su2_rep(15.0))
+    phase = build_phase_operator(clock)
+    worst = uncertainty_grid_audit(clock, phase, rhos=[0.2, float("nan")], phis=[0.0, 1.0])
+    assert np.isnan(worst)
+
+
 def test_uncertainty_single_state_fields():
     clock = build_clock(build_su2_rep(15.0))
     phase = build_phase_operator(clock)
