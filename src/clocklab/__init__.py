@@ -87,7 +87,6 @@ from .gcs import (
     identity_resolution_check,
     overlap,
     phi_derivative_identity_check,
-    projective_coordinate,
     symbol,
 )
 from .phase import (
@@ -150,7 +149,6 @@ __all__ = [
     "phi_derivative_identity_check",
     "poisson_bracket_clock",
     "precs_decomposition_check",
-    "projective_coordinate",
     "propagator_deviation",
     "pullback_two_form",
     "quantum_flow_rate",

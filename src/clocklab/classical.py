@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import ClockModel
 from .constraint import CompositeState
 from .families import lookup
-from .gcs import clock_symbol_analytic, coherent_vector
+from .gcs import clock_symbol_analytic, coherent_table
 
 SUPPORT_THRESHOLD = 1e-6
 
@@ -229,13 +229,6 @@ def classical_flow_rate(clock: ClockModel, v: Sequence[float] = (1.0,),
 
 # --- joint coherent amplitudes over both manifolds --------------------------
 
-def _coherent_matrix(clock: ClockModel, rho_flat, phi_flat) -> np.ndarray:
-    cols = np.empty((clock.dim, len(rho_flat)), dtype=complex)
-    for i, (r, f) in enumerate(zip(rho_flat, phi_flat)):
-        cols[:, i] = coherent_vector(clock.rep, float(r), float(f))
-    return cols
-
-
 @dataclasses.dataclass(frozen=True)
 class BetaDistribution:
     """Joint coherent amplitude over clock x system manifolds.
@@ -277,8 +270,8 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
                                                          radial_cap)
     rho_g, phi_g, w_g = lookup(clock_g.rep.family).nodes(clock_g.rep, n_polar_g, n_azim_g,
                                                          radial_cap)
-    mc = _coherent_matrix(clock_c, rho_c, phi_c)
-    mg = _coherent_matrix(clock_g, rho_g, phi_g)
+    mc = coherent_table(clock_c.rep, rho_c, phi_c)
+    mg = coherent_table(clock_g.rep, rho_g, phi_g)
     values = mc.conj().T @ psi.matrix @ mg.conj()
     dens = np.abs(values) ** 2
     mask = dens >= threshold * dens.max()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import ClockModel
 from .families import lookup
-from .gcs import coherent_vector
+from .gcs import coherent_table, coherent_vector, weighted_outer_sum
 
 CHI2_FLOOR = 1e-14
 
@@ -55,14 +55,10 @@ def match_spectra(h_clock: np.ndarray, h_system: np.ndarray, tol: float = 1e-9) 
     """
     e_c, v_c = np.linalg.eigh(h_clock)
     e_g, v_g = np.linalg.eigh(h_system)
-    pairs = []
-    for i, e in enumerate(e_c):
-        for j, f in enumerate(e_g):
-            if abs(e - f) <= tol:
-                pairs.append((i, j))
+    idx_c, idx_g = np.nonzero(np.abs(e_c[:, None] - e_g[None, :]) <= tol)
     return SpectralMatch(
         clock_evals=e_c, clock_evecs=v_c, system_evals=e_g, system_evecs=v_g,
-        pairs=tuple(pairs), tol=tol,
+        pairs=tuple(zip(idx_c.tolist(), idx_g.tolist())), tol=tol,
     )
 
 
@@ -195,13 +191,17 @@ class ConditionalState:
         return self.unnormalized / np.sqrt(self.chi2)
 
 
-def conditional_state(psi: CompositeState, clock: ClockModel,
-                      rho: float, phi: float) -> ConditionalState:
-    """Project the composite state on the clock coherent state at (rho, phi)."""
+def _check_clock_dim(psi: CompositeState, clock: ClockModel) -> None:
     if psi.dim_clock != clock.dim:
         raise ValueError(
             f"state clock dimension {psi.dim_clock} != clock dimension {clock.dim}"
         )
+
+
+def conditional_state(psi: CompositeState, clock: ClockModel,
+                      rho: float, phi: float) -> ConditionalState:
+    """Project the composite state on the clock coherent state at (rho, phi)."""
+    _check_clock_dim(psi, clock)
     bra = np.conj(coherent_vector(clock.rep, rho, phi))
     vec_out = bra @ psi.matrix
     chi2 = float(np.real(np.vdot(vec_out, vec_out)))
@@ -240,10 +240,9 @@ def precs_decomposition_check(
     same measures as the identity resolution and compares against the
     partial trace.  Returns the 2-norm of the difference.
     """
-    rho_g = reduced_density_gamma(psi)
-    acc = np.zeros_like(rho_g)
+    _check_clock_dim(psi, clock)
     rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim, radial_cap)
-    for rho, phi, w in zip(rhos, phis, weights):
-        vec = conditional_state(psi, clock, float(rho), float(phi)).unnormalized
-        acc += w * np.outer(vec, vec.conj())
-    return float(np.linalg.norm(acc - rho_g, 2))
+    # one vector-matrix product per node, the same arithmetic as conditional_state
+    rows = np.array([v.conj() @ psi.matrix for v in coherent_table(clock.rep, rhos, phis).T])
+    acc = weighted_outer_sum(rows, weights)
+    return float(np.linalg.norm(acc - reduced_density_gamma(psi), 2))

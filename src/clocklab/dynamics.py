@@ -117,8 +117,15 @@ def quantum_flow_rate(psi: CompositeState, clock: ClockModel,
     In the eigenbasis of the system generator each surviving component
     accumulates phase -E_n*phi/eps; an unwrapped linear fit per component
     recovers eps without using the clock's own energy bookkeeping.
+
+    A matched component is a clock level n < clock.dim, so its phase is
+    n*phi.  The grid therefore ends at the smaller of phi_max and
+    (n_phi - 1) * pi / (2 * (clock.dim - 1)): every step then advances
+    every phase by at most pi/2, and the unwrap cannot alias at any clock
+    size.  The cap reads only the clock's dimension, not eps.
     """
     evals, evecs = np.linalg.eigh(h_system)
+    phi_max = min(phi_max, (n_phi - 1) * np.pi / (2 * max(clock.dim - 1, 1)))
     phis = np.linspace(0.0, phi_max, n_phi)
     comps = np.empty((n_phi, h_system.shape[0]), dtype=complex)
     for a, phi in enumerate(phis):

@@ -15,16 +15,12 @@ from scipy.special import gammaln
 from . import algebra
 from .algebra import LieAlgebraRep
 
-POLE_GUARD = 1e-3
-
 
 class Family:
     """The closed forms of one family.  Every subclass defines
 
     - ``amplitudes(rep, rho)``: radial amplitudes c_n >= 0 of the
       normalized coherent state, stable at every admissible rho;
-    - ``projective_radius(rho)``: |Lambda|, the modulus of the projective
-      coordinate, guarding the tangent pole;
     - ``symbol(clock, rho)``: the closed-form clock symbol;
     - ``chart_radius(clock, rho)``: the Darboux factor C(rho) and its
       derivative, with (eps/2) C(rho)^2 the coherent energy surface;
@@ -81,13 +77,6 @@ class _SU2(Family):
         # powers, not logs: endpoints rho = 0, pi/2 are exact this way
         return np.exp(ln_binom) * s ** n * c ** (two_j - n)
 
-    def projective_radius(self, rho):
-        if abs(rho - np.pi / 2) < POLE_GUARD:
-            raise ValueError(
-                f"rho = {rho} is within {POLE_GUARD} of the tangent pole pi/2"
-            )
-        return np.tan(rho)
-
     def symbol(self, clock, rho):
         return float(0.5 * clock.epsilon * clock.b2 * (np.cos(2 * rho) - 1.0))
 
@@ -124,9 +113,6 @@ class _H4(Family):
             return amps
         ln = n * np.log(rho) - 0.5 * gammaln(n + 1) - rho * rho / 2.0
         return np.exp(ln)
-
-    def projective_radius(self, rho):
-        return rho
 
     def symbol(self, clock, rho):
         return float(clock.epsilon * rho * rho)
@@ -166,9 +152,6 @@ class _SU11(Family):
             return amps
         ln = ln_poch + n * np.log(t) + k * np.log1p(-t * t)
         return np.exp(ln)
-
-    def projective_radius(self, rho):
-        return np.tanh(rho)
 
     def symbol(self, clock, rho):
         return float(0.5 * clock.epsilon * clock.b2 * (np.cosh(2 * rho) - 1.0))

@@ -62,34 +62,36 @@ def displace(rep: LieAlgebraRep, omega: complex) -> CoherentState:
     return CoherentState(family=rep.family, dim=rep.dim, rho=rho, phi=phi, vector=vec)
 
 
-def coherent_vector(rep: LieAlgebraRep, rho: float, phi: float) -> np.ndarray:
-    """Normalized coherent components c_n(rho) * exp(i n phi).
+def coherent_table(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
+    """Coherent vectors at many points: column k is the state at (rhos[k], phis[k]).
 
-    Uses the exact infinite-dimensional normalization, so for truncated
-    representations the result is the honest restriction of the true state
-    (its norm is < 1 when the tail is cut).
+    The family's closed-form amplitudes are evaluated once per distinct
+    radius and the phases exp(i n phi) in one broadcast, so a quadrature
+    over the manifold costs one amplitude call per ring of nodes.  Uses the
+    exact infinite-dimensional normalization, so for truncated
+    representations each column is the honest restriction of the true
+    state (its norm is < 1 when the tail is cut).
     """
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    amps = lookup(rep.family).amplitudes(rep, float(rho))
+    rhos = np.asarray(rhos, dtype=float)
+    if (rhos < 0).any():
+        raise ValueError(f"rho must be nonnegative, got {rhos.min()}")
+    radii, ring = np.unique(rhos, return_inverse=True)
+    family = lookup(rep.family)
+    amps = np.stack([family.amplitudes(rep, float(r)) for r in radii], axis=1)
     n = np.arange(rep.dim)
-    return amps * np.exp(1j * n * phi)
+    return amps[:, ring] * np.exp(1j * n[:, None] * np.asarray(phis, dtype=float)[None, :])
+
+
+def coherent_vector(rep: LieAlgebraRep, rho: float, phi: float) -> np.ndarray:
+    """Normalized coherent components c_n(rho) * exp(i n phi): one column of
+    ``coherent_table``."""
+    return coherent_table(rep, [rho], [phi])[:, 0]
 
 
 def coherent_state(rep: LieAlgebraRep, rho: float, phi: float) -> CoherentState:
     """CoherentState built from the closed-form amplitudes (no exponential)."""
     return CoherentState(family=rep.family, dim=rep.dim, rho=float(rho),
                          phi=float(phi), vector=coherent_vector(rep, rho, phi))
-
-
-def projective_coordinate(rep: LieAlgebraRep, rho: float, phi: float) -> complex:
-    """Lambda, the argument of the exponential-of-raising normalized form.
-
-    tan(rho) on the trig branch, tanh(rho) on the hyperbolic branch, rho
-    itself for the oscillator; phase exp(i*phi) throughout.  Guards the
-    tangent pole.
-    """
-    return lookup(rep.family).projective_radius(rho) * np.exp(1j * phi)
 
 
 def overlap(a: CoherentState, b: CoherentState) -> complex:
@@ -122,6 +124,19 @@ def clock_symbol_analytic(clock: ClockModel, rho: float) -> float:
     return lookup(clock.rep.family).symbol(clock, rho)
 
 
+def weighted_outer_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k |v_k><v_k| over the rows v_k of ``vectors``, in row order.
+
+    One outer product per row on purpose: a single matrix product
+    reorders the additions and moves the last bits of the quadrature
+    residuals built on this sum.
+    """
+    acc = np.zeros((vectors.shape[1], vectors.shape[1]), dtype=complex)
+    for v, w in zip(vectors, weights):
+        acc += w * np.outer(v, v.conj())
+    return acc
+
+
 def identity_resolution_check(
     rep: LieAlgebraRep,
     n_polar: int = 24,
@@ -137,10 +152,7 @@ def identity_resolution_check(
     """
     rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim, radial_cap)
     nv = rep.valid_dim
-    acc = np.zeros((nv, nv), dtype=complex)
-    for rho, phi, w in zip(rhos, phis, weights):
-        v = coherent_vector(rep, float(rho), float(phi))[:nv]
-        acc += w * np.outer(v, v.conj())
+    acc = weighted_outer_sum(coherent_table(rep, rhos, phis)[:nv].T, weights)
     return float(np.linalg.norm(acc - np.eye(nv), 2))
 
 

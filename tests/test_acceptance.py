@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import clocklab
 from clocklab import cli
 from clocklab.algebra import (
     build_clock,
@@ -28,7 +29,6 @@ from clocklab.classical import (
     hamilton_check,
     pullback_two_form,
 )
-from clocklab.constraint import build_psi, gaussian_profile, match_spectra
 from clocklab.dynamics import (
     convergence_sweep,
     energy_of_rho,
@@ -57,8 +57,7 @@ from clocklab.phase import (
 def gaussian_state(j, rho, width):
     clock = intensive_su2_clock(j)
     h_system = resonant_ladder(clock, clock.dim)
-    match = match_spectra(clock.h_c, h_system, tol=1e-9 * clock.epsilon)
-    psi = build_psi(match, gaussian_profile(match, energy_of_rho(clock, rho), width))
+    psi = clocklab.gaussian_state(clock, h_system, energy_of_rho(clock, rho), width)
     return clock, h_system, psi
 
 

@@ -20,8 +20,10 @@ from clocklab.classical import (
     pullback_two_form,
     two_form_coefficient,
 )
-from clocklab.constraint import build_psi, gaussian_profile, match_spectra
+from clocklab.constraint import build_psi, gaussian_state, match_spectra
 from clocklab.dynamics import energy_of_rho, quantum_flow_rate, resonant_ladder
+from clocklab.families import lookup
+from clocklab.gcs import coherent_vector
 
 SU2 = intensive_su2_clock(10.0)
 H4 = intensive_h4_clock(32.0)
@@ -31,8 +33,7 @@ SU11 = build_clock(build_su11_rep(0.5, 96))
 def make_state(j, rho=0.55, width=0.18):
     clock = intensive_su2_clock(j)
     h_system = resonant_ladder(clock, clock.dim)
-    match = match_spectra(clock.h_c, h_system, tol=1e-9 * clock.epsilon)
-    psi = build_psi(match, gaussian_profile(match, energy_of_rho(clock, rho), width))
+    psi = gaussian_state(clock, h_system, energy_of_rho(clock, rho), width)
     return clock, psi
 
 
@@ -160,6 +161,18 @@ def test_beta_normalization():
     clock, psi = make_state(5.0)
     beta = beta_distribution(psi, clock, clock)
     assert abs(beta.normalization - 1.0) < 1e-6
+
+
+def test_beta_values_equal_per_node_reference():
+    """The table is the per-node one's, bit for bit."""
+    clock, psi = make_state(10.0)
+    beta = beta_distribution(psi, clock, clock)
+    rhos, phis, _ = lookup(clock.rep.family).nodes(clock.rep)
+    cols = np.empty((clock.dim, len(rhos)), dtype=complex)
+    for i, (r, f) in enumerate(zip(rhos, phis)):
+        cols[:, i] = coherent_vector(clock.rep, float(r), float(f))
+    ref = cols.conj().T @ psi.matrix @ cols.conj()
+    assert beta.values.tobytes() == ref.tobytes()
 
 
 def test_beta_dimension_mismatch_refused():

@@ -1,5 +1,7 @@
 """Zero-energy composite states and conditional-state identities."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from clocklab.constraint import (
     chi2_identity_residual,
     conditional_state,
     gaussian_profile,
+    gaussian_state,
+    ladder_match,
     match_spectra,
     precs_decomposition_check,
     random_profile,
@@ -17,14 +21,14 @@ from clocklab.constraint import (
     total_hamiltonian,
 )
 from clocklab.dynamics import detuned_ladder, energy_of_rho, resonant_ladder
+from clocklab.families import lookup
 
 
 def make_state(j=6.0, rho=0.5, width=0.2):
     clock = intensive_su2_clock(j)
     h_system = resonant_ladder(clock, clock.dim)
-    match = match_spectra(clock.h_c, h_system, tol=1e-9 * clock.epsilon)
-    psi = build_psi(match, gaussian_profile(match, energy_of_rho(clock, rho), width))
-    return clock, h_system, match, psi
+    psi = gaussian_state(clock, h_system, energy_of_rho(clock, rho), width)
+    return clock, h_system, ladder_match(clock, h_system), psi
 
 
 def outer_product_sum(match, coefficients):
@@ -203,6 +207,38 @@ def test_precs_decomposition_h4():
     resid = precs_decomposition_check(psi, clock, n_polar=96, n_azim=clock.dim,
                                       radial_cap=8.0)
     assert resid < 1e-8
+
+
+def per_node_precs_residual(psi, clock, n_polar, n_azim, radial_cap=8.0):
+    """Reference: one conditional_state call and one outer product per node."""
+    rho_g = reduced_density_gamma(psi)
+    acc = np.zeros_like(rho_g)
+    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim, radial_cap)
+    for rho, phi, w in zip(rhos, phis, weights):
+        vec = conditional_state(psi, clock, float(rho), float(phi)).unnormalized
+        acc += w * np.outer(vec, vec.conj())
+    return float(np.linalg.norm(acc - rho_g, 2))
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "random"])
+def test_precs_decomposition_equals_per_node_reference(profile):
+    """The residual is the per-node sum's, bit for bit."""
+    clock = intensive_su2_clock(10.0)
+    match = ladder_match(clock, resonant_ladder(clock, clock.dim))
+    if profile == "gaussian":
+        coeff = gaussian_profile(match, energy_of_rho(clock, 0.5), 0.2)
+    else:
+        coeff = random_profile(match, seed=3)
+    psi = build_psi(match, coeff)
+    resid = precs_decomposition_check(psi, clock, n_polar=22, n_azim=clock.dim)
+    ref = per_node_precs_residual(psi, clock, 22, clock.dim)
+    assert struct.pack("<d", resid) == struct.pack("<d", ref)
+
+
+def test_precs_decomposition_refuses_clock_dimension_mismatch():
+    _, _, _, psi = make_state(j=5.0)
+    with pytest.raises(ValueError, match="clock dimension"):
+        precs_decomposition_check(psi, intensive_su2_clock(6.0), n_polar=8, n_azim=8)
 
 
 def test_entropy_matches_schmidt_formula():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from clocklab.algebra import intensive_su2_clock
-from clocklab.constraint import build_psi, gaussian_profile, match_spectra
+from clocklab.algebra import intensive_h4_clock, intensive_su2_clock
+from clocklab.classical import classical_flow_rate
+from clocklab.constraint import build_psi, gaussian_state, match_spectra
 from clocklab.dynamics import (
     ConvergenceRecord,
     convergence_sweep,
@@ -24,8 +25,7 @@ from clocklab.dynamics import (
 def make_state(j=10.0, rho=0.45, width=0.2):
     clock = intensive_su2_clock(j)
     h_system = resonant_ladder(clock, clock.dim)
-    match = match_spectra(clock.h_c, h_system, tol=1e-9 * clock.epsilon)
-    psi = build_psi(match, gaussian_profile(match, energy_of_rho(clock, rho), width))
+    psi = gaussian_state(clock, h_system, energy_of_rho(clock, rho), width)
     return clock, h_system, psi
 
 
@@ -63,6 +63,20 @@ def test_quantum_flow_rate_recovers_gap():
     clock, h_system, psi = make_state()
     rate = quantum_flow_rate(psi, clock, h_system, rho=0.45)
     assert abs(rate - clock.epsilon) < 1e-10
+
+
+@pytest.mark.parametrize("make_clock, rho", [
+    (lambda: intensive_su2_clock(250.0), 0.45),
+    (lambda: intensive_su2_clock(400.0), 0.45),
+    (lambda: intensive_h4_clock(200.0), 10.0),
+], ids=["su2-j250", "su2-j400", "h4-mean200"])
+def test_quantum_flow_rate_does_not_alias_at_large_clocks(make_clock, rho):
+    """Components up to n ~ 800 move by n * dphi per step; the grid keeps that below pi."""
+    clock = make_clock()
+    h_system = resonant_ladder(clock, clock.dim)
+    psi = gaussian_state(clock, h_system, energy_of_rho(clock, rho), 0.2)
+    quantum = quantum_flow_rate(psi, clock, h_system, rho=rho)
+    assert abs(quantum - classical_flow_rate(clock)) < 1e-10
 
 
 def test_quantum_flow_rate_refuses_static_state():

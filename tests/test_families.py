@@ -18,7 +18,13 @@ from clocklab.classical import chart_hamiltonian, map_F
 from clocklab.constraint import conditional_state, gaussian_state
 from clocklab.dynamics import energy_of_rho, resonant_ladder
 from clocklab.families import FAMILIES
-from clocklab.gcs import clock_symbol_analytic, clock_symbol_numeric, coherent_vector, displace
+from clocklab.gcs import (
+    clock_symbol_analytic,
+    clock_symbol_numeric,
+    coherent_table,
+    coherent_vector,
+    displace,
+)
 
 REPS = {
     "su2": lambda: [build_su2_rep(j) for j in (0.5, 1.0, 2.5, 10.0, 20.0)],
@@ -72,6 +78,31 @@ def test_displace_equals_closed_form(name):
         closed = coherent_vector(rep, rho, phi)
         nv = rep.valid_dim
         assert np.linalg.norm(direct[:nv] - closed[:nv]) <= 1e-10
+
+    check()
+
+
+@names
+def test_coherent_table_columns_equal_coherent_vector(name):
+    """Bit for bit, with radii repeated across columns as on a quadrature ring.
+
+    Both also equal, bit for bit, the per-point closed form written here.
+    """
+    fractions = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+    @given(st.sampled_from(cases(name)),
+           st.lists(st.tuples(fractions, st.floats(0.0, 2 * np.pi)), min_size=1, max_size=8))
+    def check(case, labels):
+        rep, rho_max = case
+        rhos = [f * rho_max for f, _ in labels]
+        phis = [phi for _, phi in labels]
+        table = coherent_table(rep, rhos, phis)
+        assert table.shape == (rep.dim, len(labels))
+        n = np.arange(rep.dim)
+        for k, (rho, phi) in enumerate(zip(rhos, phis)):
+            per_point = FAMILIES[name].amplitudes(rep, rho) * np.exp(1j * n * phi)
+            assert table[:, k].tobytes() == per_point.tobytes()
+            assert coherent_vector(rep, rho, phi).tobytes() == per_point.tobytes()
 
     check()
 

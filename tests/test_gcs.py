@@ -1,5 +1,7 @@
 """Coherent-state construction, symbols, and the identity resolution."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from clocklab.algebra import (
     intensive_h4_clock,
     intensive_su2_clock,
 )
+from clocklab.families import lookup
 from clocklab.gcs import (
     clock_symbol_analytic,
     clock_symbol_numeric,
@@ -20,7 +23,6 @@ from clocklab.gcs import (
     identity_resolution_check,
     overlap,
     phi_derivative_identity_check,
-    projective_coordinate,
     symbol,
 )
 
@@ -88,15 +90,6 @@ def test_coherent_state_object():
     assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-14
 
 
-def test_projective_coordinate_branches():
-    """tan for spin, identity for the oscillator, tanh for pseudo-spin."""
-    assert abs(projective_coordinate(build_su2_rep(1.0), 0.3, 0.0)
-               - np.tan(0.3)) < 1e-14
-    assert abs(projective_coordinate(build_h4_rep(8), 0.3, 0.0) - 0.3) < 1e-14
-    assert abs(projective_coordinate(build_su11_rep(0.5, 8), 0.3, 0.0)
-               - np.tanh(0.3)) < 1e-14
-
-
 def test_overlap_peaks_at_equal_labels():
     rep = build_su2_rep(5.0)
     a = coherent_state(rep, 0.5, 0.4)
@@ -157,6 +150,28 @@ def test_identity_resolution_h4():
     dev = identity_resolution_check(build_h4_rep(48), n_polar=160, n_azim=48,
                                     radial_cap=8.0)
     assert dev < 1e-6
+
+
+def per_node_identity_deviation(rep, n_polar, n_azim, radial_cap=8.0):
+    """Reference: one coherent_vector call and one outer product per node."""
+    rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim, radial_cap)
+    nv = rep.valid_dim
+    acc = np.zeros((nv, nv), dtype=complex)
+    for rho, phi, w in zip(rhos, phis, weights):
+        v = coherent_vector(rep, float(rho), float(phi))[:nv]
+        acc += w * np.outer(v, v.conj())
+    return float(np.linalg.norm(acc - np.eye(nv), 2))
+
+
+@pytest.mark.parametrize("rep, n_polar, n_azim", [
+    (build_su2_rep(3.0), 24, 24),
+    (build_h4_rep(48), 160, 48),
+], ids=["su2-j3", "h4-cut48"])
+def test_identity_resolution_equals_per_node_reference(rep, n_polar, n_azim):
+    """The deviation is the per-node sum's, bit for bit."""
+    dev = identity_resolution_check(rep, n_polar=n_polar, n_azim=n_azim)
+    ref = per_node_identity_deviation(rep, n_polar, n_azim)
+    assert struct.pack("<d", dev) == struct.pack("<d", ref)
 
 
 def test_identity_resolution_su11_not_claimed():
