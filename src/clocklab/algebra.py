@@ -198,12 +198,14 @@ def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
     Returns residual 2-norms; ``passed`` reflects the exact-subspace
     residual for truncated families and the full-space one otherwise.
     """
-    def on_exact(resid: np.ndarray) -> np.ndarray:
-        # proj @ resid @ proj for the projector on the exact subspace
+    def exact_norm(resid: np.ndarray, full_norm: float) -> float:
+        # 2-norm of proj @ resid @ proj for the projector on the exact subspace
+        if rep.exact_dim == rep.dim:
+            return full_norm  # the projector is the identity: the same SVD
         out = resid.copy()
         out[rep.exact_dim:, :] = 0.0
         out[:, rep.exact_dim:] = 0.0
-        return out
+        return np.linalg.norm(out, 2)
 
     r_diag = 0.0
     for i, da in enumerate(rep.diagonal_ops):
@@ -217,14 +219,15 @@ def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
     for m, r_op in enumerate(rep.raising_ops):
         for delta, d_op in enumerate(rep.diagonal_ops):
             resid = _comm(d_op, r_op) - rep.structure_d[delta, m] * r_op
-            r_ladder = max(r_ladder, np.linalg.norm(resid, 2))
-            r_ladder_sub = max(r_ladder_sub, np.linalg.norm(on_exact(resid), 2))
+            norm = np.linalg.norm(resid, 2)
+            r_ladder = max(r_ladder, norm)
+            r_ladder_sub = max(r_ladder_sub, exact_norm(resid, norm))
 
     target = sum(q * d_op for q, d_op in zip(rep.closure_q, rep.diagonal_ops))
     r_op = rep.raising_ops[0]
     closure_resid = _comm(r_op, r_op.conj().T) - target
     r_close = np.linalg.norm(closure_resid, 2)
-    r_close_sub = np.linalg.norm(on_exact(closure_resid), 2)
+    r_close_sub = exact_norm(closure_resid, r_close)
 
     r_annih = max(
         float(np.linalg.norm(r_op @ rep.reference_state)) for r_op in rep.raising_ops

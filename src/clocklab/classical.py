@@ -229,29 +229,63 @@ def classical_flow_rate(clock: ClockModel, v: Sequence[float] = (1.0,),
 
 # --- joint coherent amplitudes over both manifolds --------------------------
 
+def _ring_bounds(rho: np.ndarray) -> np.ndarray:
+    """Node index where each ring starts, then the node count.
+
+    A ring is a run of consecutive nodes with one radius, which is a whole
+    ring of the radial-major quadratures of ``Family.nodes``.
+    """
+    return np.r_[0, np.flatnonzero(rho[1:] != rho[:-1]) + 1, len(rho)]
+
+
+def _row_block(psi: CompositeState, clock_table: np.ndarray, system_conj: np.ndarray,
+               rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the amplitude table mc^H psi mg^*.
+
+    Evaluated left to right like the whole product, so the block equals
+    those rows of it bit for bit (a block of columns would not).
+    """
+    return (clock_table[:, rows].conj().T @ psi.matrix) @ system_conj
+
+
 @dataclasses.dataclass(frozen=True)
 class BetaDistribution:
     """Joint coherent amplitude over clock x system manifolds.
 
-    values[i, k] is the amplitude at clock node i and system node k;
-    weights carry the full invariant measures, so the weighted square sum
-    is the joint probability normalization.
+    The amplitude at clock node i and system node k is beta[i, k]; the
+    whole (nodes_c x nodes_g) table is never held.  ``beta_distribution``
+    streams it one clock ring (the clock nodes sharing one radius) at a
+    time and keeps what the classical checks read: the normalization, the
+    (clock node, system node) of the first maximum of |beta|^2 in row-major
+    order, and the support nodes counted per (clock ring, system ring)
+    pair, rings in node order.  ``values`` rebuilds the table from the same
+    row blocks on demand.  The weights carry the full invariant measures,
+    so the weighted square sum is the joint probability normalization.
     """
 
-    values: np.ndarray
+    psi: CompositeState
+    clock_table: np.ndarray
+    system_table: np.ndarray
     rho_clock: np.ndarray
     phi_clock: np.ndarray
     weights_clock: np.ndarray
     rho_system: np.ndarray
     phi_system: np.ndarray
     weights_system: np.ndarray
-    support_mask: np.ndarray
     threshold: float
+    normalization: float
+    peak: tuple[int, int]
+    support_counts: np.ndarray
 
     @property
-    def normalization(self) -> float:
-        dens = np.abs(self.values) ** 2
-        return float(self.weights_clock @ dens @ self.weights_system)
+    def values(self) -> np.ndarray:
+        """The full amplitude table, built on demand (at the table's memory cost)."""
+        bounds = _ring_bounds(self.rho_clock)
+        system_conj = self.system_table.conj()
+        out = np.empty((len(self.rho_clock), len(self.rho_system)), dtype=complex)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            out[a:b] = _row_block(self.psi, self.clock_table, system_conj, slice(a, b))
+        return out
 
 
 def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockModel,
@@ -259,11 +293,18 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
                       n_polar_g: int | None = None, n_azim_g: int | None = None,
                       radial_cap: float = 8.0,
                       threshold: float = SUPPORT_THRESHOLD) -> BetaDistribution:
-    """Joint amplitude table beta(Omega, gamma) with support extraction.
+    """Joint amplitude beta(Omega, gamma) with support extraction.
 
     Support is cut at |beta|^2 >= threshold * max|beta|^2, which is the
-    region where classical constraint statements are asserted.
+    region where classical constraint statements are asserted; the
+    threshold must lie in (0, 1].  Two passes over the clock rings: the
+    first sums the normalization and finds the maximum, the second counts
+    the support against the now known cut, skipping rings whose maximum
+    lies below it.  Memory is the two coherent tables and one ring's row
+    block, not the table.
     """
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"support threshold must lie in (0, 1], got {threshold!r}")
     if psi.dim_clock != clock_c.dim or psi.dim_system != clock_g.dim:
         raise ValueError("composite state dimensions do not match the two models")
     rho_c, phi_c, w_c = lookup(clock_c.rep.family).nodes(clock_c.rep, n_polar_c, n_azim_c,
@@ -272,13 +313,34 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
                                                          radial_cap)
     mc = coherent_table(clock_c.rep, rho_c, phi_c)
     mg = coherent_table(clock_g.rep, rho_g, phi_g)
-    values = mc.conj().T @ psi.matrix @ mg.conj()
-    dens = np.abs(values) ** 2
-    mask = dens >= threshold * dens.max()
+    mg_conj = mg.conj()
+    bounds_c, starts_g = _ring_bounds(rho_c), _ring_bounds(rho_g)[:-1]
+    rings_c = list(zip(bounds_c[:-1], bounds_c[1:]))
+
+    # pass 1, rings in node order: a strictly larger maximum is a row-major first
+    col_sums = np.zeros(len(rho_g))
+    ring_max = np.empty(len(rings_c))
+    peak_val, peak = -1.0, (0, 0)
+    for r, (a, b) in enumerate(rings_c):
+        dens = np.abs(_row_block(psi, mc, mg_conj, slice(a, b))) ** 2
+        col_sums += w_c[a:b] @ dens
+        i, k = np.unravel_index(int(np.argmax(dens)), dens.shape)
+        ring_max[r] = dens[i, k]
+        if ring_max[r] > peak_val:
+            peak_val, peak = ring_max[r], (int(a + i), int(k))
+
+    cut = threshold * peak_val
+    counts = np.zeros((len(rings_c), len(starts_g)), dtype=np.int64)
+    for r, (a, b) in enumerate(rings_c):
+        if ring_max[r] >= cut:
+            dens = np.abs(_row_block(psi, mc, mg_conj, slice(a, b))) ** 2
+            counts[r] = np.add.reduceat(np.count_nonzero(dens >= cut, axis=0), starts_g)
     return BetaDistribution(
-        values=values, rho_clock=rho_c, phi_clock=phi_c, weights_clock=w_c,
+        psi=psi, clock_table=mc, system_table=mg,
+        rho_clock=rho_c, phi_clock=phi_c, weights_clock=w_c,
         rho_system=rho_g, phi_system=phi_g, weights_system=w_g,
-        support_mask=mask, threshold=threshold,
+        threshold=threshold, normalization=float(col_sums @ w_g), peak=peak,
+        support_counts=counts,
     )
 
 
@@ -297,22 +359,30 @@ def classical_constraint_check(beta: BetaDistribution, clock_c: ClockModel,
                                clock_g: ClockModel) -> MismatchReport:
     """Relative |E_C(Omega) - E_G(gamma)| over the support of beta.
 
-    The off-support maximum is kept as a negative control: it should be
-    large, otherwise the support cut did not bite and the check is empty.
+    The mismatch depends on the two radii only, so it is evaluated once
+    per (clock ring, system ring) pair and read against the support
+    counts.  The off-support maximum is kept as a negative control: it
+    should be large, otherwise the support cut did not bite and the check
+    is empty.
     """
-    if not beta.support_mask.any():
+    counts = beta.support_counts
+    if not counts.any():
         raise ValueError("empty support: nothing to check the constraint on")
-    e_c = np.array([clock_symbol_analytic(clock_c, float(r)) for r in beta.rho_clock])
-    e_g = np.array([clock_symbol_analytic(clock_g, float(r)) for r in beta.rho_system])
+    bounds_c, bounds_g = _ring_bounds(beta.rho_clock), _ring_bounds(beta.rho_system)
+    e_c = np.array([clock_symbol_analytic(clock_c, float(r))
+                    for r in beta.rho_clock[bounds_c[:-1]]])
+    e_g = np.array([clock_symbol_analytic(clock_g, float(r))
+                    for r in beta.rho_system[bounds_g[:-1]]])
     scale = max(np.max(np.abs(e_c)), np.max(np.abs(e_g)))
     mismatch = np.abs(e_c[:, None] - e_g[None, :]) / scale
-    dens = np.abs(beta.values) ** 2
-    i_peak, k_peak = np.unravel_index(int(np.argmax(dens)), dens.shape)
-    complement = ~beta.support_mask
+    complement = counts < np.outer(np.diff(bounds_c), np.diff(bounds_g))
+    i_peak, k_peak = beta.peak
+    ring_peak = (np.searchsorted(bounds_c, i_peak, side="right") - 1,
+                 np.searchsorted(bounds_g, k_peak, side="right") - 1)
     return MismatchReport(
-        support_max=float(mismatch[beta.support_mask].max()),
+        support_max=float(mismatch[counts > 0].max()),
         complement_max=float(mismatch[complement].max()) if complement.any() else 0.0,
-        peak_mismatch=float(mismatch[i_peak, k_peak]),
+        peak_mismatch=float(mismatch[ring_peak]),
         energy_scale=float(scale),
-        n_support=int(beta.support_mask.sum()),
+        n_support=int(counts.sum()),
     )

@@ -29,6 +29,7 @@ import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.special import gammainccinv
 
 from .algebra import (
     build_clock,
@@ -280,6 +281,9 @@ def load_config(path: str | None, overrides: dict[str, object],
         # a grid or cutoff of zero would pass its gates without checking anything
         if kind == "int" and key != "seed" and cfg[key] < 1:
             raise ConfigError(f"{key!r} must be at least 1")
+    # a cut of 0 or below keeps every node, one above 1 none
+    if not 0.0 < cfg["cls_threshold"] <= 1.0:
+        raise ConfigError(f"cls_threshold must lie in (0, 1], got {cfg['cls_threshold']!r}")
     if cfg["sym_algebra"] not in ("all", "su2", "h4", "su11"):
         raise ConfigError("sym_algebra must be one of all, su2, h4, su11")
     if cfg["con_profile"] not in ("gaussian", "random"):
@@ -470,8 +474,13 @@ def run_identity_resolution(cfg: dict[str, object]) -> tuple[list[str], list, li
     nodes = int(round(4 * j + 4))
     cut = int(cfg["idr_h4_cut"])
     dev_su2 = identity_resolution_check(build_su2_rep(j), n_polar=nodes, n_azim=nodes)
-    dev_h4 = identity_resolution_check(build_h4_rep(cut), n_polar=int(cfg["idr_h4_polar"]),
-                                       n_azim=cut, radial_cap=float(cfg["idr_cap"]))
+    h4_rep = build_h4_rep(cut)
+    # the h4 deviation is the gamma tail Q(valid_dim, cap^2) the cap leaves out:
+    # widen the cap until that tail is a hundredth of the tolerance
+    cap = max(float(cfg["idr_cap"]),
+              math.sqrt(gammainccinv(h4_rep.valid_dim, 1e-2 * cfg["tol_identity_h4"])))
+    dev_h4 = identity_resolution_check(h4_rep, n_polar=int(cfg["idr_h4_polar"]),
+                                       n_azim=cut, radial_cap=cap)
     rows = [["su2", nodes * nodes, dev_su2],
             ["h4", int(cfg["idr_h4_polar"]) * cut, dev_h4]]
     checks = [

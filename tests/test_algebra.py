@@ -37,6 +37,35 @@ def test_h4_cartan_relations(n_cut):
     assert report.closure_relation > 1.0
 
 
+@pytest.mark.parametrize("rep", [build_su2_rep(40.0), build_h4_rep(64)], ids=["su2-j40", "h4-64"])
+def test_cartan_residuals_are_svd_norms(rep):
+    """Each reported residual is the SVD 2-norm of its relation, on the
+    full space and on the exact subspace, whichever route computed it."""
+    report = verify_cartan(rep, tol=1e-12)
+    inside = np.arange(rep.dim) < rep.exact_dim
+
+    def norms(resid):
+        return (np.linalg.norm(resid, 2),
+                np.linalg.norm(np.where(np.outer(inside, inside), resid, 0.0), 2))
+
+    ladder = [norms(comm(d, r) - rep.structure_d[delta, m] * r)
+              for m, r in enumerate(rep.raising_ops)
+              for delta, d in enumerate(rep.diagonal_ops)]
+    r_op = rep.raising_ops[0]
+    closure = norms(comm(r_op, r_op.conj().T)
+                    - sum(q * d for q, d in zip(rep.closure_q, rep.diagonal_ops)))
+    ops = rep.diagonal_ops
+    diag = max((np.linalg.norm(comm(a, b), 2) for i, a in enumerate(ops) for b in ops[i + 1:]),
+               default=0.0)
+    rest = (report.reference_annihilation, report.reference_weights)
+    assert report.diagonal_commutators == diag
+    assert report.ladder_relations == max(full for full, _ in ladder)
+    assert report.closure_relation == closure[0]
+    assert report.max_residual == max(diag, report.ladder_relations, closure[0], *rest)
+    assert report.max_residual_exact_subspace == max(diag, max(sub for _, sub in ladder),
+                                                     closure[1], *rest)
+
+
 @pytest.mark.parametrize("k,n_cut", [(0.5, 16), (1.0, 32), (2.0, 32)])
 def test_su11_cartan_relations(k, n_cut):
     """Hyperbolic family is exact below the cutoff edge.

@@ -1,5 +1,7 @@
 """Classical limit: Darboux chart, pullback, Hamilton flow, joint distribution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from clocklab.classical import (
 from clocklab.constraint import build_psi, gaussian_state, match_spectra
 from clocklab.dynamics import energy_of_rho, quantum_flow_rate, resonant_ladder
 from clocklab.families import lookup
-from clocklab.gcs import coherent_vector
+from clocklab.gcs import clock_symbol_analytic, coherent_table, coherent_vector
 
 SU2 = intensive_su2_clock(10.0)
 H4 = intensive_h4_clock(32.0)
@@ -215,7 +217,7 @@ def test_beta_threshold_is_configurable():
     clock, psi = make_state(5.0)
     loose = beta_distribution(psi, clock, clock, threshold=1e-3)
     tight = beta_distribution(psi, clock, clock, threshold=1e-9)
-    assert loose.support_mask.sum() < tight.support_mask.sum()
+    assert loose.support_counts.sum() < tight.support_counts.sum()
     assert loose.threshold == 1e-3
 
 
@@ -223,6 +225,60 @@ def test_empty_support_refused():
     clock, psi = make_state(5.0)
     beta = beta_distribution(psi, clock, clock, threshold=1e-3)
     crippled = beta.__class__(**{**beta.__dict__,
-                                 "support_mask": np.zeros_like(beta.support_mask)})
+                                 "support_counts": np.zeros_like(beta.support_counts)})
     with pytest.raises(ValueError, match="support"):
         classical_constraint_check(crippled, clock, clock)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, float("nan")])
+def test_beta_threshold_outside_unit_interval_refused(threshold):
+    """A cut at or below 0 keeps every node, one above 1 keeps none."""
+    clock, psi = make_state(3.0)
+    with pytest.raises(ValueError, match="threshold"):
+        beta_distribution(psi, clock, clock, threshold=threshold)
+
+
+def test_beta_threshold_one_keeps_the_peak():
+    clock, psi = make_state(3.0)
+    beta = beta_distribution(psi, clock, clock, threshold=1.0)
+    dens = np.abs(beta.values) ** 2
+    assert beta.support_counts.sum() == np.count_nonzero(dens == dens.max()) >= 1
+
+
+@pytest.mark.parametrize("threshold", [1e-3, 1e-6])
+@pytest.mark.parametrize("rho", [0.3, 0.55])
+@pytest.mark.parametrize("j", [3.0, 5.0, 10.0, 20.0])
+def test_constraint_check_equals_dense_reference(j, rho, threshold):
+    """The streamed reductions equal those of the whole table and a node mask."""
+    clock, psi = make_state(j, rho=rho)
+    beta = beta_distribution(psi, clock, clock, threshold=threshold)
+    report = classical_constraint_check(beta, clock, clock)
+
+    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep)
+    table = coherent_table(clock.rep, rhos, phis)
+    dens = np.abs(table.conj().T @ psi.matrix @ table.conj()) ** 2
+    mask = dens >= threshold * dens.max()
+    energy = np.array([clock_symbol_analytic(clock, float(r)) for r in rhos])
+    scale = np.max(np.abs(energy))
+    mismatch = np.abs(energy[:, None] - energy[None, :]) / scale
+    peak = np.unravel_index(int(np.argmax(dens)), dens.shape)
+
+    assert report.support_max == mismatch[mask].max()
+    assert report.complement_max == (mismatch[~mask].max() if not mask.all() else 0.0)
+    assert report.peak_mismatch == mismatch[peak]
+    assert report.energy_scale == scale
+    assert report.n_support == np.count_nonzero(mask)
+    assert abs(beta.normalization - weights @ dens @ weights) <= 1e-14 * beta.normalization
+
+
+def test_beta_and_check_hold_no_joint_table():
+    """At j = 30 the (nodes x nodes) table alone would take 57 MB."""
+    clock, psi = make_state(30.0)
+    tracemalloc.start()
+    try:
+        beta = beta_distribution(psi, clock, clock)
+        classical_constraint_check(beta, clock, clock)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak

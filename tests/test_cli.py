@@ -188,6 +188,18 @@ def test_empty_grid_exits_two(tmp_path, args):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["2", "0", "-1"])
+def test_support_threshold_outside_unit_interval_exits_two(tmp_path, value):
+    """--threshold 2 used to end in a traceback; 0 or -1 turned the support cut off."""
+    assert run(["classical-limit", f"--threshold={value}", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_identity_resolution_cap_follows_h4_cutoff(tmp_path):
+    """At cut 64 the fixed cap 8 left a gamma tail of 3.6e-6 against 1e-6."""
+    assert run(["identity-resolution", "--h4-cut", "64", "--out", str(tmp_path)]) == 0
+
+
 def test_symbol_worst_error_keeps_nan():
     clock = intensive_su2_clock(10.0)
     rows, worst = cli._symbol_rows(clock, "su2", [0.3, float("nan")], relative=False)
