@@ -30,6 +30,7 @@ from .algebra import (
     build_su11_rep,
     intensive_h4_clock,
     intensive_su2_clock,
+    residual_norm2,
     verify_cartan,
 )
 from .classical import (
@@ -155,6 +156,7 @@ __all__ = [
     "random_profile",
     "reduced_density_clock",
     "reduced_density_gamma",
+    "residual_norm2",
     "resonant_ladder",
     "schrodinger_residual",
     "small_phi_energy_time",

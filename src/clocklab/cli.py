@@ -309,9 +309,8 @@ def config_echo_text(cfg: dict[str, object]) -> str:
 # --- output plumbing --------------------------------------------------------
 
 def _fmt(x: object) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (np.floating,)):
+    # np.float64 is a float, and numpy 2 spells its repr np.float64(...)
+    if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, (np.integer,)):
         return str(int(x))
@@ -631,8 +630,8 @@ def run_phase_audit(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]
                worst_slack=worst_slack, tolerance=cfg["tol_slack"]),
         _check("small-phi-product", small_dev <= cfg["tol_small_phi"],
                ratio=et.ratio, tolerance=cfg["tol_small_phi"]),
-        _check("expectation-sweep-sin", sin_mono, errors=",".join(repr(e) for e in sin_errs)),
-        _check("expectation-sweep-cos", cos_mono, errors=",".join(repr(e) for e in cos_errs)),
+        _check("expectation-sweep-sin", sin_mono, errors=",".join(_fmt(e) for e in sin_errs)),
+        _check("expectation-sweep-cos", cos_mono, errors=",".join(_fmt(e) for e in cos_errs)),
     ]
     _progress(f"[phase-audit] interior {comm.interior_residual:.3e}, slack "
               f"{worst_slack:.4f}, small-phi ratio {et.ratio:.4f}")
@@ -674,7 +673,7 @@ def run_classical_limit(cfg: dict[str, object]) -> tuple[list[str], list, list[d
         _check("beta-normalization", max(norm_devs) <= cfg["tol_beta_norm"],
                worst_deviation=max(norm_devs), tolerance=cfg["tol_beta_norm"]),
         _check("support-mismatch-decreasing", decreasing,
-               values=",".join(repr(s) for s in support)),
+               values=",".join(_fmt(s) for s in support)),
         _check("off-support-control", control),
         _check("separable-factorization", rank_ratio <= 1e-12, rank_ratio=rank_ratio),
         _check("ground-peak-mismatch", sep_report.peak_mismatch == 0.0,

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .algebra import ClockModel
+from .algebra import ClockModel, _eigh, _shift_moduli, residual_norm2
 from .families import lookup
 from .gcs import coherent_table, coherent_vector, weighted_outer_sum
 
@@ -53,8 +53,8 @@ def match_spectra(h_clock: np.ndarray, h_system: np.ndarray, tol: float = 1e-9) 
     spectra the pair count equals the kernel dimension of the composite
     generator.
     """
-    e_c, v_c = np.linalg.eigh(h_clock)
-    e_g, v_g = np.linalg.eigh(h_system)
+    e_c, v_c = _eigh(h_clock)
+    e_g, v_g = _eigh(h_system)
     idx_c, idx_g = np.nonzero(np.abs(e_c[:, None] - e_g[None, :]) <= tol)
     return SpectralMatch(
         clock_evals=e_c, clock_evecs=v_c, system_evals=e_g, system_evecs=v_g,
@@ -133,7 +133,11 @@ def build_psi(match: SpectralMatch, coefficients: np.ndarray) -> CompositeState:
     idx_c, idx_g = np.array(match.pairs).T
     mat = (match.clock_evecs[:, idx_c] * coefficients) @ match.system_evecs[:, idx_g].T
 
-    svals = np.linalg.svd(mat, compute_uv=False)
+    svals = _shift_moduli(mat)
+    if svals is None:
+        svals = np.linalg.svd(mat, compute_uv=False)
+    else:
+        svals = np.sort(svals)[::-1]  # the SVD's descending order
     probs = svals ** 2
     probs = probs[probs > 1e-300]
     entropy = float(-np.sum(probs * np.log(probs)))
@@ -245,4 +249,4 @@ def precs_decomposition_check(
     # one vector-matrix product per node, the same arithmetic as conditional_state
     rows = np.array([v.conj() @ psi.matrix for v in coherent_table(clock.rep, rhos, phis).T])
     acc = weighted_outer_sum(rows, weights)
-    return float(np.linalg.norm(acc - reduced_density_gamma(psi), 2))
+    return residual_norm2(acc - reduced_density_gamma(psi))

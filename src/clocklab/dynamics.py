@@ -14,7 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import ClockModel, build_clock, build_su2_rep, intensive_su2_clock, intensive_h4_clock
+from .algebra import (
+    ClockModel, _eigh, build_clock, build_su2_rep, intensive_su2_clock, intensive_h4_clock,
+)
 from .constraint import CompositeState, build_psi, conditional_state, gaussian_state, ladder_match
 from .gcs import clock_symbol_analytic, coherent_vector
 
@@ -124,7 +126,7 @@ def quantum_flow_rate(psi: CompositeState, clock: ClockModel,
     every phase by at most pi/2, and the unwrap cannot alias at any clock
     size.  The cap reads only the clock's dimension, not eps.
     """
-    evals, evecs = np.linalg.eigh(h_system)
+    evals, evecs = _eigh(h_system)
     phi_max = min(phi_max, (n_phi - 1) * np.pi / (2 * max(clock.dim - 1, 1)))
     phis = np.linspace(0.0, phi_max, n_phi)
     comps = np.empty((n_phi, h_system.shape[0]), dtype=complex)

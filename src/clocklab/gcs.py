@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import ClockModel, LieAlgebraRep
+from .algebra import ClockModel, LieAlgebraRep, residual_norm2
 from .families import lookup
 
 TAIL_MASS_LIMIT = 1e-10
@@ -153,7 +153,7 @@ def identity_resolution_check(
     rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim, radial_cap)
     nv = rep.valid_dim
     acc = weighted_outer_sum(coherent_table(rep, rhos, phis)[:nv].T, weights)
-    return float(np.linalg.norm(acc - np.eye(nv), 2))
+    return residual_norm2(acc - np.eye(nv))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ClockModel, build_clock
+from .algebra import ClockModel, _comm, build_clock, residual_norm2
 from .families import lookup
 from .gcs import CoherentState, coherent_state
 
@@ -60,9 +60,10 @@ def build_phase_operator(clock: ClockModel) -> PhaseOperator:
     # as their 2-norm forms without running an SVD.
     if np.linalg.norm(u.conj().T @ u - np.eye(dim)) > 1e-12:
         raise ValueError("completed phase operator is not unitary")
-    modulus = np.diag(np.sqrt(np.real(np.diag(a @ a.conj().T))))
+    # diag(a a^dag) and modulus @ u, with the diagonal factor as a broadcast
+    modulus = np.sqrt(np.real(np.sum(a * a.conj(), axis=1)))
     a_scale = max(1.0, np.linalg.norm(a, axis=0).max())
-    if np.linalg.norm(a - modulus @ u) > 1e-12 * a_scale:
+    if np.linalg.norm(a - modulus[:, None] * u) > 1e-12 * a_scale:
         raise ValueError("polar identity violated by the completed unitary")
 
     sin_phi = (u.conj().T - u) / 2j
@@ -88,15 +89,15 @@ def commutator_check(clock: ClockModel, phase: PhaseOperator) -> CommutatorRepor
     number is reported so the boundary artifact of the cyclic completion
     stays visible instead of hidden.
     """
-    m = clock.h_c @ phase.sin_phi - phase.sin_phi @ clock.h_c \
-        - 1j * clock.epsilon * phase.cos_phi
-    # the interior projector applied on both sides, without the products
-    interior = m.copy()
-    interior[[0, -1], :] = 0.0
-    interior[:, [0, -1]] = 0.0
+    m = _comm(clock.h_c, phase.sin_phi)
+    m -= 1j * clock.epsilon * phase.cos_phi  # in place: one temporary at a time
+    full = residual_norm2(m)
+    # the interior projector applied on both sides: zero the two edge rungs
+    m[[0, -1], :] = 0.0
+    m[:, [0, -1]] = 0.0
     return CommutatorReport(
-        interior_residual=float(np.linalg.norm(interior, 2)),
-        full_residual=float(np.linalg.norm(m, 2)),
+        interior_residual=residual_norm2(m),
+        full_residual=full,
         epsilon=clock.epsilon,
         dim=clock.dim,
     )

@@ -1,0 +1,105 @@
+"""Regenerate the golden artifacts of ``clocklab all --seed 1``.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+It runs ``clocklab all --out golden --seed 1`` on one BLAS thread in a
+temporary directory (the relative ``--out`` is echoed into config.echo and
+hashed into summary.json, so it is fixed), copies each subcommand's three
+files to ``tests/golden/all-seed1/<subcommand>/`` and records the numpy,
+scipy and OpenBLAS versions they were made with in
+``tests/golden/environment.json``.  ``tests/test_golden.py`` compares a fresh
+run with these files.
+"""
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import io
+import json
+import os
+import pathlib
+import shutil
+import tempfile
+
+HERE = pathlib.Path(__file__).resolve().parent
+GOLDEN = HERE / "all-seed1"
+ENVIRONMENT = HERE / "environment.json"
+ARGS = ("all", "--out", "golden", "--seed", "1")
+ARTIFACTS = ("data.csv", "summary.json", "config.echo")
+
+
+def _openblas(module) -> str | None:
+    """Run-time configuration string of the OpenBLAS bundled with a module.
+
+    It names the version, the CPU kernel set in use and the thread limit;
+    None when the module carries no OpenBLAS of a known build.
+    """
+    libs = pathlib.Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def environment() -> dict:
+    """What decides the last bits of the artifacts besides the source."""
+    import numpy
+    import scipy
+    return {
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "numpy_openblas": _openblas(numpy),
+        "scipy_openblas": _openblas(scipy),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def run_all(workdir: pathlib.Path) -> dict[str, bytes]:
+    """``clocklab all --seed 1`` in ``workdir``: ``{"<subcommand>/<file>": bytes}``."""
+    from clocklab import cli
+    saved_out = os.environ.pop(cli.ENV_OUT, None)  # it would replace --out
+    cwd = os.getcwd()
+    try:
+        os.chdir(workdir)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(list(ARGS))
+    finally:
+        os.chdir(cwd)
+        if saved_out is not None:
+            os.environ[cli.ENV_OUT] = saved_out
+    files = {}
+    for run_dir in sorted((workdir / "golden").glob("*/*")):
+        for artifact in ARTIFACTS:
+            files[f"{run_dir.parent.name}/{artifact}"] = (run_dir / artifact).read_bytes()
+    return files
+
+
+def read_golden() -> dict[str, bytes]:
+    return {f"{path.parent.name}/{path.name}": path.read_bytes()
+            for path in sorted(GOLDEN.glob("*/*"))}
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        files = run_all(pathlib.Path(tmp))
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    for key, data in files.items():
+        path = GOLDEN / key
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    ENVIRONMENT.write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(files)} files under {GOLDEN}")
+
+
+if __name__ == "__main__":
+    # numpy is imported only below, so OpenBLAS starts with one thread
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    main()

@@ -18,8 +18,10 @@ from clocklab.classical import chart_hamiltonian, map_F
 from clocklab.constraint import conditional_state, gaussian_state
 from clocklab.dynamics import energy_of_rho, resonant_ladder
 from clocklab.families import FAMILIES
+from clocklab.phase import build_phase_operator, uncertainty_audit
 from clocklab.gcs import (
     clock_symbol_analytic,
+    coherent_state,
     clock_symbol_numeric,
     coherent_table,
     coherent_vector,
@@ -160,5 +162,53 @@ def test_chi2_is_phase_independent_for_the_recipe_state(name):
         a = conditional_state(psi, clock, rho, phi).chi2
         b = conditional_state(psi, clock, rho, phi2).chi2
         assert abs(a - b) <= 1e-13
+
+    check()
+
+
+# the cyclic completion of the phase unitary may lower the slack by this much
+WRAP = 1e-13
+
+
+def _wrap(clock, rho):
+    """Bound on how far the cyclic completion can push the slack below zero.
+
+    [H_C, sin] - i eps cos is nonzero only between the two edge rungs, in
+    entries of modulus at most dim * eps / 2, so Robertson's inequality
+    keeps the slack above -(dim * eps / 2) |c_0| |c_top|.
+    """
+    amps = np.abs(coherent_vector(clock.rep, rho, 0.0))
+    return 0.5 * clock.dim * clock.epsilon * amps[0] * amps[-1]
+
+
+@functools.cache
+def phase_cases(name):
+    """(clock, phase operator, largest tail- and wrap-guarded rho) per test size."""
+    out = []
+    for rep, rho_max in cases(name):
+        clock = build_clock(rep)
+        # the bound rises and falls again (su2), so find its first crossing on
+        # a grid before bisecting
+        grid = np.linspace(0.0, rho_max, 401)
+        over = [k for k, rho in enumerate(grid) if _wrap(clock, rho) > WRAP]
+        lo = rho_max
+        if over:
+            lo, hi = grid[over[0] - 1], grid[over[0]]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _wrap(clock, mid) <= WRAP else (lo, mid)
+        out.append((clock, build_phase_operator(clock), lo))
+    return out
+
+
+@names
+def test_uncertainty_slack_is_nonnegative(name):
+    """dH * dsin >= (eps/2)|<cos>| up to 1e-12 wherever the completion is not felt."""
+    @given(st.sampled_from(phase_cases(name)), st.floats(0.0, 1.0),
+           st.floats(0.0, 2 * np.pi))
+    def check(case, fraction, phi):
+        clock, phase, rho_max = case
+        state = coherent_state(clock.rep, fraction * rho_max, phi)
+        assert uncertainty_audit(state, clock, phase).slack >= -1e-12
 
     check()
