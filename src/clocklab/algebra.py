@@ -35,6 +35,12 @@ def _diagonal(a: np.ndarray) -> np.ndarray | None:
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
+def _is_identity(a: np.ndarray) -> bool:
+    """True when a is exactly the identity matrix."""
+    d = _diagonal(a) if a.shape[0] == a.shape[1] else None
+    return d is not None and bool(np.all(d == 1))
+
+
 def _shift_moduli(m: np.ndarray) -> np.ndarray | None:
     """|entries| of the nonzeros of a weighted shift, else None.
 
@@ -83,14 +89,28 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
+def _interleave(dim: int) -> np.ndarray:
+    """The order 0, dim-1, 1, dim-2, ... that puts the two ladder ends side by side.
+
+    A cyclic band of width b (a band plus the corners that wrap the top
+    rungs to the bottom ones) becomes an ordinary band of width at most 2b.
+    """
+    order = np.empty(dim, dtype=np.intp)
+    order[0::2] = np.arange((dim + 1) // 2)
+    order[1::2] = np.arange(dim - 1, (dim - 1) // 2, -1)
+    return order
+
+
 def residual_norm2(m: np.ndarray) -> float:
     """Spectral norm of a residual matrix, by the first exact route that applies.
 
     1. A weighted shift (at most one nonzero per row and per column): the
        largest |entry|.
     2. An exactly hermitian matrix, or an exactly anti-hermitian one times
-       1j: the largest |eigenvalue|, from ``eigvals_banded`` when its
-       bandwidth b satisfies 2b + 1 < dim and from ``eigvalsh`` otherwise.
+       1j: the largest |eigenvalue|.  Its bandwidth b is read from the
+       nonzero pattern; when 2b + 1 >= dim, b of its symmetric permutation
+       by ``_interleave`` is read instead (a cyclic band narrows so).
+       ``eigvals_banded`` runs when 2b + 1 < dim, ``eigvalsh`` otherwise.
     3. Anything else: the largest singular value.
 
     ``m`` is not modified; only the dense eigenvalue route copies it, once,
@@ -103,14 +123,18 @@ def residual_norm2(m: np.ndarray) -> float:
     if phase is None:
         return float(np.linalg.norm(m, 2))
     dim = m.shape[0]
-    nonzero = m != 0
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    band = int(np.max(rows - nonzero[rows].argmax(axis=1)))
+    rows, cols = np.nonzero(m)
+    order = np.arange(dim)
+    band = int(np.max(np.abs(rows - cols)))
+    if 2 * band + 1 >= dim:
+        order = _interleave(dim)
+        position = np.argsort(order)
+        band = int(np.max(np.abs(position[rows] - position[cols])))
     if 2 * band + 1 < dim:
-        # lower band storage: row k holds the k-th subdiagonal
+        # lower band storage of m[order][:, order]: row k holds its k-th subdiagonal
         lower = np.zeros((band + 1, dim), dtype=np.result_type(m, phase))
         for k in range(band + 1):
-            lower[k, :dim - k] = phase * np.diagonal(m, -k)
+            lower[k, :dim - k] = phase * m[order[k:], order[:dim - k]]
         evals = scipy.linalg.eigvals_banded(lower, lower=True, check_finite=False)
     else:
         # the transpose of a hermitian matrix is its conjugate, with the same

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .algebra import ClockModel, _eigh, _shift_moduli, residual_norm2
+from .algebra import ClockModel, _eigh, _is_identity, _shift_moduli, residual_norm2
 from .families import lookup
 from .gcs import coherent_table, coherent_vector, weighted_outer_sum
 
@@ -131,7 +131,12 @@ def build_psi(match: SpectralMatch, coefficients: np.ndarray) -> CompositeState:
     dc = match.clock_evecs.shape[0]
     dg = match.system_evecs.shape[0]
     idx_c, idx_g = np.array(match.pairs).T
-    mat = (match.clock_evecs[:, idx_c] * coefficients) @ match.system_evecs[:, idx_g].T
+    if _is_identity(match.clock_evecs) and _is_identity(match.system_evecs):
+        # |e_k> (x) |f_k> is one basis entry: the GEMM's sum without its zero terms
+        mat = np.zeros((dc, dg), dtype=complex)
+        np.add.at(mat, (idx_c, idx_g), coefficients)
+    else:
+        mat = (match.clock_evecs[:, idx_c] * coefficients) @ match.system_evecs[:, idx_g].T
 
     svals = _shift_moduli(mat)
     if svals is None:

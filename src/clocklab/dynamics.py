@@ -15,7 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (
-    ClockModel, _eigh, build_clock, build_su2_rep, intensive_su2_clock, intensive_h4_clock,
+    ClockModel, _eigh, _is_identity, build_clock, build_su2_rep, intensive_su2_clock,
+    intensive_h4_clock,
 )
 from .constraint import CompositeState, build_psi, conditional_state, gaussian_state, ladder_match
 from .gcs import clock_symbol_analytic, coherent_vector
@@ -129,9 +130,11 @@ def quantum_flow_rate(psi: CompositeState, clock: ClockModel,
     evals, evecs = _eigh(h_system)
     phi_max = min(phi_max, (n_phi - 1) * np.pi / (2 * max(clock.dim - 1, 1)))
     phis = np.linspace(0.0, phi_max, n_phi)
+    in_eigenbasis = _is_identity(evecs)  # then the basis change is the identity
     comps = np.empty((n_phi, h_system.shape[0]), dtype=complex)
     for a, phi in enumerate(phis):
-        comps[a] = evecs.conj().T @ conditional_state(psi, clock, rho, float(phi)).unnormalized
+        vec = conditional_state(psi, clock, rho, float(phi)).unnormalized
+        comps[a] = vec if in_eigenbasis else evecs.conj().T @ vec
     mags = np.abs(comps).min(axis=0)
     scale = float(np.max(np.abs(evals))) or 1.0
     slopes = []

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ClockModel, _comm, build_clock, residual_norm2
+from .algebra import ClockModel, _comm, _shift_moduli, build_clock, residual_norm2
 from .families import lookup
 from .gcs import CoherentState, coherent_state
 
@@ -34,6 +34,19 @@ class PhaseOperator:
     sin_phi: np.ndarray
     cos_phi: np.ndarray
     boundary_index: int
+
+
+def _unitarity_residual(u: np.ndarray) -> float:
+    """Frobenius norm of u^dag u - I.
+
+    For a weighted shift every off-diagonal entry of u^dag u is a sum of
+    products with a zero factor, so the product is the diagonal of column
+    sums of |u|^2 and the norm is read from those sums.  Any other u takes
+    the dense product.
+    """
+    if _shift_moduli(u) is None:
+        return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+    return float(np.linalg.norm(np.sum(u.real ** 2 + u.imag ** 2, axis=0) - 1.0))
 
 
 def build_phase_operator(clock: ClockModel) -> PhaseOperator:
@@ -58,7 +71,7 @@ def build_phase_operator(clock: ClockModel) -> PhaseOperator:
     # Frobenius norms bound the 2-norms from above and the largest column
     # norm bounds ||a||_2 from below, so these guards are at least as strict
     # as their 2-norm forms without running an SVD.
-    if np.linalg.norm(u.conj().T @ u - np.eye(dim)) > 1e-12:
+    if _unitarity_residual(u) > 1e-12:
         raise ValueError("completed phase operator is not unitary")
     # diag(a a^dag) and modulus @ u, with the diagonal factor as a broadcast
     modulus = np.sqrt(np.real(np.sum(a * a.conj(), axis=1)))
@@ -66,8 +79,9 @@ def build_phase_operator(clock: ClockModel) -> PhaseOperator:
     if np.linalg.norm(a - modulus[:, None] * u) > 1e-12 * a_scale:
         raise ValueError("polar identity violated by the completed unitary")
 
-    sin_phi = (u.conj().T - u) / 2j
-    cos_phi = (u.conj().T + u) / 2.0
+    u_dag = u.conj().T
+    sin_phi = (u_dag - u) / 2j
+    cos_phi = (u_dag + u) / 2.0
     return PhaseOperator(exp_minus_iphi=u, sin_phi=sin_phi, cos_phi=cos_phi,
                          boundary_index=dim - 1)
 

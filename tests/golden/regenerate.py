@@ -1,16 +1,16 @@
-"""Regenerate the golden artifacts of ``clocklab all --seed 1``.
+"""Regenerate the golden artifacts of the runs named in ``RUNS``.
 
 Run from the root of a checkout:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-It runs ``clocklab all --out golden --seed 1`` on one BLAS thread in a
-temporary directory (the relative ``--out`` is echoed into config.echo and
-hashed into summary.json, so it is fixed), copies each subcommand's three
-files to ``tests/golden/all-seed1/<subcommand>/`` and records the numpy,
-scipy and OpenBLAS versions they were made with in
-``tests/golden/environment.json``.  ``tests/test_golden.py`` compares a fresh
-run with these files.
+It runs each command of ``RUNS`` with ``--out golden`` on one BLAS thread,
+each in its own temporary directory (the relative ``--out`` is echoed into
+config.echo and hashed into summary.json, so it is fixed), copies each
+subcommand's three files to ``tests/golden/<run>/<subcommand>/`` and
+records the numpy, scipy and OpenBLAS versions they were made with in
+``tests/golden/environment.json``.  ``tests/test_golden.py`` compares fresh
+runs with these files.
 """
 from __future__ import annotations
 
@@ -24,9 +24,15 @@ import shutil
 import tempfile
 
 HERE = pathlib.Path(__file__).resolve().parent
-GOLDEN = HERE / "all-seed1"
 ENVIRONMENT = HERE / "environment.json"
-ARGS = ("all", "--out", "golden", "--seed", "1")
+# run name -> clocklab arguments; ``--out golden`` is appended to each
+RUNS = {
+    "all-seed1": ("all", "--seed", "1"),
+    "symbol-su11": ("symbol", "--algebra", "su11"),
+    "stationary-sweep-h4": ("stationary-sweep", "--family", "h4"),
+    "constraint-random": ("constraint", "--profile", "random"),
+    "classical-limit-sizes": ("classical-limit", "--sizes", "5,10,20,30"),
+}
 ARTIFACTS = ("data.csv", "summary.json", "config.echo")
 
 
@@ -62,41 +68,46 @@ def environment() -> dict:
 
 
 def run_all(workdir: pathlib.Path) -> dict[str, bytes]:
-    """``clocklab all --seed 1`` in ``workdir``: ``{"<subcommand>/<file>": bytes}``."""
+    """Every run of ``RUNS`` under ``workdir``: ``{"<run>/<subcommand>/<file>": bytes}``."""
     from clocklab import cli
     saved_out = os.environ.pop(cli.ENV_OUT, None)  # it would replace --out
     cwd = os.getcwd()
+    files = {}
     try:
-        os.chdir(workdir)
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            cli.main(list(ARGS))
+        for name, args in RUNS.items():
+            run_root = workdir / name
+            run_root.mkdir()
+            os.chdir(run_root)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main([*args, "--out", "golden"])
+            for run_dir in sorted((run_root / "golden").glob("*/*")):
+                for artifact in ARTIFACTS:
+                    key = f"{name}/{run_dir.parent.name}/{artifact}"
+                    files[key] = (run_dir / artifact).read_bytes()
     finally:
         os.chdir(cwd)
         if saved_out is not None:
             os.environ[cli.ENV_OUT] = saved_out
-    files = {}
-    for run_dir in sorted((workdir / "golden").glob("*/*")):
-        for artifact in ARTIFACTS:
-            files[f"{run_dir.parent.name}/{artifact}"] = (run_dir / artifact).read_bytes()
     return files
 
 
 def read_golden() -> dict[str, bytes]:
-    return {f"{path.parent.name}/{path.name}": path.read_bytes()
-            for path in sorted(GOLDEN.glob("*/*"))}
+    return {path.relative_to(HERE).as_posix(): path.read_bytes()
+            for name in RUNS for path in sorted((HERE / name).glob("*/*"))}
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         files = run_all(pathlib.Path(tmp))
-    shutil.rmtree(GOLDEN, ignore_errors=True)
+    for name in RUNS:
+        shutil.rmtree(HERE / name, ignore_errors=True)
     for key, data in files.items():
-        path = GOLDEN / key
+        path = HERE / key
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
     ENVIRONMENT.write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(files)} files under {GOLDEN}")
+    print(f"wrote {len(files)} files under {HERE}")
 
 
 if __name__ == "__main__":

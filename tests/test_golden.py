@@ -1,4 +1,8 @@
-"""A fresh ``clocklab all --seed 1`` against the golden artifacts in tests/golden.
+"""Fresh runs of the golden commands against the artifacts in tests/golden.
+
+The commands are ``regenerate.RUNS``: ``clocklab all --seed 1`` and the four
+non-default runs ``symbol --algebra su11``, ``stationary-sweep --family h4``,
+``constraint --profile random`` and ``classical-limit --sizes 5,10,20,30``.
 
 Where the environment matches the one recorded next to the golden files
 (numpy, scipy, the OpenBLAS builds and kernels, one BLAS thread) the files
@@ -104,6 +108,7 @@ def value_mismatches(key, expected, got):
 def test_golden_artifacts(fresh, record_property):
     expected = golden.read_golden()
     assert sorted(fresh) == sorted(expected)
+    assert sorted({key.split("/")[0] for key in expected}) == sorted(golden.RUNS)
     recorded = json.loads(golden.ENVIRONMENT.read_text())
     current = golden.environment()
     mode = "bytes" if current == recorded else "values"
@@ -125,7 +130,7 @@ def test_no_artifact_spells_a_numpy_scalar(fresh):
 
 def test_value_comparison_bounds():
     expected = golden.read_golden()
-    key = "phase-audit/summary.json"
+    key = "all-seed1/phase-audit/summary.json"
     summary = json.loads(expected[key])
     assert value_mismatches(key, expected[key], expected[key]) == []
 
@@ -153,7 +158,7 @@ def test_value_comparison_bounds():
     assert value_mismatches(key, expected[key], variant(nudge)) == []
     for edit in (jump, flip, rename, list_entry):
         assert value_mismatches(key, expected[key], variant(edit)) != [], edit.__name__
-    csv_key = "phase-audit/data.csv"
+    csv_key = "all-seed1/phase-audit/data.csv"
     text = expected[csv_key].decode()
     assert value_mismatches(csv_key, expected[csv_key],
                             text.replace("commutator", "commutatorx").encode()) != []

@@ -1,11 +1,16 @@
 """The structured routes of the linear algebra against their dense forms.
 
 ``residual_norm2`` picks a route by an exact predicate on the matrix:
-weighted shift, hermitian or anti-hermitian (banded or dense), or the SVD.
-Each route is compared with a spectral norm computed in the test from an
-SVD.  ``_eigh`` and ``build_psi``'s entropy are compared with the LAPACK
+weighted shift, hermitian or anti-hermitian (banded, banded after the
+interleave of the ladder ends, or dense), or the SVD.  Each route is
+compared with a spectral norm computed in the test from an SVD.  ``_eigh``,
+``build_psi`` (its identity-basis scatter and its entropy), the identity
+basis change of ``quantum_flow_rate`` and the column-sum unitarity guard of
+``build_phase_operator`` are compared with the dense products or LAPACK
 calls they stand in for.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -16,15 +21,29 @@ from hypothesis import strategies as st
 from clocklab.algebra import (
     _comm,
     _eigh,
+    _interleave,
+    _is_identity,
     build_clock,
     build_h4_rep,
     build_su2_rep,
+    build_su11_rep,
+    intensive_h4_clock,
+    intensive_su2_clock,
     residual_norm2,
     verify_cartan,
 )
-from clocklab.constraint import SpectralMatch, build_psi, ladder_match
-from clocklab.dynamics import resonant_ladder
-from clocklab.phase import build_phase_operator, commutator_check
+from clocklab.constraint import (
+    SpectralMatch,
+    build_psi,
+    conditional_state,
+    gaussian_profile,
+    gaussian_state,
+    ladder_match,
+    match_spectra,
+    random_profile,
+)
+from clocklab.dynamics import energy_of_rho, quantum_flow_rate, resonant_ladder
+from clocklab.phase import _unitarity_residual, build_phase_operator, commutator_check
 
 # the eigenvalue and SVD routes both carry O(dim) rounding; this many ulps
 # per dimension of the larger value is what "a few ulps" means below
@@ -235,3 +254,226 @@ def test_cartan_residuals_are_the_svd_norms():
     report = verify_cartan(rep)
     assert report.ladder_relations == svd_norm(ladder)
     assert report.closure_relation == svd_norm(closure)
+
+
+# --- the interleave of the ladder ends ------------------------------------------
+
+
+def test_interleave_order():
+    assert _interleave(1).tolist() == [0]
+    assert _interleave(5).tolist() == [0, 4, 1, 3, 2]
+    assert _interleave(6).tolist() == [0, 5, 1, 4, 2, 3]
+
+
+def _periodic_band(m, b):
+    """m with every entry zeroed whose cyclic distance from the diagonal exceeds b."""
+    i, j = np.indices(m.shape)
+    dist = abs(i - j)
+    return np.where(np.minimum(dist, m.shape[0] - dist) <= b, m, 0.0)
+
+
+@st.composite
+def periodic_banded(draw, anti, complex_entries):
+    n = draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(n, n))
+    if complex_entries:
+        a = a + 1j * rng.normal(size=(n, n))
+    a = a * draw(scales)
+    m = a - a.conj().T if anti else a + a.conj().T
+    return _periodic_band(m, draw(st.integers(1, max(1, (n - 2) // 4))))
+
+
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_periodic_band_norm_matches_svd(anti, complex_entries):
+    @given(periodic_banded(anti, complex_entries))
+    def check(m):
+        before = m.copy()
+        assert_close_to_svd(m)
+        assert np.array_equal(m, before)
+
+    check()
+
+
+@pytest.mark.parametrize("anti", [False, True])
+def test_periodic_tridiagonal_takes_the_interleave(monkeypatch, anti):
+    banded = _spy(monkeypatch, "eigvals_banded")
+    dense = _spy(monkeypatch, "eigvalsh")
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    m = _periodic_band(a - a.conj().T if anti else a + a.conj().T, 1)
+    assert m[0, -1] != 0 and m[-1, 0] != 0  # the corners make the band full
+    assert_close_to_svd(m)
+    assert (banded, dense) == (["eigvals_banded"], [])
+
+
+def test_commutator_residuals_take_the_interleave(monkeypatch):
+    """At su2 j = 400 both commutator residuals are banded; no dense eigvalsh."""
+    banded = _spy(monkeypatch, "eigvals_banded")
+    dense = _spy(monkeypatch, "eigvalsh")
+    clock = intensive_su2_clock(400.0)
+    commutator_check(clock, build_phase_operator(clock))
+    assert (banded, dense) == (["eigvals_banded"] * 2, [])
+
+
+def test_band_the_interleave_does_not_narrow_goes_dense(monkeypatch):
+    banded = _spy(monkeypatch, "eigvals_banded")
+    dense = _spy(monkeypatch, "eigvalsh")
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    m = _periodic_band(a + a.conj().T, 1)
+    m[0, 4], m[4, 0] = 1.0, 1.0  # joins the bottom rung to the middle one
+    assert_close_to_svd(m)
+    rows, cols = np.nonzero(m)
+    position = np.argsort(_interleave(9))
+    assert 2 * int(np.max(abs(position[rows] - position[cols]))) + 1 >= 9
+    assert (banded, dense) == ([], ["eigvalsh"])
+
+
+# --- constraint states in the identity basis ----------------------------------
+
+
+def gemm_psi(match, coefficients):
+    """The dense product build_psi forms for a general match."""
+    idx_c, idx_g = np.array(match.pairs).T
+    return (match.clock_evecs[:, idx_c] * coefficients) @ match.system_evecs[:, idx_g].T
+
+
+@pytest.mark.parametrize("make_clock, rho", [
+    (lambda: intensive_su2_clock(400.0), 0.45),
+    (lambda: intensive_h4_clock(200.0), 10.0),
+], ids=["su2-j400", "h4-mean200"])
+def test_identity_basis_psi_is_the_gemm(make_clock, rho):
+    clock = make_clock()
+    match = ladder_match(clock, resonant_ladder(clock, clock.dim))
+    assert np.array_equal(match.clock_evecs, np.eye(clock.dim))
+    assert np.array_equal(match.system_evecs, np.eye(clock.dim))
+    gauss = build_psi(match, gaussian_profile(match, energy_of_rho(clock, rho), 0.2))
+    assert gauss.matrix.tobytes() == gemm_psi(match, gauss.coefficients).tobytes()
+    rand = build_psi(match, random_profile(match, 2026))
+    # equal by value; a zero may carry the other sign than in the GEMM
+    assert np.array_equal(rand.matrix, gemm_psi(match, rand.coefficients))
+
+
+def test_identity_basis_psi_off_the_diagonal():
+    """System levels 5..11 of a 21-level clock: pairs (5, 0) .. (11, 6)."""
+    clock = build_clock(build_su2_rep(10.0))
+    match = ladder_match(clock, np.diag(clock.epsilon * np.arange(5.0, 12.0)))
+    assert match.pairs == tuple((k + 5, k) for k in range(7))
+    rng = np.random.default_rng(23)
+    real = build_psi(match, rng.uniform(0.5, 1.0, size=7))
+    assert real.matrix.shape == (21, 7)
+    assert real.matrix.tobytes() == gemm_psi(match, real.coefficients).tobytes()
+    cplx = build_psi(match, rng.normal(size=7) + 1j * rng.normal(size=7))
+    assert np.array_equal(cplx.matrix, gemm_psi(match, cplx.coefficients))
+
+
+def test_is_identity():
+    assert _is_identity(np.eye(4)) and _is_identity(np.eye(3, dtype=complex))
+    for a in (np.diag([1.0, -1.0]), np.diag([1.0, 2.0]), np.eye(3)[[1, 0, 2]],
+              np.eye(3, 4), np.eye(2) + 1e-300 * np.ones((2, 2))):
+        assert not _is_identity(a)
+
+
+def _rotated(dim, energies, seed):
+    """A dense hermitian matrix with the given spectrum."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    return (q * energies) @ q.conj().T
+
+
+@pytest.mark.parametrize("clock_dense", [False, True])
+def test_dense_match_psi_is_the_sum_over_pairs(clock_dense):
+    rng = np.random.default_rng(17)
+    h_c = _rotated(7, np.arange(7.0), 1) if clock_dense else np.diag(np.arange(7.0))
+    h_g = _rotated(5, np.arange(5.0), 2)
+    match = match_spectra(h_c, h_g, tol=1e-9)
+    assert len(match.pairs) == 5
+    assert _is_identity(match.clock_evecs) != clock_dense
+    assert not _is_identity(match.system_evecs)
+    psi = build_psi(match, rng.normal(size=5) + 1j * rng.normal(size=5))
+    assert psi.matrix.tobytes() == gemm_psi(match, psi.coefficients).tobytes()
+    per_pair = sum(c * np.outer(match.clock_evecs[:, i], match.system_evecs[:, j])
+                   for c, (i, j) in zip(psi.coefficients, match.pairs))
+    assert np.allclose(psi.matrix, per_pair, rtol=0.0, atol=1e-14)
+
+
+def reference_flow_rate(psi, clock, h_system, rho, n_phi=48, phi_max=1.2):
+    """quantum_flow_rate with the basis change always a dense product."""
+    evals, evecs = np.linalg.eigh(h_system)
+    phi_max = min(phi_max, (n_phi - 1) * np.pi / (2 * max(clock.dim - 1, 1)))
+    phis = np.linspace(0.0, phi_max, n_phi)
+    comps = np.array([evecs.conj().T @ conditional_state(psi, clock, rho, float(phi)).unnormalized
+                      for phi in phis])
+    mags = np.abs(comps).min(axis=0)
+    scale = float(np.max(np.abs(evals))) or 1.0
+    s, e, w = [], [], []
+    for n in range(h_system.shape[0]):
+        if mags[n] < 1e-8 or abs(evals[n]) < 1e-12 * scale:
+            continue
+        s.append(np.polyfit(phis, np.unwrap(np.angle(comps[:, n])), 1)[0])
+        e.append(evals[n])
+        w.append(float(np.mean(np.abs(comps[:, n]) ** 2)))
+    s, e, w = np.array(s), np.array(e), np.array(w)
+    return float(-np.sum(w * e * s) / np.sum(w * s * s))
+
+
+@pytest.mark.parametrize("make_clock, rho", [
+    (lambda: intensive_su2_clock(250.0), 0.45),
+    (lambda: intensive_su2_clock(400.0), 0.45),
+    (lambda: intensive_h4_clock(200.0), 10.0),
+], ids=["su2-j250", "su2-j400", "h4-mean200"])
+def test_flow_rate_keeps_its_bits(make_clock, rho):
+    clock = make_clock()
+    h_system = resonant_ladder(clock, clock.dim)
+    psi = gaussian_state(clock, h_system, energy_of_rho(clock, rho), 0.2)
+    got = quantum_flow_rate(psi, clock, h_system, rho)
+    ref = reference_flow_rate(psi, clock, h_system, rho)
+    assert struct.pack("<d", got) == struct.pack("<d", ref)
+
+
+def test_flow_rate_in_a_rotated_basis():
+    """A system whose eigenvectors are not the identity keeps the basis change."""
+    clock = build_clock(build_su2_rep(6.0))
+    h_system = _rotated(clock.dim, clock.epsilon * np.arange(clock.dim), 3)
+    match = ladder_match(clock, h_system)
+    assert len(match.pairs) == clock.dim and not _is_identity(match.system_evecs)
+    psi = build_psi(match, gaussian_profile(match, energy_of_rho(clock, 0.45), 2.0))
+    got = quantum_flow_rate(psi, clock, h_system, 0.45)
+    assert struct.pack("<d", got) == struct.pack("<d", reference_flow_rate(
+        psi, clock, h_system, 0.45))
+    assert abs(got - clock.epsilon) < 1e-9
+
+
+# --- the unitarity guard of the phase operator ------------------------------
+
+
+def dense_unitarity(u):
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+
+
+@pytest.mark.parametrize("rep", [build_su2_rep(40.0), build_h4_rep(64),
+                                 build_su11_rep(1.5, 64)], ids=["su2", "h4", "su11"])
+def test_unitarity_residual_of_the_ladders_is_the_dense_one(rep):
+    u = build_phase_operator(build_clock(rep)).exp_minus_iphi
+    assert _unitarity_residual(u) == dense_unitarity(u)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.floats(1e-12, 1e-3))
+def test_a_shift_off_the_unit_circle_is_rejected(seed, n, bump):
+    rng = np.random.default_rng(seed)
+    u = np.zeros((n, n), dtype=complex)
+    u[rng.permutation(n), np.arange(n)] = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    k = int(rng.integers(n))
+    u[:, k] *= 1 + bump  # |column k|^2 - 1 is about 2 * bump
+    got, ref = _unitarity_residual(u), dense_unitarity(u)
+    assert got > 1e-12 and ref > 1e-12
+    assert abs(got - ref) <= 4 * n * np.finfo(float).eps * max(got, 1.0)
+
+
+def test_non_shift_takes_the_dense_product():
+    rng = np.random.default_rng(19)
+    q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+    for u in (q, 1.01 * q, q + np.diag(np.ones(5), 1)):
+        assert _unitarity_residual(u) == dense_unitarity(u)
