@@ -281,6 +281,9 @@ def load_config(path: str | None, overrides: dict[str, object],
         # a grid or cutoff of zero would pass its gates without checking anything
         if kind == "int" and key != "seed" and cfg[key] < 1:
             raise ConfigError(f"{key!r} must be at least 1")
+    # one point is phi = 0 alone, where the propagator and the drift compare identities
+    if cfg["sch_phi_points"] < 2:
+        raise ConfigError(f"'sch_phi_points' must be at least 2, got {cfg['sch_phi_points']!r}")
     # a cut of 0 or below keeps every node, one above 1 none
     if not 0.0 < cfg["cls_threshold"] <= 1.0:
         raise ConfigError(f"cls_threshold must lie in (0, 1], got {cfg['cls_threshold']!r}")

@@ -15,8 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (
-    ClockModel, _eigh, _is_identity, build_clock, build_su2_rep, intensive_su2_clock,
-    intensive_h4_clock,
+    ClockModel, _diagonal, _eigh, _is_identity, build_clock, build_su2_rep,
+    intensive_su2_clock, intensive_h4_clock,
 )
 from .constraint import CompositeState, build_psi, conditional_state, gaussian_state, ladder_match
 from .gcs import clock_symbol_analytic, coherent_vector
@@ -39,14 +39,21 @@ class FirstOrderResidual:
     phi: float
 
 
-def _first_order_residual_at(psi, clock, h_system, rho, phi, h):
-    lead = conditional_state(psi, clock, rho, phi)
-    norm = np.sqrt(lead.chi2)
-    _ = lead.normalized
+def _apply(h_system: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H v; a broadcast product when H is exactly diagonal (every ladder system).
+
+    The diagonal route skips the complex copy of H that the dense product
+    makes for a real H; each entry of a real H's product is then the same
+    single multiplication, so the bits are those of the dense product.
+    """
+    d = _diagonal(h_system)
+    return d * v if d is not None else h_system @ v
+
+
+def _first_order_residual_at(psi, clock, rho, phi, h, rhs, norm):
     plus = conditional_state(psi, clock, rho, phi + h).unnormalized
     minus = conditional_state(psi, clock, rho, phi - h).unnormalized
     lhs = 1j * clock.epsilon * (plus - minus) / (2.0 * h)
-    rhs = h_system @ lead.unnormalized
     return float(np.linalg.norm(lhs - rhs)) / norm
 
 
@@ -60,8 +67,12 @@ def schrodinger_residual(psi: CompositeState, clock: ClockModel,
     log2(r(h)/r(h/2)) reported.  Because chi2 does not depend on phi,
     normalizing commutes with differentiating.
     """
-    r1 = _first_order_residual_at(psi, clock, h_system, rho, phi, h)
-    r2 = _first_order_residual_at(psi, clock, h_system, rho, phi, h / 2.0)
+    lead = conditional_state(psi, clock, rho, phi)
+    norm = np.sqrt(lead.chi2)
+    _ = lead.normalized
+    rhs = _apply(h_system, lead.unnormalized)
+    r1 = _first_order_residual_at(psi, clock, rho, phi, h, rhs, norm)
+    r2 = _first_order_residual_at(psi, clock, rho, phi, h / 2.0, rhs, norm)
     if r1 > 0 and r2 > 0:
         slope = float(np.log2(r1 / r2))
     else:
@@ -79,7 +90,7 @@ def stationary_residual(psi: CompositeState, clock: ClockModel,
     energy surface.
     """
     n = conditional_state(psi, clock, rho, phi).normalized
-    return float(np.linalg.norm(h_system @ n - energy_of_rho(clock, rho) * n))
+    return float(np.linalg.norm(_apply(h_system, n) - energy_of_rho(clock, rho) * n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,15 +110,28 @@ def propagator_deviation(psi: CompositeState, clock: ClockModel,
     The matrix exponential knows nothing about coherent states or the
     composite construction, which is what makes this an oracle for the
     whole mechanism.  Also tracks the worst chi2 drift over the grid.
+
+    When H_sys is exactly diagonal (every ladder system) the exponential is
+    applied as the vector exp(-i phi/eps * diag H), which is what
+    scipy.linalg.expm itself returns on the diagonal of a diagonal matrix;
+    any other generator goes through scipy.linalg.expm.  A grid with no
+    nonzero phi compares identities only and is refused.
     """
+    if not np.any(np.asarray(phi_grid, dtype=float)):
+        raise ValueError("phi_grid needs a nonzero phi; at phi = 0 both sides are Phi(0)")
     base = conditional_state(psi, clock, rho, 0.0)
     _ = base.normalized
+    d = _diagonal(h_system)
     worst = 0.0
     drift = 0.0
     for phi in phi_grid:
         cond = conditional_state(psi, clock, rho, float(phi))
-        u = scipy.linalg.expm(-1j * (float(phi) / clock.epsilon) * h_system)
-        worst = max(worst, float(np.linalg.norm(cond.unnormalized - u @ base.unnormalized)))
+        s = float(phi) / clock.epsilon
+        if d is not None:
+            evolved = np.exp((-1j * s) * d) * base.unnormalized
+        else:
+            evolved = scipy.linalg.expm((-1j * s) * h_system) @ base.unnormalized
+        worst = max(worst, float(np.linalg.norm(cond.unnormalized - evolved)))
         drift = max(drift, abs(cond.chi2 - base.chi2))
     return PropagatorReport(max_deviation=worst, chi2_drift=drift, n_points=len(phi_grid))
 

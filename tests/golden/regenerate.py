@@ -32,6 +32,7 @@ RUNS = {
     "stationary-sweep-h4": ("stationary-sweep", "--family", "h4"),
     "constraint-random": ("constraint", "--profile", "random"),
     "classical-limit-sizes": ("classical-limit", "--sizes", "5,10,20,30"),
+    "schrodinger-j400": ("schrodinger", "--j", "400"),
 }
 ARTIFACTS = ("data.csv", "summary.json", "config.echo")
 

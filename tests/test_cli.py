@@ -188,6 +188,16 @@ def test_empty_grid_exits_two(tmp_path, args):
     assert not (tmp_path / "o").exists()
 
 
+def test_one_point_phi_grid_exits_two(tmp_path):
+    """One point is phi = 0 alone: propagator deviation and chi2 drift read 0.0 and passed."""
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("sch_phi_points=1\n")
+    assert run(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(cli.ConfigError, match="sch_phi_points"):
+        cli.load_config(None, {"sch_phi_points": 1}, [])
+
+
 @pytest.mark.parametrize("value", ["2", "0", "-1"])
 def test_support_threshold_outside_unit_interval_exits_two(tmp_path, value):
     """--threshold 2 used to end in a traceback; 0 or -1 turned the support cut off."""

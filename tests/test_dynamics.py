@@ -1,11 +1,22 @@
 """Conditioned evolution: first-order equation, propagator, and sweeps."""
 
+import struct
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from clocklab.algebra import intensive_h4_clock, intensive_su2_clock
 from clocklab.classical import classical_flow_rate
-from clocklab.constraint import build_psi, gaussian_state, match_spectra
+from clocklab.constraint import (
+    build_psi,
+    conditional_state,
+    gaussian_profile,
+    gaussian_state,
+    ladder_match,
+    match_spectra,
+    random_profile,
+)
 from clocklab.dynamics import (
     ConvergenceRecord,
     convergence_sweep,
@@ -153,3 +164,129 @@ def test_energy_of_rho_matches_symbol():
     clock = intensive_su2_clock(6.0)
     expected = np.sqrt(2.0) * np.sin(0.5) ** 2
     assert abs(energy_of_rho(clock, 0.5) - expected) < 1e-12
+
+
+# --- the diagonal routes against the dense products they replace -----------
+
+PHI_GRID = np.linspace(0.0, 2 * np.pi, 25)
+
+LADDER_CLOCKS = {
+    "su2-j3": (lambda: intensive_su2_clock(3.0), 0.45),
+    "su2-j40": (lambda: intensive_su2_clock(40.0), 0.45),
+    "su2-j400": (lambda: intensive_su2_clock(400.0), 0.45),
+    "h4-mean200": (lambda: intensive_h4_clock(200.0), 10.0),
+}
+
+
+def dense_propagator(psi, clock, h_system, rho, phi_grid):
+    """The oracle loop with a dense expm at every phi: (max deviation, chi2 drift)."""
+    base = conditional_state(psi, clock, rho, 0.0)
+    worst = 0.0
+    drift = 0.0
+    for phi in phi_grid:
+        cond = conditional_state(psi, clock, rho, float(phi))
+        u = scipy.linalg.expm(-1j * (float(phi) / clock.epsilon) * h_system)
+        worst = max(worst, float(np.linalg.norm(cond.unnormalized - u @ base.unnormalized)))
+        drift = max(drift, abs(cond.chi2 - base.chi2))
+    return worst, drift
+
+
+def dense_schrodinger_residual(psi, clock, h_system, rho, phi, h):
+    """(r(h), r(h/2), slope) with the dense h_system @ lead at each step."""
+    values = []
+    for step in (h, h / 2.0):
+        lead = conditional_state(psi, clock, rho, phi)
+        plus = conditional_state(psi, clock, rho, phi + step).unnormalized
+        minus = conditional_state(psi, clock, rho, phi - step).unnormalized
+        lhs = 1j * clock.epsilon * (plus - minus) / (2.0 * step)
+        values.append(float(np.linalg.norm(lhs - h_system @ lead.unnormalized))
+                      / np.sqrt(lead.chi2))
+    return values[0], values[1], float(np.log2(values[0] / values[1]))
+
+
+def dense_stationary_residual(psi, clock, h_system, rho, phi):
+    n = conditional_state(psi, clock, rho, phi).normalized
+    return float(np.linalg.norm(h_system @ n - energy_of_rho(clock, rho) * n))
+
+
+def packed(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def assert_residuals_equal_dense(psi, clock, h_system, rho):
+    res = schrodinger_residual(psi, clock, h_system, rho, phi=0.6, h=1e-4)
+    assert packed(res.value, res.value_half_step, res.richardson_slope) == \
+        packed(*dense_schrodinger_residual(psi, clock, h_system, rho, 0.6, 1e-4))
+    assert packed(stationary_residual(psi, clock, h_system, rho, phi=0.3)) == \
+        packed(dense_stationary_residual(psi, clock, h_system, rho, 0.3))
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Count the calls made to scipy.linalg.expm."""
+    calls = []
+    real_expm = scipy.linalg.expm
+
+    def spy(a):
+        calls.append(a.shape)
+        return real_expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CLOCKS))
+def test_diagonal_routes_equal_dense_products_bitwise(name, expm_calls):
+    """A ladder takes no expm, and for real (Gaussian) profiles every result keeps its bits."""
+    make_clock, rho = LADDER_CLOCKS[name]
+    clock = make_clock()
+    h_system = resonant_ladder(clock, clock.dim)
+    psi = gaussian_state(clock, h_system, energy_of_rho(clock, rho), 0.2)
+    report = propagator_deviation(psi, clock, h_system, rho, PHI_GRID)
+    assert expm_calls == []
+    worst, drift = dense_propagator(psi, clock, h_system, rho, PHI_GRID)
+    assert packed(report.max_deviation, report.chi2_drift) == packed(worst, drift)
+    assert report.n_points == len(PHI_GRID)
+    assert_residuals_equal_dense(psi, clock, h_system, rho)
+
+
+@pytest.mark.parametrize("j", [3.0, 20.0, 400.0])
+def test_diagonal_oracle_tracks_dense_expm_for_complex_profiles(j):
+    """Complex amplitudes round differently in zgemv; the deviation moves by rounding only."""
+    clock = intensive_su2_clock(j)
+    h_system = resonant_ladder(clock, clock.dim)
+    match = ladder_match(clock, h_system)
+    psi = build_psi(match, random_profile(match, seed=1))
+    rho = 0.45
+    report = propagator_deviation(psi, clock, h_system, rho, PHI_GRID)
+    worst, drift = dense_propagator(psi, clock, h_system, rho, PHI_GRID)
+    base_norm = np.linalg.norm(conditional_state(psi, clock, rho, 0.0).unnormalized)
+    bound = 4 * clock.dim * np.finfo(float).eps * base_norm
+    assert abs(report.max_deviation - worst) <= bound
+    assert report.chi2_drift == drift
+    assert report.max_deviation < 1e-9
+
+
+def test_non_diagonal_generator_goes_through_expm(expm_calls):
+    """A rotated ladder Q diag(eps n) Q^T keeps the Pade expm at every phi."""
+    clock = intensive_su2_clock(3.0)
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(clock.dim, clock.dim)))
+    h_system = (q * (clock.epsilon * np.arange(clock.dim))) @ q.T
+    match = match_spectra(clock.h_c, h_system, tol=1e-9 * max(clock.epsilon, 1.0))
+    assert len(match.pairs) == clock.dim
+    psi = build_psi(match, gaussian_profile(match, energy_of_rho(clock, 0.45), 0.2))
+    report = propagator_deviation(psi, clock, h_system, rho=0.45, phi_grid=PHI_GRID)
+    assert expm_calls == [h_system.shape] * len(PHI_GRID)
+    assert report.max_deviation < 1e-9
+    assert report.chi2_drift < 1e-12
+    assert_residuals_equal_dense(psi, clock, h_system, 0.45)
+    res = schrodinger_residual(psi, clock, h_system, rho=0.45, phi=0.6, h=1e-4)
+    assert res.value < 1e-7
+
+
+@pytest.mark.parametrize("grid", [[0.0], [0.0, 0.0, -0.0], []])
+def test_propagator_refuses_a_grid_without_nonzero_phi(grid):
+    """At phi = 0 both sides are Phi(0): the deviation and the drift read 0.0."""
+    clock, h_system, psi = make_state(j=3.0)
+    with pytest.raises(ValueError, match="nonzero phi"):
+        propagator_deviation(psi, clock, h_system, rho=0.45, phi_grid=grid)
