@@ -63,6 +63,19 @@ def two_form_coefficient(clock: ClockModel, rho: float, hbar: float = 1.0) -> fl
     return lookup(clock.rep.family).two_form(clock, rho, hbar)
 
 
+def _regular_two_form(clock: ClockModel, rho: float, hbar: float) -> float:
+    """The two-form coefficient at rho, refused where it vanishes.
+
+    Those points (rho = 0, and rho = pi/2 on the sphere) are coordinate
+    singularities of the chart, where brackets divide by zero.
+    """
+    c = two_form_coefficient(clock, rho, hbar)
+    if abs(c) < 1e-12 * max(1.0, abs(clock.b2) * hbar):
+        raise ValueError(f"symplectic coefficient vanishes at rho = {rho} "
+                         "(a coordinate singularity)")
+    return c
+
+
 @dataclasses.dataclass(frozen=True)
 class TwoFormReport:
     analytic: float
@@ -132,13 +145,11 @@ def poisson_bracket_clock(f: Callable[[float, float], float],
 
     Partial derivatives of the scalar functions are central differences;
     the symplectic density is the closed-form coefficient.  Points where
-    that coefficient vanishes (rho = 0, and the sphere equator for the
-    trig branch) are coordinate singularities and are refused.
+    that coefficient vanishes (rho = 0, and rho = pi/2 on the sphere)
+    are coordinate singularities and are refused.
     """
     rho, phi = float(point[0]), float(point[1])
-    c = two_form_coefficient(clock, rho, hbar)
-    if abs(c) < 1e-12 * max(1.0, abs(clock.b2) * hbar):
-        raise ValueError(f"symplectic coefficient vanishes at rho = {rho}")
+    c = _regular_two_form(clock, rho, hbar)
 
     def d_rho(fun):
         return (fun(rho + fd_step, phi) - fun(rho - fd_step, phi)) / (2 * fd_step)
@@ -176,9 +187,7 @@ def hamilton_check(clock: ClockModel, v: Sequence[float],
     worst_p = 0.0
     for rho in rho_grid:
         rho = float(rho)
-        c_coeff = two_form_coefficient(clock, rho, hbar)
-        if abs(c_coeff) < 1e-12 * max(1.0, abs(clock.b2) * hbar):
-            raise ValueError(f"grid touches a symplectic singularity at rho = {rho}")
+        c_coeff = _regular_two_form(clock, rho, hbar)
         c, cp = lookup(clock.rep.family).chart_radius(clock, rho)
         for phi in phi_grid:
             phi = float(phi)
@@ -214,9 +223,7 @@ def classical_flow_rate(clock: ClockModel, v: Sequence[float] = (1.0,),
     hold against the quantum propagation rate.
     """
     v = np.asarray(v, dtype=float)
-    c_coeff = two_form_coefficient(clock, float(rho), hbar)
-    if abs(c_coeff) < 1e-12 * max(1.0, abs(clock.b2) * hbar):
-        raise ValueError(f"symplectic coefficient vanishes at rho = {rho}")
+    c_coeff = _regular_two_form(clock, float(rho), hbar)
     c, cp = lookup(clock.rep.family).chart_radius(clock, float(rho))
     dq_dphi = -c * np.sin(float(phi)) * v
     j = int(np.argmax(np.abs(dq_dphi)))
@@ -289,9 +296,6 @@ class BetaDistribution:
 
 
 def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockModel,
-                      n_polar_c: int | None = None, n_azim_c: int | None = None,
-                      n_polar_g: int | None = None, n_azim_g: int | None = None,
-                      radial_cap: float = 8.0,
                       threshold: float = SUPPORT_THRESHOLD) -> BetaDistribution:
     """Joint amplitude beta(Omega, gamma) with support extraction.
 
@@ -307,10 +311,8 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
         raise ValueError(f"support threshold must lie in (0, 1], got {threshold!r}")
     if psi.dim_clock != clock_c.dim or psi.dim_system != clock_g.dim:
         raise ValueError("composite state dimensions do not match the two models")
-    rho_c, phi_c, w_c = lookup(clock_c.rep.family).nodes(clock_c.rep, n_polar_c, n_azim_c,
-                                                         radial_cap)
-    rho_g, phi_g, w_g = lookup(clock_g.rep.family).nodes(clock_g.rep, n_polar_g, n_azim_g,
-                                                         radial_cap)
+    rho_c, phi_c, w_c = lookup(clock_c.rep.family).nodes(clock_c.rep)
+    rho_g, phi_g, w_g = lookup(clock_g.rep.family).nodes(clock_g.rep)
     mc = coherent_table(clock_c.rep, rho_c, phi_c)
     mg = coherent_table(clock_g.rep, rho_g, phi_g)
     mg_conj = mg.conj()

@@ -29,7 +29,6 @@ import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from .algebra import (
     build_clock,
@@ -68,6 +67,7 @@ from .dynamics import (
     schrodinger_residual,
     su2_stationary_experiment,
 )
+from .families import lookup
 from .gcs import (
     clock_symbol_analytic,
     clock_symbol_numeric,
@@ -134,8 +134,6 @@ _KEYS: dict[str, tuple[str, object]] = {
     # identity-resolution
     "idr_j": ("float", 3.0),
     "idr_h4_cut": ("int", 48),
-    "idr_h4_polar": ("int", 160),
-    "idr_cap": ("float", 8.0),
     # constraint
     "con_j": ("float", 10.0),
     "con_rho": ("float", 0.55),
@@ -473,25 +471,16 @@ def run_symbol(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
 
 def run_identity_resolution(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     j = float(cfg["idr_j"])
-    nodes = int(round(4 * j + 4))
     cut = int(cfg["idr_h4_cut"])
-    dev_su2 = identity_resolution_check(build_su2_rep(j), n_polar=nodes, n_azim=nodes)
-    h4_rep = build_h4_rep(cut)
-    # the h4 deviation is the gamma tail Q(valid_dim, cap^2) the cap leaves out:
-    # widen the cap until that tail is a hundredth of the tolerance
-    cap = max(float(cfg["idr_cap"]),
-              math.sqrt(gammainccinv(h4_rep.valid_dim, 1e-2 * cfg["tol_identity_h4"])))
-    dev_h4 = identity_resolution_check(h4_rep, n_polar=int(cfg["idr_h4_polar"]),
-                                       n_azim=cut, radial_cap=cap)
-    rows = [["su2", nodes * nodes, dev_su2],
-            ["h4", int(cfg["idr_h4_polar"]) * cut, dev_h4]]
-    checks = [
-        _check(f"identity-su2-j{_canon('idr_j', j)}", dev_su2 <= cfg["tol_identity_su2"],
-               deviation=dev_su2, tolerance=cfg["tol_identity_su2"]),
-        _check(f"identity-h4-n{cut}", dev_h4 <= cfg["tol_identity_h4"],
-               deviation=dev_h4, tolerance=cfg["tol_identity_h4"]),
-    ]
-    _progress(f"[identity-resolution] su2 {dev_su2:.3e}, h4 {dev_h4:.3e}")
+    cases = [("su2", build_su2_rep(j), f"identity-su2-j{_canon('idr_j', j)}",
+              cfg["tol_identity_su2"]),
+             ("h4", build_h4_rep(cut), f"identity-h4-n{cut}", cfg["tol_identity_h4"])]
+    rows, checks = [], []
+    for family, rep, label, tol in cases:
+        deviation = identity_resolution_check(rep)
+        rows.append([family, len(lookup(family).nodes(rep)[0]), deviation])
+        checks.append(_check(label, deviation <= tol, deviation=deviation, tolerance=tol))
+        _progress(f"[identity-resolution] {family}: deviation {deviation:.3e}")
     return ["family", "nodes", "deviation"], rows, checks
 
 
@@ -513,8 +502,7 @@ def run_constraint(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]
     phase_independence = abs(chi_a - chi_b)
     identity = max(chi2_identity_residual(psi, clock, r, p)
                    for r in (0.3, rho, 0.8) for p in (0.0, phi))
-    precs = precs_decomposition_check(psi, clock, n_polar=int(2 * clock.rep.params["j"] + 2),
-                                      n_azim=clock.dim)
+    precs = precs_decomposition_check(psi, clock)
     rows = [["pair", i, k, float(match.clock_evals[i]), abs(c)]
             for (i, k), c in zip(psi.pairs, psi.coefficients)]
     rows.append(["chi2", 0, 0, chi_a, chi_b])

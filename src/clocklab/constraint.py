@@ -236,21 +236,18 @@ def chi2_identity_residual(psi: CompositeState, clock: ClockModel,
     return abs(cond.chi2 - via_density)
 
 
-def precs_decomposition_check(
-    psi: CompositeState,
-    clock: ClockModel,
-    n_polar: int = 48,
-    n_azim: int = 48,
-    radial_cap: float = 8.0,
-) -> float:
+def precs_decomposition_check(psi: CompositeState, clock: ClockModel,
+                              n_polar: int | None = None,
+                              n_azim: int | None = None) -> float:
     """Residual of the coherent-aggregate form of the reduced system state.
 
     Integrates |Phi(Omega)><Phi(Omega)| over the clock manifold with the
-    same measures as the identity resolution and compares against the
+    quadrature of the identity resolution (``Family.nodes``, exact on the
+    valid subspace at its default node counts) and compares against the
     partial trace.  Returns the 2-norm of the difference.
     """
     _check_clock_dim(psi, clock)
-    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim, radial_cap)
+    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim)
     # one vector-matrix product per node, the same arithmetic as conditional_state
     rows = np.array([v.conj() @ psi.matrix for v in coherent_table(clock.rep, rhos, phis).T])
     acc = weighted_outer_sum(rows, weights)

@@ -8,7 +8,7 @@ them, so checks that compare the two sides stay independent.  Callers turn
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_laguerre
 
 # builders are called through the module, so wrappers installed on algebra's
 # functions (the clockbench span tracer) see these calls too
@@ -38,24 +38,30 @@ class Family:
         """Representation for one entry of a size sweep."""
         raise ValueError(f"no size sweep for family {self.name!r}")
 
-    def _radial_rule(self, rep: LieAlgebraRep, n_polar: int | None, n_azim: int,
-                     radial_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    def _radial_rule(self, rep: LieAlgebraRep, n_polar: int | None,
+                     n_azim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"no normalizable manifold measure for family {self.name!r}")
 
     def nodes(self, rep: LieAlgebraRep, n_polar: int | None = None,
-              n_azim: int | None = None,
-              radial_cap: float = 8.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              n_azim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened (rho, phi, weight) quadrature of the invariant measure.
 
-        Radial-major order.  The azimuthal grid is uniform (``rep.dim``
-        points by default) so phase cross terms integrate exactly; the
-        radial rule is Gauss-Legendre in the measure's natural variable.
-        The weights carry the full measure, so summing w |c><c| over the
-        nodes approximates the resolution of identity.
+        Radial-major order.  The weights carry the full measure, so summing
+        w |c><c| over the nodes gives the resolution of identity.  The
+        defaults are exact on the valid subspace: the azimuthal grid is
+        uniform with ``rep.dim`` points, so the phase cross terms
+        exp(i (n - m) phi) integrate to zero, and the radial rule is
+        Gaussian in the measure's natural variable with the family's node
+        count (su2: Gauss-Legendre in cos(2 rho); h4: Gauss-Laguerre in
+        rho^2).  Fewer than ``rep.valid_dim`` azimuthal points would alias
+        those cross terms and are refused.
         """
         if n_azim is None:
             n_azim = rep.dim
-        rhos, radial_w = self._radial_rule(rep, n_polar, n_azim, radial_cap)
+        if n_azim < rep.valid_dim:
+            raise ValueError(f"n_azim = {n_azim} below the valid dimension {rep.valid_dim} "
+                             "aliases the phase cross terms")
+        rhos, radial_w = self._radial_rule(rep, n_polar, n_azim)
         phis = 2 * np.pi * np.arange(n_azim) / n_azim
         rho_flat = np.repeat(rhos, n_azim)
         phi_flat = np.tile(phis, len(rhos))
@@ -91,8 +97,9 @@ class _SU2(Family):
         """``size`` is 2j."""
         return algebra.build_su2_rep(size / 2.0)
 
-    def _radial_rule(self, rep, n_polar, n_azim, radial_cap):
-        # (2j+1)/(4pi) d(cos theta) dphi with theta = 2 rho
+    def _radial_rule(self, rep, n_polar, n_azim):
+        # (2j+1)/(4pi) d(cos theta) dphi with theta = 2 rho; the diagonal
+        # integrand has degree 2j in cos(theta), so ceil(j) + 1 nodes are exact
         j = rep.params["j"]
         if n_polar is None:
             n_polar = int(np.ceil(j)) + 1
@@ -127,13 +134,17 @@ class _H4(Family):
         """``size`` is the Fock cutoff."""
         return algebra.build_h4_rep(int(size))
 
-    def _radial_rule(self, rep, n_polar, n_azim, radial_cap):
-        # (1/pi) d^2 alpha, Gauss-Legendre in u = rho^2 over [0, radial_cap^2]
+    def _radial_rule(self, rep, n_polar, n_azim):
+        # (1/pi) d^2 alpha, Gauss-Laguerre in u = rho^2: the diagonal integrand
+        # u^n e^-u / n! with n < valid_dim is exact with ceil(valid_dim / 2) nodes
         if n_polar is None:
-            n_polar = 160
-        u, w = np.polynomial.legendre.leggauss(n_polar)
-        cap2 = radial_cap * radial_cap
-        return np.sqrt(0.5 * cap2 * (u + 1.0)), 0.5 * cap2 * w / n_azim
+            n_polar = (rep.valid_dim + 1) // 2
+        u, w = roots_laguerre(n_polar)
+        with np.errstate(over="ignore", invalid="ignore"):
+            radial_w = w * np.exp(u) / n_azim
+        if not np.isfinite(radial_w).all():
+            raise ValueError(f"Gauss-Laguerre weights overflow at n_polar = {n_polar}")
+        return np.sqrt(u), radial_w
 
 
 class _SU11(Family):

@@ -137,20 +137,17 @@ def weighted_outer_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return acc
 
 
-def identity_resolution_check(
-    rep: LieAlgebraRep,
-    n_polar: int = 24,
-    n_azim: int = 24,
-    radial_cap: float = 8.0,
-) -> float:
+def identity_resolution_check(rep: LieAlgebraRep, n_polar: int | None = None,
+                              n_azim: int | None = None) -> float:
     """Quadrature deviation of the resolution of identity, as a 2-norm.
 
-    Sums w |lambda><lambda| over the family's manifold quadrature (su2:
-    the sphere, Gauss-Legendre in cos(theta) with theta = 2*rho; h4: the
-    plane, Gauss-Legendre in rho^2 up to radial_cap^2) and compares with
-    the identity on the valid subspace.
+    Sums w |lambda><lambda| over the family's manifold quadrature
+    (``Family.nodes``; su2: the sphere, Gauss-Legendre in cos(theta) with
+    theta = 2*rho; h4: the plane, Gauss-Laguerre in rho^2) and compares
+    with the identity on the valid subspace.  With the default node counts
+    the rule is exact, so the deviation is roundoff.
     """
-    rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim, radial_cap)
+    rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim)
     nv = rep.valid_dim
     acc = weighted_outer_sum(coherent_table(rep, rhos, phis)[:nv].T, weights)
     return residual_norm2(acc - np.eye(nv))

@@ -6,16 +6,18 @@ Run from the root of a checkout:
 
 It runs each command of ``RUNS`` with ``--out golden`` on one BLAS thread,
 each in its own temporary directory (the relative ``--out`` is echoed into
-config.echo and hashed into summary.json, so it is fixed), copies each
-subcommand's three files to ``tests/golden/<run>/<subcommand>/`` and
-records the numpy, scipy and OpenBLAS versions they were made with in
-``tests/golden/environment.json``.  ``tests/test_golden.py`` compares fresh
-runs with these files.
+config.echo and hashed into summary.json, so it is fixed), prints the
+changed lines of every golden file whose bytes change as a unified diff
+(``-`` old, ``+`` new), copies each subcommand's three files to
+``tests/golden/<run>/<subcommand>/`` and records the numpy, scipy and
+OpenBLAS versions they were made with in ``tests/golden/environment.json``.
+``tests/test_golden.py`` compares fresh runs with these files.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import difflib
 import io
 import json
 import os
@@ -98,9 +100,20 @@ def read_golden() -> dict[str, bytes]:
             for name in RUNS for path in sorted((HERE / name).glob("*/*"))}
 
 
+def print_changes(old: dict[str, bytes], new: dict[str, bytes]) -> None:
+    """The changed lines, old -> new, of every file whose bytes differ."""
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key, b""), new.get(key, b"")
+        if before != after:
+            print("\n".join(difflib.unified_diff(
+                before.decode().splitlines(), after.decode().splitlines(),
+                f"golden/{key}", f"fresh/{key}", n=0, lineterm="")))
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         files = run_all(pathlib.Path(tmp))
+    print_changes(read_golden(), files)
     for name in RUNS:
         shutil.rmtree(HERE / name, ignore_errors=True)
     for key, data in files.items():

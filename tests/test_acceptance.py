@@ -117,8 +117,7 @@ def test_criterion_04_identity_resolution():
         nodes = int(4 * j + 4)
         dev = identity_resolution_check(build_su2_rep(j), n_polar=nodes, n_azim=nodes)
         assert dev < 1e-8, f"j={j}: {dev:.3e}"
-    dev = identity_resolution_check(build_h4_rep(48), n_polar=160, n_azim=48,
-                                    radial_cap=8.0)
+    dev = identity_resolution_check(build_h4_rep(48), n_polar=160, n_azim=48)
     assert dev < 1e-6, f"h4: {dev:.3e}"
     assert time.monotonic() - start < 60.0
 

@@ -114,6 +114,20 @@ def test_poisson_bracket_singularity_refusal():
         poisson_bracket_clock(lambda r, p: r, lambda r, p: p, (0.0, 0.3), SU2)
 
 
+def test_hamilton_grid_singularity_refusal():
+    """A radial grid that touches rho = 0 is refused, not divided by zero."""
+    with pytest.raises(ValueError, match="vanishes"):
+        hamilton_check(SU2, (1.0,), np.linspace(0.0, 0.6, 5),
+                       np.linspace(0.0, 2 * np.pi, 5, endpoint=False))
+
+
+@pytest.mark.parametrize("clock, rho", [(SU2, 0.0), (SU2, np.pi / 2), (H4, 0.0)],
+                         ids=["su2-origin", "su2-pole", "h4-origin"])
+def test_classical_flow_rate_singularity_refusal(clock, rho):
+    with pytest.raises(ValueError, match="vanishes"):
+        classical_flow_rate(clock, rho=rho)
+
+
 def test_angle_energy_bracket():
     """{phi, H} = eps / hbar: the angle advances at the uniform clock rate."""
     value = poisson_bracket_clock(lambda r, p: p, lambda r, p: energy_of_rho(SU2, r),

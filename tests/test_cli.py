@@ -164,6 +164,24 @@ def test_jobs_option_is_retired(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line", ["idr_cap=8", "idr_h4_polar=160"])
+def test_quadrature_size_keys_are_retired(tmp_path, line):
+    """The quadrature sizes itself: the old cap and node-count keys exit 2, write nothing."""
+    cfg = tmp_path / "idr.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["identity-resolution", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_identity_resolution_is_exact_at_a_large_cutoff(tmp_path):
+    """The default h4 rule needs no radial cap: cut 128 resolves the identity to roundoff."""
+    assert run(["identity-resolution", "--h4-cut", "128", "--out", str(tmp_path)]) == 0
+    summary = json.loads((only_run_dir(tmp_path, "identity-resolution")
+                          / "summary.json").read_text())
+    (h4,) = [c for c in summary["checks"] if c["check_id"] == "identity-h4-n128"]
+    assert h4["deviation"] < 1e-12
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
 def test_symbol_rho_must_be_finite_and_nonnegative(tmp_path, value):
     """A nan point used to pass: max() dropped the nan error."""

@@ -204,16 +204,15 @@ def test_precs_decomposition_h4():
     h_system = resonant_ladder(clock, 6)
     match = match_spectra(clock.h_c, h_system, tol=1e-9 * clock.epsilon)
     psi = build_psi(match, gaussian_profile(match, center=3 * clock.epsilon, width=0.1))
-    resid = precs_decomposition_check(psi, clock, n_polar=96, n_azim=clock.dim,
-                                      radial_cap=8.0)
+    resid = precs_decomposition_check(psi, clock, n_polar=96, n_azim=clock.dim)
     assert resid < 1e-8
 
 
-def per_node_precs_residual(psi, clock, n_polar, n_azim, radial_cap=8.0):
+def per_node_precs_residual(psi, clock, n_polar, n_azim):
     """Reference: one conditional_state call and one outer product per node."""
     rho_g = reduced_density_gamma(psi)
     acc = np.zeros_like(rho_g)
-    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim, radial_cap)
+    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim)
     for rho, phi, w in zip(rhos, phis, weights):
         vec = conditional_state(psi, clock, float(rho), float(phi)).unnormalized
         acc += w * np.outer(vec, vec.conj())

@@ -147,14 +147,13 @@ def test_identity_resolution_su2():
 
 
 def test_identity_resolution_h4():
-    dev = identity_resolution_check(build_h4_rep(48), n_polar=160, n_azim=48,
-                                    radial_cap=8.0)
+    dev = identity_resolution_check(build_h4_rep(48), n_polar=160, n_azim=48)
     assert dev < 1e-6
 
 
-def per_node_identity_deviation(rep, n_polar, n_azim, radial_cap=8.0):
+def per_node_identity_deviation(rep, n_polar, n_azim):
     """Reference: one coherent_vector call and one outer product per node."""
-    rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim, radial_cap)
+    rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim)
     nv = rep.valid_dim
     acc = np.zeros((nv, nv), dtype=complex)
     for rho, phi, w in zip(rhos, phis, weights):
