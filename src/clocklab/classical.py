@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import ClockModel
+from .algebra import ClockModel, LieAlgebraRep
 from .constraint import CompositeState
 from .families import lookup
 from .gcs import clock_symbol_analytic, coherent_table
@@ -255,19 +255,34 @@ def _row_block(psi: CompositeState, clock_table: np.ndarray, system_conj: np.nda
     return (clock_table[:, rows].conj().T @ psi.matrix) @ system_conj
 
 
+def _ring_amplitudes(rep: LieAlgebraRep, rho: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Column r: the family's radial amplitudes on ring r, the bits of ``coherent_table``."""
+    family = lookup(rep.family)
+    return np.stack([family.amplitudes(rep, float(r)) for r in rho[bounds[:-1]]], axis=1)
+
+
+def _pair_count(left: np.ndarray, system_conj: np.ndarray, cols: slice, cut: float) -> int:
+    """Support nodes of one (clock ring, system ring) pair.
+
+    ``left`` is the clock ring's rows of mc^H psi; the block is their
+    product with the system ring's columns of mg^*.
+    """
+    return int(np.count_nonzero(np.abs(left @ system_conj[:, cols]) ** 2 >= cut))
+
+
 @dataclasses.dataclass(frozen=True)
 class BetaDistribution:
     """Joint coherent amplitude over clock x system manifolds.
 
     The amplitude at clock node i and system node k is beta[i, k]; the
     whole (nodes_c x nodes_g) table is never held.  ``beta_distribution``
-    streams it one clock ring (the clock nodes sharing one radius) at a
-    time and keeps what the classical checks read: the normalization, the
-    (clock node, system node) of the first maximum of |beta|^2 in row-major
-    order, and the support nodes counted per (clock ring, system ring)
-    pair, rings in node order.  ``values`` rebuilds the table from the same
-    row blocks on demand.  The weights carry the full invariant measures,
-    so the weighted square sum is the joint probability normalization.
+    keeps what the classical checks read: the normalization, the (clock
+    node, system node) of the first maximum of |beta|^2 in row-major order,
+    and the support nodes counted per (clock ring, system ring) pair, rings
+    (the nodes sharing one radius) in node order.  ``values`` rebuilds the
+    table on demand from the clock-ring row blocks the peak is read from.
+    The weights carry the full invariant measures, so the weighted square
+    sum is the joint probability normalization.
     """
 
     psi: CompositeState
@@ -301,11 +316,25 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
 
     Support is cut at |beta|^2 >= threshold * max|beta|^2, which is the
     region where classical constraint statements are asserted; the
-    threshold must lie in (0, 1].  Two passes over the clock rings: the
-    first sums the normalization and finds the maximum, the second counts
-    the support against the now known cut, skipping rings whose maximum
-    lies below it.  Memory is the two coherent tables and one ring's row
-    block, not the table.
+    threshold must lie in (0, 1].  On ring pair (r, s) beta is a double
+    Fourier sum in the two azimuths with the radial amplitudes A[n, r] as
+    coefficients, so:
+
+    - the normalization is Parseval's, sum_rs W_c[r] W_g[s]
+      (A_c^2T |psi|^2 A_g^2)[r, s] with W the node weight times the ring's
+      node count, exact because every ring is a uniform azimuthal grid of
+      at least ``dim`` points (fewer would alias and are refused);
+    - |beta| <= (A_c^T |psi| A_g)[r, s], and this bound, squared and
+      widened for the rounding of both products, orders the peak search:
+      whole clock-ring row blocks in decreasing order of their largest
+      bound, until a bound falls below the running maximum, ties going to
+      the row-major first node;
+    - the support is counted only on ring pairs whose bound reaches the
+      cut, except that a ring whose bound reaches the peak may tie it and
+      is counted on its row block, the bits the peak was read from.
+
+    Memory is the coherent tables (one when both manifolds are the same
+    representation) and one ring's row block.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"support threshold must lie in (0, 1], got {threshold!r}")
@@ -313,35 +342,53 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
         raise ValueError("composite state dimensions do not match the two models")
     rho_c, phi_c, w_c = lookup(clock_c.rep.family).nodes(clock_c.rep)
     rho_g, phi_g, w_g = lookup(clock_g.rep.family).nodes(clock_g.rep)
-    mc = coherent_table(clock_c.rep, rho_c, phi_c)
-    mg = coherent_table(clock_g.rep, rho_g, phi_g)
-    mg_conj = mg.conj()
-    bounds_c, starts_g = _ring_bounds(rho_c), _ring_bounds(rho_g)[:-1]
-    rings_c = list(zip(bounds_c[:-1], bounds_c[1:]))
+    bounds_c, bounds_g = _ring_bounds(rho_c), _ring_bounds(rho_g)
+    for rep, bounds in ((clock_c.rep, bounds_c), (clock_g.rep, bounds_g)):
+        if np.diff(bounds).min() < rep.dim:
+            raise ValueError(f"a {rep.family} ring has fewer than dim = {rep.dim} azimuthal "
+                             "nodes, so Parseval's sum would alias")
+    amp_c = _ring_amplitudes(clock_c.rep, rho_c, bounds_c)
+    amp_g = _ring_amplitudes(clock_g.rep, rho_g, bounds_g)
+    abs_psi = np.abs(psi.matrix)
+    ring_w_c = w_c[bounds_c[:-1]] * np.diff(bounds_c)
+    ring_w_g = w_g[bounds_g[:-1]] * np.diff(bounds_g)
+    normalization = float(ring_w_c @ ((amp_c ** 2).T @ abs_psi ** 2 @ amp_g ** 2) @ ring_w_g)
+    slack = 1.0 + 8 * (clock_c.dim + clock_g.dim) * np.finfo(float).eps
+    bound = (amp_c.T @ abs_psi @ amp_g) ** 2 * slack
+    ring_bound = bound.max(axis=1)
 
-    # pass 1, rings in node order: a strictly larger maximum is a row-major first
-    col_sums = np.zeros(len(rho_g))
-    ring_max = np.empty(len(rings_c))
-    peak_val, peak = -1.0, (0, 0)
-    for r, (a, b) in enumerate(rings_c):
+    mc = coherent_table(clock_c.rep, rho_c, phi_c)
+    mg = mc if clock_g.rep is clock_c.rep else coherent_table(clock_g.rep, rho_g, phi_g)
+    mg_conj = mg.conj()
+    peak_val, peak, peak_ring, peak_dens = -1.0, (0, 0), -1, None
+    for r in np.argsort(-ring_bound, kind="stable"):
+        if ring_bound[r] < peak_val:
+            break
+        a, b = bounds_c[r], bounds_c[r + 1]
         dens = np.abs(_row_block(psi, mc, mg_conj, slice(a, b))) ** 2
-        col_sums += w_c[a:b] @ dens
         i, k = np.unravel_index(int(np.argmax(dens)), dens.shape)
-        ring_max[r] = dens[i, k]
-        if ring_max[r] > peak_val:
-            peak_val, peak = ring_max[r], (int(a + i), int(k))
+        node = (int(a + i), int(k))
+        if dens[i, k] > peak_val or (dens[i, k] == peak_val and node < peak):
+            peak_val, peak, peak_ring, peak_dens = float(dens[i, k]), node, r, dens
 
     cut = threshold * peak_val
-    counts = np.zeros((len(rings_c), len(starts_g)), dtype=np.int64)
-    for r, (a, b) in enumerate(rings_c):
-        if ring_max[r] >= cut:
-            dens = np.abs(_row_block(psi, mc, mg_conj, slice(a, b))) ** 2
-            counts[r] = np.add.reduceat(np.count_nonzero(dens >= cut, axis=0), starts_g)
+    counts = np.zeros(bound.shape, dtype=np.int64)
+    for r in np.flatnonzero(ring_bound >= cut):
+        a, b = bounds_c[r], bounds_c[r + 1]
+        if ring_bound[r] >= peak_val:
+            # may hold a node tied with the peak: count it on the peak's bits
+            dens = (peak_dens if r == peak_ring
+                    else np.abs(_row_block(psi, mc, mg_conj, slice(a, b))) ** 2)
+            counts[r] = np.add.reduceat(np.count_nonzero(dens >= cut, axis=0), bounds_g[:-1])
+            continue
+        left = mc[:, a:b].conj().T @ psi.matrix
+        for s in np.flatnonzero(bound[r] >= cut):
+            counts[r, s] = _pair_count(left, mg_conj, slice(bounds_g[s], bounds_g[s + 1]), cut)
     return BetaDistribution(
         psi=psi, clock_table=mc, system_table=mg,
         rho_clock=rho_c, phi_clock=phi_c, weights_clock=w_c,
         rho_system=rho_g, phi_system=phi_g, weights_system=w_g,
-        threshold=threshold, normalization=float(col_sums @ w_g), peak=peak,
+        threshold=threshold, normalization=normalization, peak=peak,
         support_counts=counts,
     )
 

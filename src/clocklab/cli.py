@@ -8,10 +8,11 @@ files into a fresh timestamped directory under the output root:
     <out>/<subcommand>/<timestamp>/config.echo   effective configuration
 
 Exit status is 0 when every check passed, 1 when at least one failed,
-and 2 when the configuration did not parse (in which case nothing is
-written).  Progress goes to stderr; the run directory path is the only
-thing printed to stdout.  File contents never embed wall-clock times,
-so rerunning with the same configuration and BLAS thread count
+and 2 when the configuration did not parse or the library refused it
+(a ``ValueError`` from a runner, printed as ``refused: ...``); on exit 2
+nothing is written.  Progress goes to stderr; the run directory path is
+the only thing printed to stdout.  File contents never embed wall-clock
+times, so rerunning with the same configuration and BLAS thread count
 reproduces them byte for byte.
 """
 
@@ -729,9 +730,10 @@ _RUNNERS: dict[str, Callable] = {
 
 
 def run_all(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
+    # every runner first, so a refusal in any of them writes nothing
+    results = [(sub, *_RUNNERS[sub](cfg)) for sub in SUBCOMMANDS[:-1]]
     rows, checks = [], []
-    for sub in SUBCOMMANDS[:-1]:
-        header, sub_rows, sub_checks = _RUNNERS[sub](cfg)
+    for sub, header, sub_rows, sub_checks in results:
         out, passed = write_outputs(cfg, sub, header, sub_rows, sub_checks)
         _progress(f"[all] {sub}: {'ok' if passed else 'FAILED'} -> {out}")
         rows.append([sub, len(sub_checks), int(passed)])
@@ -812,10 +814,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.subcommand == "all":
-        header, rows, checks = run_all(cfg)
-    else:
-        header, rows, checks = _RUNNERS[args.subcommand](cfg)
+    try:
+        if args.subcommand == "all":
+            header, rows, checks = run_all(cfg)
+        else:
+            header, rows, checks = _RUNNERS[args.subcommand](cfg)
+    except ValueError as exc:  # a library refusal of the configured input
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     out, passed = write_outputs(cfg, args.subcommand, header, rows, checks)
     _progress(f"[{args.subcommand}] {'ok' if passed else 'FAILED'} -> {out}")
     print(out)

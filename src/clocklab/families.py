@@ -99,10 +99,11 @@ class _SU2(Family):
 
     def _radial_rule(self, rep, n_polar, n_azim):
         # (2j+1)/(4pi) d(cos theta) dphi with theta = 2 rho; the diagonal
-        # integrand has degree 2j in cos(theta), so ceil(j) + 1 nodes are exact
+        # integrand has degree 2j in cos(theta) and n Gauss-Legendre nodes are
+        # exact to degree 2n - 1, so floor(j) + 1 nodes are (j + 1/2 at half-integer j)
         j = rep.params["j"]
         if n_polar is None:
-            n_polar = int(np.ceil(j)) + 1
+            n_polar = int(np.floor(j)) + 1
         x, w = np.polynomial.legendre.leggauss(n_polar)
         return np.arccos(x) / 2.0, (2 * j + 1) * w / (2.0 * n_azim)
 

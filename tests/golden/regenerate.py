@@ -35,6 +35,8 @@ RUNS = {
     "constraint-random": ("constraint", "--profile", "random"),
     "classical-limit-sizes": ("classical-limit", "--sizes", "5,10,20,30"),
     "schrodinger-j400": ("schrodinger", "--j", "400"),
+    "classical-limit-j40": ("classical-limit", "--sizes", "40"),
+    "identity-resolution-j2.5": ("identity-resolution", "--j", "2.5"),
 }
 ARTIFACTS = ("data.csv", "summary.json", "config.echo")
 

@@ -11,6 +11,7 @@ from clocklab.algebra import (
     intensive_h4_clock,
     intensive_su2_clock,
 )
+from clocklab import classical, families
 from clocklab.classical import (
     beta_distribution,
     chart_hamiltonian,
@@ -22,9 +23,15 @@ from clocklab.classical import (
     pullback_two_form,
     two_form_coefficient,
 )
-from clocklab.constraint import build_psi, gaussian_state, match_spectra
+from clocklab.constraint import (
+    build_psi,
+    gaussian_state,
+    ladder_match,
+    match_spectra,
+    random_profile,
+)
 from clocklab.dynamics import energy_of_rho, quantum_flow_rate, resonant_ladder
-from clocklab.families import lookup
+from clocklab.families import Family, lookup
 from clocklab.gcs import clock_symbol_analytic, coherent_table, coherent_vector
 
 SU2 = intensive_su2_clock(10.0)
@@ -296,3 +303,120 @@ def test_beta_and_check_hold_no_joint_table():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
+
+
+# --- beta against the two-pass sweep of the whole table ---------------------
+
+def streamed_beta(psi, clock_c, clock_g, threshold):
+    """(normalization, peak, support_counts) by sweeping every clock ring twice.
+
+    The first pass sums the weighted |beta|^2 and finds the first maximum
+    in row-major order; the second counts the support against the known
+    cut, ring pair by ring pair.  Rows are the same left-to-right products
+    as ``BetaDistribution.values``.
+    """
+    rho_c, phi_c, w_c = lookup(clock_c.rep.family).nodes(clock_c.rep)
+    rho_g, phi_g, w_g = lookup(clock_g.rep.family).nodes(clock_g.rep)
+    mc = coherent_table(clock_c.rep, rho_c, phi_c)
+    mg_conj = coherent_table(clock_g.rep, rho_g, phi_g).conj()
+    bounds_c = np.r_[0, np.flatnonzero(np.diff(rho_c)) + 1, len(rho_c)]
+    starts_g = np.r_[0, np.flatnonzero(np.diff(rho_g)) + 1]
+    rings_c = list(zip(bounds_c[:-1], bounds_c[1:]))
+
+    def dens(a, b):
+        return np.abs((mc[:, a:b].conj().T @ psi.matrix) @ mg_conj) ** 2
+
+    col_sums = np.zeros(len(rho_g))
+    peak_val, peak = -1.0, (0, 0)
+    for a, b in rings_c:
+        d = dens(a, b)
+        col_sums += w_c[a:b] @ d
+        i, k = np.unravel_index(int(np.argmax(d)), d.shape)
+        if d[i, k] > peak_val:
+            peak_val, peak = d[i, k], (int(a + i), int(k))
+    cut = threshold * peak_val
+    counts = np.array([np.add.reduceat(np.count_nonzero(dens(a, b) >= cut, axis=0), starts_g)
+                       for a, b in rings_c])
+    return float(col_sums @ w_g), peak, counts
+
+
+def beta_state(family, profile, size):
+    """A clock paired with its own resonant ladder, Gaussian or seeded random profile."""
+    if family == "su2":
+        clock, rho = intensive_su2_clock(size), 0.3
+    else:
+        clock, rho = intensive_h4_clock(size), 3.5
+    h_system = resonant_ladder(clock, clock.dim)
+    if profile == "gaussian":
+        return clock, gaussian_state(clock, h_system, energy_of_rho(clock, rho), 0.18)
+    match = ladder_match(clock, h_system)
+    return clock, build_psi(match, random_profile(match, seed=11))
+
+
+BETA_STATES = [("su2", profile, j) for j in (3.0, 5.0, 10.0, 20.0)
+               for profile in ("gaussian", "random")] + [("h4", "gaussian", 16.0)]
+
+
+@pytest.mark.parametrize("threshold", [1e-3, 1e-6, 1.0])
+@pytest.mark.parametrize("family, profile, size", BETA_STATES,
+                         ids=[f"{f}-{p}-{s:g}" for f, p, s in BETA_STATES])
+def test_beta_equals_the_streamed_sweep(family, profile, size, threshold):
+    """Parseval, the bound order and the ring pairs reproduce the whole sweep.
+
+    The peak is the first row-major maximum of |values|^2 bit for bit, ties
+    included; the support counts are identical and the normalization is
+    Parseval's within roundoff.
+    """
+    clock, psi = beta_state(family, profile, size)
+    beta = beta_distribution(psi, clock, clock, threshold=threshold)
+    dens = np.abs(beta.values) ** 2
+    assert beta.peak == tuple(np.argwhere(dens == dens.max())[0])
+    norm, peak, counts = streamed_beta(psi, clock, clock, threshold)
+    assert beta.peak == peak
+    assert np.array_equal(beta.support_counts, counts)
+    assert abs(beta.normalization - norm) <= 1e-14 * norm
+
+
+@pytest.mark.parametrize("j", [5.0, 10.0])
+def test_gaussian_beta_peak_breaks_exact_ties_row_major(j):
+    """The Gaussian profile's maximum is attained at several nodes of the peak ring."""
+    clock, psi = beta_state("su2", "gaussian", j)
+    beta = beta_distribution(psi, clock, clock, threshold=1.0)
+    dens = np.abs(beta.values) ** 2
+    ties = np.argwhere(dens == dens.max())
+    assert len(ties) > 1
+    assert beta.peak == tuple(ties[0])
+    assert beta.support_counts.sum() == len(ties)
+
+
+def test_beta_refuses_an_aliasing_azimuthal_ring(monkeypatch):
+    """A ring with fewer than dim azimuthal nodes would alias Parseval's sum."""
+    clock, psi = beta_state("h4", "gaussian", 16.0)
+    assert clock.dim - 1 >= clock.rep.valid_dim  # the nodes themselves are accepted
+    monkeypatch.setattr(families.h4, "nodes", lambda rep: Family.nodes(
+        families.h4, rep, n_azim=rep.dim - 1))
+    with pytest.raises(ValueError, match="alias"):
+        beta_distribution(psi, clock, clock)
+
+
+def test_beta_reads_one_ring_for_the_peak_and_prunes_ring_pairs(monkeypatch):
+    """Gaussian j = 20: the first ring's bound is attained, so no other ring is read."""
+    clock, psi = beta_state("su2", "gaussian", 20.0)
+    blocks, pairs = [], []
+
+    def row_block(psi, clock_table, system_conj, rows):
+        blocks.append(rows)
+        return row_block.inner(psi, clock_table, system_conj, rows)
+
+    def pair_count(left, system_conj, cols, cut):
+        pairs.append(cols)
+        return pair_count.inner(left, system_conj, cols, cut)
+
+    row_block.inner, pair_count.inner = classical._row_block, classical._pair_count
+    monkeypatch.setattr(classical, "_row_block", row_block)
+    monkeypatch.setattr(classical, "_pair_count", pair_count)
+    beta = beta_distribution(psi, clock, clock)
+    rings_c, rings_g = beta.support_counts.shape
+    assert len(blocks) == 1
+    assert blocks[0].start <= beta.peak[0] < blocks[0].stop
+    assert 0 < len(pairs) + rings_g < rings_c * rings_g

@@ -182,6 +182,15 @@ def test_identity_resolution_is_exact_at_a_large_cutoff(tmp_path):
     assert h4["deviation"] < 1e-12
 
 
+def test_library_refusal_exits_two_without_artifacts(tmp_path, capsys):
+    """A runner's ValueError is a refused input (exit 2), not a failed check (exit 1)."""
+    assert run(["identity-resolution", "--h4-cut", "800", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "refused: Gauss-Laguerre weights overflow at n_polar = 200"
+    assert "Traceback" not in "\n".join(err)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
 def test_symbol_rho_must_be_finite_and_nonnegative(tmp_path, value):
     """A nan point used to pass: max() dropped the nan error."""

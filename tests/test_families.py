@@ -94,10 +94,19 @@ def test_default_quadrature_resolves_the_identity(name):
     @given(QUADRATURE_SIZES[name])
     @example(build_su2_rep(0.5) if name == "su2" else build_h4_rep(4))
     @example(build_su2_rep(60.0) if name == "su2" else build_h4_rep(256))
+    @example(build_su2_rep(2.5) if name == "su2" else build_h4_rep(5))
+    @example(build_su2_rep(59.5) if name == "su2" else build_h4_rep(255))
     def check(rep):
         assert identity_resolution_check(rep) <= 1e-12
 
     check()
+
+
+def test_half_integer_spin_takes_j_plus_half_radial_nodes():
+    """At j = 5/2 the degree-5 integrand needs 3 Gauss-Legendre nodes; 2 are not exact."""
+    rep = build_su2_rep(2.5)
+    assert len(FAMILIES["su2"].nodes(rep)[0]) == 3 * rep.dim
+    assert identity_resolution_check(rep, n_polar=2) > 0.1
 
 
 def test_nodes_refuse_an_aliasing_azimuthal_grid():
