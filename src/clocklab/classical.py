@@ -205,10 +205,12 @@ def hamilton_check(clock: ClockModel, v: Sequence[float],
             bracket_q = dq_dphi * de_drho / c_coeff
             bracket_p = dp_dphi * de_drho / c_coeff
             target = clock.epsilon / hbar
-            worst_q = max(worst_q, float(np.max(np.abs(bracket_q - target * dq_dphi))))
-            worst_p = max(worst_p, float(np.max(np.abs(bracket_p - target * dp_dphi))))
+            # np.maximum propagates nan, where max() would drop it
+            worst_q = np.maximum(worst_q, np.max(np.abs(bracket_q - target * dq_dphi)))
+            worst_p = np.maximum(worst_p, np.max(np.abs(bracket_p - target * dp_dphi)))
+    worst_q, worst_p = float(worst_q), float(worst_p)
     return HamiltonReport(
-        max_residual=max(worst_q, worst_p),
+        max_residual=float(np.maximum(worst_q, worst_p)),
         max_residual_q=worst_q, max_residual_p=worst_p,
         method=method, grid_shape=(len(rho_grid), len(phi_grid)),
     )

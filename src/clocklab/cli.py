@@ -72,7 +72,7 @@ from .families import lookup
 from .gcs import (
     clock_symbol_analytic,
     clock_symbol_numeric,
-    coherent_vector,
+    coherent_points,
     displace,
     identity_resolution_check,
 )
@@ -403,25 +403,24 @@ def run_verify_algebra(cfg: dict[str, object]) -> tuple[list[str], list, list[di
     return header, rows, checks
 
 
-def _bch_point(rep, rho: float, phi: float) -> float:
-    lam = rho * np.exp(1j * phi)
-    direct = displace(rep, lam).vector
-    closed = coherent_vector(rep, rho, phi)
-    sub = rep.valid_dim if rep.truncated else rep.dim
-    return float(np.linalg.norm(direct[:sub] - closed[:sub]))
-
-
 def run_bch_check(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     tol = cfg["tol_bch"]
     n = int(cfg["bch_points"])
     rho_max = float(cfg["bch_rho_max"])
-    rhos = np.linspace(0.02, rho_max, n)
-    phis = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    # the grid rho-major, one point per (rho, phi)
+    rhos = np.repeat(np.linspace(0.02, rho_max, n), n)
+    phis = np.tile(np.linspace(0.0, 2 * np.pi, n, endpoint=False), n)
     cases = [("su2", j, build_su2_rep(j)) for j in cfg["bch_su2_j"]]
     cases.append(("h4", float(cfg["bch_h4_cut"]), build_h4_rep(int(cfg["bch_h4_cut"]))))
     rows, checks = [], []
     for family, size, rep in cases:
-        diff = max(_bch_point(rep, r, p) for r in rhos for p in phis)
+        # the expm oracle point by point, the closed forms as one table
+        direct = np.stack([displace(rep, r * np.exp(1j * p)).vector
+                           for r, p in zip(rhos, phis)], axis=1)
+        closed = coherent_points(rep, rhos, phis)
+        sub = rep.valid_dim if rep.truncated else rep.dim
+        # np.max propagates nan, where max() would drop it and pass the gate
+        diff = float(np.max(np.linalg.norm(direct[:sub] - closed[:sub], axis=0)))
         rows.append([family, rep.dim, n * n, diff])
         label = f"bch-{family}-j{size!r}" if family == "su2" else f"bch-h4-n{rep.dim}"
         checks.append(_check(label, diff <= tol, max_difference=diff, tolerance=tol))
@@ -501,8 +500,8 @@ def run_constraint(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]
     chi_a = conditional_state(psi, clock, rho, phi).chi2
     chi_b = conditional_state(psi, clock, rho, phi + 1.1).chi2
     phase_independence = abs(chi_a - chi_b)
-    identity = max(chi2_identity_residual(psi, clock, r, p)
-                   for r in (0.3, rho, 0.8) for p in (0.0, phi))
+    identity = float(np.max([chi2_identity_residual(psi, clock, r, p)
+                             for r in (0.3, rho, 0.8) for p in (0.0, phi)]))
     precs = precs_decomposition_check(psi, clock)
     rows = [["pair", i, k, float(match.clock_evals[i]), abs(c)]
             for (i, k), c in zip(psi.pairs, psi.coefficients)]
@@ -661,9 +660,10 @@ def run_classical_limit(cfg: dict[str, object]) -> tuple[list[str], list, list[d
     rank_ratio = float(svals[1] / svals[0]) if len(svals) > 1 else 0.0
     sep_report = classical_constraint_check(sep_beta, sep_clock, sep_clock)
 
+    worst_norm = float(np.max(norm_devs))
     checks = [
-        _check("beta-normalization", max(norm_devs) <= cfg["tol_beta_norm"],
-               worst_deviation=max(norm_devs), tolerance=cfg["tol_beta_norm"]),
+        _check("beta-normalization", worst_norm <= cfg["tol_beta_norm"],
+               worst_deviation=worst_norm, tolerance=cfg["tol_beta_norm"]),
         _check("support-mismatch-decreasing", decreasing,
                values=",".join(_fmt(s) for s in support)),
         _check("off-support-control", control),
@@ -687,8 +687,8 @@ def run_hamilton(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
         for big_j in (int(round(x)) for x in cfg["ham_js"]):
             v = vectors[big_j]
             pb = pullback_two_form(clock, point[0], point[1], v=v)
-            pull_err = max(abs(pb.jacobian_analytic - pb.analytic),
-                           abs(pb.jacobian_fd - pb.analytic))
+            pull_err = float(np.max([abs(pb.jacobian_analytic - pb.analytic),
+                                     abs(pb.jacobian_fd - pb.analytic)]))
             ham = hamilton_check(clock, v, rho_grid, phi_grid, method="analytic")
             rows.append([family, big_j, pb.analytic, pull_err, ham.max_residual])
             checks.append(_check(f"pullback-{family}-J{big_j}",

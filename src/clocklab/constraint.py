@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import ClockModel, _eigh, _is_identity, _shift_moduli, residual_norm2
 from .families import lookup
-from .gcs import coherent_table, coherent_vector, weighted_outer_sum
+from .gcs import coherent_points, coherent_table, coherent_vector, weighted_outer_sum
 
 CHI2_FLOOR = 1e-14
 
@@ -217,6 +217,16 @@ def conditional_state(psi: CompositeState, clock: ClockModel,
     return ConditionalState(rho=float(rho), phi=float(phi), unnormalized=vec_out, chi2=chi2)
 
 
+def _conditional_rows(psi: CompositeState, clock: ClockModel, rho: float, phis) -> np.ndarray:
+    """Row a: ``conditional_state(psi, clock, rho, phis[a]).unnormalized``, up to roundoff.
+
+    One table of bras at a single radius (tail-guarded once) times psi.
+    """
+    _check_clock_dim(psi, clock)
+    phis = np.asarray(phis, dtype=float)
+    return coherent_points(clock.rep, np.full(len(phis), float(rho)), phis).conj().T @ psi.matrix
+
+
 def reduced_density_gamma(psi: CompositeState) -> np.ndarray:
     """System-side reduced density matrix, trace one."""
     return psi.matrix.conj().T @ psi.matrix
@@ -248,7 +258,6 @@ def precs_decomposition_check(psi: CompositeState, clock: ClockModel,
     """
     _check_clock_dim(psi, clock)
     rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim)
-    # one vector-matrix product per node, the same arithmetic as conditional_state
-    rows = np.array([v.conj() @ psi.matrix for v in coherent_table(clock.rep, rhos, phis).T])
+    rows = coherent_table(clock.rep, rhos, phis).conj().T @ psi.matrix
     acc = weighted_outer_sum(rows, weights)
     return residual_norm2(acc - reduced_density_gamma(psi))

@@ -18,7 +18,10 @@ from .algebra import (
     ClockModel, _diagonal, _eigh, _is_identity, build_clock, build_su2_rep,
     intensive_su2_clock, intensive_h4_clock,
 )
-from .constraint import CompositeState, build_psi, conditional_state, gaussian_state, ladder_match
+from .constraint import (
+    CompositeState, ConditionalState, _conditional_rows, build_psi, conditional_state, gaussian_state,
+    ladder_match,
+)
 from .gcs import clock_symbol_analytic, coherent_vector
 
 
@@ -110,30 +113,34 @@ def propagator_deviation(psi: CompositeState, clock: ClockModel,
     The matrix exponential knows nothing about coherent states or the
     composite construction, which is what makes this an oracle for the
     whole mechanism.  Also tracks the worst chi2 drift over the grid.
+    The conditional states of the whole grid are one table of bras times
+    psi; the worst values propagate NaN, so a NaN state fails the gates.
 
     When H_sys is exactly diagonal (every ladder system) the exponential is
-    applied as the vector exp(-i phi/eps * diag H), which is what
+    applied as the broadcast exp(-i phi/eps * diag H), which is what
     scipy.linalg.expm itself returns on the diagonal of a diagonal matrix;
-    any other generator goes through scipy.linalg.expm.  A grid with no
-    nonzero phi compares identities only and is refused.
+    any other generator goes through one scipy.linalg.expm per phi.  A grid
+    with no nonzero phi compares identities only and is refused.
     """
-    if not np.any(np.asarray(phi_grid, dtype=float)):
+    phis = np.asarray(phi_grid, dtype=float)
+    if not np.any(phis):
         raise ValueError("phi_grid needs a nonzero phi; at phi = 0 both sides are Phi(0)")
-    base = conditional_state(psi, clock, rho, 0.0)
-    _ = base.normalized
+    rows = _conditional_rows(psi, clock, rho, np.concatenate(([0.0], phis)))
+    # per-row reductions, the arithmetic of conditional_state's chi2 and a vector norm
+    chi2 = np.array([np.vdot(row, row).real for row in rows])
+    base, conds = rows[0], rows[1:]
+    _ = ConditionalState(rho=float(rho), phi=0.0, unnormalized=base, chi2=chi2[0]).normalized
+    steps = phis / clock.epsilon
     d = _diagonal(h_system)
-    worst = 0.0
-    drift = 0.0
-    for phi in phi_grid:
-        cond = conditional_state(psi, clock, rho, float(phi))
-        s = float(phi) / clock.epsilon
-        if d is not None:
-            evolved = np.exp((-1j * s) * d) * base.unnormalized
-        else:
-            evolved = scipy.linalg.expm((-1j * s) * h_system) @ base.unnormalized
-        worst = max(worst, float(np.linalg.norm(cond.unnormalized - evolved)))
-        drift = max(drift, abs(cond.chi2 - base.chi2))
-    return PropagatorReport(max_deviation=worst, chi2_drift=drift, n_points=len(phi_grid))
+    if d is not None:
+        evolved = np.exp((-1j * steps)[:, None] * d) * base
+    else:
+        evolved = np.stack([scipy.linalg.expm((-1j * s) * h_system) @ base for s in steps])
+    deviation = [np.linalg.norm(c - e) for c, e in zip(conds, evolved)]
+    # np.max propagates nan, where max() would drop it and pass the gate
+    return PropagatorReport(max_deviation=float(np.max(deviation)),
+                            chi2_drift=float(np.max(np.abs(chi2[1:] - chi2[0]))),
+                            n_points=len(phis))
 
 
 def quantum_flow_rate(psi: CompositeState, clock: ClockModel,
@@ -142,8 +149,10 @@ def quantum_flow_rate(psi: CompositeState, clock: ClockModel,
     """Rate eps-hat extracted from the phase advance of the conditional state.
 
     In the eigenbasis of the system generator each surviving component
-    accumulates phase -E_n*phi/eps; an unwrapped linear fit per component
-    recovers eps without using the clock's own energy bookkeeping.
+    accumulates phase -E_n*phi/eps; the least-squares slope of each
+    unwrapped phase against phi (one closed form over all components)
+    recovers eps without using the clock's own energy bookkeeping.  The
+    conditional states of the grid are one table of bras times psi.
 
     A matched component is a clock level n < clock.dim, so its phase is
     n*phi.  The grid therefore ends at the smaller of phi_max and
@@ -154,29 +163,18 @@ def quantum_flow_rate(psi: CompositeState, clock: ClockModel,
     evals, evecs = _eigh(h_system)
     phi_max = min(phi_max, (n_phi - 1) * np.pi / (2 * max(clock.dim - 1, 1)))
     phis = np.linspace(0.0, phi_max, n_phi)
-    in_eigenbasis = _is_identity(evecs)  # then the basis change is the identity
-    comps = np.empty((n_phi, h_system.shape[0]), dtype=complex)
-    for a, phi in enumerate(phis):
-        vec = conditional_state(psi, clock, rho, float(phi)).unnormalized
-        comps[a] = vec if in_eigenbasis else evecs.conj().T @ vec
-    mags = np.abs(comps).min(axis=0)
+    comps = _conditional_rows(psi, clock, rho, phis)
+    if not _is_identity(evecs):
+        comps = comps @ evecs.conj()  # row a: evecs^H Phi(phis[a])
     scale = float(np.max(np.abs(evals))) or 1.0
-    slopes = []
-    energies = []
-    weights = []
-    for n in range(h_system.shape[0]):
-        if mags[n] < 1e-8 or abs(evals[n]) < 1e-12 * scale:
-            continue
-        phase = np.unwrap(np.angle(comps[:, n]))
-        s = np.polyfit(phis, phase, 1)[0]
-        slopes.append(s)
-        energies.append(evals[n])
-        weights.append(float(np.mean(np.abs(comps[:, n]) ** 2)))
-    if not slopes:
+    still = (np.abs(comps).min(axis=0) < 1e-8) | (np.abs(evals) < 1e-12 * scale)
+    if still.all():
         raise ValueError("no moving components to fit a rate from")
-    s = np.array(slopes)
-    e = np.array(energies)
-    w = np.array(weights)
+    comps, e = comps[:, ~still], evals[~still]
+    phase = np.unwrap(np.angle(comps), axis=0)
+    dphi = phis - phis.mean()
+    s = dphi @ (phase - phase.mean(axis=0)) / (dphi @ dphi)
+    w = np.mean(comps.real ** 2 + comps.imag ** 2, axis=0)
     return float(-np.sum(w * e * s) / np.sum(w * s * s))
 
 

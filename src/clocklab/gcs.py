@@ -62,6 +62,24 @@ def displace(rep: LieAlgebraRep, omega: complex) -> CoherentState:
     return CoherentState(family=rep.family, dim=rep.dim, rho=rho, phi=phi, vector=vec)
 
 
+def _ring_amplitudes(rep: LieAlgebraRep, rhos) -> tuple[np.ndarray, np.ndarray]:
+    """The family's amplitudes once per distinct radius (columns) and each point's column."""
+    rhos = np.asarray(rhos, dtype=float)
+    if (rhos < 0).any():
+        raise ValueError(f"rho must be nonnegative, got {rhos.min()}")
+    radii, ring = np.unique(rhos, return_inverse=True)
+    family = lookup(rep.family)
+    return np.stack([family.amplitudes(rep, float(r)) for r in radii], axis=1), ring
+
+
+def _phased(rep: LieAlgebraRep, amps: np.ndarray, ring: np.ndarray, phis) -> np.ndarray:
+    """amps[:, ring] * exp(i n phi), built in place: one table-sized complex array."""
+    table = 1j * np.multiply.outer(np.arange(rep.dim), np.asarray(phis, dtype=float))
+    np.exp(table, out=table)
+    table *= amps[:, ring]
+    return table
+
+
 def coherent_table(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
     """Coherent vectors at many points: column k is the state at (rhos[k], phis[k]).
 
@@ -70,22 +88,35 @@ def coherent_table(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
     over the manifold costs one amplitude call per ring of nodes.  Uses the
     exact infinite-dimensional normalization, so for truncated
     representations each column is the honest restriction of the true
-    state (its norm is < 1 when the tail is cut).
+    state (its norm is < 1 when the tail is cut).  Quadratures cut that
+    tail on purpose; point queries go through ``coherent_points``.
     """
-    rhos = np.asarray(rhos, dtype=float)
-    if (rhos < 0).any():
-        raise ValueError(f"rho must be nonnegative, got {rhos.min()}")
-    radii, ring = np.unique(rhos, return_inverse=True)
-    family = lookup(rep.family)
-    amps = np.stack([family.amplitudes(rep, float(r)) for r in radii], axis=1)
-    n = np.arange(rep.dim)
-    return amps[:, ring] * np.exp(1j * n[:, None] * np.asarray(phis, dtype=float)[None, :])
+    return _phased(rep, *_ring_amplitudes(rep, rhos), phis)
+
+
+def coherent_points(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
+    """``coherent_table`` for point queries, which must not feel the cutoff.
+
+    Refuses with ValueError when, at any of the distinct radii, the norm
+    the truncation loses, 1 - sum_n |c_n|^2, exceeds TAIL_MASS_LIMIT: the
+    state is then not the manifold point it is labelled with.  (This is
+    the lost norm, not ``displace``'s mass above ``valid_dim``, which a
+    cut that still holds the whole state can carry.)
+    """
+    amps, ring = _ring_amplitudes(rep, rhos)
+    lost = 1.0 - np.sum(amps ** 2, axis=0)
+    if lost.max() > TAIL_MASS_LIMIT:
+        raise ValueError(
+            f"the truncation loses norm {lost.max():.3e} above {TAIL_MASS_LIMIT:.0e} "
+            "at this radius; raise the cutoff or shrink rho"
+        )
+    return _phased(rep, amps, ring, phis)
 
 
 def coherent_vector(rep: LieAlgebraRep, rho: float, phi: float) -> np.ndarray:
     """Normalized coherent components c_n(rho) * exp(i n phi): one column of
-    ``coherent_table``."""
-    return coherent_table(rep, [rho], [phi])[:, 0]
+    ``coherent_points`` (so it refuses a radius the cutoff truncates)."""
+    return coherent_points(rep, [rho], [phi])[:, 0]
 
 
 def coherent_state(rep: LieAlgebraRep, rho: float, phi: float) -> CoherentState:
@@ -125,16 +156,20 @@ def clock_symbol_analytic(clock: ClockModel, rho: float) -> float:
 
 
 def weighted_outer_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k |v_k><v_k| over the rows v_k of ``vectors``, in row order.
+    """sum_k w_k |v_k><v_k| over the rows v_k of ``vectors``, exactly hermitian.
 
-    One outer product per row on purpose: a single matrix product
-    reorders the additions and moves the last bits of the quadrature
-    residuals built on this sum.
+    One matrix product a = (V^T w) conj(V), formed as its conjugate
+    c = (conj(V)^T w) V so that the only temporary the size of ``vectors``
+    is the weighted conjugate, and returned as (a + a^H)/2.  The average
+    equals its conjugate transpose bit for bit (its diagonal is real), so a
+    residual built on it takes ``residual_norm2``'s eigenvalue route.  The
+    product orders the additions differently from a per-row sum; both lie
+    within the N-term summation bound of the exact sum.
     """
-    acc = np.zeros((vectors.shape[1], vectors.shape[1]), dtype=complex)
-    for v, w in zip(vectors, weights):
-        acc += w * np.outer(v, v.conj())
-    return acc
+    scaled = vectors.conj()
+    scaled *= np.asarray(weights, dtype=float)[:, None]
+    c = scaled.T @ vectors
+    return (c.conj() + c.T) / 2
 
 
 def identity_resolution_check(rep: LieAlgebraRep, n_polar: int | None = None,

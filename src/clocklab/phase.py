@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import ClockModel, _comm, _shift_moduli, build_clock, residual_norm2
 from .families import lookup
-from .gcs import CoherentState, coherent_state
+from .gcs import CoherentState, coherent_points, coherent_state, coherent_table
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,12 +151,26 @@ def uncertainty_audit(state: CoherentState, clock: ClockModel,
 
 def uncertainty_grid_audit(clock: ClockModel, phase: PhaseOperator,
                            rhos: Sequence[float], phis: Sequence[float]) -> float:
-    """Worst slack over a coherent grid; callers pick tail-guarded rhos.
+    """Worst slack over a coherent grid (rho-major, every rho with every phi).
 
-    NaN when any slack is NaN, so a bad grid point fails the caller's gate.
+    The slack of ``uncertainty_audit`` at every grid point, with the states
+    read from one ``coherent_points`` table (a radius the cutoff truncates
+    is refused) and each operator applied to the whole table at once.  NaN
+    when any slack is NaN, so a bad grid point fails the caller's gate.
     """
-    slacks = [uncertainty_audit(coherent_state(clock.rep, rho, phi), clock, phase).slack
-              for rho in rhos for phi in phis]
+    rr, pp = np.meshgrid(rhos, phis, indexing="ij")
+    vecs = coherent_points(clock.rep, rr.ravel(), pp.ravel())
+
+    def moments(op):
+        image = op @ vecs
+        mean = np.sum(vecs.conj() * image, axis=0).real
+        second = np.sum(image.real ** 2 + image.imag ** 2, axis=0)
+        return mean, np.maximum(second - mean * mean, 0.0)
+
+    _, var_h = moments(clock.h_c)
+    mean_cos, _ = moments(phase.cos_phi)
+    _, var_sin = moments(phase.sin_phi)
+    slacks = np.sqrt(var_h) * np.sqrt(var_sin) - 0.5 * clock.epsilon * np.abs(mean_cos)
     return float(np.min(slacks))
 
 
@@ -197,13 +211,16 @@ def classical_phase_expectations(family: str, sizes: Sequence[int],
     The expectation of the phase unitary on a coherent state approaches
     exp(-i*phi) as the clock grows; the table quantifies that approach.
     ``sizes`` are 2j values for spin clocks and cutoffs for the oscillator.
+    The states come from the unguarded ``coherent_table``: at the small
+    cutoffs of an oscillator sweep the truncation is felt, and that is part
+    of the approach being measured.
     """
     kind = lookup(family)
     records = []
     for size in sizes:
         clock = build_clock(kind.rep_for_size(size))
         phase = build_phase_operator(clock)
-        vec = coherent_state(clock.rep, rho, phi).vector
+        vec = coherent_table(clock.rep, [rho], [phi])[:, 0]
         mean_sin = float(np.real(np.vdot(vec, phase.sin_phi @ vec)))
         mean_cos = float(np.real(np.vdot(vec, phase.cos_phi @ vec)))
         records.append(PhaseExpectationRecord(

@@ -420,3 +420,9 @@ def test_beta_reads_one_ring_for_the_peak_and_prunes_ring_pairs(monkeypatch):
     assert len(blocks) == 1
     assert blocks[0].start <= beta.peak[0] < blocks[0].stop
     assert 0 < len(pairs) + rings_g < rings_c * rings_g
+
+
+def test_hamilton_check_keeps_nan():
+    """A NaN radius after a finite one makes the residual NaN; max() used to drop it."""
+    report = hamilton_check(SU2, [1.0], [0.3, float("nan")], [0.5])
+    assert np.isnan(report.max_residual) and np.isnan(report.max_residual_q)

@@ -1,5 +1,6 @@
 """Experiment-runner behavior: exits, artifacts, precedence, determinism."""
 
+import dataclasses
 import datetime
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 from clocklab import cli, intensive_su2_clock
@@ -305,3 +307,22 @@ def test_console_script_entry(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert (tmp_path / "symbol").is_dir()
+
+
+def test_bch_check_keeps_a_nan_after_the_first_point(tmp_path, monkeypatch):
+    """max() over a generator dropped a NaN difference unless it came first."""
+    real = cli.displace
+    calls = []
+
+    def nan_on_the_second_point(rep, omega):
+        calls.append(omega)
+        state = real(rep, omega)
+        if len(calls) == 2:
+            state = dataclasses.replace(state, vector=np.full_like(state.vector, np.nan))
+        return state
+
+    monkeypatch.setattr(cli, "displace", nan_on_the_second_point)
+    assert run(["bch-check", "--su2-j", "2", "--points", "3", "--out", str(tmp_path)]) == 1
+    summary = json.loads((only_run_dir(tmp_path, "bch-check") / "summary.json").read_text())
+    first = summary["checks"][0]
+    assert not first["passed"] and math.isnan(first["max_difference"])

@@ -1,7 +1,5 @@
 """Zero-energy composite states and conditional-state identities."""
 
-import struct
-
 import numpy as np
 import pytest
 
@@ -22,6 +20,7 @@ from clocklab.constraint import (
 )
 from clocklab.dynamics import detuned_ladder, energy_of_rho, resonant_ladder
 from clocklab.families import lookup
+from clocklab.gcs import coherent_table
 
 
 def make_state(j=6.0, rho=0.5, width=0.2):
@@ -219,9 +218,37 @@ def per_node_precs_residual(psi, clock, n_polar, n_azim):
     return float(np.linalg.norm(acc - rho_g, 2))
 
 
+def precs_roundoff_bound(psi, clock, n_polar, n_azim):
+    """Bound on the 2-norm between two roundings of the PRECS sum.
+
+    With u the unit roundoff, gamma_n = n u / (1 - n u) and b_k = |t_k|^T |psi|
+    for the node vector t_k: each computed row r_k = t_k^H psi (one
+    vector-matrix product per node, or one matrix product for all) is within
+    sqrt(2) gamma_{2 dc} b_k of the exact row, entry by entry, so
+    |r r^H| <= (1 + sqrt(2) gamma_{2 dc})^2 b b^T; summing the N weighted outer
+    products adds sqrt(2) gamma_{2N+2} (see ``outer_sum_bound`` in
+    test_gcs.py).  Each route is therefore within
+    sqrt(2) (2 gamma_{2 dc} + gamma_{2N+2}) sum_k |w_k| b_k b_k^T of the exact
+    sum up to second order, their difference within twice that, which
+    2 sqrt(2) gamma_{2N + 4 dc + 4} bounds, and the 2-norm is at most the
+    Frobenius norm of sum_k |w_k| b_k b_k^T, at most sum_k |w_k| ||b_k||^2.
+    """
+    u = np.finfo(float).eps / 2
+    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim)
+    b = np.abs(coherent_table(clock.rep, rhos, phis)).T @ np.abs(psi.matrix)
+    mass = float(np.sum(np.abs(weights) * np.sum(b ** 2, axis=1)))
+    n = 2 * len(weights) + 4 * clock.dim + 4
+    return 2 * np.sqrt(2) * n * u / (1 - n * u) * mass
+
+
 @pytest.mark.parametrize("profile", ["gaussian", "random"])
 def test_precs_decomposition_equals_per_node_reference(profile):
-    """The residual is the per-node sum's, bit for bit."""
+    """The residual is the per-node sum's within the PRECS roundoff bound.
+
+    |resid - ref| <= ||acc - ref_acc||_2 <= bound by the triangle
+    inequality; the two 2-norm evaluations add a backward error of at most
+    dim^2 u times the norm each.
+    """
     clock = intensive_su2_clock(10.0)
     match = ladder_match(clock, resonant_ladder(clock, clock.dim))
     if profile == "gaussian":
@@ -231,7 +258,9 @@ def test_precs_decomposition_equals_per_node_reference(profile):
     psi = build_psi(match, coeff)
     resid = precs_decomposition_check(psi, clock, n_polar=22, n_azim=clock.dim)
     ref = per_node_precs_residual(psi, clock, 22, clock.dim)
-    assert struct.pack("<d", resid) == struct.pack("<d", ref)
+    bound = precs_roundoff_bound(psi, clock, 22, clock.dim)
+    u = np.finfo(float).eps / 2
+    assert abs(resid - ref) <= bound + clock.dim ** 2 * u * (resid + ref)
 
 
 def test_precs_decomposition_refuses_clock_dimension_mismatch():

@@ -1,5 +1,6 @@
 """Conditioned evolution: first-order equation, propagator, and sweeps."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -290,3 +291,17 @@ def test_propagator_refuses_a_grid_without_nonzero_phi(grid):
     clock, h_system, psi = make_state(j=3.0)
     with pytest.raises(ValueError, match="nonzero phi"):
         propagator_deviation(psi, clock, h_system, rho=0.45, phi_grid=grid)
+
+
+def test_propagator_nan_state_fails_its_gates():
+    """One NaN entry of psi makes both worst values NaN; max() used to drop them to 0.0."""
+    clock = intensive_su2_clock(5.0)
+    h_system = resonant_ladder(clock, clock.dim)
+    psi = gaussian_state(clock, h_system, energy_of_rho(clock, 0.45), 0.2)
+    matrix = psi.matrix.copy()
+    matrix[3, 3] = np.nan
+    with np.errstate(invalid="ignore"):  # the support guard divides by a NaN chi2
+        report = propagator_deviation(dataclasses.replace(psi, matrix=matrix), clock, h_system,
+                                      0.45, PHI_GRID)
+    assert np.isnan(report.max_deviation) and np.isnan(report.chi2_drift)
+    assert not report.max_deviation <= 1e-9 and not report.chi2_drift <= 1e-12

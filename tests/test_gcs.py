@@ -1,9 +1,9 @@
 """Coherent-state construction, symbols, and the identity resolution."""
 
-import struct
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clocklab.algebra import (
     build_clock,
@@ -13,17 +13,22 @@ from clocklab.algebra import (
     intensive_h4_clock,
     intensive_su2_clock,
 )
+from clocklab.constraint import conditional_state, gaussian_state
+from clocklab.dynamics import energy_of_rho, quantum_flow_rate, resonant_ladder
 from clocklab.families import lookup
 from clocklab.gcs import (
+    TAIL_MASS_LIMIT,
     clock_symbol_analytic,
     clock_symbol_numeric,
     coherent_state,
+    coherent_table,
     coherent_vector,
     displace,
     identity_resolution_check,
     overlap,
     phi_derivative_identity_check,
     symbol,
+    weighted_outer_sum,
 )
 
 
@@ -151,15 +156,51 @@ def test_identity_resolution_h4():
     assert dev < 1e-6
 
 
-def per_node_identity_deviation(rep, n_polar, n_azim):
-    """Reference: one coherent_vector call and one outer product per node."""
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), the relative error of n roundings."""
+    return n * U / (1 - n * U)
+
+
+def outer_sum_bound(vectors, weights):
+    """Bound on the 2-norm between two roundings of sum_k w_k |v_k><v_k|.
+
+    Entry (i, j) of either sum is off the exact one by at most
+    sqrt(2) gamma_{2N+2} S_ij, S = sum_k |w_k| |v_k| |v_k|^T: the per-node
+    loop takes one complex product (sqrt(2) gamma_2), one real scaling and
+    N - 1 additions per entry; the product forms a complex inner product of
+    length N, two real ones of length 2N, plus the scaling and the
+    hermitian average.  Any summation order satisfies these, so the two
+    differ by at most twice that, and ||E||_2 <= ||E||_F <= 2 sqrt(2)
+    gamma_{2N+2} ||S||_F <= 2 sqrt(2) gamma_{2N+2} sum_k |w_k| ||v_k||^2.
+    """
+    n = len(weights)
+    mass = float(np.sum(np.abs(weights) * np.sum(np.abs(vectors) ** 2, axis=1)))
+    return 2 * np.sqrt(2) * gamma(2 * n + 2) * mass
+
+
+def per_node_outer_sum(vectors, weights):
+    """Reference: one outer product per row, in row order."""
+    acc = np.zeros((vectors.shape[1], vectors.shape[1]), dtype=complex)
+    for v, w in zip(vectors, weights):
+        acc += w * np.outer(v, v.conj())
+    return acc
+
+
+def per_node_identity_sum(rep, n_polar=None, n_azim=None):
+    """Reference: one closed-form vector and one outer product per node.
+
+    Each vector is a one-column ``coherent_table`` (``coherent_vector``
+    refuses the truncated h4 nodes a quadrature keeps on purpose).  Returns
+    the accumulated matrix, the node vectors and the weights.
+    """
     rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim)
     nv = rep.valid_dim
-    acc = np.zeros((nv, nv), dtype=complex)
-    for rho, phi, w in zip(rhos, phis, weights):
-        v = coherent_vector(rep, float(rho), float(phi))[:nv]
-        acc += w * np.outer(v, v.conj())
-    return float(np.linalg.norm(acc - np.eye(nv), 2))
+    vectors = np.array([coherent_table(rep, [rho], [phi])[:nv, 0]
+                        for rho, phi in zip(rhos, phis)])
+    return per_node_outer_sum(vectors, weights), vectors, weights
 
 
 @pytest.mark.parametrize("rep, n_polar, n_azim", [
@@ -167,10 +208,31 @@ def per_node_identity_deviation(rep, n_polar, n_azim):
     (build_h4_rep(48), 160, 48),
 ], ids=["su2-j3", "h4-cut48"])
 def test_identity_resolution_equals_per_node_reference(rep, n_polar, n_azim):
-    """The deviation is the per-node sum's, bit for bit."""
+    """The sum is the per-node sum's within the summation bound, and so is the deviation.
+
+    |dev - ref| <= ||acc - ref_acc||_2 by the triangle inequality; the two
+    2-norm evaluations (eigenvalues, SVD) add a backward error of at most
+    nv^2 u times the norm each.
+    """
+    ref_acc, vectors, weights = per_node_identity_sum(rep, n_polar, n_azim)
+    acc = weighted_outer_sum(vectors, weights)
+    bound = outer_sum_bound(vectors, weights)
+    assert np.linalg.norm(acc - ref_acc, 2) <= bound
+    nv = rep.valid_dim
     dev = identity_resolution_check(rep, n_polar=n_polar, n_azim=n_azim)
-    ref = per_node_identity_deviation(rep, n_polar, n_azim)
-    assert struct.pack("<d", dev) == struct.pack("<d", ref)
+    ref = float(np.linalg.norm(ref_acc - np.eye(nv), 2))
+    assert abs(dev - ref) <= bound + nv ** 2 * U * (dev + ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(1, 40).map(lambda two_j: build_su2_rep(two_j / 2)),
+                 st.integers(4, 64).map(build_h4_rep)))
+def test_quadrature_sum_is_hermitian_and_within_the_bound(rep):
+    """su2 j in [1/2, 20] and h4 cuts 4..64 at the default rule."""
+    ref_acc, vectors, weights = per_node_identity_sum(rep)
+    acc = weighted_outer_sum(vectors, weights)
+    assert np.array_equal(acc, acc.conj().T)
+    assert np.linalg.norm(acc - ref_acc, 2) <= outer_sum_bound(vectors, weights)
 
 
 def test_identity_resolution_su11_not_claimed():
@@ -185,3 +247,28 @@ def test_phi_derivative_identity():
                                            omega=0.45 * np.exp(0.3j))
     assert result.residual < 1e-8
     assert 1.8 < result.slope < 2.2
+
+
+def test_point_queries_refuse_a_radius_the_cutoff_truncates():
+    """h4 mean 24 (dim 67) at rho = 6 loses 2.5e-6 of the norm: the symbol would be off by 7e-6."""
+    clock = intensive_h4_clock(24.0)
+    h_system = resonant_ladder(clock, clock.dim)
+    psi = gaussian_state(clock, h_system, energy_of_rho(clock, 1.0), 0.2)
+    with pytest.raises(ValueError, match="loses norm"):
+        coherent_vector(clock.rep, 6.0, 0.0)
+    with pytest.raises(ValueError, match="loses norm"):
+        conditional_state(psi, clock, 6.0, 0.3)
+    with pytest.raises(ValueError, match="loses norm"):
+        quantum_flow_rate(psi, clock, h_system, 6.0)
+    # the quadrature tables cut the tail on purpose and stay unguarded
+    column = coherent_table(clock.rep, [6.0], [0.0])[:, 0]
+    assert 1.0 - np.vdot(column, column).real > TAIL_MASS_LIMIT
+
+
+@pytest.mark.parametrize("level", [0.45, 0.55])
+def test_large_clock_h4_probe_keeps_its_norm(level):
+    """The benchmark's h4 probe (mean 200, rho up to 10.5) carries mass 1e-5 above
+    valid_dim, which displace's test would refuse, but loses no norm."""
+    clock = intensive_h4_clock(200.0)
+    vec = coherent_vector(clock.rep, float(np.sqrt(level * 200.0)), 0.4)
+    assert abs(1.0 - np.vdot(vec, vec).real) < 1e-12

@@ -95,6 +95,62 @@ def test_uncertainty_grid_keeps_nan():
     assert np.isnan(worst)
 
 
+def per_point_slack_bound(clock, phase, state):
+    """(reference slack, bound on its difference from a batched evaluation).
+
+    With u the unit roundoff, gamma_n = n u / (1 - n u) and g = |A| |v| for
+    an operator A of dimension d: either route's image A v is within
+    sqrt(2) gamma_{2d} g, its mean <v|A|v> within 2 sqrt(2) gamma_{2d+2} |v|.g
+    and its variance <Av|Av> - mean^2 (||v|| <= 1, so |v|.g <= ||g||) within
+    12 gamma_{2d+4} ||g||^2 of the exact ones; the routes differ by twice
+    that.  Then |sqrt x - sqrt y| <= min(sqrt|x - y|, |x - y| / sqrt x),
+    |a b - a' b'| <= |da| b + a |db| + |da| |db|, and the slack's own
+    products, square roots and difference add 2 gamma_4 of its terms.
+    """
+    u = np.finfo(float).eps / 2
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    d, vec = clock.dim, state.vector
+    audit = uncertainty_audit(state, clock, phase)
+
+    def spread(op):
+        g = np.abs(op) @ np.abs(vec)
+        return 2 * 12 * gamma(2 * d + 4) * float(g @ g), float(np.abs(vec) @ g)
+
+    def sqrt_change(delta, value):
+        return min(np.sqrt(delta), delta / value) if value > 0 else np.sqrt(delta)
+
+    dvar_h, _ = spread(clock.h_c)
+    dvar_s, _ = spread(phase.sin_phi)
+    _, mu_cos = spread(phase.cos_phi)
+    da = sqrt_change(dvar_h, audit.delta_h)
+    db = sqrt_change(dvar_s, audit.delta_sin)
+    product = audit.delta_h * audit.delta_sin
+    bound = (da * audit.delta_sin + audit.delta_h * db + da * db
+             + 0.5 * clock.epsilon * 2 * 2 * np.sqrt(2) * gamma(2 * d + 2) * mu_cos
+             + 2 * gamma(4) * (product + audit.bound))
+    return audit.slack, bound
+
+
+@pytest.mark.parametrize("rep, rho_max", [(build_su2_rep(15.0), 0.36), (build_h4_rep(48), 1.5)],
+                         ids=["su2-j15", "h4-cut48"])
+def test_uncertainty_grid_equals_the_per_point_audits(rep, rho_max):
+    """The batched worst slack is the least per-point slack within roundoff.
+
+    |min x - min y| <= max |x_k - y_k|, so the per-point bounds bound it.
+    """
+    clock = build_clock(rep)
+    phase = build_phase_operator(clock)
+    rhos = np.linspace(0.04, rho_max, 9)
+    phis = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
+    worst = uncertainty_grid_audit(clock, phase, rhos, phis)
+    slacks, bounds = zip(*(per_point_slack_bound(clock, phase, coherent_state(rep, rho, phi))
+                           for rho in rhos for phi in phis))
+    assert abs(worst - min(slacks)) <= max(bounds)
+
+
 def test_uncertainty_single_state_fields():
     clock = build_clock(build_su2_rep(15.0))
     phase = build_phase_operator(clock)
