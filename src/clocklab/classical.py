@@ -183,31 +183,30 @@ def hamilton_check(clock: ClockModel, v: Sequence[float],
     if method not in ("analytic", "fd"):
         raise ValueError(f"unknown method {method!r}")
     v = np.asarray(v, dtype=float)
-    worst_q = 0.0
-    worst_p = 0.0
+    phis = np.asarray(phi_grid, dtype=float)
+    target = clock.epsilon / hbar
+    worst_q = worst_p = 0.0
     for rho in rho_grid:
         rho = float(rho)
         c_coeff = _regular_two_form(clock, rho, hbar)
         c, cp = lookup(clock.rep.family).chart_radius(clock, rho)
-        for phi in phi_grid:
-            phi = float(phi)
-            if method == "analytic":
-                dq_dphi = -c * np.sin(phi) * v
-                dp_dphi = -c * np.cos(phi) * v
-                de_drho = clock.epsilon * c * cp
-            else:
-                f_p = map_F(rho, phi + fd_step, v, clock)
-                f_m = map_F(rho, phi - fd_step, v, clock)
-                dq_dphi = (f_p.q - f_m.q) / (2 * fd_step)
-                dp_dphi = (f_p.p - f_m.p) / (2 * fd_step)
-                de_drho = (clock_symbol_analytic(clock, rho + fd_step)
-                           - clock_symbol_analytic(clock, rho - fd_step)) / (2 * fd_step)
-            bracket_q = dq_dphi * de_drho / c_coeff
-            bracket_p = dp_dphi * de_drho / c_coeff
-            target = clock.epsilon / hbar
-            # np.maximum propagates nan, where max() would drop it
-            worst_q = np.maximum(worst_q, np.max(np.abs(bracket_q - target * dq_dphi)))
-            worst_p = np.maximum(worst_p, np.max(np.abs(bracket_p - target * dp_dphi)))
+        if method == "analytic":
+            # one row per phi, broadcast over the components of v
+            dq_dphi = (-c * np.sin(phis))[:, None] * v
+            dp_dphi = (-c * np.cos(phis))[:, None] * v
+            de_drho = clock.epsilon * c * cp
+        else:
+            points = [(map_F(rho, phi + fd_step, v, clock), map_F(rho, phi - fd_step, v, clock))
+                      for phi in phis]
+            dq_dphi = np.array([(f_p.q - f_m.q) / (2 * fd_step) for f_p, f_m in points])
+            dp_dphi = np.array([(f_p.p - f_m.p) / (2 * fd_step) for f_p, f_m in points])
+            de_drho = (clock_symbol_analytic(clock, rho + fd_step)
+                       - clock_symbol_analytic(clock, rho - fd_step)) / (2 * fd_step)
+        # bracket - target * dx/dphi; np.maximum propagates nan, where max() would drop it
+        worst_q = np.maximum(worst_q, np.abs(dq_dphi * de_drho / c_coeff
+                                             - target * dq_dphi).max(initial=0.0))
+        worst_p = np.maximum(worst_p, np.abs(dp_dphi * de_drho / c_coeff
+                                             - target * dp_dphi).max(initial=0.0))
     worst_q, worst_p = float(worst_q), float(worst_p)
     return HamiltonReport(
         max_residual=float(np.maximum(worst_q, worst_p)),
@@ -247,49 +246,67 @@ def _ring_bounds(rho: np.ndarray) -> np.ndarray:
     return np.r_[0, np.flatnonzero(rho[1:] != rho[:-1]) + 1, len(rho)]
 
 
-def _row_block(psi: CompositeState, clock_table: np.ndarray, system_conj: np.ndarray,
-               rows: slice) -> np.ndarray:
-    """Rows ``rows`` of the amplitude table mc^H psi mg^*.
-
-    Evaluated left to right like the whole product, so the block equals
-    those rows of it bit for bit (a block of columns would not).
-    """
-    return (clock_table[:, rows].conj().T @ psi.matrix) @ system_conj
-
-
 def _ring_amplitudes(rep: LieAlgebraRep, rho: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Column r: the family's radial amplitudes on ring r, the bits of ``coherent_table``."""
     family = lookup(rep.family)
     return np.stack([family.amplitudes(rep, float(r)) for r in rho[bounds[:-1]]], axis=1)
 
 
-def _pair_count(left: np.ndarray, system_conj: np.ndarray, cols: slice, cut: float) -> int:
-    """Support nodes of one (clock ring, system ring) pair.
+def _circulant_grid(psi: CompositeState, phis: tuple, bounds: tuple) -> tuple[int, int] | None:
+    """(delta, N) when every nonzero of psi lies on m - n = delta and every
+    ring of both manifolds is the azimuthal grid 2 pi a / N, a < N; else None."""
+    rows, cols = np.nonzero(psi.matrix)
+    offsets = np.unique(cols - rows)
+    n = int(bounds[0][1])
+    grid = 2 * np.pi * np.arange(n) / n  # the expression of ``Family.nodes``
+    uniform = all((np.diff(b) == n).all() and (phi.reshape(-1, n) == grid).all()
+                  for phi, b in zip(phis, bounds))
+    return (int(offsets[0]), n) if len(offsets) == 1 and uniform else None
 
-    ``left`` is the clock ring's rows of mc^H psi; the block is their
-    product with the system ring's columns of mg^*.
+
+def _circulant_rows(psi: CompositeState, delta: int, amp_c: np.ndarray, amp_g: np.ndarray,
+                    n_azim: int, bounds_c: np.ndarray):
+    """|beta|^2 on the first node of each clock ring, a chunk of rings at a time.
+
+    On ring pair (r, s) at azimuths 2 pi a / N and 2 pi b / N, beta is
+    exp(-i delta phi_b) F_rs[(a + b) mod N], F_rs the length-N DFT over n of
+    A_c[n, r] psi[n, n + delta] A_g[n + delta, s].  So the row a = 0 of a
+    clock ring, where system node start_s + t is the node of t, holds every
+    value of |beta|^2 on the ring, each at N nodes.  Yields (node, ring, rows).
     """
-    return int(np.count_nonzero(np.abs(left @ system_conj[:, cols]) ** 2 >= cut))
+    n = np.arange(max(0, -delta), min(psi.dim_clock, psi.dim_system - delta))
+    system = np.zeros((amp_g.shape[1], psi.dim_clock), dtype=complex)  # (rings_g, n)
+    system[:, n] = amp_g[n + delta].T * psi.matrix[n, n + delta]
+    step = max(1, (1 << 22) // (16 * len(system) * n_azim))  # 4 MB of transforms a chunk
+    for r in range(0, amp_c.shape[1], step):
+        rings = np.arange(r, min(r + step, amp_c.shape[1]))
+        f = np.fft.fft(amp_c[:, rings].T[:, None, :] * system, n=n_azim, axis=-1)
+        yield bounds_c[rings], rings, (f.real ** 2 + f.imag ** 2).reshape(len(rings), -1)
+
+
+def _streamed_rows(psi: CompositeState, mc: np.ndarray, mg: np.ndarray, bounds_c: np.ndarray):
+    """|beta|^2 on every node row a clock ring at a time, like ``_circulant_rows``: the
+    rows of ``values`` bit for bit, evaluated left to right like it (columns would not be)."""
+    mg_conj = mg.conj()
+    for r, (a, b) in enumerate(zip(bounds_c[:-1], bounds_c[1:])):
+        yield np.arange(a, b), np.full(b - a, r), np.abs(
+            (mc[:, a:b].conj().T @ psi.matrix) @ mg_conj) ** 2
 
 
 @dataclasses.dataclass(frozen=True)
 class BetaDistribution:
-    """Joint coherent amplitude over clock x system manifolds.
+    """Joint coherent amplitude beta[i, k] at clock node i and system node k.
 
-    The amplitude at clock node i and system node k is beta[i, k]; the
-    whole (nodes_c x nodes_g) table is never held.  ``beta_distribution``
-    keeps what the classical checks read: the normalization, the (clock
+    Keeps what the classical checks read: the normalization, the (clock
     node, system node) of the first maximum of |beta|^2 in row-major order,
-    and the support nodes counted per (clock ring, system ring) pair, rings
-    (the nodes sharing one radius) in node order.  ``values`` rebuilds the
-    table on demand from the clock-ring row blocks the peak is read from.
-    The weights carry the full invariant measures, so the weighted square
-    sum is the joint probability normalization.
+    and the support nodes per (clock ring, system ring) pair, rings (the
+    nodes sharing one radius) in node order.  The weights carry the full
+    invariant measures.  ``values`` builds the whole table on demand.
     """
 
     psi: CompositeState
-    clock_table: np.ndarray
-    system_table: np.ndarray
+    rep_clock: LieAlgebraRep
+    rep_system: LieAlgebraRep
     rho_clock: np.ndarray
     phi_clock: np.ndarray
     weights_clock: np.ndarray
@@ -303,40 +320,33 @@ class BetaDistribution:
 
     @property
     def values(self) -> np.ndarray:
-        """The full amplitude table, built on demand (at the table's memory cost)."""
-        bounds = _ring_bounds(self.rho_clock)
-        system_conj = self.system_table.conj()
-        out = np.empty((len(self.rho_clock), len(self.rho_system)), dtype=complex)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            out[a:b] = _row_block(self.psi, self.clock_table, system_conj, slice(a, b))
-        return out
+        """The full amplitude table mc^H psi mg^*, built on demand (at its memory cost)."""
+        mc = coherent_table(self.rep_clock, self.rho_clock, self.phi_clock)
+        mg = coherent_table(self.rep_system, self.rho_system, self.phi_system)
+        return (mc.conj().T @ self.psi.matrix) @ mg.conj()
 
 
 def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockModel,
                       threshold: float = SUPPORT_THRESHOLD) -> BetaDistribution:
     """Joint amplitude beta(Omega, gamma) with support extraction.
 
-    Support is cut at |beta|^2 >= threshold * max|beta|^2, which is the
-    region where classical constraint statements are asserted; the
-    threshold must lie in (0, 1].  On ring pair (r, s) beta is a double
-    Fourier sum in the two azimuths with the radial amplitudes A[n, r] as
-    coefficients, so:
+    Support is cut at |beta|^2 >= threshold * max|beta|^2, the region where
+    classical constraint statements are asserted; the threshold must lie in
+    (0, 1].  On ring pair (r, s) beta is a double Fourier sum in the two
+    azimuths with the radial amplitudes A[n, r] as coefficients, so the
+    normalization is Parseval's, W_c^T (A_c^2T |psi|^2 A_g^2) W_g with W the
+    node weight times the ring's node count (a ring of fewer than ``dim``
+    uniform azimuthal points would alias and is refused).  Peak and counts:
 
-    - the normalization is Parseval's, sum_rs W_c[r] W_g[s]
-      (A_c^2T |psi|^2 A_g^2)[r, s] with W the node weight times the ring's
-      node count, exact because every ring is a uniform azimuthal grid of
-      at least ``dim`` points (fewer would alias and are refused);
-    - |beta| <= (A_c^T |psi| A_g)[r, s], and this bound, squared and
-      widened for the rounding of both products, orders the peak search:
-      whole clock-ring row blocks in decreasing order of their largest
-      bound, until a bound falls below the running maximum, ties going to
-      the row-major first node;
-    - the support is counted only on ring pairs whose bound reaches the
-      cut, except that a ring whose bound reaches the peak may tie it and
-      is counted on its row block, the bits the peak was read from.
-
-    Memory is the coherent tables (one when both manifolds are the same
-    representation) and one ring's row block.
+    - circulant, when psi lies on one diagonal m - n = delta (every ladder
+      match) and both manifolds' rings are one grid of N points: |beta|^2
+      depends on t = (a + b) mod N only (``_circulant_rows``).  The peak is
+      the row-major first node of its exact tie, (first node of the clock
+      ring, system-ring start + t); each count is N times the number of t
+      at or above the cut.  No coherent table; rings_c x nodes_g values;
+    - streamed, for any other psi (a rotated basis): two sweeps of the
+      clock-ring row blocks of ``values``, for the first maximum and for
+      the counts.  Memory is the coherent tables and one row block.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"support threshold must lie in (0, 1], got {threshold!r}")
@@ -351,47 +361,35 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
                              "nodes, so Parseval's sum would alias")
     amp_c = _ring_amplitudes(clock_c.rep, rho_c, bounds_c)
     amp_g = _ring_amplitudes(clock_g.rep, rho_g, bounds_g)
-    abs_psi = np.abs(psi.matrix)
     ring_w_c = w_c[bounds_c[:-1]] * np.diff(bounds_c)
     ring_w_g = w_g[bounds_g[:-1]] * np.diff(bounds_g)
-    normalization = float(ring_w_c @ ((amp_c ** 2).T @ abs_psi ** 2 @ amp_g ** 2) @ ring_w_g)
-    slack = 1.0 + 8 * (clock_c.dim + clock_g.dim) * np.finfo(float).eps
-    bound = (amp_c.T @ abs_psi @ amp_g) ** 2 * slack
-    ring_bound = bound.max(axis=1)
+    normalization = float(ring_w_c @ ((amp_c ** 2).T @ np.abs(psi.matrix) ** 2 @ amp_g ** 2)
+                          @ ring_w_g)
 
-    mc = coherent_table(clock_c.rep, rho_c, phi_c)
-    mg = mc if clock_g.rep is clock_c.rep else coherent_table(clock_g.rep, rho_g, phi_g)
-    mg_conj = mg.conj()
-    peak_val, peak, peak_ring, peak_dens = -1.0, (0, 0), -1, None
-    for r in np.argsort(-ring_bound, kind="stable"):
-        if ring_bound[r] < peak_val:
-            break
-        a, b = bounds_c[r], bounds_c[r + 1]
-        dens = np.abs(_row_block(psi, mc, mg_conj, slice(a, b))) ** 2
+    grid = _circulant_grid(psi, (phi_c, phi_g), (bounds_c, bounds_g))
+    if grid is not None:
+        rows = list(_circulant_rows(psi, grid[0], amp_c, amp_g, grid[1], bounds_c))
+        sweeps, multiplicity = (rows, rows), grid[1]
+    else:
+        mc = coherent_table(clock_c.rep, rho_c, phi_c)
+        mg = mc if clock_g.rep is clock_c.rep else coherent_table(clock_g.rep, rho_g, phi_g)
+        sweeps = (_streamed_rows(psi, mc, mg, bounds_c), _streamed_rows(psi, mc, mg, bounds_c))
+        multiplicity = 1
+    peak_val, peak = -1.0, (0, 0)
+    for nodes, _, dens in sweeps[0]:
         i, k = np.unravel_index(int(np.argmax(dens)), dens.shape)
-        node = (int(a + i), int(k))
-        if dens[i, k] > peak_val or (dens[i, k] == peak_val and node < peak):
-            peak_val, peak, peak_ring, peak_dens = float(dens[i, k]), node, r, dens
-
-    cut = threshold * peak_val
-    counts = np.zeros(bound.shape, dtype=np.int64)
-    for r in np.flatnonzero(ring_bound >= cut):
-        a, b = bounds_c[r], bounds_c[r + 1]
-        if ring_bound[r] >= peak_val:
-            # may hold a node tied with the peak: count it on the peak's bits
-            dens = (peak_dens if r == peak_ring
-                    else np.abs(_row_block(psi, mc, mg_conj, slice(a, b))) ** 2)
-            counts[r] = np.add.reduceat(np.count_nonzero(dens >= cut, axis=0), bounds_g[:-1])
-            continue
-        left = mc[:, a:b].conj().T @ psi.matrix
-        for s in np.flatnonzero(bound[r] >= cut):
-            counts[r, s] = _pair_count(left, mg_conj, slice(bounds_g[s], bounds_g[s + 1]), cut)
+        if dens[i, k] > peak_val:
+            peak_val, peak = float(dens[i, k]), (int(nodes[i]), int(k))
+    counts = np.zeros((len(bounds_c) - 1, len(bounds_g) - 1), dtype=np.int64)
+    for _, rings, dens in sweeps[1]:
+        np.add.at(counts, rings, np.add.reduceat(dens >= threshold * peak_val, bounds_g[:-1],
+                                                 axis=1))
     return BetaDistribution(
-        psi=psi, clock_table=mc, system_table=mg,
+        psi=psi, rep_clock=clock_c.rep, rep_system=clock_g.rep,
         rho_clock=rho_c, phi_clock=phi_c, weights_clock=w_c,
         rho_system=rho_g, phi_system=phi_g, weights_system=w_g,
         threshold=threshold, normalization=normalization, peak=peak,
-        support_counts=counts,
+        support_counts=counts * multiplicity,
     )
 
 

@@ -228,8 +228,15 @@ def _conditional_rows(psi: CompositeState, clock: ClockModel, rho: float, phis) 
 
 
 def reduced_density_gamma(psi: CompositeState) -> np.ndarray:
-    """System-side reduced density matrix, trace one."""
-    return psi.matrix.conj().T @ psi.matrix
+    """System-side reduced density matrix, trace one, exactly hermitian.
+
+    The product's two triangles can round differently for a complex psi;
+    their average (g + g^H)/2 equals its conjugate transpose bit for bit,
+    so a residual built on it takes ``residual_norm2``'s eigenvalue route,
+    and it leaves a g that is already hermitian unchanged.
+    """
+    g = psi.matrix.conj().T @ psi.matrix
+    return (g + g.conj().T) / 2
 
 
 def reduced_density_clock(psi: CompositeState) -> np.ndarray:

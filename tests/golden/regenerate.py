@@ -37,6 +37,7 @@ RUNS = {
     "schrodinger-j400": ("schrodinger", "--j", "400"),
     "classical-limit-j40": ("classical-limit", "--sizes", "40"),
     "identity-resolution-j2.5": ("identity-resolution", "--j", "2.5"),
+    "classical-limit-j80-j160": ("classical-limit", "--sizes", "80,160"),
 }
 ARTIFACTS = ("data.csv", "summary.json", "config.echo")
 

@@ -24,6 +24,7 @@ from clocklab.classical import (
     two_form_coefficient,
 )
 from clocklab.constraint import (
+    CompositeState,
     build_psi,
     gaussian_state,
     ladder_match,
@@ -260,10 +261,13 @@ def test_beta_threshold_outside_unit_interval_refused(threshold):
 
 
 def test_beta_threshold_one_keeps_the_peak():
+    """The support at threshold 1 is the peak's tie: whole t classes of N nodes."""
     clock, psi = make_state(3.0)
     beta = beta_distribution(psi, clock, clock, threshold=1.0)
-    dens = np.abs(beta.values) ** 2
-    assert beta.support_counts.sum() == np.count_nonzero(dens == dens.max()) >= 1
+    dens = circulant_density(psi, clock)
+    assert beta.support_counts.sum() == np.count_nonzero(dens == dens.max())
+    assert beta.support_counts.sum() % clock.dim == 0
+    assert dens[beta.peak] == dens.max()
 
 
 @pytest.mark.parametrize("threshold", [1e-3, 1e-6])
@@ -305,7 +309,7 @@ def test_beta_and_check_hold_no_joint_table():
     assert peak < 32 * 2**20, peak
 
 
-# --- beta against the two-pass sweep of the whole table ---------------------
+# --- beta against the two-pass sweep and the per-node circulant form --------
 
 def streamed_beta(psi, clock_c, clock_g, threshold):
     """(normalization, peak, support_counts) by sweeping every clock ring twice.
@@ -340,6 +344,46 @@ def streamed_beta(psi, clock_c, clock_g, threshold):
     return float(col_sums @ w_g), peak, counts
 
 
+def circulant_density(psi, clock):
+    """|beta|^2 at every (clock node, system node), evaluated per node in circulant form.
+
+    For psi on one diagonal m = n + delta and both sides on ``clock``'s
+    nodes, beta at clock ring r, azimuth 2 pi a / N and system ring s,
+    azimuth 2 pi b / N is exp(-i delta phi_b) times
+    sum_n A[n, r] psi[n, n + delta] A[n + delta, s] exp(-2 pi i n t / N) with
+    t = (a + b) mod N.  t is reduced before the exponential, so the N nodes
+    of one t share one value bit for bit; the unimodular prefactor drops
+    out of |beta|^2.  The sums are direct, not an FFT.
+    """
+    family = lookup(clock.rep.family)
+    rho, phi, _ = family.nodes(clock.rep)
+    n_azim = clock.dim
+    rows, cols = np.nonzero(psi.matrix)
+    assert len(np.unique(cols - rows)) == 1
+    radii, ring = np.unique(rho, return_inverse=True)
+    amps = np.array([family.amplitudes(clock.rep, float(r)) for r in radii])
+    coeff = amps[:, None, rows] * psi.matrix[rows, cols] * amps[None, :, cols]
+    azim = np.rint(phi * n_azim / (2 * np.pi)).astype(int)
+    t = (azim[:, None] + azim[None, :]) % n_azim
+    per_t = coeff @ np.exp(-2j * np.pi * np.outer(np.arange(n_azim), rows) / n_azim).T
+    return np.abs(per_t[ring[:, None], ring[None, :], t]) ** 2
+
+
+def ring_pair_counts(mask, rho_c, rho_g):
+    """Nodes of ``mask`` per (clock ring, system ring) pair."""
+    starts_c = np.r_[0, np.flatnonzero(np.diff(rho_c)) + 1]
+    starts_g = np.r_[0, np.flatnonzero(np.diff(rho_g)) + 1]
+    return np.add.reduceat(np.add.reduceat(mask.astype(np.int64), starts_c, axis=0),
+                           starts_g, axis=1)
+
+
+def ring_pair_and_t(node, rho, n_azim):
+    """(clock ring, system ring, t) of a (clock node, system node) on one grid."""
+    starts = np.r_[0, np.flatnonzero(np.diff(rho)) + 1]
+    (r, a), (s, b) = ((np.searchsorted(starts, i, side="right") - 1, i) for i in node)
+    return r, s, (a - starts[r] + b - starts[s]) % n_azim
+
+
 def beta_state(family, profile, size):
     """A clock paired with its own resonant ladder, Gaussian or seeded random profile."""
     if family == "su2":
@@ -361,31 +405,41 @@ BETA_STATES = [("su2", profile, j) for j in (3.0, 5.0, 10.0, 20.0)
 @pytest.mark.parametrize("family, profile, size", BETA_STATES,
                          ids=[f"{f}-{p}-{s:g}" for f, p, s in BETA_STATES])
 def test_beta_equals_the_streamed_sweep(family, profile, size, threshold):
-    """Parseval, the bound order and the ring pairs reproduce the whole sweep.
+    """The circulant route reproduces the per-node circulant form and the whole sweep.
 
-    The peak is the first row-major maximum of |values|^2 bit for bit, ties
-    included; the support counts are identical and the normalization is
-    Parseval's within roundoff.
+    Against the per-node circulant form: the peak is its first row-major
+    maximum and the support counts are its own, at every threshold.  At
+    1e-3 and 1e-6 the counts are also identical to those of the sweep of
+    the whole table, its normalization is Parseval's within roundoff and
+    its peak lies on the same ring pair and t.  At threshold 1.0 the sweep
+    is not compared: the N nodes of one t tie exactly, and its products
+    round them apart.
     """
     clock, psi = beta_state(family, profile, size)
     beta = beta_distribution(psi, clock, clock, threshold=threshold)
-    dens = np.abs(beta.values) ** 2
+    dens = circulant_density(psi, clock)
     assert beta.peak == tuple(np.argwhere(dens == dens.max())[0])
+    assert np.array_equal(beta.support_counts, ring_pair_counts(
+        dens >= threshold * dens.max(), beta.rho_clock, beta.rho_system))
+    if threshold == 1.0:
+        return
     norm, peak, counts = streamed_beta(psi, clock, clock, threshold)
-    assert beta.peak == peak
+    assert (ring_pair_and_t(beta.peak, beta.rho_clock, clock.dim)
+            == ring_pair_and_t(peak, beta.rho_clock, clock.dim))
     assert np.array_equal(beta.support_counts, counts)
     assert abs(beta.normalization - norm) <= 1e-14 * norm
 
 
 @pytest.mark.parametrize("j", [5.0, 10.0])
 def test_gaussian_beta_peak_breaks_exact_ties_row_major(j):
-    """The Gaussian profile's maximum is attained at several nodes of the peak ring."""
+    """The maximum is attained at the N nodes of one t, and the peak is the first of them."""
     clock, psi = beta_state("su2", "gaussian", j)
     beta = beta_distribution(psi, clock, clock, threshold=1.0)
-    dens = np.abs(beta.values) ** 2
+    dens = circulant_density(psi, clock)
     ties = np.argwhere(dens == dens.max())
-    assert len(ties) > 1
+    assert len(ties) % clock.dim == 0 and len(ties) >= clock.dim > 1
     assert beta.peak == tuple(ties[0])
+    assert beta.peak[0] in np.r_[0, np.flatnonzero(np.diff(beta.rho_clock)) + 1]
     assert beta.support_counts.sum() == len(ties)
 
 
@@ -399,27 +453,67 @@ def test_beta_refuses_an_aliasing_azimuthal_ring(monkeypatch):
         beta_distribution(psi, clock, clock)
 
 
-def test_beta_reads_one_ring_for_the_peak_and_prunes_ring_pairs(monkeypatch):
-    """Gaussian j = 20: the first ring's bound is attained, so no other ring is read."""
+def spy(monkeypatch, name):
+    """Record the calls to ``classical.<name>``."""
+    calls, inner = [], getattr(classical, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(classical, name, wrapper)
+    return calls
+
+
+def test_beta_builds_no_coherent_table_for_a_diagonal_psi(monkeypatch):
+    """Gaussian j = 20, a ladder match: the circulant route, no coherent table."""
+    tables = spy(monkeypatch, "coherent_table")
+    circulant = spy(monkeypatch, "_circulant_rows")
     clock, psi = beta_state("su2", "gaussian", 20.0)
-    blocks, pairs = [], []
-
-    def row_block(psi, clock_table, system_conj, rows):
-        blocks.append(rows)
-        return row_block.inner(psi, clock_table, system_conj, rows)
-
-    def pair_count(left, system_conj, cols, cut):
-        pairs.append(cols)
-        return pair_count.inner(left, system_conj, cols, cut)
-
-    row_block.inner, pair_count.inner = classical._row_block, classical._pair_count
-    monkeypatch.setattr(classical, "_row_block", row_block)
-    monkeypatch.setattr(classical, "_pair_count", pair_count)
     beta = beta_distribution(psi, clock, clock)
-    rings_c, rings_g = beta.support_counts.shape
-    assert len(blocks) == 1
-    assert blocks[0].start <= beta.peak[0] < blocks[0].stop
-    assert 0 < len(pairs) + rings_g < rings_c * rings_g
+    classical_constraint_check(beta, clock, clock)
+    assert (tables, circulant) == ([], ["_circulant_rows"])
+
+
+@pytest.mark.parametrize("delta", [3, -2])
+def test_off_diagonal_psi_takes_the_circulant_route(monkeypatch, delta):
+    """psi on the diagonal m = n + delta: |beta|^2 still depends on t only."""
+    circulant = spy(monkeypatch, "_circulant_rows")
+    clock = intensive_su2_clock(10.0)
+    n = np.arange(max(0, -delta), min(clock.dim, clock.dim - delta))
+    rng = np.random.default_rng(5)
+    matrix = np.zeros((clock.dim, clock.dim), dtype=complex)
+    matrix[n, n + delta] = rng.normal(size=len(n)) + 1j * rng.normal(size=len(n))
+    matrix /= np.linalg.norm(matrix)
+    psi = CompositeState(clock.dim, clock.dim, tuple(zip(n, n + delta)),
+                         matrix[n, n + delta], matrix, 0.0)
+    for threshold in (1e-3, 1e-6, 1.0):
+        beta = beta_distribution(psi, clock, clock, threshold=threshold)
+        dens = circulant_density(psi, clock)
+        assert beta.peak == tuple(np.argwhere(dens == dens.max())[0])
+        assert np.array_equal(beta.support_counts, ring_pair_counts(
+            dens >= threshold * dens.max(), beta.rho_clock, beta.rho_system))
+        assert abs(beta.normalization - 1.0) < 1e-12
+    assert circulant == ["_circulant_rows"] * 3
+
+
+@pytest.mark.parametrize("j", [3.0, 5.0])
+def test_rotated_basis_psi_takes_the_streamed_route(monkeypatch, j):
+    """A clock-side rotation spreads psi off one diagonal: the sweep's peak and counts."""
+    circulant = spy(monkeypatch, "_circulant_rows")
+    clock, psi = beta_state("su2", "random", j)
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(clock.dim, clock.dim))
+                        + 1j * rng.normal(size=(clock.dim, clock.dim)))
+    rotated = CompositeState(psi.dim_clock, psi.dim_system, psi.pairs, psi.coefficients,
+                             q @ psi.matrix, psi.entanglement_entropy)
+    for threshold in (1e-3, 1e-6, 1.0):
+        beta = beta_distribution(rotated, clock, clock, threshold=threshold)
+        norm, peak, counts = streamed_beta(rotated, clock, clock, threshold)
+        assert beta.peak == peak
+        assert np.array_equal(beta.support_counts, counts)
+        assert abs(beta.normalization - norm) <= 1e-14 * norm
+    assert circulant == []
 
 
 def test_hamilton_check_keeps_nan():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from clocklab.algebra import build_clock, build_su2_rep, intensive_h4_clock, intensive_su2_clock
 from clocklab.constraint import (
@@ -276,3 +277,26 @@ def test_entropy_matches_schmidt_formula():
     probs = svals[svals > 1e-15] ** 2
     expected = float(-np.sum(probs * np.log(probs)))
     assert abs(psi.entanglement_entropy - expected) < 1e-12
+
+
+@pytest.mark.parametrize("j", [10.0, 20.0])
+def test_random_profile_precs_residual_takes_the_eigenvalue_route(monkeypatch, j):
+    """A complex profile's PRECS residual is exactly hermitian: eigvalsh, no SVD."""
+    calls = []
+
+    def spy(name, inner):
+        def wrapper(*args, **kwargs):
+            if name != "norm" or args[1:2] == (2,):
+                calls.append(name)
+            return inner(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", spy("eigvalsh", scipy.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "norm", spy("norm", np.linalg.norm))
+    clock = intensive_su2_clock(j)
+    match = ladder_match(clock, resonant_ladder(clock, clock.dim))
+    psi = build_psi(match, random_profile(match, seed=3))
+    g = reduced_density_gamma(psi)
+    assert np.array_equal(g, g.conj().T)
+    precs_decomposition_check(psi, clock)
+    assert calls == ["eigvalsh"]
