@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import ClockModel, LieAlgebraRep
 from .constraint import CompositeState
 from .families import lookup
-from .gcs import clock_symbol_analytic, coherent_table
+from .gcs import amplitude_columns, clock_symbol_analytic, coherent_table
 
 SUPPORT_THRESHOLD = 1e-6
 
@@ -237,43 +237,24 @@ def classical_flow_rate(clock: ClockModel, v: Sequence[float] = (1.0,),
 
 # --- joint coherent amplitudes over both manifolds --------------------------
 
-def _ring_bounds(rho: np.ndarray) -> np.ndarray:
-    """Node index where each ring starts, then the node count.
-
-    A ring is a run of consecutive nodes with one radius, which is a whole
-    ring of the radial-major quadratures of ``Family.nodes``.
-    """
-    return np.r_[0, np.flatnonzero(rho[1:] != rho[:-1]) + 1, len(rho)]
-
-
-def _ring_amplitudes(rep: LieAlgebraRep, rho: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Column r: the family's radial amplitudes on ring r, the bits of ``coherent_table``."""
-    family = lookup(rep.family)
-    return np.stack([family.amplitudes(rep, float(r)) for r in rho[bounds[:-1]]], axis=1)
-
-
-def _circulant_grid(psi: CompositeState, phis: tuple, bounds: tuple) -> tuple[int, int] | None:
-    """(delta, N) when every nonzero of psi lies on m - n = delta and every
-    ring of both manifolds is the azimuthal grid 2 pi a / N, a < N; else None."""
+def _one_diagonal(psi: CompositeState) -> int | None:
+    """delta when every nonzero of psi lies on m - n = delta, else None."""
     rows, cols = np.nonzero(psi.matrix)
     offsets = np.unique(cols - rows)
-    n = int(bounds[0][1])
-    grid = 2 * np.pi * np.arange(n) / n  # the expression of ``Family.nodes``
-    uniform = all((np.diff(b) == n).all() and (phi.reshape(-1, n) == grid).all()
-                  for phi, b in zip(phis, bounds))
-    return (int(offsets[0]), n) if len(offsets) == 1 and uniform else None
+    return int(offsets[0]) if len(offsets) == 1 else None
 
 
-def _circulant_rows(psi: CompositeState, delta: int, amp_c: np.ndarray, amp_g: np.ndarray,
-                    n_azim: int, bounds_c: np.ndarray):
+def _circulant_rows(psi: CompositeState, delta: int, amp_c: np.ndarray, amp_g: np.ndarray):
     """|beta|^2 on the first node of each clock ring, a chunk of rings at a time.
 
-    On ring pair (r, s) at azimuths 2 pi a / N and 2 pi b / N, beta is
+    Both manifolds have N = dim azimuthal points per ring.  On ring pair
+    (r, s) at azimuths 2 pi a / N and 2 pi b / N, beta is
     exp(-i delta phi_b) F_rs[(a + b) mod N], F_rs the length-N DFT over n of
     A_c[n, r] psi[n, n + delta] A_g[n + delta, s].  So the row a = 0 of a
-    clock ring, where system node start_s + t is the node of t, holds every
+    clock ring, where system node s N + t is the node of t, holds every
     value of |beta|^2 on the ring, each at N nodes.  Yields (node, ring, rows).
     """
+    n_azim = psi.dim_clock
     n = np.arange(max(0, -delta), min(psi.dim_clock, psi.dim_system - delta))
     system = np.zeros((amp_g.shape[1], psi.dim_clock), dtype=complex)  # (rings_g, n)
     system[:, n] = amp_g[n + delta].T * psi.matrix[n, n + delta]
@@ -281,38 +262,38 @@ def _circulant_rows(psi: CompositeState, delta: int, amp_c: np.ndarray, amp_g: n
     for r in range(0, amp_c.shape[1], step):
         rings = np.arange(r, min(r + step, amp_c.shape[1]))
         f = np.fft.fft(amp_c[:, rings].T[:, None, :] * system, n=n_azim, axis=-1)
-        yield bounds_c[rings], rings, (f.real ** 2 + f.imag ** 2).reshape(len(rings), -1)
+        yield rings * n_azim, rings, (f.real ** 2 + f.imag ** 2).reshape(len(rings), -1)
 
 
-def _streamed_rows(psi: CompositeState, mc: np.ndarray, mg: np.ndarray, bounds_c: np.ndarray):
+def _node_table(rep: LieAlgebraRep) -> np.ndarray:
+    """Coherent vectors at the default quadrature nodes of ``rep``, one column each."""
+    return coherent_table(rep, *lookup(rep.family).nodes(rep)[:2])
+
+
+def _streamed_rows(psi: CompositeState, mc: np.ndarray, mg: np.ndarray):
     """|beta|^2 on every node row a clock ring at a time, like ``_circulant_rows``: the
     rows of ``values`` bit for bit, evaluated left to right like it (columns would not be)."""
-    mg_conj = mg.conj()
-    for r, (a, b) in enumerate(zip(bounds_c[:-1], bounds_c[1:])):
-        yield np.arange(a, b), np.full(b - a, r), np.abs(
-            (mc[:, a:b].conj().T @ psi.matrix) @ mg_conj) ** 2
+    dim, mg_conj = psi.dim_clock, mg.conj()
+    for a in range(0, mc.shape[1], dim):
+        yield np.arange(a, a + dim), np.full(dim, a // dim), np.abs(
+            (mc[:, a:a + dim].conj().T @ psi.matrix) @ mg_conj) ** 2
 
 
 @dataclasses.dataclass(frozen=True)
 class BetaDistribution:
     """Joint coherent amplitude beta[i, k] at clock node i and system node k.
 
+    The nodes are the default quadratures ``Family.nodes`` of the two
+    representations, the weights carrying the full invariant measures.
     Keeps what the classical checks read: the normalization, the (clock
     node, system node) of the first maximum of |beta|^2 in row-major order,
-    and the support nodes per (clock ring, system ring) pair, rings (the
-    nodes sharing one radius) in node order.  The weights carry the full
-    invariant measures.  ``values`` builds the whole table on demand.
+    and the support nodes per (clock ring, system ring) pair of
+    ``Family.rings``.  ``values`` builds the whole table on demand.
     """
 
     psi: CompositeState
     rep_clock: LieAlgebraRep
     rep_system: LieAlgebraRep
-    rho_clock: np.ndarray
-    phi_clock: np.ndarray
-    weights_clock: np.ndarray
-    rho_system: np.ndarray
-    phi_system: np.ndarray
-    weights_system: np.ndarray
     threshold: float
     normalization: float
     peak: tuple[int, int]
@@ -321,8 +302,7 @@ class BetaDistribution:
     @property
     def values(self) -> np.ndarray:
         """The full amplitude table mc^H psi mg^*, built on demand (at its memory cost)."""
-        mc = coherent_table(self.rep_clock, self.rho_clock, self.phi_clock)
-        mg = coherent_table(self.rep_system, self.rho_system, self.phi_system)
+        mc, mg = _node_table(self.rep_clock), _node_table(self.rep_system)
         return (mc.conj().T @ self.psi.matrix) @ mg.conj()
 
 
@@ -332,18 +312,20 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
 
     Support is cut at |beta|^2 >= threshold * max|beta|^2, the region where
     classical constraint statements are asserted; the threshold must lie in
-    (0, 1].  On ring pair (r, s) beta is a double Fourier sum in the two
-    azimuths with the radial amplitudes A[n, r] as coefficients, so the
-    normalization is Parseval's, W_c^T (A_c^2T |psi|^2 A_g^2) W_g with W the
-    node weight times the ring's node count (a ring of fewer than ``dim``
-    uniform azimuthal points would alias and is refused).  Peak and counts:
+    (0, 1].  Each manifold is a stack of rings (``Family.rings``) of dim
+    uniform azimuthal points.  On ring pair (r, s) beta is a double Fourier
+    sum in the two azimuths with the radial amplitudes A[n, r] as
+    coefficients, so the normalization is Parseval's,
+    W_c^T (A_c^2T |psi|^2 A_g^2) W_g with W the node weight times dim.
+    Peak and counts:
 
     - circulant, when psi lies on one diagonal m - n = delta (every ladder
-      match) and both manifolds' rings are one grid of N points: |beta|^2
-      depends on t = (a + b) mod N only (``_circulant_rows``).  The peak is
-      the row-major first node of its exact tie, (first node of the clock
-      ring, system-ring start + t); each count is N times the number of t
-      at or above the cut.  No coherent table; rings_c x nodes_g values;
+      match) and both manifolds have N = dim_c = dim_g azimuthal points:
+      |beta|^2 depends on t = (a + b) mod N only (``_circulant_rows``).
+      The peak is the row-major first node of its exact tie, (first node
+      of the clock ring, system node s N + t); each count is N times the
+      number of t at or above the cut.  No coherent table; rings_c x
+      nodes_g values;
     - streamed, for any other psi (a rotated basis): two sweeps of the
       clock-ring row blocks of ``values``, for the first maximum and for
       the counts.  Memory is the coherent tables and one row block.
@@ -352,42 +334,33 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
         raise ValueError(f"support threshold must lie in (0, 1], got {threshold!r}")
     if psi.dim_clock != clock_c.dim or psi.dim_system != clock_g.dim:
         raise ValueError("composite state dimensions do not match the two models")
-    rho_c, phi_c, w_c = lookup(clock_c.rep.family).nodes(clock_c.rep)
-    rho_g, phi_g, w_g = lookup(clock_g.rep.family).nodes(clock_g.rep)
-    bounds_c, bounds_g = _ring_bounds(rho_c), _ring_bounds(rho_g)
-    for rep, bounds in ((clock_c.rep, bounds_c), (clock_g.rep, bounds_g)):
-        if np.diff(bounds).min() < rep.dim:
-            raise ValueError(f"a {rep.family} ring has fewer than dim = {rep.dim} azimuthal "
-                             "nodes, so Parseval's sum would alias")
-    amp_c = _ring_amplitudes(clock_c.rep, rho_c, bounds_c)
-    amp_g = _ring_amplitudes(clock_g.rep, rho_g, bounds_g)
-    ring_w_c = w_c[bounds_c[:-1]] * np.diff(bounds_c)
-    ring_w_g = w_g[bounds_g[:-1]] * np.diff(bounds_g)
+    reps = clock_c.rep, clock_g.rep
+    (radii_c, w_c), (radii_g, w_g) = (lookup(rep.family).rings(rep) for rep in reps)
+    amp_c, amp_g = amplitude_columns(reps[0], radii_c), amplitude_columns(reps[1], radii_g)
+    ring_w_c, ring_w_g = w_c * psi.dim_clock, w_g * psi.dim_system
     normalization = float(ring_w_c @ ((amp_c ** 2).T @ np.abs(psi.matrix) ** 2 @ amp_g ** 2)
                           @ ring_w_g)
 
-    grid = _circulant_grid(psi, (phi_c, phi_g), (bounds_c, bounds_g))
-    if grid is not None:
-        rows = list(_circulant_rows(psi, grid[0], amp_c, amp_g, grid[1], bounds_c))
-        sweeps, multiplicity = (rows, rows), grid[1]
+    delta = _one_diagonal(psi) if psi.dim_clock == psi.dim_system else None
+    if delta is not None:
+        rows = list(_circulant_rows(psi, delta, amp_c, amp_g))
+        sweeps, multiplicity = (rows, rows), psi.dim_clock
     else:
-        mc = coherent_table(clock_c.rep, rho_c, phi_c)
-        mg = mc if clock_g.rep is clock_c.rep else coherent_table(clock_g.rep, rho_g, phi_g)
-        sweeps = (_streamed_rows(psi, mc, mg, bounds_c), _streamed_rows(psi, mc, mg, bounds_c))
+        mc = _node_table(reps[0])
+        mg = mc if reps[1] is reps[0] else _node_table(reps[1])
+        sweeps = (_streamed_rows(psi, mc, mg), _streamed_rows(psi, mc, mg))
         multiplicity = 1
     peak_val, peak = -1.0, (0, 0)
     for nodes, _, dens in sweeps[0]:
         i, k = np.unravel_index(int(np.argmax(dens)), dens.shape)
         if dens[i, k] > peak_val:
             peak_val, peak = float(dens[i, k]), (int(nodes[i]), int(k))
-    counts = np.zeros((len(bounds_c) - 1, len(bounds_g) - 1), dtype=np.int64)
+    counts = np.zeros((len(radii_c), len(radii_g)), dtype=np.int64)
     for _, rings, dens in sweeps[1]:
-        np.add.at(counts, rings, np.add.reduceat(dens >= threshold * peak_val, bounds_g[:-1],
-                                                 axis=1))
+        np.add.at(counts, rings, (dens >= threshold * peak_val).reshape(
+            len(dens), len(radii_g), psi.dim_system).sum(axis=2))
     return BetaDistribution(
         psi=psi, rep_clock=clock_c.rep, rep_system=clock_g.rep,
-        rho_clock=rho_c, phi_clock=phi_c, weights_clock=w_c,
-        rho_system=rho_g, phi_system=phi_g, weights_system=w_g,
         threshold=threshold, normalization=normalization, peak=peak,
         support_counts=counts * multiplicity,
     )
@@ -417,17 +390,15 @@ def classical_constraint_check(beta: BetaDistribution, clock_c: ClockModel,
     counts = beta.support_counts
     if not counts.any():
         raise ValueError("empty support: nothing to check the constraint on")
-    bounds_c, bounds_g = _ring_bounds(beta.rho_clock), _ring_bounds(beta.rho_system)
-    e_c = np.array([clock_symbol_analytic(clock_c, float(r))
-                    for r in beta.rho_clock[bounds_c[:-1]]])
-    e_g = np.array([clock_symbol_analytic(clock_g, float(r))
-                    for r in beta.rho_system[bounds_g[:-1]]])
+    (radii_c, _), (radii_g, _) = (lookup(rep.family).rings(rep)
+                                  for rep in (beta.rep_clock, beta.rep_system))
+    e_c = np.array([clock_symbol_analytic(clock_c, float(r)) for r in radii_c])
+    e_g = np.array([clock_symbol_analytic(clock_g, float(r)) for r in radii_g])
     scale = max(np.max(np.abs(e_c)), np.max(np.abs(e_g)))
     mismatch = np.abs(e_c[:, None] - e_g[None, :]) / scale
-    complement = counts < np.outer(np.diff(bounds_c), np.diff(bounds_g))
-    i_peak, k_peak = beta.peak
-    ring_peak = (np.searchsorted(bounds_c, i_peak, side="right") - 1,
-                 np.searchsorted(bounds_g, k_peak, side="right") - 1)
+    dim_c, dim_g = beta.rep_clock.dim, beta.rep_system.dim
+    complement = counts < dim_c * dim_g
+    ring_peak = (beta.peak[0] // dim_c, beta.peak[1] // dim_g)
     return MismatchReport(
         support_max=float(mismatch[counts > 0].max()),
         complement_max=float(mismatch[complement].max()) if complement.any() else 0.0,

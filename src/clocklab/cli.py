@@ -86,21 +86,6 @@ from .phase import (
 
 ENV_OUT = "CLOCKLAB_OUT"
 
-SUBCOMMANDS = (
-    "verify-algebra",
-    "bch-check",
-    "symbol",
-    "identity-resolution",
-    "constraint",
-    "schrodinger",
-    "stationary-sweep",
-    "phase-audit",
-    "classical-limit",
-    "hamilton",
-    "all",
-)
-
-
 class ConfigError(Exception):
     """Raised for anything that should exit with status 2."""
 
@@ -283,6 +268,15 @@ def load_config(path: str | None, overrides: dict[str, object],
     # one point is phi = 0 alone, where the propagator and the drift compare identities
     if cfg["sch_phi_points"] < 2:
         raise ConfigError(f"'sch_phi_points' must be at least 2, got {cfg['sch_phi_points']!r}")
+    # one size leaves no pair to compare, and all() over no pair is true
+    if len(cfg["ph_sizes"]) < 2:
+        raise ConfigError(f"'ph_sizes' needs at least 2 sizes, got {len(cfg['ph_sizes'])}")
+    # one grid point is rho = 0 alone, where both symbols vanish exactly
+    if not cfg["sym_rho"] and cfg["sym_points"] < 2:
+        raise ConfigError(f"'sym_points' must be at least 2, got {cfg['sym_points']!r}")
+    # run_hamilton has system vectors for J = 1 and 2 only
+    if any(x not in (1.0, 2.0) for x in cfg["ham_js"]):
+        raise ConfigError(f"'ham_js' entries must be 1 or 2, got {cfg['ham_js']!r}")
     # a cut of 0 or below keeps every node, one above 1 none
     if not 0.0 < cfg["cls_threshold"] <= 1.0:
         raise ConfigError(f"cls_threshold must lie in (0, 1], got {cfg['cls_threshold']!r}")
@@ -727,6 +721,7 @@ _RUNNERS: dict[str, Callable] = {
     "classical-limit": run_classical_limit,
     "hamilton": run_hamilton,
 }
+SUBCOMMANDS = (*_RUNNERS, "all")
 
 
 def run_all(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:

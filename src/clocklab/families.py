@@ -28,8 +28,8 @@ class Family:
       pulled-back two-form;
 
     and, where the family has them, ``rep_for_size`` and the radial rule
-    behind ``nodes``.  Adding a family means one subclass here and one
-    builder in ``algebra``.
+    behind ``rings`` and ``nodes``.  Adding a family means one subclass here
+    and one builder in ``algebra``.
     """
 
     name: str
@@ -41,6 +41,15 @@ class Family:
     def _radial_rule(self, rep: LieAlgebraRep, n_polar: int | None,
                      n_azim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"no normalizable manifold measure for family {self.name!r}")
+
+    def rings(self, rep: LieAlgebraRep) -> tuple[np.ndarray, np.ndarray]:
+        """The default rule of ``nodes`` before flattening: (radii, node_weights).
+
+        Ring r is the azimuthal grid 2 pi a / ``rep.dim``, a < ``rep.dim``, at
+        radius radii[r], each of its nodes weighing node_weights[r]; it is
+        nodes r dim ... (r + 1) dim - 1 of ``nodes(rep)``.
+        """
+        return self._radial_rule(rep, None, rep.dim)
 
     def nodes(self, rep: LieAlgebraRep, n_polar: int | None = None,
               n_azim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -62,14 +62,13 @@ def displace(rep: LieAlgebraRep, omega: complex) -> CoherentState:
     return CoherentState(family=rep.family, dim=rep.dim, rho=rho, phi=phi, vector=vec)
 
 
-def _ring_amplitudes(rep: LieAlgebraRep, rhos) -> tuple[np.ndarray, np.ndarray]:
-    """The family's amplitudes once per distinct radius (columns) and each point's column."""
-    rhos = np.asarray(rhos, dtype=float)
-    if (rhos < 0).any():
-        raise ValueError(f"rho must be nonnegative, got {rhos.min()}")
-    radii, ring = np.unique(rhos, return_inverse=True)
+def amplitude_columns(rep: LieAlgebraRep, radii) -> np.ndarray:
+    """Column r: the family's closed-form amplitudes at radii[r]."""
+    radii = np.asarray(radii, dtype=float)
+    if (radii < 0).any():
+        raise ValueError(f"rho must be nonnegative, got {radii.min()}")
     family = lookup(rep.family)
-    return np.stack([family.amplitudes(rep, float(r)) for r in radii], axis=1), ring
+    return np.stack([family.amplitudes(rep, float(r)) for r in radii], axis=1)
 
 
 def _phased(rep: LieAlgebraRep, amps: np.ndarray, ring: np.ndarray, phis) -> np.ndarray:
@@ -91,7 +90,8 @@ def coherent_table(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
     state (its norm is < 1 when the tail is cut).  Quadratures cut that
     tail on purpose; point queries go through ``coherent_points``.
     """
-    return _phased(rep, *_ring_amplitudes(rep, rhos), phis)
+    radii, ring = np.unique(rhos, return_inverse=True)
+    return _phased(rep, amplitude_columns(rep, radii), ring, phis)
 
 
 def coherent_points(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
@@ -103,7 +103,8 @@ def coherent_points(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
     the lost norm, not ``displace``'s mass above ``valid_dim``, which a
     cut that still holds the whole state can carry.)
     """
-    amps, ring = _ring_amplitudes(rep, rhos)
+    radii, ring = np.unique(rhos, return_inverse=True)
+    amps = amplitude_columns(rep, radii)
     lost = 1.0 - np.sum(amps ** 2, axis=0)
     if lost.max() > TAIL_MASS_LIMIT:
         raise ValueError(

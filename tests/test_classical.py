@@ -11,7 +11,7 @@ from clocklab.algebra import (
     intensive_h4_clock,
     intensive_su2_clock,
 )
-from clocklab import classical, families
+from clocklab import classical
 from clocklab.classical import (
     beta_distribution,
     chart_hamiltonian,
@@ -32,7 +32,7 @@ from clocklab.constraint import (
     random_profile,
 )
 from clocklab.dynamics import energy_of_rho, quantum_flow_rate, resonant_ladder
-from clocklab.families import Family, lookup
+from clocklab.families import lookup
 from clocklab.gcs import clock_symbol_analytic, coherent_table, coherent_vector
 
 SU2 = intensive_su2_clock(10.0)
@@ -369,19 +369,24 @@ def circulant_density(psi, clock):
     return np.abs(per_t[ring[:, None], ring[None, :], t]) ** 2
 
 
-def ring_pair_counts(mask, rho_c, rho_g):
-    """Nodes of ``mask`` per (clock ring, system ring) pair."""
-    starts_c = np.r_[0, np.flatnonzero(np.diff(rho_c)) + 1]
-    starts_g = np.r_[0, np.flatnonzero(np.diff(rho_g)) + 1]
-    return np.add.reduceat(np.add.reduceat(mask.astype(np.int64), starts_c, axis=0),
-                           starts_g, axis=1)
+def ring_starts(clock):
+    """First node of each ring of ``clock``'s default nodes, read from their radii."""
+    rho = lookup(clock.rep.family).nodes(clock.rep)[0]
+    return np.r_[0, np.flatnonzero(np.diff(rho)) + 1]
 
 
-def ring_pair_and_t(node, rho, n_azim):
-    """(clock ring, system ring, t) of a (clock node, system node) on one grid."""
-    starts = np.r_[0, np.flatnonzero(np.diff(rho)) + 1]
+def ring_pair_counts(mask, clock):
+    """Nodes of ``mask`` per (clock ring, system ring) pair, both sides on ``clock``'s nodes."""
+    starts = ring_starts(clock)
+    return np.add.reduceat(np.add.reduceat(mask.astype(np.int64), starts, axis=0),
+                           starts, axis=1)
+
+
+def ring_pair_and_t(node, clock):
+    """(clock ring, system ring, t) of a (clock node, system node) on ``clock``'s nodes."""
+    starts = ring_starts(clock)
     (r, a), (s, b) = ((np.searchsorted(starts, i, side="right") - 1, i) for i in node)
-    return r, s, (a - starts[r] + b - starts[s]) % n_azim
+    return r, s, (a - starts[r] + b - starts[s]) % clock.dim
 
 
 def beta_state(family, profile, size):
@@ -420,12 +425,11 @@ def test_beta_equals_the_streamed_sweep(family, profile, size, threshold):
     dens = circulant_density(psi, clock)
     assert beta.peak == tuple(np.argwhere(dens == dens.max())[0])
     assert np.array_equal(beta.support_counts, ring_pair_counts(
-        dens >= threshold * dens.max(), beta.rho_clock, beta.rho_system))
+        dens >= threshold * dens.max(), clock))
     if threshold == 1.0:
         return
     norm, peak, counts = streamed_beta(psi, clock, clock, threshold)
-    assert (ring_pair_and_t(beta.peak, beta.rho_clock, clock.dim)
-            == ring_pair_and_t(peak, beta.rho_clock, clock.dim))
+    assert ring_pair_and_t(beta.peak, clock) == ring_pair_and_t(peak, clock)
     assert np.array_equal(beta.support_counts, counts)
     assert abs(beta.normalization - norm) <= 1e-14 * norm
 
@@ -439,18 +443,8 @@ def test_gaussian_beta_peak_breaks_exact_ties_row_major(j):
     ties = np.argwhere(dens == dens.max())
     assert len(ties) % clock.dim == 0 and len(ties) >= clock.dim > 1
     assert beta.peak == tuple(ties[0])
-    assert beta.peak[0] in np.r_[0, np.flatnonzero(np.diff(beta.rho_clock)) + 1]
+    assert beta.peak[0] in ring_starts(clock)
     assert beta.support_counts.sum() == len(ties)
-
-
-def test_beta_refuses_an_aliasing_azimuthal_ring(monkeypatch):
-    """A ring with fewer than dim azimuthal nodes would alias Parseval's sum."""
-    clock, psi = beta_state("h4", "gaussian", 16.0)
-    assert clock.dim - 1 >= clock.rep.valid_dim  # the nodes themselves are accepted
-    monkeypatch.setattr(families.h4, "nodes", lambda rep: Family.nodes(
-        families.h4, rep, n_azim=rep.dim - 1))
-    with pytest.raises(ValueError, match="alias"):
-        beta_distribution(psi, clock, clock)
 
 
 def spy(monkeypatch, name):
@@ -492,7 +486,7 @@ def test_off_diagonal_psi_takes_the_circulant_route(monkeypatch, delta):
         dens = circulant_density(psi, clock)
         assert beta.peak == tuple(np.argwhere(dens == dens.max())[0])
         assert np.array_equal(beta.support_counts, ring_pair_counts(
-            dens >= threshold * dens.max(), beta.rho_clock, beta.rho_system))
+            dens >= threshold * dens.max(), clock))
         assert abs(beta.normalization - 1.0) < 1e-12
     assert circulant == ["_circulant_rows"] * 3
 

@@ -227,6 +227,40 @@ def test_one_point_phi_grid_exits_two(tmp_path):
         cli.load_config(None, {"sch_phi_points": 1}, [])
 
 
+def test_one_size_phase_sweep_exits_two(tmp_path):
+    """One size leaves no pair: both expectation-sweep gates passed over zero pairs."""
+    assert run(["phase-audit", "--sizes", "10", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(cli.ConfigError, match="ph_sizes"):
+        cli.load_config(None, {"ph_sizes": "10"}, [])
+
+
+def test_one_point_symbol_grid_exits_two(tmp_path, capsys):
+    """One point is rho = 0 alone, where both symbols vanish: every family passed with 0.0."""
+    assert run(["symbol", "--points", "1", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert "config error" in capsys.readouterr().err
+    with pytest.raises(cli.ConfigError, match="sym_points"):
+        cli.load_config(None, {"sym_points": 1}, [])
+    # the single-point mode takes its radius from sym_rho, not from the grid
+    assert cli.load_config(None, {"sym_points": 1, "sym_rho": "0.5", "sym_algebra": "su2"},
+                           [])["sym_points"] == 1
+
+
+@pytest.mark.parametrize("value", ["3", "1,2.5", "0"])
+def test_hamilton_system_size_outside_one_and_two_exits_two(tmp_path, capsys, value):
+    """--js 3 used to end in a KeyError traceback with exit 1."""
+    assert run(["hamilton", f"--js={value}", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_every_subcommand_has_flags_and_a_runner():
+    """One table of subcommands: the runners plus ``all``."""
+    assert tuple(cli._FLAG_MAP) == cli.SUBCOMMANDS == (*cli._RUNNERS, "all")
+
+
 @pytest.mark.parametrize("value", ["2", "0", "-1"])
 def test_support_threshold_outside_unit_interval_exits_two(tmp_path, value):
     """--threshold 2 used to end in a traceback; 0 or -1 turned the support cut off."""

@@ -110,6 +110,24 @@ def test_half_integer_spin_takes_j_plus_half_radial_nodes():
     assert identity_resolution_check(rep, n_polar=2) > 0.1
 
 
+def test_rings_are_the_default_nodes():
+    """Ring r is nodes r dim ... (r + 1) dim - 1: one radius, one weight, the uniform grid.
+
+    A family without a normalizable measure refuses, like its nodes.
+    """
+    for rep in ([build_su2_rep(j) for j in (0.5, 3.0, 10.5, 40.0)]
+                + [build_h4_rep(n) for n in (4, 48, 256)]):
+        family = FAMILIES[rep.family]
+        radii, weights = family.rings(rep)
+        rho, phi, w = family.nodes(rep)
+        assert np.array_equal(np.repeat(radii, rep.dim), rho)
+        assert np.array_equal(np.repeat(weights, rep.dim), w)
+        grid = 2 * np.pi * np.arange(rep.dim) / rep.dim
+        assert np.array_equal(np.tile(grid, len(radii)), phi)
+    with pytest.raises(ValueError, match="no normalizable manifold measure"):
+        FAMILIES["su11"].rings(build_su11_rep(1.0, 32))
+
+
 def test_nodes_refuse_an_aliasing_azimuthal_grid():
     """Fewer phase points than the valid dimension alias the cross terms n - m.
 
