@@ -456,14 +456,18 @@ def intensive_su2_clock(j: float) -> ClockModel:
     return build_clock(rep, scale=1.0 / (2 * rep.params["j"]))
 
 
-def intensive_h4_clock(mean_n: float, buffer_sigmas: float = 8.0) -> ClockModel:
+# Poisson widths of headroom an intensive oscillator clock keeps above its mean
+_H4_BUFFER_SIGMAS = 8.0
+
+
+def intensive_h4_clock(mean_n: float) -> ClockModel:
     """Oscillator clock sized for states of mean excitation ``mean_n``.
 
     Scale 1/mean_n keeps the symbol at the working point of order one;
-    the cutoff leaves ``buffer_sigmas`` Poisson widths of headroom.
+    the cutoff leaves ``_H4_BUFFER_SIGMAS`` Poisson widths of headroom.
     """
     if mean_n <= 0:
         raise ValueError("mean_n must be positive")
-    n_cut = int(np.ceil(mean_n + buffer_sigmas * np.sqrt(mean_n))) + 2
+    n_cut = int(np.ceil(mean_n + _H4_BUFFER_SIGMAS * np.sqrt(mean_n))) + 2
     rep = build_h4_rep(n_cut)
     return build_clock(rep, scale=1.0 / mean_n)

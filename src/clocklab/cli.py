@@ -93,97 +93,118 @@ class ConfigError(Exception):
 # --- configuration ----------------------------------------------------------
 #
 # One flat namespace configures every subcommand, so a single file can
-# drive an `all` run.  Each key has a type tag used both to validate the
-# file and to canonicalize the echo text that gets hashed.
+# drive an `all` run.  `_TABLE` declares each key once, in the group of the
+# subcommand that reads it: a type tag used both to validate the file and to
+# canonicalize the echo text that gets hashed, a default and, where the
+# subcommand exposes it, a flag ("--out DIR" shows DIR as metavar) and its
+# help.  Every subcommand has the common flags; tolerances only
+# --tol-override.  `_KEYS` is the flat view, key -> (type tag, default).
 
-_KEYS: dict[str, tuple[str, object]] = {
-    "out": ("str", "runs"),
-    "seed": ("int", 2026),
-    # verify-algebra
-    "alg_su2_j": ("floatlist", (0.5, 2.0, 10.0, 25.0, 50.0)),
-    "alg_h4_cut": ("int", 256),
-    "alg_su11_k": ("float", 0.5),
-    "alg_su11_cut": ("int", 64),
-    # bch-check
-    "bch_su2_j": ("floatlist", (0.5, 2.0, 10.0, 25.0)),
-    "bch_h4_cut": ("int", 48),
-    "bch_points": ("int", 12),
-    "bch_rho_max": ("float", 0.7),
-    # symbol
-    "sym_algebra": ("str", "all"),
-    "sym_rho": ("str", ""),
-    "sym_points": ("int", 15),
-    "sym_su2_j": ("float", 10.0),
-    "sym_h4_mean": ("float", 24.0),
-    "sym_su11_k": ("float", 0.5),
-    "sym_su11_cut": ("int", 96),
-    # identity-resolution
-    "idr_j": ("float", 3.0),
-    "idr_h4_cut": ("int", 48),
-    # constraint
-    "con_j": ("float", 10.0),
-    "con_rho": ("float", 0.55),
-    "con_phi": ("float", 0.3),
-    "con_width": ("float", 0.18),
-    "con_profile": ("str", "gaussian"),
-    # schrodinger
-    "sch_j": ("float", 10.0),
-    "sch_rho": ("float", 0.45),
-    "sch_phi": ("float", 0.6),
-    "sch_h": ("float", 1e-4),
-    "sch_width": ("float", 0.2),
-    "sch_phi_points": ("int", 25),
-    # stationary-sweep
-    "stat_family": ("str", "su2"),
-    "stat_sizes": ("floatlist", (5.0, 10.0, 20.0, 40.0)),
-    "stat_rho": ("float", 0.6),
-    "stat_width": ("float", 0.25),
-    # phase-audit
-    "ph_j": ("float", 20.0),
-    "ph_grid_j": ("float", 15.0),
-    "ph_grid_n": ("int", 15),
-    "ph_rho_min": ("float", 0.04),
-    "ph_rho_max": ("float", 0.36),
-    "ph_small_rho": ("float", 0.2),
-    "ph_small_phi": ("float", 0.05),
-    "ph_sizes": ("floatlist", (10.0, 20.0, 40.0, 80.0)),
-    "ph_exp_rho": ("float", 0.3),
-    "ph_exp_phi": ("float", 0.8),
-    # classical-limit
-    "cls_sizes": ("floatlist", (5.0, 10.0, 20.0)),
-    "cls_rho": ("float", 0.55),
-    "cls_width": ("float", 0.18),
-    "cls_sep_j": ("float", 3.0),
-    "cls_threshold": ("float", 1e-6),
-    # hamilton
-    "ham_su2_j": ("float", 10.0),
-    "ham_h4_mean": ("float", 32.0),
-    "ham_grid": ("int", 20),
-    "ham_rho": ("float", 0.5),
-    "ham_phi": ("float", 0.7),
-    "ham_js": ("floatlist", (1.0, 2.0)),
-    # tolerances (all overridable via --tol-override)
-    "tol_cartan": ("float", 1e-12),
-    "tol_bch": ("float", 1e-10),
-    "tol_symbol_su2": ("float", 1e-10),
-    "tol_symbol_h4": ("float", 1e-8),
-    "tol_symbol_su11": ("float", 1e-8),
-    "tol_identity_su2": ("float", 1e-8),
-    "tol_identity_h4": ("float", 1e-6),
-    "tol_constraint_energy": ("float", 1e-10),
-    "tol_chi2_identity": ("float", 1e-10),
-    "tol_precs": ("float", 1e-8),
-    "tol_slope": ("float", 0.1),
-    "tol_propagator": ("float", 1e-9),
-    "tol_chi2_drift": ("float", 1e-12),
-    "tol_phase_interior": ("float", 1e-10),
-    "tol_slack": ("float", 1e-12),
-    "tol_small_phi": ("float", 0.05),
-    "tol_beta_norm": ("float", 1e-6),
-    "tol_pullback": ("float", 1e-10),
-    "tol_hamilton": ("float", 1e-10),
-    "tol_flow_match": ("float", 1e-10),
+_TABLE: dict[str, dict[str, tuple]] = {
+    "common": {
+        "out": ("str", "runs", "--out DIR", "output root directory"),
+        "seed": ("int", 2026, "--seed N", "seed for random coefficient profiles"),
+    },
+    "verify-algebra": {
+        "alg_su2_j": ("floatlist", (0.5, 2.0, 10.0, 25.0, 50.0),
+                      "--su2-j", "comma list of spin sizes"),
+        "alg_h4_cut": ("int", 256, "--h4-cut", "oscillator cutoff"),
+        "alg_su11_k": ("float", 0.5),
+        "alg_su11_cut": ("int", 64),
+    },
+    "bch-check": {
+        "bch_su2_j": ("floatlist", (0.5, 2.0, 10.0, 25.0), "--su2-j", "comma list of spin sizes"),
+        "bch_h4_cut": ("int", 48, "--h4-cut", "oscillator cutoff"),
+        "bch_points": ("int", 12, "--points", "grid points per axis"),
+        "bch_rho_max": ("float", 0.7),
+    },
+    "symbol": {
+        "sym_algebra": ("str", "all", "--algebra", "su2, h4, su11, or all"),
+        "sym_rho": ("str", "", "--rho", "evaluate at one radial point"),
+        "sym_points": ("int", 15, "--points", "points per family grid"),
+        "sym_su2_j": ("float", 10.0),
+        "sym_h4_mean": ("float", 24.0),
+        "sym_su11_k": ("float", 0.5),
+        "sym_su11_cut": ("int", 96),
+    },
+    "identity-resolution": {
+        "idr_j": ("float", 3.0, "--j", "spin size"),
+        "idr_h4_cut": ("int", 48, "--h4-cut", "oscillator cutoff"),
+    },
+    "constraint": {
+        "con_j": ("float", 10.0, "--j", "spin size"),
+        "con_profile": ("str", "gaussian", "--profile", "gaussian or random"),
+        "con_rho": ("float", 0.55, "--rho", "probe radius"),
+        "con_phi": ("float", 0.3),
+        "con_width": ("float", 0.18, "--width", "profile energy width"),
+    },
+    "schrodinger": {
+        "sch_j": ("float", 10.0, "--j", "spin size"),
+        "sch_rho": ("float", 0.45, "--rho", "probe radius"),
+        "sch_phi": ("float", 0.6, "--phi", "probe angle"),
+        "sch_h": ("float", 1e-4, "--step", "difference step"),
+        "sch_width": ("float", 0.2),
+        "sch_phi_points": ("int", 25),
+    },
+    "stationary-sweep": {
+        "stat_family": ("str", "su2", "--family", "su2 or h4"),
+        "stat_sizes": ("floatlist", (5.0, 10.0, 20.0, 40.0),
+                       "--sizes", "comma list of clock sizes"),
+        "stat_rho": ("float", 0.6, "--rho", "probe radius"),
+        "stat_width": ("float", 0.25, "--width", "profile energy width"),
+    },
+    "phase-audit": {
+        "ph_j": ("float", 20.0, "--j", "commutator clock spin"),
+        "ph_grid_j": ("float", 15.0),
+        "ph_grid_n": ("int", 15, "--grid", "uncertainty grid points per axis"),
+        "ph_rho_min": ("float", 0.04),
+        "ph_rho_max": ("float", 0.36),
+        "ph_small_rho": ("float", 0.2),
+        "ph_small_phi": ("float", 0.05),
+        "ph_sizes": ("floatlist", (10.0, 20.0, 40.0, 80.0),
+                     "--sizes", "comma list of 2j sweep sizes"),
+        "ph_exp_rho": ("float", 0.3),
+        "ph_exp_phi": ("float", 0.8),
+    },
+    "classical-limit": {
+        "cls_sizes": ("floatlist", (5.0, 10.0, 20.0), "--sizes", "comma list of spin sizes"),
+        "cls_rho": ("float", 0.55, "--rho", "profile center radius"),
+        "cls_width": ("float", 0.18, "--width", "profile energy width"),
+        "cls_sep_j": ("float", 3.0),
+        "cls_threshold": ("float", 1e-6, "--threshold", "support cut fraction"),
+    },
+    "hamilton": {
+        "ham_su2_j": ("float", 10.0, "--su2-j", "spin size"),
+        "ham_h4_mean": ("float", 32.0, "--h4-mean", "oscillator mean excitation"),
+        "ham_grid": ("int", 20, "--grid", "grid points per axis"),
+        "ham_rho": ("float", 0.5),
+        "ham_phi": ("float", 0.7),
+        "ham_js": ("floatlist", (1.0, 2.0), "--js", "comma list of system manifold sizes"),
+    },
+    "tolerance": {
+        "tol_cartan": ("float", 1e-12),
+        "tol_bch": ("float", 1e-10),
+        "tol_symbol_su2": ("float", 1e-10),
+        "tol_symbol_h4": ("float", 1e-8),
+        "tol_symbol_su11": ("float", 1e-8),
+        "tol_identity_su2": ("float", 1e-8),
+        "tol_identity_h4": ("float", 1e-6),
+        "tol_constraint_energy": ("float", 1e-10),
+        "tol_chi2_identity": ("float", 1e-10),
+        "tol_precs": ("float", 1e-8),
+        "tol_slope": ("float", 0.1),
+        "tol_propagator": ("float", 1e-9),
+        "tol_chi2_drift": ("float", 1e-12),
+        "tol_phase_interior": ("float", 1e-10),
+        "tol_slack": ("float", 1e-12),
+        "tol_small_phi": ("float", 0.05),
+        "tol_beta_norm": ("float", 1e-6),
+        "tol_pullback": ("float", 1e-10),
+        "tol_hamilton": ("float", 1e-10),
+        "tol_flow_match": ("float", 1e-10),
+    },
 }
+_KEYS = {key: spec[:2] for group in _TABLE.values() for key, spec in group.items()}
 
 
 def _finite(raw: object) -> float:
@@ -256,7 +277,7 @@ def load_config(path: str | None, overrides: dict[str, object],
         key = key.strip()
         if not key.startswith("tol_"):
             key = "tol_" + key
-        if key not in _KEYS or _KEYS[key][0] != "float":
+        if key not in _TABLE["tolerance"]:
             raise ConfigError(f"unknown tolerance {key!r}")
         cfg[key] = _cast(key, value.strip())
     for key, (kind, _) in _KEYS.items():
@@ -269,8 +290,9 @@ def load_config(path: str | None, overrides: dict[str, object],
     if cfg["sch_phi_points"] < 2:
         raise ConfigError(f"'sch_phi_points' must be at least 2, got {cfg['sch_phi_points']!r}")
     # one size leaves no pair to compare, and all() over no pair is true
-    if len(cfg["ph_sizes"]) < 2:
-        raise ConfigError(f"'ph_sizes' needs at least 2 sizes, got {len(cfg['ph_sizes'])}")
+    for key in ("ph_sizes", "cls_sizes"):
+        if len(cfg[key]) < 2:
+            raise ConfigError(f"{key!r} needs at least 2 sizes, got {len(cfg[key])}")
     # one grid point is rho = 0 alone, where both symbols vanish exactly
     if not cfg["sym_rho"] and cfg["sym_points"] < 2:
         raise ConfigError(f"'sym_points' must be at least 2, got {cfg['sym_points']!r}")
@@ -346,7 +368,7 @@ def write_outputs(cfg: dict[str, object], sub: str, header: Sequence[str],
         "tolerances": {k: v for k, v in sorted(cfg.items()) if k.startswith("tol_")},
         "checks": checks,
     }
-    out = _run_dir(pathlib.Path(str(cfg["out"])), sub)
+    out = _run_dir(pathlib.Path(cfg["out"]), sub)
     with open(out / "data.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -371,13 +393,19 @@ def _check(check_id: str, passed: bool, **metrics: object) -> dict:
     return entry
 
 
+def _gate(cfg: dict[str, object], check_id: str, tol_name: str, **metrics: object) -> dict:
+    """A check that passes when its first metric, which it reports, is at most the tolerance."""
+    tol = cfg[tol_name]
+    return _check(check_id, next(iter(metrics.values())) <= tol, **metrics, tolerance=tol)
+
+
 # --- subcommand bodies ------------------------------------------------------
 
 def run_verify_algebra(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     tol = cfg["tol_cartan"]
     reps = [build_su2_rep(j) for j in cfg["alg_su2_j"]]
-    reps.append(build_h4_rep(int(cfg["alg_h4_cut"])))
-    reps.append(build_su11_rep(float(cfg["alg_su11_k"]), int(cfg["alg_su11_cut"])))
+    reps.append(build_h4_rep(cfg["alg_h4_cut"]))
+    reps.append(build_su11_rep(cfg["alg_su11_k"], cfg["alg_su11_cut"]))
     rows, checks = [], []
     for rep in reps:
         rpt = verify_cartan(rep, tol=tol)
@@ -398,14 +426,12 @@ def run_verify_algebra(cfg: dict[str, object]) -> tuple[list[str], list, list[di
 
 
 def run_bch_check(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
-    tol = cfg["tol_bch"]
-    n = int(cfg["bch_points"])
-    rho_max = float(cfg["bch_rho_max"])
+    n = cfg["bch_points"]
     # the grid rho-major, one point per (rho, phi)
-    rhos = np.repeat(np.linspace(0.02, rho_max, n), n)
+    rhos = np.repeat(np.linspace(0.02, cfg["bch_rho_max"], n), n)
     phis = np.tile(np.linspace(0.0, 2 * np.pi, n, endpoint=False), n)
     cases = [("su2", j, build_su2_rep(j)) for j in cfg["bch_su2_j"]]
-    cases.append(("h4", float(cfg["bch_h4_cut"]), build_h4_rep(int(cfg["bch_h4_cut"]))))
+    cases.append(("h4", cfg["bch_h4_cut"], build_h4_rep(cfg["bch_h4_cut"])))
     rows, checks = [], []
     for family, size, rep in cases:
         # the expm oracle point by point, the closed forms as one table
@@ -417,7 +443,7 @@ def run_bch_check(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
         diff = float(np.max(np.linalg.norm(direct[:sub] - closed[:sub], axis=0)))
         rows.append([family, rep.dim, n * n, diff])
         label = f"bch-{family}-j{size!r}" if family == "su2" else f"bch-h4-n{rep.dim}"
-        checks.append(_check(label, diff <= tol, max_difference=diff, tolerance=tol))
+        checks.append(_gate(cfg, label, "tol_bch", max_difference=diff))
         _progress(f"[bch-check] {family} dim {rep.dim}: max diff {diff:.3e}")
     return ["family", "dim", "grid_points", "max_difference"], rows, checks
 
@@ -436,58 +462,56 @@ def _symbol_rows(clock, family: str, rhos: Sequence[float], relative: bool):
 
 
 def run_symbol(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
-    choice = str(cfg["sym_algebra"])
-    n = int(cfg["sym_points"])
+    choice = cfg["sym_algebra"]
+    n = cfg["sym_points"]
     single = float(cfg["sym_rho"]) if cfg["sym_rho"] else None
     rows, checks = [], []
     plans = []
     if choice in ("all", "su2"):
-        plans.append(("su2", intensive_su2_clock(float(cfg["sym_su2_j"])),
-                      np.linspace(0.0, 0.7, n), False, cfg["tol_symbol_su2"]))
+        plans.append(("su2", intensive_su2_clock(cfg["sym_su2_j"]),
+                      np.linspace(0.0, 0.7, n), False))
     if choice in ("all", "h4"):
-        plans.append(("h4", intensive_h4_clock(float(cfg["sym_h4_mean"])),
-                      np.linspace(0.0, 1.5, n), True, cfg["tol_symbol_h4"]))
+        plans.append(("h4", intensive_h4_clock(cfg["sym_h4_mean"]),
+                      np.linspace(0.0, 1.5, n), True))
     if choice in ("all", "su11"):
-        rep = build_su11_rep(float(cfg["sym_su11_k"]), int(cfg["sym_su11_cut"]))
-        plans.append(("su11", build_clock(rep), np.linspace(0.0, 0.5, n), True,
-                      cfg["tol_symbol_su11"]))
-    for family, clock, rhos, relative, tol in plans:
+        rep = build_su11_rep(cfg["sym_su11_k"], cfg["sym_su11_cut"])
+        plans.append(("su11", build_clock(rep), np.linspace(0.0, 0.5, n), True))
+    for family, clock, rhos, relative in plans:
         if single is not None:
             rhos = [single]
         fam_rows, worst = _symbol_rows(clock, family, rhos, relative)
         rows.extend(fam_rows)
         kind = "rel" if relative else "abs"
-        checks.append(_check(f"symbol-{family}", worst <= tol,
-                             worst_error=worst, error_kind=kind, tolerance=tol))
+        checks.append(_gate(cfg, f"symbol-{family}", f"tol_symbol_{family}", worst_error=worst,
+                            error_kind=kind))
         _progress(f"[symbol] {family}: worst {kind} error {worst:.3e} over {len(rhos)} points")
     return ["family", "rho", "numeric", "analytic", "error"], rows, checks
 
 
 def run_identity_resolution(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
-    j = float(cfg["idr_j"])
-    cut = int(cfg["idr_h4_cut"])
-    cases = [("su2", build_su2_rep(j), f"identity-su2-j{_canon('idr_j', j)}",
-              cfg["tol_identity_su2"]),
-             ("h4", build_h4_rep(cut), f"identity-h4-n{cut}", cfg["tol_identity_h4"])]
+    j = cfg["idr_j"]
+    cut = cfg["idr_h4_cut"]
+    cases = [("su2", build_su2_rep(j), f"identity-su2-j{_canon('idr_j', j)}"),
+             ("h4", build_h4_rep(cut), f"identity-h4-n{cut}")]
     rows, checks = [], []
-    for family, rep, label, tol in cases:
+    for family, rep, label in cases:
         deviation = identity_resolution_check(rep)
         rows.append([family, len(lookup(family).nodes(rep)[0]), deviation])
-        checks.append(_check(label, deviation <= tol, deviation=deviation, tolerance=tol))
+        checks.append(_gate(cfg, label, f"tol_identity_{family}", deviation=deviation))
         _progress(f"[identity-resolution] {family}: deviation {deviation:.3e}")
     return ["family", "nodes", "deviation"], rows, checks
 
 
 def run_constraint(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
-    clock = intensive_su2_clock(float(cfg["con_j"]))
+    clock = intensive_su2_clock(cfg["con_j"])
     h_system = resonant_ladder(clock, clock.dim)
     match = ladder_match(clock, h_system)
-    rho, phi = float(cfg["con_rho"]), float(cfg["con_phi"])
+    rho, phi = cfg["con_rho"], cfg["con_phi"]
     if cfg["con_profile"] == "random":
-        coeff = random_profile(match, int(cfg["seed"]))
+        coeff = random_profile(match, cfg["seed"])
     else:
         coeff = gaussian_profile(match, center=energy_of_rho(clock, rho),
-                                 width=float(cfg["con_width"]))
+                                 width=cfg["con_width"])
     psi = build_psi(match, coeff)
     h_total = total_hamiltonian(clock.h_c, h_system)
     energy_residual = float(np.linalg.norm(h_total @ psi.vector))
@@ -501,16 +525,12 @@ def run_constraint(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]
             for (i, k), c in zip(psi.pairs, psi.coefficients)]
     rows.append(["chi2", 0, 0, chi_a, chi_b])
     checks = [
-        _check("energy-residual", energy_residual <= cfg["tol_constraint_energy"],
-               residual=energy_residual, tolerance=cfg["tol_constraint_energy"]),
-        _check("chi2-phase-independence", phase_independence <= cfg["tol_chi2_identity"],
-               residual=phase_independence, tolerance=cfg["tol_chi2_identity"]),
-        _check("chi2-density-identity", identity <= cfg["tol_chi2_identity"],
-               residual=identity, tolerance=cfg["tol_chi2_identity"]),
+        _gate(cfg, "energy-residual", "tol_constraint_energy", residual=energy_residual),
+        _gate(cfg, "chi2-phase-independence", "tol_chi2_identity", residual=phase_independence),
+        _gate(cfg, "chi2-density-identity", "tol_chi2_identity", residual=identity),
         _check("entanglement-entropy", psi.entanglement_entropy > 0.1,
                entropy=psi.entanglement_entropy, pairs=len(psi.pairs)),
-        _check("conditional-decomposition", precs <= cfg["tol_precs"],
-               residual=precs, tolerance=cfg["tol_precs"]),
+        _gate(cfg, "conditional-decomposition", "tol_precs", residual=precs),
     ]
     _progress(f"[constraint] |H psi| {energy_residual:.3e}, entropy "
               f"{psi.entanglement_entropy:.4f}, decomposition {precs:.3e}")
@@ -518,13 +538,13 @@ def run_constraint(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]
 
 
 def run_schrodinger(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
-    clock = intensive_su2_clock(float(cfg["sch_j"]))
+    clock = intensive_su2_clock(cfg["sch_j"])
     h_system = resonant_ladder(clock, clock.dim)
-    rho, phi = float(cfg["sch_rho"]), float(cfg["sch_phi"])
+    rho, phi = cfg["sch_rho"], cfg["sch_phi"]
     psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho),
-                         width=float(cfg["sch_width"]))
-    res = schrodinger_residual(psi, clock, h_system, rho, phi, h=float(cfg["sch_h"]))
-    phis = np.linspace(0.0, 2 * np.pi, int(cfg["sch_phi_points"]))
+                         width=cfg["sch_width"])
+    res = schrodinger_residual(psi, clock, h_system, rho, phi, h=cfg["sch_h"])
+    phis = np.linspace(0.0, 2 * np.pi, cfg["sch_phi_points"])
     prop = propagator_deviation(psi, clock, h_system, rho, phis)
     rate = quantum_flow_rate(psi, clock, h_system, rho)
     rate_err = abs(rate - clock.epsilon)
@@ -539,11 +559,9 @@ def run_schrodinger(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]
         _check("richardson-slope", abs(res.richardson_slope - 2.0) <= cfg["tol_slope"],
                richardson_slope=res.richardson_slope, residual=res.value,
                tolerance=cfg["tol_slope"]),
-        _check("propagator-deviation", prop.max_deviation <= cfg["tol_propagator"],
-               deviation=prop.max_deviation, points=prop.n_points,
-               tolerance=cfg["tol_propagator"]),
-        _check("chi2-drift", prop.chi2_drift <= cfg["tol_chi2_drift"],
-               drift=prop.chi2_drift, tolerance=cfg["tol_chi2_drift"]),
+        _gate(cfg, "propagator-deviation", "tol_propagator", deviation=prop.max_deviation,
+              points=prop.n_points),
+        _gate(cfg, "chi2-drift", "tol_chi2_drift", drift=prop.chi2_drift),
         _check("flow-rate-match", rate_err <= cfg["tol_flow_match"],
                rate=rate, expected=clock.epsilon, tolerance=cfg["tol_flow_match"]),
     ]
@@ -553,9 +571,9 @@ def run_schrodinger(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]
 
 
 def run_stationary_sweep(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
-    family = str(cfg["stat_family"])
+    family = cfg["stat_family"]
     sizes = [int(round(s)) for s in cfg["stat_sizes"]]
-    rho, width = float(cfg["stat_rho"]), float(cfg["stat_width"])
+    rho, width = cfg["stat_rho"], cfg["stat_width"]
     if family == "su2":
         def experiment(size: int):
             return su2_stationary_experiment(float(size), rho=rho, width=width)
@@ -578,24 +596,22 @@ def run_stationary_sweep(cfg: dict[str, object]) -> tuple[list[str], list, list[
 
 
 def run_phase_audit(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
-    clock = build_clock(build_su2_rep(float(cfg["ph_j"])))
+    clock = build_clock(build_su2_rep(cfg["ph_j"]))
     phase = build_phase_operator(clock)
     comm = commutator_check(clock, phase)
 
-    grid_clock = build_clock(build_su2_rep(float(cfg["ph_grid_j"])))
+    grid_clock = build_clock(build_su2_rep(cfg["ph_grid_j"]))
     grid_phase = build_phase_operator(grid_clock)
-    n = int(cfg["ph_grid_n"])
-    rhos = np.linspace(float(cfg["ph_rho_min"]), float(cfg["ph_rho_max"]), n)
+    n = cfg["ph_grid_n"]
+    rhos = np.linspace(cfg["ph_rho_min"], cfg["ph_rho_max"], n)
     phis = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     worst_slack = uncertainty_grid_audit(grid_clock, grid_phase, rhos, phis)
 
-    et = small_phi_energy_time(grid_clock, grid_phase,
-                               float(cfg["ph_small_rho"]), float(cfg["ph_small_phi"]))
+    et = small_phi_energy_time(grid_clock, grid_phase, cfg["ph_small_rho"], cfg["ph_small_phi"])
     small_dev = abs(et.ratio - 1.0)
 
     sizes = [int(round(s)) for s in cfg["ph_sizes"]]
-    records = classical_phase_expectations("su2", sizes,
-                                           float(cfg["ph_exp_rho"]), float(cfg["ph_exp_phi"]))
+    records = classical_phase_expectations("su2", sizes, cfg["ph_exp_rho"], cfg["ph_exp_phi"])
     sin_errs = [r.err_sin for r in records]
     cos_errs = [r.err_cos for r in records]
     sin_mono = all(a > b for a, b in zip(sin_errs, sin_errs[1:]))
@@ -608,9 +624,8 @@ def run_phase_audit(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]
     rows.extend(["expectation", float(size), rec.err_sin, rec.err_cos]
                 for size, rec in zip(sizes, records))
     checks = [
-        _check("interior-commutator", comm.interior_residual <= cfg["tol_phase_interior"],
-               residual=comm.interior_residual, full_residual=comm.full_residual,
-               tolerance=cfg["tol_phase_interior"]),
+        _gate(cfg, "interior-commutator", "tol_phase_interior",
+              residual=comm.interior_residual, full_residual=comm.full_residual),
         _check("uncertainty-slack", worst_slack >= -cfg["tol_slack"],
                worst_slack=worst_slack, tolerance=cfg["tol_slack"]),
         _check("small-phi-product", small_dev <= cfg["tol_small_phi"],
@@ -624,15 +639,12 @@ def run_phase_audit(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]
 
 
 def run_classical_limit(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
-    sizes = list(cfg["cls_sizes"])
-    rho, width = float(cfg["cls_rho"]), float(cfg["cls_width"])
-    threshold = float(cfg["cls_threshold"])
     rows, norm_devs, reports = [], [], []
-    for j in sizes:
+    for j in cfg["cls_sizes"]:
         clock = intensive_su2_clock(j)
         psi = gaussian_state(clock, resonant_ladder(clock, clock.dim),
-                             center=energy_of_rho(clock, rho), width=width)
-        beta = beta_distribution(psi, clock, clock, threshold=threshold)
+                             center=energy_of_rho(clock, cfg["cls_rho"]), width=cfg["cls_width"])
+        beta = beta_distribution(psi, clock, clock, threshold=cfg["cls_threshold"])
         report = classical_constraint_check(beta, clock, clock)
         reports.append(report)
         norm_devs.append(abs(beta.normalization - 1.0))
@@ -644,20 +656,19 @@ def run_classical_limit(cfg: dict[str, object]) -> tuple[list[str], list, list[d
     decreasing = all(a > b for a, b in zip(support, support[1:]))
     control = all(r.complement_max > r.support_max for r in reports)
 
-    sep_clock = intensive_su2_clock(float(cfg["cls_sep_j"]))
+    sep_clock = intensive_su2_clock(cfg["cls_sep_j"])
     sep_match = ladder_match(sep_clock, resonant_ladder(sep_clock, sep_clock.dim))
     coeff = np.zeros(len(sep_match.pairs))
     coeff[0] = 1.0
     sep_beta = beta_distribution(build_psi(sep_match, coeff), sep_clock, sep_clock,
-                                 threshold=threshold)
+                                 threshold=cfg["cls_threshold"])
     svals = np.linalg.svd(np.abs(sep_beta.values) ** 2, compute_uv=False)
     rank_ratio = float(svals[1] / svals[0]) if len(svals) > 1 else 0.0
     sep_report = classical_constraint_check(sep_beta, sep_clock, sep_clock)
 
     worst_norm = float(np.max(norm_devs))
     checks = [
-        _check("beta-normalization", worst_norm <= cfg["tol_beta_norm"],
-               worst_deviation=worst_norm, tolerance=cfg["tol_beta_norm"]),
+        _gate(cfg, "beta-normalization", "tol_beta_norm", worst_deviation=worst_norm),
         _check("support-mismatch-decreasing", decreasing,
                values=",".join(_fmt(s) for s in support)),
         _check("off-support-control", control),
@@ -669,29 +680,25 @@ def run_classical_limit(cfg: dict[str, object]) -> tuple[list[str], list, list[d
 
 
 def run_hamilton(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
-    grid_n = int(cfg["ham_grid"])
+    grid_n = cfg["ham_grid"]
     rho_grid = np.linspace(0.1, 0.8, grid_n)
     phi_grid = np.linspace(0.0, 2 * np.pi, grid_n, endpoint=False)
-    point = (float(cfg["ham_rho"]), float(cfg["ham_phi"]))
-    clocks = [("su2", intensive_su2_clock(float(cfg["ham_su2_j"]))),
-              ("h4", intensive_h4_clock(float(cfg["ham_h4_mean"])))]
+    clocks = [("su2", intensive_su2_clock(cfg["ham_su2_j"])),
+              ("h4", intensive_h4_clock(cfg["ham_h4_mean"]))]
     vectors = {1: (1.0,), 2: (0.6, 0.8)}
     rows, checks = [], []
     for family, clock in clocks:
         for big_j in (int(round(x)) for x in cfg["ham_js"]):
             v = vectors[big_j]
-            pb = pullback_two_form(clock, point[0], point[1], v=v)
+            pb = pullback_two_form(clock, cfg["ham_rho"], cfg["ham_phi"], v=v)
             pull_err = float(np.max([abs(pb.jacobian_analytic - pb.analytic),
                                      abs(pb.jacobian_fd - pb.analytic)]))
             ham = hamilton_check(clock, v, rho_grid, phi_grid, method="analytic")
             rows.append([family, big_j, pb.analytic, pull_err, ham.max_residual])
-            checks.append(_check(f"pullback-{family}-J{big_j}",
-                                 pull_err <= cfg["tol_pullback"],
-                                 coefficient=pb.analytic, worst_error=pull_err,
-                                 tolerance=cfg["tol_pullback"]))
-            checks.append(_check(f"hamilton-{family}-J{big_j}",
-                                 ham.max_residual <= cfg["tol_hamilton"],
-                                 residual=ham.max_residual, tolerance=cfg["tol_hamilton"]))
+            checks.append(_gate(cfg, f"pullback-{family}-J{big_j}", "tol_pullback",
+                                worst_error=pull_err, coefficient=pb.analytic))
+            checks.append(_gate(cfg, f"hamilton-{family}-J{big_j}", "tol_hamilton",
+                                residual=ham.max_residual))
             _progress(f"[hamilton] {family} J={big_j}: pullback err {pull_err:.3e}, "
                       f"hamilton {ham.max_residual:.3e}")
 
@@ -702,9 +709,8 @@ def run_hamilton(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     c_rate = classical_flow_rate(clock)
     rate_err = abs(q_rate - c_rate)
     rows.append(["rates", 0, q_rate, c_rate, rate_err])
-    checks.append(_check("flow-unification", rate_err <= cfg["tol_flow_match"],
-                         quantum_rate=q_rate, classical_rate=c_rate,
-                         difference=rate_err, tolerance=cfg["tol_flow_match"]))
+    checks.append(_gate(cfg, "flow-unification", "tol_flow_match", difference=rate_err,
+                        quantum_rate=q_rate, classical_rate=c_rate))
     _progress(f"[hamilton] quantum rate {q_rate!r} vs classical {c_rate!r}")
     return ["family", "J", "value_a", "value_b", "value_c"], rows, checks
 
@@ -738,51 +744,11 @@ def run_all(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
 
 # --- argument parsing -------------------------------------------------------
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="flat KEY=VALUE config file")
-    parser.add_argument("--out", metavar="DIR", help="output root directory")
-    parser.add_argument("--seed", metavar="N", help="seed for random coefficient profiles")
-    parser.add_argument("--tol-override", metavar="KEY=VAL", action="append",
-                        default=[], help="override one tolerance (repeatable)")
-
-
-_FLAG_MAP: dict[str, list[tuple[str, str, str]]] = {
-    # subcommand -> (flag, config key, help)
-    "verify-algebra": [("--su2-j", "alg_su2_j", "comma list of spin sizes"),
-                       ("--h4-cut", "alg_h4_cut", "oscillator cutoff")],
-    "bch-check": [("--su2-j", "bch_su2_j", "comma list of spin sizes"),
-                  ("--h4-cut", "bch_h4_cut", "oscillator cutoff"),
-                  ("--points", "bch_points", "grid points per axis")],
-    "symbol": [("--algebra", "sym_algebra", "su2, h4, su11, or all"),
-               ("--rho", "sym_rho", "evaluate at one radial point"),
-               ("--points", "sym_points", "points per family grid")],
-    "identity-resolution": [("--j", "idr_j", "spin size"),
-                            ("--h4-cut", "idr_h4_cut", "oscillator cutoff")],
-    "constraint": [("--j", "con_j", "spin size"),
-                   ("--profile", "con_profile", "gaussian or random"),
-                   ("--rho", "con_rho", "probe radius"),
-                   ("--width", "con_width", "profile energy width")],
-    "schrodinger": [("--j", "sch_j", "spin size"),
-                    ("--rho", "sch_rho", "probe radius"),
-                    ("--phi", "sch_phi", "probe angle"),
-                    ("--step", "sch_h", "difference step")],
-    "stationary-sweep": [("--family", "stat_family", "su2 or h4"),
-                         ("--sizes", "stat_sizes", "comma list of clock sizes"),
-                         ("--rho", "stat_rho", "probe radius"),
-                         ("--width", "stat_width", "profile energy width")],
-    "phase-audit": [("--j", "ph_j", "commutator clock spin"),
-                    ("--grid", "ph_grid_n", "uncertainty grid points per axis"),
-                    ("--sizes", "ph_sizes", "comma list of 2j sweep sizes")],
-    "classical-limit": [("--sizes", "cls_sizes", "comma list of spin sizes"),
-                        ("--rho", "cls_rho", "profile center radius"),
-                        ("--width", "cls_width", "profile energy width"),
-                        ("--threshold", "cls_threshold", "support cut fraction")],
-    "hamilton": [("--su2-j", "ham_su2_j", "spin size"),
-                 ("--h4-mean", "ham_h4_mean", "oscillator mean excitation"),
-                 ("--grid", "ham_grid", "grid points per axis"),
-                 ("--js", "ham_js", "comma list of system manifold sizes")],
-    "all": [],
-}
+def _add_flags(parser: argparse.ArgumentParser, group: str) -> None:
+    for key, spec in _TABLE.get(group, {}).items():
+        if len(spec) == 4:
+            flag, _, metavar = spec[2].partition(" ")
+            parser.add_argument(flag, dest=key, metavar=metavar or None, help=spec[3])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -792,17 +758,18 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         sub = subs.add_parser(name, help=f"run the {name} checks")
-        _common_flags(sub)
-        for flag, key, help_text in _FLAG_MAP[name]:
-            sub.add_argument(flag, dest=key, help=help_text)
+        sub.add_argument("--config", metavar="PATH", help="flat KEY=VALUE config file")
+        _add_flags(sub, "common")
+        sub.add_argument("--tol-override", metavar="KEY=VAL", action="append",
+                         default=[], help="override one tolerance (repeatable)")
+        _add_flags(sub, name)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides: dict[str, object] = {"out": args.out, "seed": args.seed}
-    for _, key, _ in _FLAG_MAP[args.subcommand]:
-        overrides[key] = getattr(args, key)
+    # the dest of every table flag is its config key
+    overrides = {key: value for key, value in vars(args).items() if key in _KEYS}
     try:
         cfg = load_config(args.config, overrides, args.tol_override)
     except (ConfigError, FileNotFoundError, OSError) as exc:

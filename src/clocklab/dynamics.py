@@ -182,7 +182,6 @@ def quantum_flow_rate(psi: CompositeState, clock: ClockModel,
 class ConvergenceRecord:
     size: int
     residual: float
-    detail: dict
 
     def __post_init__(self):
         if self.residual < 0:
@@ -247,8 +246,7 @@ def su2_stationary_experiment(j: float, rho: float = 0.6, phi: float = 0.3,
         h_system = resonant_ladder(clock, clock.dim)
     psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
     value = stationary_residual(psi, clock, h_system, rho, phi)
-    return ConvergenceRecord(size=clock.dim, residual=value,
-                             detail={"j": j, "rho": rho, "phi": phi, "width": width})
+    return ConvergenceRecord(size=clock.dim, residual=value)
 
 
 def h4_stationary_experiment(mean_n: int, level_fraction: float = 0.5,
@@ -265,9 +263,7 @@ def h4_stationary_experiment(mean_n: int, level_fraction: float = 0.5,
     h_system = resonant_ladder(clock, clock.dim)
     psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
     value = stationary_residual(psi, clock, h_system, rho, phi)
-    return ConvergenceRecord(size=clock.rep.params["n_cut"], residual=value,
-                             detail={"mean_n": mean_n, "rho": rho, "phi": phi,
-                                     "width": width, "level": level})
+    return ConvergenceRecord(size=clock.rep.params["n_cut"], residual=value)
 
 
 def su2_first_order_experiment(j: float, rho: float = 0.35, phi: float = 0.4,
@@ -288,5 +284,4 @@ def su2_first_order_experiment(j: float, rho: float = 0.35, phi: float = 0.4,
     coeff = np.asarray(targets, dtype=float) / amps
     psi = build_psi(match, coeff)
     rec = schrodinger_residual(psi, clock, h_system, rho, phi, h)
-    return ConvergenceRecord(size=clock.dim, residual=rec.value,
-                             detail={"j": j, "rho": rho, "phi": phi, "h": h})
+    return ConvergenceRecord(size=clock.dim, residual=rec.value)

@@ -35,7 +35,7 @@ RUNS = {
     "constraint-random": ("constraint", "--profile", "random"),
     "classical-limit-sizes": ("classical-limit", "--sizes", "5,10,20,30"),
     "schrodinger-j400": ("schrodinger", "--j", "400"),
-    "classical-limit-j40": ("classical-limit", "--sizes", "40"),
+    "classical-limit-j20-j40": ("classical-limit", "--sizes", "20,40"),
     "identity-resolution-j2.5": ("identity-resolution", "--j", "2.5"),
     "classical-limit-j80-j160": ("classical-limit", "--sizes", "80,160"),
 }
@@ -74,7 +74,10 @@ def environment() -> dict:
 
 
 def run_all(workdir: pathlib.Path) -> dict[str, bytes]:
-    """Every run of ``RUNS`` under ``workdir``: ``{"<run>/<subcommand>/<file>": bytes}``."""
+    """Every run of ``RUNS`` under ``workdir``: ``{"<run>/<subcommand>/<file>": bytes}``.
+
+    Raises ``RuntimeError`` naming the first run that clocklab refuses (exit status 2).
+    """
     from clocklab import cli
     saved_out = os.environ.pop(cli.ENV_OUT, None)  # it would replace --out
     cwd = os.getcwd()
@@ -84,9 +87,13 @@ def run_all(workdir: pathlib.Path) -> dict[str, bytes]:
             run_root = workdir / name
             run_root.mkdir()
             os.chdir(run_root)
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                cli.main([*args, "--out", "golden"])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([*args, "--out", "golden"])
+            # a refused run writes nothing, and main() would delete its golden files
+            if code == 2:
+                raise RuntimeError(f"clocklab refused golden run {name!r} "
+                                   f"({' '.join(args)}): {err.getvalue().strip()}")
             for run_dir in sorted((run_root / "golden").glob("*/*")):
                 for artifact in ARTIFACTS:
                     key = f"{name}/{run_dir.parent.name}/{artifact}"

@@ -228,11 +228,14 @@ def test_one_point_phi_grid_exits_two(tmp_path):
 
 
 def test_one_size_phase_sweep_exits_two(tmp_path):
-    """One size leaves no pair: both expectation-sweep gates passed over zero pairs."""
-    assert run(["phase-audit", "--sizes", "10", "--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o").exists()
-    with pytest.raises(cli.ConfigError, match="ph_sizes"):
-        cli.load_config(None, {"ph_sizes": "10"}, [])
+    """One size leaves no pair: both expectation-sweep gates, and the
+    classical-limit support-mismatch decrease, passed over zero pairs."""
+    for sub, key, size in (("phase-audit", "ph_sizes", "10"),
+                           ("classical-limit", "cls_sizes", "40")):
+        assert run([sub, "--sizes", size, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.load_config(None, {key: size}, [])
 
 
 def test_one_point_symbol_grid_exits_two(tmp_path, capsys):
@@ -256,9 +259,15 @@ def test_hamilton_system_size_outside_one_and_two_exits_two(tmp_path, capsys, va
     assert "config error" in err and "Traceback" not in err
 
 
-def test_every_subcommand_has_flags_and_a_runner():
-    """One table of subcommands: the runners plus ``all``."""
-    assert tuple(cli._FLAG_MAP) == cli.SUBCOMMANDS == (*cli._RUNNERS, "all")
+def test_config_table_groups_are_the_runners():
+    """One table of keys: a group per runner plus the common and tolerance groups."""
+    groups = [name for name in cli._TABLE if name not in ("common", "tolerance")]
+    assert groups == list(cli._RUNNERS)
+    assert cli.SUBCOMMANDS == (*cli._RUNNERS, "all")
+    # flattening keeps one of two declarations of a key and drops the other
+    assert sum(len(group) for group in cli._TABLE.values()) == len(cli._KEYS)
+    # write_outputs and the positivity check find the tolerances by their prefix
+    assert {key for key in cli._KEYS if key.startswith("tol_")} == set(cli._TABLE["tolerance"])
 
 
 @pytest.mark.parametrize("value", ["2", "0", "-1"])

@@ -158,7 +158,7 @@ def test_detuned_ladder_has_no_matches():
 
 def test_convergence_record_validation():
     with pytest.raises(ValueError):
-        ConvergenceRecord(size=4, residual=-1.0, detail={})
+        ConvergenceRecord(size=4, residual=-1.0)
 
 
 def test_energy_of_rho_matches_symbol():

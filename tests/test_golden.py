@@ -3,7 +3,7 @@
 The commands are ``regenerate.RUNS``: ``clocklab all --seed 1`` and the eight
 non-default runs ``symbol --algebra su11``, ``stationary-sweep --family h4``,
 ``constraint --profile random``, ``classical-limit --sizes 5,10,20,30``,
-``schrodinger --j 400``, ``classical-limit --sizes 40``,
+``schrodinger --j 400``, ``classical-limit --sizes 20,40``,
 ``identity-resolution --j 2.5`` and ``classical-limit --sizes 80,160``.
 
 Where the environment matches the one recorded next to the golden files
@@ -124,6 +124,13 @@ def test_golden_artifacts(fresh, record_property):
         mismatches = [m for key in expected
                       for m in value_mismatches(key, expected[key], fresh[key])]
         assert mismatches == []
+
+
+def test_refused_golden_run_raises(tmp_path, monkeypatch):
+    """A refused command writes nothing, so regenerating would delete its golden files."""
+    monkeypatch.setattr(golden, "RUNS", {"one-size": ("classical-limit", "--sizes", "40")})
+    with pytest.raises(RuntimeError, match="'one-size'.*cls_sizes"):
+        golden.run_all(tmp_path)
 
 
 def test_no_artifact_spells_a_numpy_scalar(fresh):
