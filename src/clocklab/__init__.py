@@ -79,16 +79,12 @@ from .dynamics import (
     su2_stationary_experiment,
 )
 from .gcs import (
-    CoherentState,
     clock_symbol_analytic,
     clock_symbol_numeric,
-    coherent_state,
     coherent_vector,
     displace,
     identity_resolution_check,
-    overlap,
     phi_derivative_identity_check,
-    symbol,
 )
 from .phase import (
     PhaseOperator,
@@ -105,7 +101,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BetaDistribution",
     "ClockModel",
-    "CoherentState",
     "CompositeState",
     "ConditionalState",
     "ConvergenceRecord",
@@ -128,7 +123,6 @@ __all__ = [
     "classical_phase_expectations",
     "clock_symbol_analytic",
     "clock_symbol_numeric",
-    "coherent_state",
     "coherent_vector",
     "commutator_check",
     "conditional_state",
@@ -146,7 +140,6 @@ __all__ = [
     "ladder_match",
     "map_F",
     "match_spectra",
-    "overlap",
     "phi_derivative_identity_check",
     "poisson_bracket_clock",
     "precs_decomposition_check",
@@ -163,7 +156,6 @@ __all__ = [
     "stationary_residual",
     "su2_first_order_experiment",
     "su2_stationary_experiment",
-    "symbol",
     "total_hamiltonian",
     "two_form_coefficient",
     "uncertainty_audit",

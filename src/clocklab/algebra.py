@@ -383,7 +383,8 @@ def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
 class ClockModel:
     """A ladder Hamiltonian built from one representation.
 
-    ``h_c = scale * (D_1 - g_1 * I)`` has spectrum ``epsilon * {0 .. dim-1}``
+    ``h_c = scale * (D_1 - g_1 * I)``, ``scale`` the energy unit passed to
+    ``build_clock``, has spectrum ``epsilon * {0 .. dim-1}``
     with the reference state at exactly zero energy and
     ``[h_c, R] = -epsilon R`` (the ladder mode lowers the clock).
 
@@ -394,10 +395,7 @@ class ClockModel:
     """
 
     rep: LieAlgebraRep
-    ell: int
-    scale: float
     epsilon: float
-    shift: float
     b2: float
     h_c: np.ndarray
 
@@ -407,30 +405,27 @@ class ClockModel:
 
     @property
     def lowering_op(self) -> np.ndarray:
-        return self.rep.raising_ops[self.ell - 1]
+        return self.rep.raising_ops[0]
 
 
-def build_clock(rep: LieAlgebraRep, ell: int = 1, scale: float = 1.0) -> ClockModel:
-    """Assemble the zero-shifted ascending clock for mode ``ell``.
+def build_clock(rep: LieAlgebraRep, scale: float = 1.0) -> ClockModel:
+    """Assemble the zero-shifted ascending clock for the ladder mode.
 
     Parameters
     ----------
     rep : LieAlgebraRep
-    ell : int
-        Ladder mode index (1-based; the implemented families carry one mode).
+        The implemented families carry one ladder mode, ``raising_ops[0]``.
     scale : float
         Positive energy unit multiplying the whole ladder.  The default
         keeps the normalized gap (sqrt(2) for su2/su11, 1 for h4);
         classical-limit sweeps pass an intensive value.
     """
-    if not 1 <= ell <= len(rep.raising_ops):
-        raise ValueError(f"ell must index a ladder mode, got {ell}")
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    d1 = float(rep.structure_d[0, ell - 1])
+    d1 = float(rep.structure_d[0, 0])
     if d1 >= 0:
         raise ValueError(
-            "mode ell does not lower the first diagonal operator; "
+            "the ladder mode does not lower the first diagonal operator; "
             f"gap would not be positive (d = {d1})"
         )
     epsilon = -scale * d1
@@ -438,11 +433,8 @@ def build_clock(rep: LieAlgebraRep, ell: int = 1, scale: float = 1.0) -> ClockMo
     h_c = scale * (rep.diagonal_ops[0] - g1 * np.eye(rep.dim))
     if np.linalg.norm(h_c - h_c.conj().T) > 1e-12:  # Frobenius >= 2-norm: no looser
         raise ValueError("assembled clock Hamiltonian is not hermitian")
-    b2 = -float(np.dot(rep.weights, rep.structure_d[:, ell - 1]))
-    return ClockModel(
-        rep=rep, ell=ell, scale=scale, epsilon=epsilon,
-        shift=-scale * g1, b2=b2, h_c=h_c,
-    )
+    b2 = -float(np.dot(rep.weights, rep.structure_d[:, 0]))
+    return ClockModel(rep=rep, epsilon=epsilon, b2=b2, h_c=h_c)
 
 
 def intensive_su2_clock(j: float) -> ClockModel:

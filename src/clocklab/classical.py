@@ -92,15 +92,15 @@ def _jacobian_assembly(hbar: float, d_rho: Callable, d_phi: Callable) -> float:
 
 
 def pullback_two_form(clock: ClockModel, rho: float, phi: float,
-                      v: Sequence[float] = (1.0,), hbar: float = 1.0,
-                      fd_step: float = 1e-3) -> TwoFormReport:
+                      v: Sequence[float] = (1.0,), hbar: float = 1.0) -> TwoFormReport:
     """Pullback of hbar * sum dq_j ^ dp_j through the chart map, three ways.
 
     The closed form, an assembly from analytic partial derivatives, and an
     assembly from Richardson-extrapolated central differences of map_F
-    itself.  The last one treats the map as a black box, which is what
-    makes the agreement a real check.
+    itself (steps 1e-3 and 5e-4).  The last one treats the map as a black
+    box, which is what makes the agreement a real check.
     """
+    fd_step = 1e-3
     v = np.asarray(v, dtype=float)
     c, cp = lookup(clock.rep.family).chart_radius(clock, float(rho))
 
@@ -139,17 +139,17 @@ def pullback_two_form(clock: ClockModel, rho: float, phi: float,
 
 def poisson_bracket_clock(f: Callable[[float, float], float],
                           g: Callable[[float, float], float],
-                          point: tuple, clock: ClockModel,
-                          hbar: float = 1.0, fd_step: float = 1e-5) -> float:
-    """{f, g} on the clock manifold at point = (rho, phi).
+                          point: tuple, clock: ClockModel) -> float:
+    """{f, g} on the clock manifold at point = (rho, phi), with hbar = 1.
 
-    Partial derivatives of the scalar functions are central differences;
-    the symplectic density is the closed-form coefficient.  Points where
-    that coefficient vanishes (rho = 0, and rho = pi/2 on the sphere)
-    are coordinate singularities and are refused.
+    Partial derivatives of the scalar functions are central differences
+    with step 1e-5; the symplectic density is the closed-form coefficient.
+    Points where that coefficient vanishes (rho = 0, and rho = pi/2 on the
+    sphere) are coordinate singularities and are refused.
     """
+    fd_step = 1e-5
     rho, phi = float(point[0]), float(point[1])
-    c = _regular_two_form(clock, rho, hbar)
+    c = _regular_two_form(clock, rho, 1.0)
 
     def d_rho(fun):
         return (fun(rho + fd_step, phi) - fun(rho - fd_step, phi)) / (2 * fd_step)
@@ -166,20 +166,19 @@ class HamiltonReport:
     max_residual_q: float
     max_residual_p: float
     method: str
-    grid_shape: tuple
 
 
 def hamilton_check(clock: ClockModel, v: Sequence[float],
                    rho_grid: Sequence[float], phi_grid: Sequence[float],
-                   hbar: float = 1.0, method: str = "analytic",
-                   fd_step: float = 1e-5) -> HamiltonReport:
+                   hbar: float = 1.0, method: str = "analytic") -> HamiltonReport:
     """Residual of {x_j, H} = (eps/hbar) * dx_j/dphi for x in {q, p}.
 
     With analytic partials both sides differ only through two independent
     closed forms of the same quantity, so the residual is a roundoff
-    statement; the finite-difference method keeps the check honest against
-    hand-derivation mistakes at the cost of truncation error.
+    statement; the finite-difference method (step 1e-5) keeps the check
+    honest against hand-derivation mistakes at the cost of truncation error.
     """
+    fd_step = 1e-5
     if method not in ("analytic", "fd"):
         raise ValueError(f"unknown method {method!r}")
     v = np.asarray(v, dtype=float)
@@ -211,28 +210,24 @@ def hamilton_check(clock: ClockModel, v: Sequence[float],
     return HamiltonReport(
         max_residual=float(np.maximum(worst_q, worst_p)),
         max_residual_q=worst_q, max_residual_p=worst_p,
-        method=method, grid_shape=(len(rho_grid), len(phi_grid)),
+        method=method,
     )
 
 
-def classical_flow_rate(clock: ClockModel, v: Sequence[float] = (1.0,),
-                        rho: float = 0.5, phi: float = 0.7,
-                        hbar: float = 1.0) -> float:
-    """Flow coefficient hbar * {q_j, H} / (dq_j/dphi) at one regular point.
+def classical_flow_rate(clock: ClockModel, rho: float = 0.5, hbar: float = 1.0) -> float:
+    """Flow coefficient hbar * {q, H} / (dq/dphi) at (rho, phi = 0.7), J = 1.
 
     This is the classical-side number that criterion-style comparisons
     hold against the quantum propagation rate.
     """
-    v = np.asarray(v, dtype=float)
     c_coeff = _regular_two_form(clock, float(rho), hbar)
     c, cp = lookup(clock.rep.family).chart_radius(clock, float(rho))
-    dq_dphi = -c * np.sin(float(phi)) * v
-    j = int(np.argmax(np.abs(dq_dphi)))
-    if abs(dq_dphi[j]) < 1e-12:
+    dq_dphi = -c * np.sin(0.7)
+    if abs(dq_dphi) < 1e-12:
         raise ValueError("dq/dphi vanishes at this point; pick phi away from 0 mod pi")
     de_drho = clock.epsilon * c * cp
-    bracket = dq_dphi[j] * de_drho / c_coeff
-    return hbar * bracket / dq_dphi[j]
+    bracket = dq_dphi * de_drho / c_coeff
+    return hbar * bracket / dq_dphi
 
 
 # --- joint coherent amplitudes over both manifolds --------------------------

@@ -31,7 +31,8 @@ class SpectralMatch:
     """Eigendata of both factors plus the list of coinciding levels.
 
     pairs[k] = (i, j) with clock eigenvalue e_i equal to system eigenvalue
-    f_j within tol.  Eigenvectors are columns of the respective arrays.
+    f_j within the tolerance of ``match_spectra``.  Eigenvectors are
+    columns of the respective arrays.
     """
 
     clock_evals: np.ndarray
@@ -39,7 +40,6 @@ class SpectralMatch:
     system_evals: np.ndarray
     system_evecs: np.ndarray
     pairs: tuple
-    tol: float
 
     @property
     def shared_energies(self) -> np.ndarray:
@@ -58,7 +58,7 @@ def match_spectra(h_clock: np.ndarray, h_system: np.ndarray, tol: float = 1e-9) 
     idx_c, idx_g = np.nonzero(np.abs(e_c[:, None] - e_g[None, :]) <= tol)
     return SpectralMatch(
         clock_evals=e_c, clock_evecs=v_c, system_evals=e_g, system_evecs=v_g,
-        pairs=tuple(zip(idx_c.tolist(), idx_g.tolist())), tol=tol,
+        pairs=tuple(zip(idx_c.tolist(), idx_g.tolist())),
     )
 
 
@@ -210,9 +210,7 @@ def _check_clock_dim(psi: CompositeState, clock: ClockModel) -> None:
 def conditional_state(psi: CompositeState, clock: ClockModel,
                       rho: float, phi: float) -> ConditionalState:
     """Project the composite state on the clock coherent state at (rho, phi)."""
-    _check_clock_dim(psi, clock)
-    bra = np.conj(coherent_vector(clock.rep, rho, phi))
-    vec_out = bra @ psi.matrix
+    vec_out = _conditional_rows(psi, clock, rho, [phi])[0]
     chi2 = float(np.real(np.vdot(vec_out, vec_out)))
     return ConditionalState(rho=float(rho), phi=float(phi), unnormalized=vec_out, chi2=chi2)
 

@@ -144,8 +144,7 @@ def propagator_deviation(psi: CompositeState, clock: ClockModel,
 
 
 def quantum_flow_rate(psi: CompositeState, clock: ClockModel,
-                      h_system: np.ndarray, rho: float,
-                      n_phi: int = 48, phi_max: float = 1.2) -> float:
+                      h_system: np.ndarray, rho: float) -> float:
     """Rate eps-hat extracted from the phase advance of the conditional state.
 
     In the eigenbasis of the system generator each surviving component
@@ -155,13 +154,14 @@ def quantum_flow_rate(psi: CompositeState, clock: ClockModel,
     conditional states of the grid are one table of bras times psi.
 
     A matched component is a clock level n < clock.dim, so its phase is
-    n*phi.  The grid therefore ends at the smaller of phi_max and
-    (n_phi - 1) * pi / (2 * (clock.dim - 1)): every step then advances
-    every phase by at most pi/2, and the unwrap cannot alias at any clock
-    size.  The cap reads only the clock's dimension, not eps.
+    n*phi.  The grid of n_phi = 48 points therefore ends at the smaller of
+    1.2 and (n_phi - 1) * pi / (2 * (clock.dim - 1)): every step then
+    advances every phase by at most pi/2, and the unwrap cannot alias at
+    any clock size.  The cap reads only the clock's dimension, not eps.
     """
+    n_phi = 48
     evals, evecs = _eigh(h_system)
-    phi_max = min(phi_max, (n_phi - 1) * np.pi / (2 * max(clock.dim - 1, 1)))
+    phi_max = min(1.2, (n_phi - 1) * np.pi / (2 * max(clock.dim - 1, 1)))
     phis = np.linspace(0.0, phi_max, n_phi)
     comps = _conditional_rows(psi, clock, rho, phis)
     if not _is_identity(evecs):
@@ -229,13 +229,14 @@ def detuned_ladder(clock: ClockModel, n_levels: int, offset: float = 0.5) -> np.
     return np.diag(clock.epsilon * (np.arange(n_levels, dtype=float) + offset))
 
 
-def su2_stationary_experiment(j: float, rho: float = 0.6, phi: float = 0.3,
-                              width: float = 0.25, detune: float = 0.0) -> ConvergenceRecord:
+def su2_stationary_experiment(j: float, rho: float = 0.6, width: float = 0.25,
+                              detune: float = 0.0) -> ConvergenceRecord:
     """Stationary residual for an intensive spin clock against its own ladder.
 
     The system spectrum copies the full clock ladder, so every level is
     matched; the profile is a Gaussian centered on the energy surface at
-    the probed rho.  Residuals shrink as the coherent state sharpens.
+    the probed rho, read at phi = 0.3.  Residuals shrink as the coherent
+    state sharpens.
     A nonzero detune (in gap units) empties the kernel, which is the
     sweep's refusal path.
     """
@@ -245,37 +246,36 @@ def su2_stationary_experiment(j: float, rho: float = 0.6, phi: float = 0.3,
     else:
         h_system = resonant_ladder(clock, clock.dim)
     psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
-    value = stationary_residual(psi, clock, h_system, rho, phi)
+    value = stationary_residual(psi, clock, h_system, rho, 0.3)
     return ConvergenceRecord(size=clock.dim, residual=value)
 
 
-def h4_stationary_experiment(mean_n: int, level_fraction: float = 0.5,
-                             phi: float = 0.3, width: float = 0.15) -> ConvergenceRecord:
-    """Oscillator analogue of the stationary sweep.
+def h4_stationary_experiment(mean_n: int, width: float = 0.15) -> ConvergenceRecord:
+    """Oscillator analogue of the stationary sweep, read at phi = 0.3.
 
     rho is pinned so the energy surface eps*rho^2 sits exactly on a
-    matched ladder level (level_fraction of mean_n, kept well inside the
+    matched ladder level (half of mean_n, kept well inside the
     trustworthy half of the truncated space).
     """
     clock = intensive_h4_clock(mean_n)
-    level = int(round(level_fraction * mean_n))
+    level = int(round(0.5 * mean_n))
     rho = float(np.sqrt(level))
     h_system = resonant_ladder(clock, clock.dim)
     psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
-    value = stationary_residual(psi, clock, h_system, rho, phi)
+    value = stationary_residual(psi, clock, h_system, rho, 0.3)
     return ConvergenceRecord(size=clock.rep.params["n_cut"], residual=value)
 
 
-def su2_first_order_experiment(j: float, rho: float = 0.35, phi: float = 0.4,
-                               h: float = 1e-4,
-                               targets: Sequence[float] = (0.55, 0.65, 0.52)) -> ConvergenceRecord:
+def su2_first_order_experiment(j: float) -> ConvergenceRecord:
     """First-order residual with the conditional amplitudes pinned across j.
 
     The profile divides out the coherent amplitudes at the probed rho, so
-    the conditional state is literally the same vector for every clock
-    size and the residual can only reflect the difference step.  This is
-    the exactness contrast to the stationary sweep.
+    the conditional state is literally the same vector, with amplitudes
+    ``targets``, for every clock size and the residual can only reflect
+    the difference step.  This is the exactness contrast to the stationary
+    sweep.
     """
+    rho, targets = 0.35, (0.55, 0.65, 0.52)
     clock = build_clock(build_su2_rep(j))
     n_levels = len(targets)
     h_system = resonant_ladder(clock, n_levels)
@@ -283,5 +283,5 @@ def su2_first_order_experiment(j: float, rho: float = 0.35, phi: float = 0.4,
     amps = coherent_vector(clock.rep, rho, 0.0).real[:n_levels]
     coeff = np.asarray(targets, dtype=float) / amps
     psi = build_psi(match, coeff)
-    rec = schrodinger_residual(psi, clock, h_system, rho, phi, h)
+    rec = schrodinger_residual(psi, clock, h_system, rho, 0.4)
     return ConvergenceRecord(size=clock.dim, residual=rec.value)

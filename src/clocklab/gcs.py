@@ -1,7 +1,7 @@
 """Coherent states on the clock manifolds and their symbol calculus.
 
 States are labelled by a single complex coordinate lambda = rho*exp(i*phi)
-(one ladder mode).  Two independent construction routes are kept on
+(one ladder mode); a state is its normalized vector.  Two independent construction routes are kept on
 purpose: ``displace`` exponentiates the anti-hermitian generator with a
 dense Pade expm, while ``coherent_vector`` evaluates the family's closed-form
 amplitudes (see ``families``).  Their agreement is the executable
@@ -19,29 +19,7 @@ from .families import lookup
 TAIL_MASS_LIMIT = 1e-10
 
 
-@dataclasses.dataclass(frozen=True)
-class CoherentState:
-    """A normalized coherent state plus its manifold coordinates."""
-
-    family: str
-    dim: int
-    rho: float
-    phi: float
-    vector: np.ndarray
-
-    @property
-    def lam(self) -> complex:
-        """Complex coordinate rho * exp(i*phi)."""
-        return self.rho * np.exp(1j * self.phi)
-
-
-def _split_label(omega: complex) -> tuple[float, float]:
-    rho = abs(omega)
-    phi = float(np.angle(omega)) if rho > 0 else 0.0
-    return float(rho), phi
-
-
-def displace(rep: LieAlgebraRep, omega: complex) -> CoherentState:
+def displace(rep: LieAlgebraRep, omega: complex) -> np.ndarray:
     """exp(omega R^dag - conj(omega) R) applied to the reference state.
 
     For truncated representations the amplitude above the valid subspace
@@ -58,8 +36,7 @@ def displace(rep: LieAlgebraRep, omega: complex) -> CoherentState:
                 f"tail mass {tail:.3e} above the valid subspace exceeds "
                 f"{TAIL_MASS_LIMIT:.0e}; raise the cutoff or shrink |omega|"
             )
-    rho, phi = _split_label(omega)
-    return CoherentState(family=rep.family, dim=rep.dim, rho=rho, phi=phi, vector=vec)
+    return vec
 
 
 def amplitude_columns(rep: LieAlgebraRep, radii) -> np.ndarray:
@@ -120,31 +97,10 @@ def coherent_vector(rep: LieAlgebraRep, rho: float, phi: float) -> np.ndarray:
     return coherent_points(rep, [rho], [phi])[:, 0]
 
 
-def coherent_state(rep: LieAlgebraRep, rho: float, phi: float) -> CoherentState:
-    """CoherentState built from the closed-form amplitudes (no exponential)."""
-    return CoherentState(family=rep.family, dim=rep.dim, rho=float(rho),
-                         phi=float(phi), vector=coherent_vector(rep, rho, phi))
-
-
-def overlap(a: CoherentState, b: CoherentState) -> complex:
-    """<a|b>; both states must live on the same manifold and dimension."""
-    if a.family != b.family or a.dim != b.dim:
-        raise ValueError(
-            f"overlap between mismatched states: {a.family}/{a.dim} vs {b.family}/{b.dim}"
-        )
-    return complex(np.vdot(a.vector, b.vector))
-
-
-def symbol(op: np.ndarray, state: CoherentState) -> complex:
-    """Expectation <state|op|state> (the covariant symbol at this point)."""
-    if op.shape != (state.dim, state.dim):
-        raise ValueError(f"operator shape {op.shape} does not match dim {state.dim}")
-    return complex(np.vdot(state.vector, op @ state.vector))
-
-
 def clock_symbol_numeric(clock: ClockModel, rho: float, phi: float = 0.0) -> float:
     """<lambda|h_c|lambda> evaluated from the state vector."""
-    return float(symbol(clock.h_c, coherent_state(clock.rep, rho, phi)).real)
+    v = coherent_vector(clock.rep, rho, phi)
+    return float(np.vdot(v, clock.h_c @ v).real)
 
 
 def clock_symbol_analytic(clock: ClockModel, rho: float) -> float:
@@ -202,16 +158,16 @@ def phi_derivative_identity_check(
     rho: float,
     phi: float,
     omega: complex,
-    h: float = 1e-4,
 ) -> DerivativeIdentityResult:
     """Check <lam|h_c|Omega> = i*eps * d/dphi <lam|Omega> by central differences.
 
     The derivative acts on the phase of lambda at fixed rho.  Returns the
-    residual at step h and the log2 slope between steps h and h/2 (2.0 for
-    a clean second-order stencil).
+    residual at step h = 1e-4 and the log2 slope between steps h and h/2
+    (2.0 for a clean second-order stencil).
     """
+    h = 1e-4
     rep = clock.rep
-    omega_vec = displace(rep, omega).vector
+    omega_vec = displace(rep, omega)
 
     def bra(p: float) -> np.ndarray:
         return coherent_vector(rep, rho, p)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import ClockModel, _comm, _shift_moduli, build_clock, residual_norm2
 from .families import lookup
-from .gcs import CoherentState, coherent_points, coherent_state, coherent_table
+from .gcs import coherent_points, coherent_table, coherent_vector
 
 
 @dataclasses.dataclass(frozen=True)
@@ -25,15 +25,12 @@ class PhaseOperator:
 
     ``exp_minus_iphi`` is the completed unitary U; ``sin_phi`` and
     ``cos_phi`` are the exact hermitian combinations (U^dag - U)/2i and
-    (U + U^dag)/2.  ``boundary_index`` is the ladder state whose image
-    under U is fixed by the cyclic completion rather than by the polar
-    decomposition (the top rung, wrapped to the bottom).
+    (U + U^dag)/2.
     """
 
     exp_minus_iphi: np.ndarray
     sin_phi: np.ndarray
     cos_phi: np.ndarray
-    boundary_index: int
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
@@ -82,8 +79,7 @@ def build_phase_operator(clock: ClockModel) -> PhaseOperator:
     u_dag = u.conj().T
     sin_phi = (u_dag - u) / 2j
     cos_phi = (u_dag + u) / 2.0
-    return PhaseOperator(exp_minus_iphi=u, sin_phi=sin_phi, cos_phi=cos_phi,
-                         boundary_index=dim - 1)
+    return PhaseOperator(exp_minus_iphi=u, sin_phi=sin_phi, cos_phi=cos_phi)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,15 +127,14 @@ class UncertaintyAudit:
     slack: float
 
 
-def uncertainty_audit(state: CoherentState, clock: ClockModel,
+def uncertainty_audit(vec: np.ndarray, clock: ClockModel,
                       phase: PhaseOperator) -> UncertaintyAudit:
-    """Robertson inequality for (H_C, sin) on one state.
+    """Robertson inequality for (H_C, sin) on one state vector.
 
     bound = (eps/2)|<cos>|; slack = dH*dsin - bound.  For states with
     negligible weight on both extremal rungs the completed commutator
     matches the exact one and the slack cannot go below roundoff.
     """
-    vec = state.vector
     _, var_h = _moments(clock.h_c, vec)
     mean_cos, _ = _moments(phase.cos_phi, vec)
     _, var_sin = _moments(phase.sin_phi, vec)
@@ -192,7 +187,7 @@ def small_phi_energy_time(clock: ClockModel, phase: PhaseOperator,
     agree to first order; the caller keeps |phi| small and checks the
     ratio against its linearization tolerance.
     """
-    audit = uncertainty_audit(coherent_state(clock.rep, rho, phi), clock, phase)
+    audit = uncertainty_audit(coherent_vector(clock.rep, rho, phi), clock, phase)
     return EnergyTimeCheck(product=audit.delta_h * audit.delta_sin,
                            half_epsilon=0.5 * clock.epsilon)
 

@@ -1,6 +1,5 @@
 """Experiment-runner behavior: exits, artifacts, precedence, determinism."""
 
-import dataclasses
 import datetime
 import json
 import math
@@ -270,6 +269,29 @@ def test_config_table_groups_are_the_runners():
     assert {key for key in cli._KEYS if key.startswith("tol_")} == set(cli._TABLE["tolerance"])
 
 
+def _choice_keys():
+    return [(sub, key, spec[0]) for sub, group in cli._TABLE.items()
+            for key, spec in group.items() if isinstance(spec[0], tuple)]
+
+
+def test_choice_key_help_names_every_allowed_value():
+    """A choice key's allowed values are declared once: its help lists exactly them."""
+    assert [key for _, key, _ in _choice_keys()] == ["sym_algebra", "con_profile", "stat_family"]
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    for sub, key, allowed in _choice_keys():
+        action = next(a for a in subparsers[sub]._actions if a.dest == key)
+        assert action.help.rpartition(": ")[2].split(", ") == list(allowed)
+
+
+@pytest.mark.parametrize("sub, key", [(sub, key) for sub, key, _ in _choice_keys()])
+def test_value_outside_a_choice_exits_two(tmp_path, capsys, sub, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}=su3\n")
+    assert run([sub, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["2", "0", "-1"])
 def test_support_threshold_outside_unit_interval_exits_two(tmp_path, value):
     """--threshold 2 used to end in a traceback; 0 or -1 turned the support cut off."""
@@ -359,10 +381,10 @@ def test_bch_check_keeps_a_nan_after_the_first_point(tmp_path, monkeypatch):
 
     def nan_on_the_second_point(rep, omega):
         calls.append(omega)
-        state = real(rep, omega)
+        vec = real(rep, omega)
         if len(calls) == 2:
-            state = dataclasses.replace(state, vector=np.full_like(state.vector, np.nan))
-        return state
+            vec = np.full_like(vec, np.nan)
+        return vec
 
     monkeypatch.setattr(cli, "displace", nan_on_the_second_point)
     assert run(["bch-check", "--su2-j", "2", "--points", "3", "--out", str(tmp_path)]) == 1

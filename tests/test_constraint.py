@@ -6,6 +6,7 @@ import scipy.linalg
 
 from clocklab.algebra import build_clock, build_su2_rep, intensive_h4_clock, intensive_su2_clock
 from clocklab.constraint import (
+    _conditional_rows,
     build_psi,
     chi2_identity_residual,
     conditional_state,
@@ -21,7 +22,7 @@ from clocklab.constraint import (
 )
 from clocklab.dynamics import detuned_ladder, energy_of_rho, resonant_ladder
 from clocklab.families import lookup
-from clocklab.gcs import coherent_table
+from clocklab.gcs import coherent_table, coherent_vector
 
 
 def make_state(j=6.0, rho=0.5, width=0.2):
@@ -164,6 +165,32 @@ def test_conditional_state_floor_refusal():
     cond = conditional_state(psi, clock, np.pi / 2, 0.0)
     with pytest.raises(ValueError, match="chi2"):
         _ = cond.normalized
+
+
+@pytest.mark.parametrize("make_clock, rhos", [
+    (lambda: intensive_su2_clock(0.5), (0.1, 0.7)),
+    (lambda: intensive_su2_clock(10.5), (0.2, 0.55)),
+    (lambda: intensive_su2_clock(400.0), (0.3, 0.45)),
+    (lambda: intensive_h4_clock(32.0), (1.0, 4.0)),
+    (lambda: intensive_h4_clock(200.0), (2.0, 10.0)),
+], ids=["su2-j0.5", "su2-j10.5", "su2-j400", "h4-mean32", "h4-mean200"])
+@pytest.mark.parametrize("profile", ["gaussian", "random"])
+def test_conditional_state_is_one_row_of_the_sweep(make_clock, rhos, profile):
+    """<lambda|psi> has one route: the sweep's row, bit for bit the per-point bra product."""
+    clock = make_clock()
+    match = ladder_match(clock, resonant_ladder(clock, clock.dim))
+    if profile == "random":
+        coeff = random_profile(match, seed=7)
+    else:
+        coeff = gaussian_profile(match, center=energy_of_rho(clock, rhos[-1]), width=0.2)
+    psi = build_psi(match, coeff)
+    for rho in rhos:
+        for phi in (0.0, 0.9, 4.1):
+            cond = conditional_state(psi, clock, rho, phi)
+            row = _conditional_rows(psi, clock, rho, [phi])[0]
+            bra_product = np.conj(coherent_vector(clock.rep, rho, phi)) @ psi.matrix
+            assert cond.unnormalized.tobytes() == row.tobytes() == bra_product.tobytes()
+            assert cond.chi2 == float(np.real(np.vdot(bra_product, bra_product)))
 
 
 def test_chi2_equals_husimi_of_reduced_clock():

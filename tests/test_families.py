@@ -21,7 +21,6 @@ from clocklab.families import FAMILIES
 from clocklab.phase import build_phase_operator, uncertainty_audit
 from clocklab.gcs import (
     clock_symbol_analytic,
-    coherent_state,
     clock_symbol_numeric,
     coherent_table,
     coherent_vector,
@@ -154,7 +153,7 @@ def test_displace_equals_closed_form(name):
     @given(points(name))
     def check(point):
         rep, rho, phi = point
-        direct = displace(rep, rho * np.exp(1j * phi)).vector
+        direct = displace(rep, rho * np.exp(1j * phi))
         closed = coherent_vector(rep, rho, phi)
         nv = rep.valid_dim
         assert np.linalg.norm(direct[:nv] - closed[:nv]) <= 1e-10
@@ -286,7 +285,7 @@ def test_uncertainty_slack_is_nonnegative(name):
            st.floats(0.0, 2 * np.pi))
     def check(case, fraction, phi):
         clock, phase, rho_max = case
-        state = coherent_state(clock.rep, fraction * rho_max, phi)
-        assert uncertainty_audit(state, clock, phase).slack >= -1e-12
+        vec = coherent_vector(clock.rep, fraction * rho_max, phi)
+        assert uncertainty_audit(vec, clock, phase).slack >= -1e-12
 
     check()

@@ -20,14 +20,11 @@ from clocklab.gcs import (
     TAIL_MASS_LIMIT,
     clock_symbol_analytic,
     clock_symbol_numeric,
-    coherent_state,
     coherent_table,
     coherent_vector,
     displace,
     identity_resolution_check,
-    overlap,
     phi_derivative_identity_check,
-    symbol,
     weighted_outer_sum,
 )
 
@@ -39,7 +36,7 @@ def test_bch_closed_form_matches_exponential_su2(j):
     worst = 0.0
     for rho in np.linspace(0.05, 0.7, 6):
         for phi in np.linspace(0.0, 2 * np.pi, 6, endpoint=False):
-            direct = displace(rep, rho * np.exp(1j * phi)).vector
+            direct = displace(rep, rho * np.exp(1j * phi))
             closed = coherent_vector(rep, rho, phi)
             worst = max(worst, float(np.linalg.norm(direct - closed)))
     assert worst < 1e-10
@@ -51,7 +48,7 @@ def test_bch_closed_form_matches_exponential_h4():
     sub = rep.valid_dim
     worst = 0.0
     for rho in np.linspace(0.05, 1.5, 6):
-        direct = displace(rep, rho * np.exp(0.7j)).vector
+        direct = displace(rep, rho * np.exp(0.7j))
         closed = coherent_vector(rep, rho, 0.7)
         worst = max(worst, float(np.linalg.norm(direct[:sub] - closed[:sub])))
     assert worst < 1e-10
@@ -62,7 +59,7 @@ def test_bch_closed_form_matches_exponential_su11():
     rep = build_su11_rep(0.5, 96)
     sub = rep.valid_dim
     for rho in (0.1, 0.3, 0.5):
-        direct = displace(rep, rho * np.exp(1.1j)).vector
+        direct = displace(rep, rho * np.exp(1.1j))
         closed = coherent_vector(rep, rho, 1.1)
         assert np.linalg.norm(direct[:sub] - closed[:sub]) < 1e-10
 
@@ -89,18 +86,17 @@ def test_displace_tail_guard():
 
 
 def test_coherent_state_object():
-    state = coherent_state(build_su2_rep(2.0), 0.4, 1.3)
-    assert state.family == "su2"
-    assert abs(state.lam - 0.4 * np.exp(1.3j)) < 1e-15
-    assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-14
+    """A coherent state is its normalized vector."""
+    vec = coherent_vector(build_su2_rep(2.0), 0.4, 1.3)
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-14
 
 
 def test_overlap_peaks_at_equal_labels():
     rep = build_su2_rep(5.0)
-    a = coherent_state(rep, 0.5, 0.4)
-    assert abs(overlap(a, a) - 1.0) < 1e-12
-    b = coherent_state(rep, 0.9, 2.0)
-    assert abs(overlap(a, b)) < 1.0
+    a = coherent_vector(rep, 0.5, 0.4)
+    assert abs(np.vdot(a, a) - 1.0) < 1e-12
+    b = coherent_vector(rep, 0.9, 2.0)
+    assert abs(np.vdot(a, b)) < 1.0
 
 
 def test_symbol_su2_closed_form():
@@ -132,15 +128,6 @@ def test_symbol_su11_cosh_branch():
         expected = (clock.epsilon * clock.b2 / 2.0) * (np.cosh(2 * rho) - 1.0)
         assert abs(clock_symbol_analytic(clock, rho) - expected) < 1e-14
         assert abs(numeric - expected) / abs(expected) < 1e-8
-
-
-def test_symbol_general_operator():
-    """symbol() is just the coherent expectation of an arbitrary operator."""
-    rep = build_su2_rep(1.0)
-    state = coherent_state(rep, 0.6, 0.2)
-    op = np.diag([0.0, 1.0, 5.0])
-    direct = np.vdot(state.vector, op @ state.vector)
-    assert abs(symbol(op, state) - direct) < 1e-14
 
 
 def test_identity_resolution_su2():

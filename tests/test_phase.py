@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clocklab.algebra import build_clock, build_h4_rep, build_su2_rep
-from clocklab.gcs import coherent_state
+from clocklab.gcs import coherent_vector
 from clocklab.phase import (
     build_phase_operator,
     classical_phase_expectations,
@@ -95,7 +95,7 @@ def test_uncertainty_grid_keeps_nan():
     assert np.isnan(worst)
 
 
-def per_point_slack_bound(clock, phase, state):
+def per_point_slack_bound(clock, phase, vec):
     """(reference slack, bound on its difference from a batched evaluation).
 
     With u the unit roundoff, gamma_n = n u / (1 - n u) and g = |A| |v| for
@@ -112,8 +112,8 @@ def per_point_slack_bound(clock, phase, state):
     def gamma(n):
         return n * u / (1 - n * u)
 
-    d, vec = clock.dim, state.vector
-    audit = uncertainty_audit(state, clock, phase)
+    d = clock.dim
+    audit = uncertainty_audit(vec, clock, phase)
 
     def spread(op):
         g = np.abs(op) @ np.abs(vec)
@@ -146,7 +146,7 @@ def test_uncertainty_grid_equals_the_per_point_audits(rep, rho_max):
     rhos = np.linspace(0.04, rho_max, 9)
     phis = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
     worst = uncertainty_grid_audit(clock, phase, rhos, phis)
-    slacks, bounds = zip(*(per_point_slack_bound(clock, phase, coherent_state(rep, rho, phi))
+    slacks, bounds = zip(*(per_point_slack_bound(clock, phase, coherent_vector(rep, rho, phi))
                            for rho in rhos for phi in phis))
     assert abs(worst - min(slacks)) <= max(bounds)
 
@@ -154,7 +154,7 @@ def test_uncertainty_grid_equals_the_per_point_audits(rep, rho_max):
 def test_uncertainty_single_state_fields():
     clock = build_clock(build_su2_rep(15.0))
     phase = build_phase_operator(clock)
-    audit = uncertainty_audit(coherent_state(clock.rep, 0.2, 0.9), clock, phase)
+    audit = uncertainty_audit(coherent_vector(clock.rep, 0.2, 0.9), clock, phase)
     assert audit.delta_h > 0
     assert audit.delta_sin > 0
     assert audit.bound >= 0
@@ -165,7 +165,7 @@ def test_extremal_state_saturates_trivially():
     """The reference state has Delta_H = 0 and <cos> = 0 under the wrap: slack 0."""
     clock = build_clock(build_su2_rep(4.0))
     phase = build_phase_operator(clock)
-    audit = uncertainty_audit(coherent_state(clock.rep, 0.0, 0.0), clock, phase)
+    audit = uncertainty_audit(coherent_vector(clock.rep, 0.0, 0.0), clock, phase)
     assert abs(audit.slack) < 1e-13
 
 

@@ -224,7 +224,7 @@ def test_entropy_of_a_dense_psi():
     vg = np.linalg.qr(rng.normal(size=(5, 5)))[0]
     energies = np.arange(6.0)
     match = SpectralMatch(clock_evals=energies, clock_evecs=vc, system_evals=energies[:5],
-                          system_evecs=vg, pairs=tuple((k, k) for k in range(5)), tol=1e-9)
+                          system_evecs=vg, pairs=tuple((k, k) for k in range(5)))
     psi = build_psi(match, rng.normal(size=5) + 1j * rng.normal(size=5))
     assert np.count_nonzero(psi.matrix) == psi.matrix.size
     assert psi.entanglement_entropy == _entropy(psi.matrix)
