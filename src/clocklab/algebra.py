@@ -54,21 +54,6 @@ def _shift_moduli(m: np.ndarray) -> np.ndarray | None:
     return np.abs(m[nonzero])
 
 
-def _hermitian_phase(m: np.ndarray) -> complex | None:
-    """1 when m is exactly hermitian, 1j when exactly anti-hermitian, else None.
-
-    Real and imaginary parts are compared with their own transposes, so no
-    conjugate copy of m is made.
-    """
-    re = m.real
-    im = m.imag if np.iscomplexobj(m) else None
-    if np.array_equal(re, re.T) and (im is None or np.array_equal(im, -im.T)):
-        return 1
-    if np.array_equal(re, -re.T) and (im is None or np.array_equal(im, im.T)):
-        return 1j
-    return None
-
-
 # LAPACK's syevd rescales a matrix whose largest |entry| lies outside
 # [sqrt(safmin/eps), 1/sqrt(safmin/eps)] = [2^-485, 2^485], moving last bits
 _EIGH_UNSCALED = (2.0 ** -485, 2.0 ** 485)
@@ -102,7 +87,7 @@ def _interleave(dim: int) -> np.ndarray:
 
 
 def residual_norm2(m: np.ndarray) -> float:
-    """Spectral norm of a residual matrix, by the first exact route that applies.
+    """Spectral norm of a square residual matrix, by the first exact route that applies.
 
     1. A weighted shift (at most one nonzero per row and per column): the
        largest |entry|.
@@ -113,18 +98,44 @@ def residual_norm2(m: np.ndarray) -> float:
        ``eigvals_banded`` runs when 2b + 1 < dim, ``eigvalsh`` otherwise.
     3. Anything else: the largest singular value.
 
+    One scan finds the nonzeros; every test reads them (``_nonzero_norm2``).
     ``m`` is not modified; only the dense eigenvalue route copies it, once,
     for LAPACK to overwrite.
     """
-    moduli = _shift_moduli(m)
-    if moduli is not None:
-        return float(moduli.max(initial=0.0))
-    phase = _hermitian_phase(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"residual_norm2 takes a square matrix, got shape {m.shape}")
+    flat = np.flatnonzero(m != 0)  # far faster than np.nonzero's 2-d index pairs
+    rows, cols = np.divmod(flat, m.shape[1])
+    return _nonzero_norm2(m.shape[0], rows, cols, m.ravel()[flat], m)
+
+
+def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                   dense: np.ndarray | None = None) -> float:
+    """``residual_norm2`` of the dim x dim matrix with these nonzeros, in row-major order.
+
+    Hermitian means each nonzero equals the conjugate of its mirror entry
+    (real and imaginary parts compared with ``==``, so a NaN is neither);
+    a nonzero whose mirror is zero fails that.  LAPACK reads ``dense``, the
+    matrix the triplets came from, when it is given: its zeros may carry a
+    sign that moves the eigenvalues' last bits.  Without it the triplets are
+    scattered into zeros.
+    """
+    if np.bincount(rows).max(initial=0) <= 1 and np.bincount(cols).max(initial=0) <= 1:
+        return float(np.abs(vals).max(initial=0.0))
+    # entry mirror[k] is (cols[k], rows[k]) when the pattern is symmetric
+    mirror_keys = cols * dim + rows
+    mirror = np.argsort(mirror_keys)
+    phase = None
+    if np.array_equal(mirror_keys[mirror], rows * dim + cols):
+        mirrored = vals[mirror].conj()
+        if np.all(vals == mirrored):
+            phase = 1
+        elif np.all(vals == -mirrored):
+            phase = 1j
     if phase is None:
-        return float(np.linalg.norm(m, 2))
-    dim = m.shape[0]
-    rows, cols = np.nonzero(m)
+        return float(np.linalg.norm(_scatter(dim, rows, cols, vals, dense), 2))
     order = np.arange(dim)
+    position = order
     band = int(np.max(np.abs(rows - cols)))
     if 2 * band + 1 >= dim:
         order = _interleave(dim)
@@ -132,15 +143,31 @@ def residual_norm2(m: np.ndarray) -> float:
         band = int(np.max(np.abs(position[rows] - position[cols])))
     if 2 * band + 1 < dim:
         # lower band storage of m[order][:, order]: row k holds its k-th subdiagonal
-        lower = np.zeros((band + 1, dim), dtype=np.result_type(m, phase))
-        for k in range(band + 1):
-            lower[k, :dim - k] = phase * m[order[k:], order[:dim - k]]
+        lower = np.zeros((band + 1, dim), dtype=np.result_type(vals, phase))
+        if dense is None:
+            below = position[rows] >= position[cols]
+            at = position[cols[below]]
+            lower[position[rows[below]] - at, at] = phase * vals[below]
+        else:
+            for k in range(band + 1):
+                lower[k, :dim - k] = phase * dense[order[k:], order[:dim - k]]
         evals = scipy.linalg.eigvals_banded(lower, lower=True, check_finite=False)
     else:
         # the transpose of a hermitian matrix is its conjugate, with the same
         # eigenvalues, and is the Fortran-ordered view LAPACK can overwrite
-        evals = scipy.linalg.eigvalsh((phase * m).T, overwrite_a=True, check_finite=False)
+        scaled = phase * _scatter(dim, rows, cols, vals, dense)
+        evals = scipy.linalg.eigvalsh(scaled.T, overwrite_a=True, check_finite=False)
     return float(max(-evals[0], evals[-1]))
+
+
+def _scatter(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+             dense: np.ndarray | None) -> np.ndarray:
+    """``dense``, or else the dim x dim matrix with these nonzeros."""
+    if dense is not None:
+        return dense
+    m = np.zeros((dim, dim), dtype=vals.dtype)
+    m[rows, cols] = vals
+    return m
 
 
 @dataclasses.dataclass(frozen=True)

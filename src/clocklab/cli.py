@@ -293,6 +293,9 @@ def load_config(path: str | None, overrides: dict[str, object],
     # one point is phi = 0 alone, where the propagator and the drift compare identities
     if cfg["sch_phi_points"] < 2:
         raise ConfigError(f"'sch_phi_points' must be at least 2, got {cfg['sch_phi_points']!r}")
+    # a zero step divides by zero: the residual is NaN, which summary.json cannot hold
+    if cfg["sch_h"] == 0:
+        raise ConfigError(f"'sch_h' must be nonzero, got {cfg['sch_h']!r}")
     # one size leaves no pair to compare, and all() over no pair is true
     for key in ("ph_sizes", "cls_sizes"):
         if len(cfg[key]) < 2:
@@ -709,7 +712,7 @@ def run_hamilton(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     rows.append(["rates", 0, q_rate, c_rate, rate_err])
     checks.append(_gate(cfg, "flow-unification", "tol_flow_match", difference=rate_err,
                         quantum_rate=q_rate, classical_rate=c_rate))
-    _progress(f"[hamilton] quantum rate {q_rate!r} vs classical {c_rate!r}")
+    _progress(f"[hamilton] quantum rate {_fmt(q_rate)} vs classical {_fmt(c_rate)}")
     return ["family", "J", "value_a", "value_b", "value_c"], rows, checks
 
 

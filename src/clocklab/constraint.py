@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import ClockModel, _eigh, _is_identity, _shift_moduli, residual_norm2
 from .families import lookup
-from .gcs import coherent_points, coherent_table, coherent_vector, weighted_outer_sum
+from .gcs import coherent_points, coherent_table, weighted_outer_sum
 
 CHI2_FLOOR = 1e-14
 
@@ -244,11 +244,18 @@ def reduced_density_clock(psi: CompositeState) -> np.ndarray:
 
 def chi2_identity_residual(psi: CompositeState, clock: ClockModel,
                            rho: float, phi: float) -> float:
-    """|chi2 - <lambda| rho_clock |lambda>| (an exact identity)."""
-    cond = conditional_state(psi, clock, rho, phi)
-    vec = coherent_vector(clock.rep, rho, phi)
+    """|chi2 - <lambda| rho_clock |lambda>| (an exact identity).
+
+    One coherent table serves both sides: its bra product with psi is
+    ``conditional_state``'s and its column the density side's vector.
+    """
+    _check_clock_dim(psi, clock)
+    bra = coherent_points(clock.rep, [rho], [phi])
+    row = (bra.conj().T @ psi.matrix)[0]
+    chi2 = float(np.real(np.vdot(row, row)))
+    vec = bra[:, 0]
     via_density = float(np.real(np.vdot(vec, reduced_density_clock(psi) @ vec)))
-    return abs(cond.chi2 - via_density)
+    return abs(chi2 - via_density)
 
 
 def precs_decomposition_check(psi: CompositeState, clock: ClockModel,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ClockModel, _comm, _shift_moduli, build_clock, residual_norm2
+from .algebra import ClockModel, _diagonal, _nonzero_norm2, build_clock
 from .families import lookup
 from .gcs import coherent_points, coherent_table, coherent_vector
 
@@ -33,17 +33,24 @@ class PhaseOperator:
     cos_phi: np.ndarray
 
 
-def _unitarity_residual(u: np.ndarray) -> float:
-    """Frobenius norm of u^dag u - I.
+def _unitarity_residual(phases: np.ndarray) -> float:
+    """Frobenius norm of U^dag U - I for the cyclic shift U with these steps.
 
-    For a weighted shift every off-diagonal entry of u^dag u is a sum of
-    products with a zero factor, so the product is the diagonal of column
-    sums of |u|^2 and the norm is read from those sums.  Any other u takes
-    the dense product.
+    U has one nonzero in each row and each column, so U^dag U is the
+    diagonal of |phases|^2 and of the unit wrap, whose own term is zero.
     """
-    if _shift_moduli(u) is None:
-        return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
-    return float(np.linalg.norm(np.sum(u.real ** 2 + u.imag ** 2, axis=0) - 1.0))
+    return float(np.linalg.norm(phases.real ** 2 + phases.imag ** 2 - 1.0))
+
+
+def _cyclic_band(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (rows, cols) of the entries one rung apart around the ring.
+
+    U, U^dag, sin and cos have no nonzero elsewhere.
+    """
+    rungs = np.arange(dim)
+    keys = np.unique(np.concatenate([rungs * dim + (rungs - 1) % dim,
+                                     rungs * dim + (rungs + 1) % dim]))
+    return keys // dim, keys % dim
 
 
 def build_phase_operator(clock: ClockModel) -> PhaseOperator:
@@ -57,28 +64,36 @@ def build_phase_operator(clock: ClockModel) -> PhaseOperator:
     """
     a = clock.lowering_op.conj().T
     dim = clock.dim
-    u = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim - 1):
-        el = a[k + 1, k]
-        if abs(el) == 0:
-            raise ValueError("ladder operator has a vanishing step inside the ladder")
-        u[k + 1, k] = el / abs(el)
-    u[0, dim - 1] = 1.0
+    steps = np.diagonal(a, -1)  # a[k + 1, k]
+    if np.count_nonzero(steps) < dim - 1:
+        raise ValueError("ladder operator has a vanishing step inside the ladder")
+    if np.count_nonzero(a) > dim - 1:
+        raise ValueError("ladder operator has a nonzero off its subdiagonal")
+    phases = steps / np.abs(steps)
 
+    # With A on its subdiagonal, row k + 1 of the modulus and column k of A
+    # hold |step k| alone, and A - sqrt(A A^dag) U is zero off the steps.
     # Frobenius norms bound the 2-norms from above and the largest column
     # norm bounds ||a||_2 from below, so these guards are at least as strict
     # as their 2-norm forms without running an SVD.
-    if _unitarity_residual(u) > 1e-12:
+    if _unitarity_residual(phases) > 1e-12:
         raise ValueError("completed phase operator is not unitary")
-    # diag(a a^dag) and modulus @ u, with the diagonal factor as a broadcast
-    modulus = np.sqrt(np.real(np.sum(a * a.conj(), axis=1)))
-    a_scale = max(1.0, np.linalg.norm(a, axis=0).max())
-    if np.linalg.norm(a - modulus[:, None] * u) > 1e-12 * a_scale:
+    modulus = np.sqrt(np.real(steps * steps.conj()))
+    if np.linalg.norm(steps - modulus * phases) > 1e-12 * max(1.0, modulus.max(initial=0.0)):
         raise ValueError("polar identity violated by the completed unitary")
 
-    u_dag = u.conj().T
-    sin_phi = (u_dag - u) / 2j
-    cos_phi = (u_dag + u) / 2.0
+    u = np.zeros((dim, dim), dtype=complex)
+    rungs = np.arange(dim - 1)
+    u[rungs + 1, rungs] = phases
+    u[0, dim - 1] = 1.0
+    # (U^dag - U)/2i and (U + U^dag)/2 entry by entry on the band, where U^dag
+    # at (r, c) is conj(U[c, r])
+    rows, cols = _cyclic_band(dim)
+    u_rc, u_dag_rc = u[rows, cols], u[cols, rows].conj()
+    sin_phi = np.zeros((dim, dim), dtype=complex)
+    sin_phi[rows, cols] = (u_dag_rc - u_rc) / 2j
+    cos_phi = np.zeros((dim, dim), dtype=complex)
+    cos_phi[rows, cols] = (u_dag_rc + u_rc) / 2.0
     return PhaseOperator(exp_minus_iphi=u, sin_phi=sin_phi, cos_phi=cos_phi)
 
 
@@ -97,17 +112,30 @@ def commutator_check(clock: ClockModel, phase: PhaseOperator) -> CommutatorRepor
 
     The identity is exact away from the two extremal rungs; the full-space
     number is reported so the boundary artifact of the cyclic completion
-    stays visible instead of hidden.
+    stays visible instead of hidden.  The residual is formed only on the
+    cyclic band, where ``build_phase_operator`` puts every nonzero of sin
+    and cos, with the arithmetic of the dense d[:, None] * sin - sin * d -
+    i eps cos; its exact zeros are dropped and the nonzeros go to the norm.
+    Refuses a clock whose h_c is not diagonal and a phase operator with a
+    nonzero off the band.
     """
-    m = _comm(clock.h_c, phase.sin_phi)
-    m -= 1j * clock.epsilon * phase.cos_phi  # in place: one temporary at a time
-    full = residual_norm2(m)
-    # the interior projector applied on both sides: zero the two edge rungs
-    m[[0, -1], :] = 0.0
-    m[:, [0, -1]] = 0.0
+    d = _diagonal(clock.h_c)
+    if d is None:
+        raise ValueError("commutator_check needs a diagonal clock Hamiltonian")
+    dim = clock.dim
+    rows, cols = _cyclic_band(dim)
+    sin, cos = phase.sin_phi[rows, cols], phase.cos_phi[rows, cols]
+    if np.count_nonzero(phase.sin_phi) > np.count_nonzero(sin) or \
+            np.count_nonzero(phase.cos_phi) > np.count_nonzero(cos):
+        raise ValueError("phase operator has a nonzero off the cyclic band")
+    vals = d[rows] * sin - sin * d[cols]
+    vals -= 1j * clock.epsilon * cos
+    keep = vals != 0
+    # the interior projector applied on both sides: drop the two edge rungs
+    inner = keep & (rows > 0) & (rows < dim - 1) & (cols > 0) & (cols < dim - 1)
     return CommutatorReport(
-        interior_residual=residual_norm2(m),
-        full_residual=full,
+        interior_residual=_nonzero_norm2(dim, rows[inner], cols[inner], vals[inner]),
+        full_residual=_nonzero_norm2(dim, rows[keep], cols[keep], vals[keep]),
         epsilon=clock.epsilon,
         dim=clock.dim,
     )

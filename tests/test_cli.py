@@ -258,6 +258,16 @@ def test_hamilton_system_size_outside_one_and_two_exits_two(tmp_path, capsys, va
     assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-0.0", "nan", "inf"])
+def test_zero_or_non_finite_schrodinger_step_exits_two(tmp_path, capsys, value):
+    """--step 0 divided by zero: exit 1 and a NaN residual, not JSON, in summary.json."""
+    assert run(["schrodinger", f"--step={value}", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert "config error" in capsys.readouterr().err
+    with pytest.raises(cli.ConfigError, match="sch_h"):
+        cli.load_config(None, {"sch_h": value}, [])
+
+
 def test_config_table_groups_are_the_runners():
     """One table of keys: a group per runner plus the common and tolerance groups."""
     groups = [name for name in cli._TABLE if name not in ("common", "tolerance")]
@@ -343,6 +353,14 @@ def test_progress_on_stderr_path_on_stdout(tmp_path, capsys):
     assert "[symbol]" in captured.err
     assert str(tmp_path) in captured.out
     assert "[symbol]" not in captured.out
+
+
+def test_hamilton_progress_prints_plain_floats(tmp_path, capsys):
+    """The rate line used !r on numpy scalars: np.float64(0.0707...)."""
+    run(["hamilton", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert "[hamilton] quantum rate 0.07" in err
+    assert "np.float64(" not in err
 
 
 def test_stationary_sweep_subcommand(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from clocklab import constraint, gcs
 from clocklab.algebra import build_clock, build_su2_rep, intensive_h4_clock, intensive_su2_clock
 from clocklab.constraint import (
     _conditional_rows,
@@ -327,3 +328,29 @@ def test_random_profile_precs_residual_takes_the_eigenvalue_route(monkeypatch, j
     assert np.array_equal(g, g.conj().T)
     precs_decomposition_check(psi, clock)
     assert calls == ["eigvalsh"]
+
+
+def test_chi2_identity_builds_one_coherent_table(monkeypatch):
+    """The table's bra product gives chi2 and its column the density side's
+    vector: the bits of conditional_state and coherent_vector, from one call."""
+    clock, _, _, psi = make_state(j=10.0)
+    cases = [(0.3, 0.0), (0.5, 1.7), (0.7, -2.2)]
+    expected = []
+    for rho, phi in cases:
+        vec = coherent_vector(clock.rep, rho, phi)
+        via_density = float(np.real(np.vdot(vec, reduced_density_clock(psi) @ vec)))
+        expected.append(abs(conditional_state(psi, clock, rho, phi).chi2 - via_density))
+    calls = []
+    real = gcs.coherent_points
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (constraint, gcs):  # coherent_vector calls the one in gcs
+        monkeypatch.setattr(module, "coherent_points", spy)
+    for (rho, phi), want in zip(cases, expected):
+        calls.clear()
+        got = chi2_identity_residual(psi, clock, rho, phi)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert len(calls) == 1

@@ -1,5 +1,7 @@
 """Phase operator: polar decomposition, commutators, uncertainty relations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,26 @@ def test_commutator_wrap_scales_linearly_in_eps():
     rep_b = commutator_check(clock_b, build_phase_operator(clock_b))
     assert abs(rep_a.full_residual - clock_a.epsilon * clock_a.dim / 2.0) < 1e-12
     assert abs(rep_b.full_residual / rep_a.full_residual - 2.0) < 1e-12
+
+
+def test_commutator_check_refuses_a_clock_that_is_not_diagonal():
+    clock = build_clock(build_su2_rep(3.0))
+    h_c = clock.h_c.copy()
+    h_c[0, 1] = h_c[1, 0] = 0.5
+    with pytest.raises(ValueError, match="diagonal"):
+        commutator_check(dataclasses.replace(clock, h_c=h_c), build_phase_operator(clock))
+
+
+@pytest.mark.parametrize("field", ["sin_phi", "cos_phi"])
+@pytest.mark.parametrize("row, col", [(0, 3), (2, 2)], ids=["off-band", "diagonal"])
+def test_commutator_check_refuses_a_nonzero_off_the_cyclic_band(field, row, col):
+    """The residual is formed on the band alone, so an entry elsewhere is refused."""
+    clock = build_clock(build_su2_rep(3.0))
+    phase = build_phase_operator(clock)
+    op = getattr(phase, field).copy()
+    op[row, col] = 1e-300
+    with pytest.raises(ValueError, match="cyclic band"):
+        commutator_check(clock, dataclasses.replace(phase, **{field: op}))
 
 
 def test_sin_cos_commute():

@@ -1,15 +1,21 @@
 """The structured routes of the linear algebra against their dense forms.
 
-``residual_norm2`` picks a route by an exact predicate on the matrix:
-weighted shift, hermitian or anti-hermitian (banded, banded after the
-interleave of the ladder ends, or dense), or the SVD.  Each route is
-compared with a spectral norm computed in the test from an SVD.  ``_eigh``,
-``build_psi`` (its identity-basis scatter and its entropy) and the
-column-sum unitarity guard of ``build_phase_operator`` are compared with
-the dense products or LAPACK calls they stand in for; ``quantum_flow_rate``
-(one table product and one least-squares closed form) with a per-phi,
-per-component reference, within a roundoff bound the test derives.
+``residual_norm2`` picks a route by an exact predicate on the matrix's
+nonzeros: weighted shift, hermitian or anti-hermitian (banded, banded after
+the interleave of the ladder ends, or dense), or the SVD.  Each route is
+compared with a spectral norm computed in the test from an SVD, and route
+and bits with a copy of the dense-predicate form kept in the test.
+``_eigh``, ``build_psi`` (its identity-basis scatter and its entropy), the
+phase operator and its commutator residuals (formed on the cyclic band)
+and the step-vector unitarity guard of ``build_phase_operator`` are
+compared with the dense products or LAPACK calls they stand in for;
+``quantum_flow_rate`` (one table product and one least-squares closed
+form) with a per-phi, per-component reference, within a roundoff bound the
+test derives.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +173,12 @@ def test_zero_and_nan_residuals():
     assert residual_norm2(np.zeros((4, 4))) == 0.0
     m = np.diag([1.0, np.nan, 2.0])
     assert np.isnan(residual_norm2(m))
+
+
+def test_a_matrix_that_is_not_square_is_refused():
+    """Its mirror entries would fall outside it, so the triplet tests cannot hold."""
+    with pytest.raises(ValueError, match="square"):
+        residual_norm2(np.eye(2, 3))
 
 
 def _bits(*arrays):
@@ -329,6 +341,185 @@ def test_band_the_interleave_does_not_narrow_goes_dense(monkeypatch):
     position = np.argsort(_interleave(9))
     assert 2 * int(np.max(abs(position[rows] - position[cols]))) + 1 >= 9
     assert (banded, dense) == ([], ["eigvalsh"])
+
+
+# --- the nonzero scan against the dense predicates ------------------------------
+
+
+def dense_predicate_norm2(m):
+    """``residual_norm2`` as written over the dense matrix: a shift test on
+    column and row counts of ``m != 0``, transposed compares for the
+    (anti-)hermitian test, and LAPACK's storage gathered from ``m``."""
+    nonzero = m != 0
+    if not ((np.count_nonzero(nonzero, axis=0) > 1).any()
+            or (np.count_nonzero(nonzero, axis=1) > 1).any()):
+        return float(np.abs(m[nonzero]).max(initial=0.0))
+    re = m.real
+    im = m.imag if np.iscomplexobj(m) else None
+    if np.array_equal(re, re.T) and (im is None or np.array_equal(im, -im.T)):
+        phase = 1
+    elif np.array_equal(re, -re.T) and (im is None or np.array_equal(im, im.T)):
+        phase = 1j
+    else:
+        return float(np.linalg.norm(m, 2))
+    dim = m.shape[0]
+    rows, cols = np.nonzero(m)
+    order = np.arange(dim)
+    band = int(np.max(np.abs(rows - cols)))
+    if 2 * band + 1 >= dim:
+        order = _interleave(dim)
+        position = np.argsort(order)
+        band = int(np.max(np.abs(position[rows] - position[cols])))
+    if 2 * band + 1 < dim:
+        lower = np.zeros((band + 1, dim), dtype=np.result_type(m, phase))
+        for k in range(band + 1):
+            lower[k, :dim - k] = phase * m[order[k:], order[:dim - k]]
+        evals = scipy.linalg.eigvals_banded(lower, lower=True, check_finite=False)
+    else:
+        evals = scipy.linalg.eigvalsh((phase * m).T, overwrite_a=True, check_finite=False)
+    return float(max(-evals[0], evals[-1]))
+
+
+PATTERNS = ("shift", "diagonal", "banded", "cyclic", "full")
+
+
+@st.composite
+def residual_matrices(draw):
+    """Square matrices of every pattern and symmetry the routes tell apart,
+    with zeros of both signs (in mirrored pairs, so a hermitian matrix stays
+    one) and now and then a NaN."""
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(scales)
+    a = rng.normal(size=(n, n)) * scale
+    if draw(st.booleans()):
+        a = a + 1j * rng.normal(size=(n, n)) * scale
+    m = {"hermitian": a + a.conj().T, "anti": a - a.conj().T, "general": a}[
+        draw(st.sampled_from(["hermitian", "anti", "general"]))]
+    i, j = np.indices((n, n))
+    dist = abs(i - j)
+    pattern = draw(st.sampled_from(PATTERNS))
+    if pattern == "shift":
+        m = np.zeros_like(m)
+        m[rng.permutation(n), rng.permutation(n)] = a[0]
+    elif pattern == "diagonal":
+        m = np.where(dist == 0, m, 0.0)
+    elif pattern == "banded":
+        m = np.where(dist <= draw(st.integers(0, n)), m, 0.0)
+    elif pattern == "cyclic":
+        m = np.where(np.minimum(dist, n - dist) <= draw(st.integers(1, max(1, n // 4))), m, 0.0)
+    zeros = draw(st.floats(0.0, 0.5)) > rng.random((n, n))
+    signs = rng.choice([-0.0, 0.0], size=(2, n, n))
+    if np.iscomplexobj(m):
+        m[zeros] = (signs[0] + 1j * signs[1])[zeros]
+        m[zeros.T] = (signs[1] + 1j * signs[0])[zeros.T]
+    else:
+        m[zeros] = signs[0][zeros]
+        m[zeros.T] = signs[1][zeros.T]
+    if draw(st.integers(0, 9)) == 0:
+        m[rng.integers(n), rng.integers(n)] = np.nan
+    return m
+
+
+def _outcome(norm, m):
+    try:
+        return np.float64(norm(m)).tobytes()
+    except np.linalg.LinAlgError as exc:  # the SVD of a NaN need not converge
+        return type(exc)
+
+
+def _recording(calls, fn):
+    def spy(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return spy
+
+
+def test_nonzero_scan_takes_the_dense_predicates_route_and_bits(monkeypatch):
+    calls = []
+    for name in ("eigvals_banded", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, name, _recording(calls, getattr(scipy.linalg, name)))
+    monkeypatch.setattr(np.linalg, "norm", _recording(calls, np.linalg.norm))
+
+    @given(residual_matrices())
+    def check(m):
+        before = m.copy()
+        calls.clear()
+        ref = _outcome(dense_predicate_norm2, m)
+        ref_route = list(calls)
+        calls.clear()
+        assert _outcome(residual_norm2, m) == ref
+        assert calls == ref_route
+        assert before.tobytes() == m.tobytes()
+
+    check()
+
+
+def dense_phase_operator(clock):
+    """U, sin and cos as dense products, one rung at a time."""
+    a = clock.lowering_op.conj().T
+    dim = clock.dim
+    u = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim - 1):
+        el = a[k + 1, k]
+        u[k + 1, k] = el / abs(el)
+    u[0, dim - 1] = 1.0
+    u_dag = u.conj().T
+    return u, (u_dag - u) / 2j, (u_dag + u) / 2.0
+
+
+def dense_commutator_residuals(clock):
+    """(full, interior) from the dense [H_C, sin] - i eps cos."""
+    _, sin, cos = dense_phase_operator(clock)
+    d = np.diagonal(clock.h_c)
+    m = d[:, None] * sin - sin * d
+    m -= 1j * clock.epsilon * cos
+    full = dense_predicate_norm2(m)
+    m[[0, -1], :] = 0.0
+    m[:, [0, -1]] = 0.0
+    return full, dense_predicate_norm2(m)
+
+
+BAND_CLOCKS = {
+    **{f"su2-j{j:g}": (lambda j=j: build_clock(build_su2_rep(j))) for j in (0.5, 1.0, 20.0, 160.0)},
+    "su2-j400-intensive": lambda: intensive_su2_clock(400.0),
+    "h4-cut64": lambda: build_clock(build_h4_rep(64)),
+    "h4-mean200": lambda: intensive_h4_clock(200.0),
+    "su11-k1.5-cut64": lambda: build_clock(build_su11_rep(1.5, 64)),
+}
+
+
+@pytest.mark.parametrize("name", list(BAND_CLOCKS))
+def test_band_commutator_residuals_are_the_dense_ones(name):
+    clock = BAND_CLOCKS[name]()
+    report = commutator_check(clock, build_phase_operator(clock))
+    full, interior = dense_commutator_residuals(clock)
+    assert np.float64(report.full_residual).tobytes() == np.float64(full).tobytes()
+    assert np.float64(report.interior_residual).tobytes() == np.float64(interior).tobytes()
+
+
+@pytest.mark.parametrize("name", list(BAND_CLOCKS))
+def test_phase_operator_is_the_dense_one(name):
+    """U and cos bit for bit; sin by value, as its zeros off the band are +0
+    where the dense difference of U^dag and U leaves -0 imaginary parts."""
+    clock = BAND_CLOCKS[name]()
+    phase = build_phase_operator(clock)
+    u, sin, cos = dense_phase_operator(clock)
+    assert phase.exp_minus_iphi.tobytes() == u.tobytes()
+    assert phase.cos_phi.tobytes() == cos.tobytes()
+    assert np.array_equal(phase.sin_phi, sin)
+
+
+def test_commutator_check_allocates_less_than_one_dense_matrix():
+    clock = intensive_su2_clock(400.0)
+    phase = build_phase_operator(clock)
+    tracemalloc.start()
+    try:
+        commutator_check(clock, phase)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < clock.dim ** 2 * np.dtype(complex).itemsize
 
 
 # --- constraint states in the identity basis ----------------------------------
@@ -549,27 +740,39 @@ def dense_unitarity(u):
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
 
 
+def cyclic_shift(phases):
+    """The completed unitary with these steps on its subdiagonal and a unit wrap."""
+    n = len(phases) + 1
+    u = np.zeros((n, n), dtype=complex)
+    u[np.arange(1, n), np.arange(n - 1)] = phases
+    u[0, n - 1] = 1.0
+    return u
+
+
 @pytest.mark.parametrize("rep", [build_su2_rep(40.0), build_h4_rep(64),
                                  build_su11_rep(1.5, 64)], ids=["su2", "h4", "su11"])
 def test_unitarity_residual_of_the_ladders_is_the_dense_one(rep):
     u = build_phase_operator(build_clock(rep)).exp_minus_iphi
-    assert _unitarity_residual(u) == dense_unitarity(u)
+    assert _unitarity_residual(np.diagonal(u, -1)) == dense_unitarity(u)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.floats(1e-12, 1e-3))
 def test_a_shift_off_the_unit_circle_is_rejected(seed, n, bump):
     rng = np.random.default_rng(seed)
-    u = np.zeros((n, n), dtype=complex)
-    u[rng.permutation(n), np.arange(n)] = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    k = int(rng.integers(n))
-    u[:, k] *= 1 + bump  # |column k|^2 - 1 is about 2 * bump
-    got, ref = _unitarity_residual(u), dense_unitarity(u)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
+    phases[int(rng.integers(n - 1))] *= 1 + bump  # |step|^2 - 1 is about 2 * bump
+    got, ref = _unitarity_residual(phases), dense_unitarity(cyclic_shift(phases))
     assert got > 1e-12 and ref > 1e-12
     assert abs(got - ref) <= 4 * n * np.finfo(float).eps * max(got, 1.0)
 
 
-def test_non_shift_takes_the_dense_product():
-    rng = np.random.default_rng(19)
-    q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
-    for u in (q, 1.01 * q, q + np.diag(np.ones(5), 1)):
-        assert _unitarity_residual(u) == dense_unitarity(u)
+def test_a_ladder_off_its_subdiagonal_is_refused():
+    """One nonzero count of A refuses it, however small the stray entry, so
+    the guards may read the steps alone; a zero step is refused before."""
+    rep = build_su2_rep(3.0)
+    for row, col, value, message in ((0, 3, 1e-300, "off its subdiagonal"),
+                                     (2, 3, 0.0, "vanishing step")):
+        lowering = rep.raising_ops[0].copy()
+        lowering[row, col] = value  # A = R^dag: R[0, 3] is A[3, 0], R[2, 3] is step 2
+        with pytest.raises(ValueError, match=message):
+            build_phase_operator(build_clock(dataclasses.replace(rep, raising_ops=(lowering,))))
