@@ -96,7 +96,8 @@ def residual_norm2(m: np.ndarray) -> float:
        nonzero pattern; when 2b + 1 >= dim, b of its symmetric permutation
        by ``_interleave`` is read instead (a cyclic band narrows so).
        ``eigvals_banded`` runs when 2b + 1 < dim, ``eigvalsh`` otherwise.
-    3. Anything else: the largest singular value.
+    3. Anything else: the largest singular value, or NaN when the SVD fails
+       (it does on a NaN entry).
 
     One scan finds the nonzeros; every test reads them (``_nonzero_norm2``).
     ``m`` is not modified; only the dense eigenvalue route copies it, once,
@@ -133,7 +134,10 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
         elif np.all(vals == -mirrored):
             phase = 1j
     if phase is None:
-        return float(np.linalg.norm(_scatter(dim, rows, cols, vals, dense), 2))
+        try:
+            return float(np.linalg.norm(_scatter(dim, rows, cols, vals, dense), 2))
+        except np.linalg.LinAlgError:  # LAPACK's SVD refuses a NaN input
+            return float("nan")  # which fails the caller's gate
     order = np.arange(dim)
     position = order
     band = int(np.max(np.abs(rows - cols)))
@@ -346,13 +350,36 @@ def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d[:, None] * y - y * d
 
 
-def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
-    """Check every stored structure relation against direct matrix arithmetic.
+def _max_norm(norms) -> float:
+    """The largest of some residual norms (0.0 for none), NaN when any is NaN.
 
-    Returns residual 2-norms (``residual_norm2``); ``passed`` reflects the
-    exact-subspace residual for truncated families and the full-space one
-    otherwise.
+    Python's ``max`` skips a NaN that is not its first argument.
     """
+    return float(np.max(list(norms), initial=0.0))
+
+
+def _shift_form(rep: LieAlgebraRep) -> tuple | None:
+    """(diagonals, rows, cols, vals) when every D is a real diagonal and the one
+    ladder mode R is a real weighted shift, else None.
+
+    rows, cols, vals are R's nonzeros in row-major order.
+    """
+    if len(rep.raising_ops) != 1 or rep.raising_ops[0].dtype != np.float64:
+        return None
+    diagonals = [_diagonal(d) if d.dtype == np.float64 else None for d in rep.diagonal_ops]
+    if any(d is None for d in diagonals):
+        return None
+    r_op = rep.raising_ops[0]
+    flat = np.flatnonzero(r_op != 0)
+    rows, cols = np.divmod(flat, rep.dim)
+    if np.bincount(rows).max(initial=0) > 1 or np.bincount(cols).max(initial=0) > 1:
+        return None
+    return diagonals, rows, cols, r_op.ravel()[flat]
+
+
+def _dense_relations(rep: LieAlgebraRep, tol: float) -> tuple[float, list, tuple]:
+    """r_diag, the ladder's and the closure's (full, exact-subspace) norms, from
+    the dense products."""
     def exact_norm(resid: np.ndarray, full_norm: float) -> float:
         # 2-norm of proj @ resid @ proj for the projector on the exact subspace;
         # resid is a temporary, so its border is zeroed in place
@@ -362,38 +389,95 @@ def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
         resid[:, rep.exact_dim:] = 0.0
         return residual_norm2(resid)
 
-    r_diag = 0.0
+    diag = []
     for i, da in enumerate(rep.diagonal_ops):
         if np.linalg.norm(da - da.conj().T) > tol:  # Frobenius >= 2-norm: no looser
             raise ValueError(f"diagonal operator {i} is not hermitian")
-        for db in rep.diagonal_ops[i + 1:]:
-            r_diag = max(r_diag, residual_norm2(_comm(da, db)))
+        diag.extend(residual_norm2(_comm(da, db)) for db in rep.diagonal_ops[i + 1:])
 
-    r_ladder = 0.0
-    r_ladder_sub = 0.0
+    ladder = []
     for m, r_op in enumerate(rep.raising_ops):
         for delta, d_op in enumerate(rep.diagonal_ops):
             resid = _comm(d_op, r_op) - rep.structure_d[delta, m] * r_op
             norm = residual_norm2(resid)
-            r_ladder = max(r_ladder, norm)
-            r_ladder_sub = max(r_ladder_sub, exact_norm(resid, norm))
+            ladder.append((norm, exact_norm(resid, norm)))
 
     target = sum(q * d_op for q, d_op in zip(rep.closure_q, rep.diagonal_ops))
     r_op = rep.raising_ops[0]
     closure_resid = _comm(r_op, r_op.conj().T) - target
     r_close = residual_norm2(closure_resid)
-    r_close_sub = exact_norm(closure_resid, r_close)
+    return _max_norm(diag), ladder, (r_close, exact_norm(closure_resid, r_close))
 
-    r_annih = max(
-        float(np.linalg.norm(r_op @ rep.reference_state)) for r_op in rep.raising_ops
-    )
-    r_weights = max(
-        float(np.linalg.norm(d_op @ rep.reference_state - g * rep.reference_state))
-        for d_op, g in zip(rep.diagonal_ops, rep.weights)
-    )
 
-    full = max(r_diag, r_ladder, r_close, r_annih, r_weights)
-    sub = max(r_diag, r_ladder_sub, r_close_sub, r_annih, r_weights)
+def _shift_relations(rep: LieAlgebraRep, diagonals: list, rows: np.ndarray,
+                     cols: np.ndarray, vals: np.ndarray) -> tuple[float, list, tuple]:
+    """``_dense_relations`` on the nonzeros of the shift R, with the dense bits.
+
+    With diagonal Ds every residual vanishes off R's entries and the
+    diagonal.  Each entry is formed in the dense operation order: [D_a, D_b]
+    as d_a d_b - d_b d_a, [D, R] - s R as d[r] v - v d[c] - s v, and the
+    closure's R R^T and R^T R as v^2 at R's row and at its column, the one
+    term of each GEMM sum.  A real diagonal is hermitian, so the hermitian
+    guard of the dense route cannot fire here.
+    """
+    dim, exact = rep.dim, rep.exact_dim
+    rungs = np.arange(dim)
+
+    def norms(r, c, v):
+        keep = v != 0
+        full = _nonzero_norm2(dim, r[keep], c[keep], v[keep])
+        if exact == dim:
+            return full, full
+        inside = keep & (r < exact) & (c < exact)
+        return full, _nonzero_norm2(dim, r[inside], c[inside], v[inside])
+
+    r_diag = _max_norm(norms(rungs, rungs, da * db - db * da)[0]
+                       for i, da in enumerate(diagonals) for db in diagonals[i + 1:])
+    ladder = [norms(rows, cols, d[rows] * vals - vals * d[cols] - s * vals)
+              for d, s in zip(diagonals, rep.structure_d[:, 0])]
+    square = vals * vals
+    lowered = np.zeros(dim)  # the diagonal of R R^T
+    lowered[rows] = square
+    raised = np.zeros(dim)  # the diagonal of R^T R
+    raised[cols] = square
+    target = sum(q * d for q, d in zip(rep.closure_q, diagonals))
+    return r_diag, ladder, norms(rungs, rungs, (lowered - raised) - target)
+
+
+def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
+    """Check every stored structure relation against direct matrix arithmetic.
+
+    Returns residual 2-norms (``residual_norm2``); ``passed`` reflects the
+    exact-subspace residual for truncated families and the full-space one
+    otherwise.  A rep with real diagonal Ds and one real weighted-shift
+    ladder mode (every family here) is checked on the ladder's nonzeros
+    (``_shift_relations``), with the numbers of the dense products; any
+    other rep forms the dense products.  The residuals fold with a max that
+    keeps NaN, so a NaN anywhere fails the check.
+    """
+    ref = rep.reference_state
+    shift = _shift_form(rep)
+    if shift is None:
+        r_diag, ladder, closure = _dense_relations(rep, tol)
+        images = [r_op @ ref for r_op in rep.raising_ops]
+        scaled = [d_op @ ref for d_op in rep.diagonal_ops]
+    else:
+        diagonals, rows, cols, vals = shift
+        r_diag, ladder, closure = _shift_relations(rep, diagonals, rows, cols, vals)
+        # the length-dim vectors the dense products give, so the norms sum alike
+        image = np.zeros(rep.dim, dtype=np.result_type(vals, ref))
+        image[rows] = vals * ref[cols]
+        images = [image]
+        scaled = [d * ref for d in diagonals]
+
+    r_ladder = _max_norm(full for full, _ in ladder)
+    r_ladder_sub = _max_norm(sub for _, sub in ladder)
+    r_close, r_close_sub = closure
+    r_annih = _max_norm(np.linalg.norm(image) for image in images)
+    r_weights = _max_norm(np.linalg.norm(v - g * ref) for v, g in zip(scaled, rep.weights))
+
+    full = _max_norm([r_diag, r_ladder, r_close, r_annih, r_weights])
+    sub = _max_norm([r_diag, r_ladder_sub, r_close_sub, r_annih, r_weights])
     return CartanReport(
         diagonal_commutators=r_diag,
         ladder_relations=r_ladder,

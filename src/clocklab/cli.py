@@ -290,9 +290,11 @@ def load_config(path: str | None, overrides: dict[str, object],
         # a grid or cutoff of zero would pass its gates without checking anything
         if kind == "int" and key != "seed" and cfg[key] < 1:
             raise ConfigError(f"{key!r} must be at least 1")
-    # one point is phi = 0 alone, where the propagator and the drift compare identities
-    if cfg["sch_phi_points"] < 2:
-        raise ConfigError(f"'sch_phi_points' must be at least 2, got {cfg['sch_phi_points']!r}")
+    # one point is phi = 0 alone: it cannot show the phi dependence these checks
+    # claim, and there the propagator and the drift compare identities
+    for key in ("sch_phi_points", "bch_points", "ham_grid", "ph_grid_n"):
+        if cfg[key] < 2:
+            raise ConfigError(f"{key!r} must be at least 2, got {cfg[key]!r}")
     # a zero step divides by zero: the residual is NaN, which summary.json cannot hold
     if cfg["sch_h"] == 0:
         raise ConfigError(f"'sch_h' must be nonzero, got {cfg['sch_h']!r}")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ClockModel, _diagonal, _nonzero_norm2, build_clock
+from .algebra import ClockModel, _diagonal, _nonzero_norm2, _scatter, build_clock
 from .families import lookup
 from .gcs import coherent_points, coherent_table, coherent_vector
 
@@ -23,14 +23,53 @@ from .gcs import coherent_points, coherent_table, coherent_vector
 class PhaseOperator:
     """Polar-decomposition phase data for one clock.
 
-    ``exp_minus_iphi`` is the completed unitary U; ``sin_phi`` and
-    ``cos_phi`` are the exact hermitian combinations (U^dag - U)/2i and
-    (U + U^dag)/2.
+    ``phases`` are the steps of the completed unitary U: U[k + 1, k] =
+    phases[k], and the wrap U[0, dim - 1] = 1.  ``exp_minus_iphi`` is U;
+    ``sin_phi`` and ``cos_phi`` are the exact hermitian combinations
+    (U^dag - U)/2i and (U + U^dag)/2.  The three dense matrices are built
+    from the phases each time they are read.
     """
 
-    exp_minus_iphi: np.ndarray
-    sin_phi: np.ndarray
-    cos_phi: np.ndarray
+    phases: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.phases) + 1
+
+    def band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, sin, cos) on ``_cyclic_band``, where they have every nonzero.
+
+        The entries of U and U^dag at (r, c), U^dag's as conj(U[c, r]), are
+        those of the dense U, zeros included, so sin and cos carry the bits
+        of the dense (U^dag - U)/2i and (U + U^dag)/2.
+        """
+        dim = self.dim
+        ring = np.empty(dim, dtype=complex)  # U[(k + 1) % dim, k]
+        ring[:-1] = self.phases
+        ring[-1] = 1.0
+        rows, cols = _cyclic_band(dim)
+        u_rc = np.where(rows == (cols + 1) % dim, ring[cols], 0.0)
+        u_dag_rc = np.where(cols == (rows + 1) % dim, ring[rows], 0.0).conj()
+        return rows, cols, (u_dag_rc - u_rc) / 2j, (u_dag_rc + u_rc) / 2.0
+
+    @property
+    def exp_minus_iphi(self) -> np.ndarray:
+        dim = self.dim
+        u = np.zeros((dim, dim), dtype=complex)
+        rungs = np.arange(dim - 1)
+        u[rungs + 1, rungs] = self.phases
+        u[0, dim - 1] = 1.0
+        return u
+
+    @property
+    def sin_phi(self) -> np.ndarray:
+        rows, cols, sin, _ = self.band()
+        return _scatter(self.dim, rows, cols, sin, None)
+
+    @property
+    def cos_phi(self) -> np.ndarray:
+        rows, cols, _, cos = self.band()
+        return _scatter(self.dim, rows, cols, cos, None)
 
 
 def _unitarity_residual(phases: np.ndarray) -> float:
@@ -57,17 +96,17 @@ def build_phase_operator(clock: ClockModel) -> PhaseOperator:
     """Phase unitary of the clock's ladder mode.
 
     Writes the climbing ladder operator A (the adjoint of the clock's
-    lowering mode) as A = sqrt(A A^dag) U.  On the span where the modulus
+    lowering mode R) as A = sqrt(A A^dag) U.  On the span where the modulus
     is invertible U is determined and shifts the ladder up by one; the
     remaining direction is closed cyclically.  Unitarity and the polar
     identity are asserted before returning.
     """
-    a = clock.lowering_op.conj().T
+    lowering = clock.lowering_op
     dim = clock.dim
-    steps = np.diagonal(a, -1)  # a[k + 1, k]
+    steps = np.diagonal(lowering, 1).conj()  # A[k + 1, k] = conj(R[k, k + 1])
     if np.count_nonzero(steps) < dim - 1:
         raise ValueError("ladder operator has a vanishing step inside the ladder")
-    if np.count_nonzero(a) > dim - 1:
+    if np.count_nonzero(lowering) > dim - 1:
         raise ValueError("ladder operator has a nonzero off its subdiagonal")
     phases = steps / np.abs(steps)
 
@@ -81,20 +120,7 @@ def build_phase_operator(clock: ClockModel) -> PhaseOperator:
     modulus = np.sqrt(np.real(steps * steps.conj()))
     if np.linalg.norm(steps - modulus * phases) > 1e-12 * max(1.0, modulus.max(initial=0.0)):
         raise ValueError("polar identity violated by the completed unitary")
-
-    u = np.zeros((dim, dim), dtype=complex)
-    rungs = np.arange(dim - 1)
-    u[rungs + 1, rungs] = phases
-    u[0, dim - 1] = 1.0
-    # (U^dag - U)/2i and (U + U^dag)/2 entry by entry on the band, where U^dag
-    # at (r, c) is conj(U[c, r])
-    rows, cols = _cyclic_band(dim)
-    u_rc, u_dag_rc = u[rows, cols], u[cols, rows].conj()
-    sin_phi = np.zeros((dim, dim), dtype=complex)
-    sin_phi[rows, cols] = (u_dag_rc - u_rc) / 2j
-    cos_phi = np.zeros((dim, dim), dtype=complex)
-    cos_phi[rows, cols] = (u_dag_rc + u_rc) / 2.0
-    return PhaseOperator(exp_minus_iphi=u, sin_phi=sin_phi, cos_phi=cos_phi)
+    return PhaseOperator(phases=phases)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,21 +139,16 @@ def commutator_check(clock: ClockModel, phase: PhaseOperator) -> CommutatorRepor
     The identity is exact away from the two extremal rungs; the full-space
     number is reported so the boundary artifact of the cyclic completion
     stays visible instead of hidden.  The residual is formed only on the
-    cyclic band, where ``build_phase_operator`` puts every nonzero of sin
-    and cos, with the arithmetic of the dense d[:, None] * sin - sin * d -
-    i eps cos; its exact zeros are dropped and the nonzeros go to the norm.
-    Refuses a clock whose h_c is not diagonal and a phase operator with a
-    nonzero off the band.
+    cyclic band, where sin and cos have every nonzero, with the arithmetic
+    of the dense d[:, None] * sin - sin * d - i eps cos; its exact zeros are
+    dropped and the nonzeros go to the norm.  Refuses a clock whose h_c is
+    not diagonal.
     """
     d = _diagonal(clock.h_c)
     if d is None:
         raise ValueError("commutator_check needs a diagonal clock Hamiltonian")
     dim = clock.dim
-    rows, cols = _cyclic_band(dim)
-    sin, cos = phase.sin_phi[rows, cols], phase.cos_phi[rows, cols]
-    if np.count_nonzero(phase.sin_phi) > np.count_nonzero(sin) or \
-            np.count_nonzero(phase.cos_phi) > np.count_nonzero(cos):
-        raise ValueError("phase operator has a nonzero off the cyclic band")
+    rows, cols, sin, cos = phase.band()
     vals = d[rows] * sin - sin * d[cols]
     vals -= 1j * clock.epsilon * cos
     keep = vals != 0

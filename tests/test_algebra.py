@@ -1,5 +1,7 @@
 """Structure-relation and clock-assembly checks for the three algebra families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,30 @@ def test_su11_cartan_relations(k, n_cut):
     report = verify_cartan(build_su11_rep(k, n_cut), tol=1e-12)
     assert report.passed
     assert report.max_residual_exact_subspace < 1e-12
+
+
+def _with_nan(rep, where):
+    if where == "weights":
+        return dataclasses.replace(rep, weights=np.array([np.nan]))
+    if where == "diagonal":
+        d = rep.diagonal_ops[0].copy()
+        d[2, 2] = np.nan
+        return dataclasses.replace(rep, diagonal_ops=(d,))
+    r = rep.raising_ops[0].astype(complex if where == "complex-ladder" else float)
+    r[2, 3] = np.nan
+    return dataclasses.replace(rep, raising_ops=(r,))
+
+
+@pytest.mark.parametrize("where", ["weights", "diagonal", "ladder", "complex-ladder"])
+def test_a_nan_fails_verify_cartan(where):
+    """Python's max dropped a NaN: weights = [nan] passed with max_residual 4e-15,
+    and a NaN ladder entry on the dense products ended in an SVD error."""
+    report = verify_cartan(_with_nan(build_su2_rep(3.0), where), tol=1e-12)
+    assert np.isnan(report.max_residual)
+    assert np.isnan(report.max_residual_exact_subspace)
+    assert not report.passed
+    if where == "weights":
+        assert np.isnan(report.reference_weights)
 
 
 def test_su2_weights_and_annihilation():

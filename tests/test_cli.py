@@ -226,6 +226,18 @@ def test_one_point_phi_grid_exits_two(tmp_path):
         cli.load_config(None, {"sch_phi_points": 1}, [])
 
 
+@pytest.mark.parametrize("sub, flag, key", [("bch-check", "--points", "bch_points"),
+                                           ("hamilton", "--grid", "ham_grid"),
+                                           ("phase-audit", "--grid", "ph_grid_n")])
+def test_one_point_grid_exits_two(tmp_path, capsys, sub, flag, key):
+    """One point per axis cannot show the phi dependence these checks claim; they exited 0."""
+    assert run([sub, flag, "1", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert "config error" in capsys.readouterr().err
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.load_config(None, {key: 1}, [])
+
+
 def test_one_size_phase_sweep_exits_two(tmp_path):
     """One size leaves no pair: both expectation-sweep gates, and the
     classical-limit support-mismatch decrease, passed over zero pairs."""

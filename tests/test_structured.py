@@ -23,7 +23,9 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clocklab import algebra
 from clocklab.algebra import (
+    LieAlgebraRep,
     _comm,
     _eigh,
     _interleave,
@@ -112,6 +114,14 @@ def test_weighted_shift_norm_is_largest_entry(complex_entries):
         assert np.array_equal(m, before)
 
     check()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_entry_on_the_svd_route_is_nan(bad):
+    """LAPACK's SVD refused the NaN with LinAlgError; NaN fails the caller's gate."""
+    m = np.arange(16.0).reshape(4, 4)
+    m[1, 2] = bad
+    assert np.isnan(residual_norm2(m))
 
 
 @pytest.mark.parametrize("anti", [False, True])
@@ -258,14 +268,193 @@ def test_diagonal_products_match_the_gemms(rep):
 
 
 def test_cartan_residuals_are_the_svd_norms():
-    """Every verify_cartan residual of a ladder family is a weighted shift."""
-    rep = build_su2_rep(40.0)
-    d, r = rep.diagonal_ops[0], rep.raising_ops[0]
-    ladder = d @ r - r @ d - rep.structure_d[0, 0] * r
-    closure = r @ r.T - r.T @ r - rep.closure_q[0] * d
-    report = verify_cartan(rep)
-    assert report.ladder_relations == svd_norm(ladder)
-    assert report.closure_relation == svd_norm(closure)
+    """Every verify_cartan residual of a ladder family is a weighted shift, on
+    the full space and on the exact subspace of a truncated family."""
+    for rep in (build_su2_rep(40.0), build_h4_rep(64), build_su11_rep(1.5, 64)):
+        inside = np.arange(rep.dim) < rep.exact_dim
+        inside = np.outer(inside, inside)
+        r = rep.raising_ops[0]
+        ladder = [d @ r - r @ d - s * r for d, s in zip(rep.diagonal_ops, rep.structure_d[:, 0])]
+        closure = r @ r.T - r.T @ r - sum(q * d for q, d in zip(rep.closure_q, rep.diagonal_ops))
+        report = verify_cartan(rep)
+        assert report.ladder_relations == max(svd_norm(m) for m in ladder)
+        assert report.closure_relation == svd_norm(closure)
+        sub = [svd_norm(np.where(inside, m, 0.0)) for m in (*ladder, closure)]
+        assert report.max_residual_exact_subspace == max(
+            *sub, report.diagonal_commutators, report.reference_annihilation,
+            report.reference_weights)
+
+
+# --- verify_cartan on the ladder's nonzeros -----------------------------------
+
+
+def dense_cartan(rep, tol=1e-12):
+    """verify_cartan as the dense products: each relation a GEMM or a broadcast
+    (``_comm``), the exact subspace by zeroing the border, the reference
+    images as matrix-vector products, folded with Python's max."""
+    def exact_norm(resid, full_norm):
+        if rep.exact_dim == rep.dim:
+            return full_norm
+        resid[rep.exact_dim:, :] = 0.0
+        resid[:, rep.exact_dim:] = 0.0
+        return residual_norm2(resid)
+
+    r_diag = 0.0
+    for i, da in enumerate(rep.diagonal_ops):
+        for db in rep.diagonal_ops[i + 1:]:
+            r_diag = max(r_diag, residual_norm2(_comm(da, db)))
+    r_ladder = r_ladder_sub = 0.0
+    for m, r_op in enumerate(rep.raising_ops):
+        for delta, d_op in enumerate(rep.diagonal_ops):
+            resid = _comm(d_op, r_op) - rep.structure_d[delta, m] * r_op
+            norm = residual_norm2(resid)
+            r_ladder = max(r_ladder, norm)
+            r_ladder_sub = max(r_ladder_sub, exact_norm(resid, norm))
+    target = sum(q * d_op for q, d_op in zip(rep.closure_q, rep.diagonal_ops))
+    r_op = rep.raising_ops[0]
+    closure_resid = _comm(r_op, r_op.conj().T) - target
+    r_close = residual_norm2(closure_resid)
+    r_close_sub = exact_norm(closure_resid, r_close)
+    ref = rep.reference_state
+    r_annih = max(float(np.linalg.norm(r_op @ ref)) for r_op in rep.raising_ops)
+    r_weights = max(float(np.linalg.norm(d_op @ ref - g * ref))
+                    for d_op, g in zip(rep.diagonal_ops, rep.weights))
+    full = max(r_diag, r_ladder, r_close, r_annih, r_weights)
+    sub = max(r_diag, r_ladder_sub, r_close_sub, r_annih, r_weights)
+    return algebra.CartanReport(r_diag, r_ladder, r_close, r_annih, r_weights, full, sub,
+                                bool((sub if rep.truncated else full) <= tol))
+
+
+def report_bytes(report):
+    return [np.float64(x).tobytes() for x in dataclasses.astuple(report)]
+
+
+CARTAN_REPS = {
+    **{f"su2-j{j:g}": (lambda j=j: build_su2_rep(j))
+       for j in (0.5, 1.0, 2.5, 10.0, 40.0, 80.0, 160.0, 400.0)},
+    **{f"h4-cut{c}": (lambda c=c: build_h4_rep(c)) for c in (2, 3, 64, 317)},
+    "h4-mean200": lambda: intensive_h4_clock(200.0).rep,
+    "su11-k0.5-cut16": lambda: build_su11_rep(0.5, 16),
+    "su11-k1.5-cut64": lambda: build_su11_rep(1.5, 64),
+}
+
+
+@pytest.mark.parametrize("name", list(CARTAN_REPS))
+def test_verify_cartan_is_the_dense_check(monkeypatch, name):
+    """Every field byte for byte, with no dense product formed."""
+    calls = []
+    monkeypatch.setattr(algebra, "_dense_relations",
+                        _recording(calls, algebra._dense_relations))
+    rep = CARTAN_REPS[name]()
+    assert report_bytes(verify_cartan(rep)) == report_bytes(dense_cartan(rep))
+    assert calls == []
+
+
+@st.composite
+def shift_reps(draw):
+    """(rep, planted) for reps of real diagonal Ds and one real weighted shift R:
+    random entries with zeros of both signs, a truncated exact subspace, and
+    now and then a NaN planted in a D, in R or in the weights."""
+    n = draw(st.integers(1, 12))
+    n_diag = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(scales)
+
+    def signed_zeros(x):
+        zeros = rng.random(x.shape) < 0.3
+        x[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+        return x
+
+    diagonals = [signed_zeros(rng.normal(size=n) * scale) for _ in range(n_diag)]
+    r = rng.choice([-0.0, 0.0], size=(n, n))
+    r[rng.permutation(n), rng.permutation(n)] = signed_zeros(rng.normal(size=n) * scale)
+    weights = rng.normal(size=n_diag) * scale
+    planted = draw(st.sampled_from([None] * 3 + ["diagonal", "ladder", "weights"]))
+    if planted == "diagonal":
+        diagonals[int(rng.integers(n_diag))][int(rng.integers(n))] = np.nan
+    elif planted == "ladder":
+        rows, cols = np.nonzero(r)
+        if len(rows) == 0:
+            return draw(shift_reps())
+        k = int(rng.integers(len(rows)))
+        r[rows[k], cols[k]] = np.nan
+    elif planted == "weights":
+        weights[int(rng.integers(n_diag))] = np.nan
+    exact = draw(st.integers(1, n))
+    rep = LieAlgebraRep(
+        family="su2", dim=n, diagonal_ops=tuple(np.diag(d) for d in diagonals),
+        raising_ops=(r,), structure_d=rng.normal(size=(n_diag, 1)),
+        closure_q=rng.normal(size=n_diag), weights=weights,
+        reference_state=signed_zeros(rng.normal(size=n)), truncated=exact < n,
+        exact_dim=exact, valid_dim=n, params={})
+    return rep, planted
+
+
+def test_verify_cartan_on_random_shifts_is_the_dense_check(monkeypatch):
+    """A finite rep gives the dense check's bits; a planted NaN fails it.
+
+    With a NaN the two differ in which fields are NaN: in the dense products
+    NaN * 0 spreads a NaN along its row and column, on the nonzeros it stays
+    in its entry.  The weights' and the annihilation's NaN reach both maxima.
+    """
+    calls = []
+    monkeypatch.setattr(algebra, "_dense_relations",
+                        _recording(calls, algebra._dense_relations))
+
+    @given(shift_reps())
+    def check(case):
+        rep, planted = case
+        calls.clear()
+        report = verify_cartan(rep)
+        assert calls == []
+        if planted is None:
+            assert report_bytes(report) == report_bytes(dense_cartan(rep))
+        else:
+            assert np.isnan(report.max_residual)
+            assert np.isnan(report.max_residual_exact_subspace)
+            assert not report.passed
+
+    check()
+
+
+def _other_rep(case):
+    rep = build_su2_rep(3.0)
+    r, d = rep.raising_ops[0], rep.diagonal_ops[0]
+    if case == "not-a-shift":
+        return dataclasses.replace(rep, raising_ops=(r + 0.5 * r.T,))
+    if case == "complex-ladder":
+        return dataclasses.replace(rep, raising_ops=(r * np.exp(0.3j),))
+    if case == "non-diagonal-d":
+        d = d.copy()
+        d[1, 2] = d[2, 1] = 0.25
+        return dataclasses.replace(rep, diagonal_ops=(d,))
+    return dataclasses.replace(rep, raising_ops=(r, r.T.copy()),
+                               structure_d=np.hstack([rep.structure_d, -rep.structure_d]))
+
+
+@pytest.mark.parametrize("case", ["not-a-shift", "complex-ladder", "non-diagonal-d", "two-modes"])
+def test_other_reps_take_the_dense_products(monkeypatch, case):
+    calls = []
+    monkeypatch.setattr(algebra, "_dense_relations",
+                        _recording(calls, algebra._dense_relations))
+    rep = _other_rep(case)
+    assert report_bytes(verify_cartan(rep)) == report_bytes(dense_cartan(rep))
+    assert calls == ["_dense_relations"]
+
+
+@pytest.mark.parametrize("call", ["verify_cartan", "build_phase_operator"])
+def test_structure_checks_allocate_less_than_one_dense_matrix(call):
+    """At su2 j = 400 the dense forms allocate 20.5 and 30.9 MB."""
+    clock = intensive_su2_clock(400.0)
+    run = {"verify_cartan": lambda: verify_cartan(clock.rep),
+           "build_phase_operator": lambda: build_phase_operator(clock)}[call]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < clock.dim ** 2 * np.dtype(float).itemsize
 
 
 # --- the interleave of the ladder ends ------------------------------------------
@@ -446,6 +635,8 @@ def test_nonzero_scan_takes_the_dense_predicates_route_and_bits(monkeypatch):
         before = m.copy()
         calls.clear()
         ref = _outcome(dense_predicate_norm2, m)
+        if ref is np.linalg.LinAlgError:  # where the dense form's SVD fails, NaN
+            ref = np.float64(np.nan).tobytes()
         ref_route = list(calls)
         calls.clear()
         assert _outcome(residual_norm2, m) == ref
@@ -468,9 +659,11 @@ def dense_phase_operator(clock):
     return u, (u_dag - u) / 2j, (u_dag + u) / 2.0
 
 
-def dense_commutator_residuals(clock):
-    """(full, interior) from the dense [H_C, sin] - i eps cos."""
-    _, sin, cos = dense_phase_operator(clock)
+def dense_commutator_residuals(clock, sin=None, cos=None):
+    """(full, interior) from the dense [H_C, sin] - i eps cos, by default of
+    ``dense_phase_operator``'s sin and cos."""
+    if sin is None:
+        _, sin, cos = dense_phase_operator(clock)
     d = np.diagonal(clock.h_c)
     m = d[:, None] * sin - sin * d
     m -= 1j * clock.epsilon * cos
@@ -508,6 +701,28 @@ def test_phase_operator_is_the_dense_one(name):
     assert phase.exp_minus_iphi.tobytes() == u.tobytes()
     assert phase.cos_phi.tobytes() == cos.tobytes()
     assert np.array_equal(phase.sin_phi, sin)
+
+
+def test_complex_steps_keep_the_dense_arithmetic():
+    """Steps with random phases: the phases are A's steps over their moduli,
+    and U, sin, cos and both residuals are the dense ones of those phases.
+    (A per-rung quotient, as in ``dense_phase_operator``, may differ from
+    the vectorized one in the last bit of a complex step.)"""
+    rep = build_su2_rep(3.0)
+    turns = np.exp(2j * np.pi * np.random.default_rng(5).random((rep.dim, rep.dim)))
+    clock = build_clock(dataclasses.replace(rep, raising_ops=(rep.raising_ops[0] * turns,)))
+    phase = build_phase_operator(clock)
+    steps = np.diagonal(clock.lowering_op.conj().T, -1)
+    assert phase.phases.tobytes() == (steps / np.abs(steps)).tobytes()
+    u = cyclic_shift(phase.phases)
+    sin, cos = (u.conj().T - u) / 2j, (u.conj().T + u) / 2.0
+    assert phase.exp_minus_iphi.tobytes() == u.tobytes()
+    assert phase.cos_phi.tobytes() == cos.tobytes()
+    assert np.array_equal(phase.sin_phi, sin)
+    report = commutator_check(clock, phase)
+    full, interior = dense_commutator_residuals(clock, sin, cos)
+    assert np.float64(report.full_residual).tobytes() == np.float64(full).tobytes()
+    assert np.float64(report.interior_residual).tobytes() == np.float64(interior).tobytes()
 
 
 def test_commutator_check_allocates_less_than_one_dense_matrix():
