@@ -3,10 +3,12 @@
 Three families are provided: spin (``su2``, exact at every dimension), the
 oscillator algebra (``h4``, truncated Fock space) and the pseudo-spin
 discrete series (``su11``, truncated).  Every representation exposes the
-same Cartan-style data: commuting hermitian diagonal operators ``D_delta``,
-a single lowering mode ``R`` annihilating the reference state, the real
-structure constants ``[D_delta, R] = d_delta R``, and real closure
-coefficients ``[R, R^dag] = sum_delta q_delta D_delta``.
+same Cartan-style data: commuting real diagonal operators ``D_delta``, a
+single lowering mode ``R`` (a real weighted shift on the superdiagonal)
+annihilating the reference state, the real structure constants
+``[D_delta, R] = d_delta R``, and real closure coefficients
+``[R, R^dag] = sum_delta q_delta D_delta``.  A rep stores the diagonals
+and R's superdiagonal, nothing dense.
 
 A clock is an affine function of the first diagonal operator, shifted so
 the reference state sits at energy exactly zero and scaled so the ladder
@@ -39,19 +41,6 @@ def _is_identity(a: np.ndarray) -> bool:
     """True when a is exactly the identity matrix."""
     d = _diagonal(a) if a.shape[0] == a.shape[1] else None
     return d is not None and bool(np.all(d == 1))
-
-
-def _shift_moduli(m: np.ndarray) -> np.ndarray | None:
-    """|entries| of the nonzeros of a weighted shift, else None.
-
-    A weighted shift has at most one nonzero in each row and each column,
-    so its nonzero singular values are exactly those moduli.
-    """
-    nonzero = m != 0
-    if (np.count_nonzero(nonzero, axis=0) > 1).any() or \
-            (np.count_nonzero(nonzero, axis=1) > 1).any():
-        return None
-    return np.abs(m[nonzero])
 
 
 # LAPACK's syevd rescales a matrix whose largest |entry| lies outside
@@ -105,9 +94,22 @@ def residual_norm2(m: np.ndarray) -> float:
     """
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"residual_norm2 takes a square matrix, got shape {m.shape}")
+    return _nonzero_norm2(m.shape[0], *_nonzeros(m), m)
+
+
+def _nonzeros(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of a matrix's nonzeros in row-major order, from one scan."""
     flat = np.flatnonzero(m != 0)  # far faster than np.nonzero's 2-d index pairs
     rows, cols = np.divmod(flat, m.shape[1])
-    return _nonzero_norm2(m.shape[0], rows, cols, m.ravel()[flat], m)
+    return rows, cols, m.ravel()[flat]
+
+
+def _is_shift(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """True for a weighted shift: at most one nonzero in each row and each column.
+
+    Its nonzero singular values are then exactly the moduli of its nonzeros.
+    """
+    return np.bincount(rows).max(initial=0) <= 1 and np.bincount(cols).max(initial=0) <= 1
 
 
 def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -121,7 +123,7 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
     sign that moves the eigenvalues' last bits.  Without it the triplets are
     scattered into zeros.
     """
-    if np.bincount(rows).max(initial=0) <= 1 and np.bincount(cols).max(initial=0) <= 1:
+    if _is_shift(rows, cols):
         return float(np.abs(vals).max(initial=0.0))
     # entry mirror[k] is (cols[k], rows[k]) when the pattern is symmetric
     mirror_keys = cols * dim + rows
@@ -176,19 +178,21 @@ def _scatter(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
 
 @dataclasses.dataclass(frozen=True)
 class LieAlgebraRep:
-    """Finite matrix data for one clock algebra family.
+    """Finite matrix data for one clock algebra family, stored as its ladder.
 
     Attributes
     ----------
     family : str
         One of ``"su2"``, ``"h4"``, ``"su11"``.
     dim : int
-        Hilbert-space dimension of the stored matrices.
-    diagonal_ops : tuple of ndarray
-        Commuting hermitian operators ``D_delta``.
-    raising_ops : tuple of ndarray
-        Ladder modes ``R_m`` (single mode here); each annihilates the
-        reference state and lowers the ladder index.
+        Hilbert-space dimension of the operators.
+    diagonals : ndarray
+        Real (n_diag, dim) array: row delta is the diagonal of the
+        commuting operator ``D_delta``.
+    ladder : ndarray
+        Real length dim - 1 vector: the ladder mode R is the weighted shift
+        with ``R[k, k + 1] = ladder[k]``; it annihilates the reference
+        state and lowers the ladder index.
     structure_d : ndarray
         Real matrix ``d[delta, m]`` with ``[D_delta, R_m] = d[delta, m] R_m``.
     closure_q : ndarray
@@ -196,7 +200,7 @@ class LieAlgebraRep:
     weights : ndarray
         Reference-state eigenvalues ``g_delta`` of the diagonal operators.
     reference_state : ndarray
-        Unit vector annihilated by every ``R_m``.
+        Unit vector annihilated by ``R``.
     truncated : bool
         True when the matrices are a cutoff of an infinite-dimensional
         representation.
@@ -212,8 +216,8 @@ class LieAlgebraRep:
 
     family: str
     dim: int
-    diagonal_ops: tuple
-    raising_ops: tuple
+    diagonals: np.ndarray
+    ladder: np.ndarray
     structure_d: np.ndarray
     closure_q: np.ndarray
     weights: np.ndarray
@@ -223,6 +227,35 @@ class LieAlgebraRep:
     valid_dim: int
     params: dict
 
+    def __post_init__(self):
+        # a complex ladder would need R R^H where the checks form R R^T
+        def real(a, ndim):
+            return isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == ndim
+        if not (real(self.ladder, 1) and len(self.ladder) == self.dim - 1):
+            raise ValueError(f"ladder must be a real vector of length dim - 1 = {self.dim - 1}")
+        n = len(self.structure_d)
+        if not (real(self.diagonals, 2) and self.diagonals.shape == (n, self.dim)
+                and len(self.closure_q) == len(self.weights) == n):
+            raise ValueError(f"diagonals must be a real (n, dim = {self.dim}) array, "
+                             "n the length of structure_d, closure_q and weights")
+
+    @property
+    def diagonal_ops(self) -> tuple:
+        """The dense ``D_delta``, built each time they are read."""
+        return tuple(np.diag(d) for d in self.diagonals)
+
+    @property
+    def raising_ops(self) -> tuple:
+        """The dense ladder mode ``(R,)``, built each time it is read."""
+        return (np.diag(self.ladder, 1),)
+
+
+def _reference(dim: int) -> np.ndarray:
+    """|0>, the reference state of every family."""
+    ref = np.zeros(dim)
+    ref[0] = 1.0
+    return ref
+
 
 def build_su2_rep(j: float) -> LieAlgebraRep:
     """Spin-j ladder in the basis |n> = |j, m = n - j>, n = 0 .. 2j.
@@ -231,27 +264,22 @@ def build_su2_rep(j: float) -> LieAlgebraRep:
     annihilates the lowest-weight reference |j, -j>.  This normalization
     makes sum_delta d_delta^2 = 2 exactly.
     """
-    two_j = round(2 * j)
+    two_j = round(2 * j) if np.isfinite(j) else 0  # round raises on NaN and inf
     if two_j <= 0 or abs(2 * j - two_j) > 1e-12:
         raise ValueError(f"j must be a positive integer or half-integer, got {j}")
     j = two_j / 2.0
     dim = two_j + 1
     n = np.arange(dim, dtype=float)
-    d1 = np.diag(_SQRT2 * (n - j))
-    lowering = np.zeros((dim, dim))
-    for k in range(dim - 1):
-        lowering[k, k + 1] = np.sqrt((k + 1) * (two_j - k))
-    ref = np.zeros(dim)
-    ref[0] = 1.0
+    k = np.arange(dim - 1)
     return LieAlgebraRep(
         family="su2",
         dim=dim,
-        diagonal_ops=(d1,),
-        raising_ops=(lowering,),
+        diagonals=(_SQRT2 * (n - j))[None, :],
+        ladder=np.sqrt((k + 1) * (two_j - k)),
         structure_d=np.array([[-_SQRT2]]),
         closure_q=np.array([-_SQRT2]),
         weights=np.array([-_SQRT2 * j]),
-        reference_state=ref,
+        reference_state=_reference(dim),
         truncated=False,
         exact_dim=dim,
         valid_dim=dim,
@@ -270,21 +298,15 @@ def build_h4_rep(n_cut: int) -> LieAlgebraRep:
     if n_cut < 2:
         raise ValueError(f"n_cut must be at least 2, got {n_cut}")
     dim = n_cut + 1
-    number = np.diag(np.arange(dim, dtype=float))
-    a = np.zeros((dim, dim))
-    for k in range(dim - 1):
-        a[k, k + 1] = np.sqrt(k + 1.0)
-    ref = np.zeros(dim)
-    ref[0] = 1.0
     return LieAlgebraRep(
         family="h4",
         dim=dim,
-        diagonal_ops=(number, np.eye(dim)),
-        raising_ops=(a,),
+        diagonals=np.stack([np.arange(dim, dtype=float), np.ones(dim)]),
+        ladder=np.sqrt(np.arange(dim - 1) + 1.0),
         structure_d=np.array([[-1.0], [0.0]]),
         closure_q=np.array([0.0, 1.0]),
         weights=np.array([0.0, 1.0]),
-        reference_state=ref,
+        reference_state=_reference(dim),
         truncated=True,
         exact_dim=dim - 1,
         valid_dim=max(2, n_cut // 2),
@@ -300,27 +322,22 @@ def build_su11_rep(k: float, n_cut: int) -> LieAlgebraRep:
     [K^-, K^+] = 2 K_0 = sqrt(2) * D_1 (note the sign twist relative to
     the compact family).
     """
-    if k <= 0:
-        raise ValueError(f"Bargmann index k must be positive, got {k}")
+    if not 0 < k < np.inf:
+        raise ValueError(f"Bargmann index k must be positive and finite, got {k}")
     if n_cut < 2:
         raise ValueError(f"n_cut must be at least 2, got {n_cut}")
     dim = n_cut + 1
     n = np.arange(dim, dtype=float)
-    d1 = np.diag(_SQRT2 * (k + n))
-    km = np.zeros((dim, dim))
-    for m in range(dim - 1):
-        km[m, m + 1] = np.sqrt((m + 1) * (2 * k + m))
-    ref = np.zeros(dim)
-    ref[0] = 1.0
+    m = np.arange(dim - 1)
     return LieAlgebraRep(
         family="su11",
         dim=dim,
-        diagonal_ops=(d1,),
-        raising_ops=(km,),
+        diagonals=(_SQRT2 * (k + n))[None, :],
+        ladder=np.sqrt((m + 1) * (2 * k + m)),
         structure_d=np.array([[-_SQRT2]]),
         closure_q=np.array([_SQRT2]),
         weights=np.array([_SQRT2 * k]),
-        reference_state=ref,
+        reference_state=_reference(dim),
         truncated=True,
         exact_dim=dim - 1,
         valid_dim=max(2, n_cut // 2),
@@ -342,14 +359,6 @@ class CartanReport:
     passed: bool
 
 
-def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y]; with a diagonal x the products are broadcasts, with the GEMMs' bits."""
-    d = _diagonal(x)
-    if d is None:
-        return x @ y - y @ x
-    return d[:, None] * y - y * d
-
-
 def _max_norm(norms) -> float:
     """The largest of some residual norms (0.0 for none), NaN when any is NaN.
 
@@ -358,70 +367,21 @@ def _max_norm(norms) -> float:
     return float(np.max(list(norms), initial=0.0))
 
 
-def _shift_form(rep: LieAlgebraRep) -> tuple | None:
-    """(diagonals, rows, cols, vals) when every D is a real diagonal and the one
-    ladder mode R is a real weighted shift, else None.
+def _shift_relations(rep: LieAlgebraRep) -> tuple[float, list, tuple]:
+    """r_diag, and the ladder's and the closure's (full, exact-subspace) norms.
 
-    rows, cols, vals are R's nonzeros in row-major order.
-    """
-    if len(rep.raising_ops) != 1 or rep.raising_ops[0].dtype != np.float64:
-        return None
-    diagonals = [_diagonal(d) if d.dtype == np.float64 else None for d in rep.diagonal_ops]
-    if any(d is None for d in diagonals):
-        return None
-    r_op = rep.raising_ops[0]
-    flat = np.flatnonzero(r_op != 0)
-    rows, cols = np.divmod(flat, rep.dim)
-    if np.bincount(rows).max(initial=0) > 1 or np.bincount(cols).max(initial=0) > 1:
-        return None
-    return diagonals, rows, cols, r_op.ravel()[flat]
-
-
-def _dense_relations(rep: LieAlgebraRep, tol: float) -> tuple[float, list, tuple]:
-    """r_diag, the ladder's and the closure's (full, exact-subspace) norms, from
-    the dense products."""
-    def exact_norm(resid: np.ndarray, full_norm: float) -> float:
-        # 2-norm of proj @ resid @ proj for the projector on the exact subspace;
-        # resid is a temporary, so its border is zeroed in place
-        if rep.exact_dim == rep.dim:
-            return full_norm  # the projector is the identity: the same norm
-        resid[rep.exact_dim:, :] = 0.0
-        resid[:, rep.exact_dim:] = 0.0
-        return residual_norm2(resid)
-
-    diag = []
-    for i, da in enumerate(rep.diagonal_ops):
-        if np.linalg.norm(da - da.conj().T) > tol:  # Frobenius >= 2-norm: no looser
-            raise ValueError(f"diagonal operator {i} is not hermitian")
-        diag.extend(residual_norm2(_comm(da, db)) for db in rep.diagonal_ops[i + 1:])
-
-    ladder = []
-    for m, r_op in enumerate(rep.raising_ops):
-        for delta, d_op in enumerate(rep.diagonal_ops):
-            resid = _comm(d_op, r_op) - rep.structure_d[delta, m] * r_op
-            norm = residual_norm2(resid)
-            ladder.append((norm, exact_norm(resid, norm)))
-
-    target = sum(q * d_op for q, d_op in zip(rep.closure_q, rep.diagonal_ops))
-    r_op = rep.raising_ops[0]
-    closure_resid = _comm(r_op, r_op.conj().T) - target
-    r_close = residual_norm2(closure_resid)
-    return _max_norm(diag), ladder, (r_close, exact_norm(closure_resid, r_close))
-
-
-def _shift_relations(rep: LieAlgebraRep, diagonals: list, rows: np.ndarray,
-                     cols: np.ndarray, vals: np.ndarray) -> tuple[float, list, tuple]:
-    """``_dense_relations`` on the nonzeros of the shift R, with the dense bits.
-
-    With diagonal Ds every residual vanishes off R's entries and the
-    diagonal.  Each entry is formed in the dense operation order: [D_a, D_b]
-    as d_a d_b - d_b d_a, [D, R] - s R as d[r] v - v d[c] - s v, and the
-    closure's R R^T and R^T R as v^2 at R's row and at its column, the one
-    term of each GEMM sum.  A real diagonal is hermitian, so the hermitian
-    guard of the dense route cannot fire here.
+    With diagonal Ds and the shift R every residual vanishes off R's
+    nonzeros (rows, cols, vals) and the diagonal.  Each entry is formed in
+    the operation order of the dense products, so it has their bits:
+    [D_a, D_b] as d_a d_b - d_b d_a, [D, R] - s R as d[r] v - v d[c] - s v,
+    and the closure's R R^T and R^T R as v^2 at R's row and at its column,
+    the one term of each GEMM sum.  Exact zeros are dropped, a NaN kept.
     """
     dim, exact = rep.dim, rep.exact_dim
     rungs = np.arange(dim)
+    rows = np.flatnonzero(rep.ladder)
+    cols = rows + 1
+    vals = rep.ladder[rows]
 
     def norms(r, c, v):
         keep = v != 0
@@ -431,6 +391,7 @@ def _shift_relations(rep: LieAlgebraRep, diagonals: list, rows: np.ndarray,
         inside = keep & (r < exact) & (c < exact)
         return full, _nonzero_norm2(dim, r[inside], c[inside], v[inside])
 
+    diagonals = rep.diagonals
     r_diag = _max_norm(norms(rungs, rungs, da * db - db * da)[0]
                        for i, da in enumerate(diagonals) for db in diagonals[i + 1:])
     ladder = [norms(rows, cols, d[rows] * vals - vals * d[cols] - s * vals)
@@ -447,34 +408,24 @@ def _shift_relations(rep: LieAlgebraRep, diagonals: list, rows: np.ndarray,
 def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
     """Check every stored structure relation against direct matrix arithmetic.
 
-    Returns residual 2-norms (``residual_norm2``); ``passed`` reflects the
-    exact-subspace residual for truncated families and the full-space one
-    otherwise.  A rep with real diagonal Ds and one real weighted-shift
-    ladder mode (every family here) is checked on the ladder's nonzeros
-    (``_shift_relations``), with the numbers of the dense products; any
-    other rep forms the dense products.  The residuals fold with a max that
-    keeps NaN, so a NaN anywhere fails the check.
+    Returns residual 2-norms (``residual_norm2``'s routes), formed on the
+    ladder's nonzeros with the numbers of the dense products
+    (``_shift_relations``); ``passed`` reflects the exact-subspace residual
+    for truncated families and the full-space one otherwise.  The residuals
+    fold with a max that keeps NaN, so a NaN anywhere fails the check.
     """
     ref = rep.reference_state
-    shift = _shift_form(rep)
-    if shift is None:
-        r_diag, ladder, closure = _dense_relations(rep, tol)
-        images = [r_op @ ref for r_op in rep.raising_ops]
-        scaled = [d_op @ ref for d_op in rep.diagonal_ops]
-    else:
-        diagonals, rows, cols, vals = shift
-        r_diag, ladder, closure = _shift_relations(rep, diagonals, rows, cols, vals)
-        # the length-dim vectors the dense products give, so the norms sum alike
-        image = np.zeros(rep.dim, dtype=np.result_type(vals, ref))
-        image[rows] = vals * ref[cols]
-        images = [image]
-        scaled = [d * ref for d in diagonals]
-
+    r_diag, ladder, closure = _shift_relations(rep)
+    # R ref and D ref as the length-dim vectors the dense products give, so
+    # their norms sum alike
+    image = np.zeros(rep.dim, dtype=np.result_type(rep.ladder, ref))
+    image[:-1] = rep.ladder * ref[1:]
     r_ladder = _max_norm(full for full, _ in ladder)
     r_ladder_sub = _max_norm(sub for _, sub in ladder)
     r_close, r_close_sub = closure
-    r_annih = _max_norm(np.linalg.norm(image) for image in images)
-    r_weights = _max_norm(np.linalg.norm(v - g * ref) for v, g in zip(scaled, rep.weights))
+    r_annih = float(np.linalg.norm(image))
+    r_weights = _max_norm(np.linalg.norm(d * ref - g * ref)
+                          for d, g in zip(rep.diagonals, rep.weights))
 
     full = _max_norm([r_diag, r_ladder, r_close, r_annih, r_weights])
     sub = _max_norm([r_diag, r_ladder_sub, r_close_sub, r_annih, r_weights])
@@ -525,7 +476,7 @@ def build_clock(rep: LieAlgebraRep, scale: float = 1.0) -> ClockModel:
     Parameters
     ----------
     rep : LieAlgebraRep
-        The implemented families carry one ladder mode, ``raising_ops[0]``.
+        Its first diagonal operator, shifted and scaled, is the clock.
     scale : float
         Positive energy unit multiplying the whole ladder.  The default
         keeps the normalized gap (sqrt(2) for su2/su11, 1 for h4);
@@ -541,9 +492,8 @@ def build_clock(rep: LieAlgebraRep, scale: float = 1.0) -> ClockModel:
         )
     epsilon = -scale * d1
     g1 = float(rep.weights[0])
-    h_c = scale * (rep.diagonal_ops[0] - g1 * np.eye(rep.dim))
-    if np.linalg.norm(h_c - h_c.conj().T) > 1e-12:  # Frobenius >= 2-norm: no looser
-        raise ValueError("assembled clock Hamiltonian is not hermitian")
+    # the dense scale * (D_1 - g1 I) has these diagonal entries and +0 off it
+    h_c = np.diag(scale * (rep.diagonals[0] - g1))
     b2 = -float(np.dot(rep.weights, rep.structure_d[:, 0]))
     return ClockModel(rep=rep, epsilon=epsilon, b2=b2, h_c=h_c)
 

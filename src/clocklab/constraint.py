@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .algebra import ClockModel, _eigh, _is_identity, _shift_moduli, residual_norm2
+from .algebra import ClockModel, _eigh, _is_identity, _is_shift, _nonzeros, residual_norm2
 from .families import lookup
 from .gcs import coherent_points, coherent_table, weighted_outer_sum
 
@@ -138,11 +138,11 @@ def build_psi(match: SpectralMatch, coefficients: np.ndarray) -> CompositeState:
     else:
         mat = (match.clock_evecs[:, idx_c] * coefficients) @ match.system_evecs[:, idx_g].T
 
-    svals = _shift_moduli(mat)
-    if svals is None:
-        svals = np.linalg.svd(mat, compute_uv=False)
+    rows, cols, vals = _nonzeros(mat)
+    if _is_shift(rows, cols):  # the singular values are the moduli, in the SVD's order
+        svals = np.sort(np.abs(vals))[::-1]
     else:
-        svals = np.sort(svals)[::-1]  # the SVD's descending order
+        svals = np.linalg.svd(mat, compute_uv=False)
     probs = svals ** 2
     probs = probs[probs > 1e-300]
     entropy = float(-np.sum(probs * np.log(probs)))

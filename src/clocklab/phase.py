@@ -96,18 +96,15 @@ def build_phase_operator(clock: ClockModel) -> PhaseOperator:
     """Phase unitary of the clock's ladder mode.
 
     Writes the climbing ladder operator A (the adjoint of the clock's
-    lowering mode R) as A = sqrt(A A^dag) U.  On the span where the modulus
-    is invertible U is determined and shifts the ladder up by one; the
-    remaining direction is closed cyclically.  Unitarity and the polar
-    identity are asserted before returning.
+    lowering mode R, so its steps A[k + 1, k] are ``rep.ladder``) as
+    A = sqrt(A A^dag) U.  On the span where the modulus is invertible U is
+    determined and shifts the ladder up by one; the remaining direction is
+    closed cyclically.  Unitarity and the polar identity are asserted
+    before returning.
     """
-    lowering = clock.lowering_op
-    dim = clock.dim
-    steps = np.diagonal(lowering, 1).conj()  # A[k + 1, k] = conj(R[k, k + 1])
-    if np.count_nonzero(steps) < dim - 1:
+    steps = clock.rep.ladder
+    if np.count_nonzero(steps) < clock.dim - 1:
         raise ValueError("ladder operator has a vanishing step inside the ladder")
-    if np.count_nonzero(lowering) > dim - 1:
-        raise ValueError("ladder operator has a nonzero off its subdiagonal")
     phases = steps / np.abs(steps)
 
     # With A on its subdiagonal, row k + 1 of the modulus and column k of A
@@ -117,7 +114,7 @@ def build_phase_operator(clock: ClockModel) -> PhaseOperator:
     # as their 2-norm forms without running an SVD.
     if _unitarity_residual(phases) > 1e-12:
         raise ValueError("completed phase operator is not unitary")
-    modulus = np.sqrt(np.real(steps * steps.conj()))
+    modulus = np.sqrt(steps * steps)
     if np.linalg.norm(steps - modulus * phases) > 1e-12 * max(1.0, modulus.max(initial=0.0)):
         raise ValueError("polar identity violated by the completed unitary")
     return PhaseOperator(phases=phases)

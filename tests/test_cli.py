@@ -192,6 +192,17 @@ def test_library_refusal_exits_two_without_artifacts(tmp_path, capsys):
     assert "Traceback" not in "\n".join(err)
 
 
+def test_verify_algebra_checks_a_large_spin(tmp_path, capsys):
+    """j = 20000 used to end in a traceback (the dense products needed
+    11.9 GiB); it now fails only the absolute 1e-12 bound, as j >= 80 does."""
+    assert run(["verify-algebra", "--su2-j", "20000", "--out", str(tmp_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((only_run_dir(tmp_path, "verify-algebra") / "summary.json").read_text())
+    (check,) = [c for c in summary["checks"] if c["check_id"] == "cartan-su2-j20000.0"]
+    assert 1e-12 < check["residual"] < 1e-6
+    assert [c["check_id"] for c in summary["checks"] if not c["passed"]] == ["cartan-su2-j20000.0"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
 def test_symbol_rho_must_be_finite_and_nonnegative(tmp_path, value):
     """A nan point used to pass: max() dropped the nan error."""

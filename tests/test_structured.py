@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from clocklab import algebra
 from clocklab.algebra import (
     LieAlgebraRep,
-    _comm,
+    _diagonal,
     _eigh,
     _interleave,
     _is_identity,
@@ -51,7 +51,12 @@ from clocklab.constraint import (
 )
 from clocklab.dynamics import energy_of_rho, quantum_flow_rate, resonant_ladder
 from clocklab.gcs import coherent_table
-from clocklab.phase import _unitarity_residual, build_phase_operator, commutator_check
+from clocklab.phase import (
+    PhaseOperator,
+    _unitarity_residual,
+    build_phase_operator,
+    commutator_check,
+)
 
 # the eigenvalue and SVD routes both carry O(dim) rounding; this many ulps
 # per dimension of the larger value is what "a few ulps" means below
@@ -268,24 +273,37 @@ def test_diagonal_products_match_the_gemms(rep):
 
 
 def test_cartan_residuals_are_the_svd_norms():
-    """Every verify_cartan residual of a ladder family is a weighted shift, on
-    the full space and on the exact subspace of a truncated family."""
+    """Every verify_cartan residual of a ladder family is the SVD 2-norm of its
+    dense relation, on the full space and on the exact subspace of a
+    truncated family."""
     for rep in (build_su2_rep(40.0), build_h4_rep(64), build_su11_rep(1.5, 64)):
         inside = np.arange(rep.dim) < rep.exact_dim
         inside = np.outer(inside, inside)
-        r = rep.raising_ops[0]
-        ladder = [d @ r - r @ d - s * r for d, s in zip(rep.diagonal_ops, rep.structure_d[:, 0])]
-        closure = r @ r.T - r.T @ r - sum(q * d for q, d in zip(rep.closure_q, rep.diagonal_ops))
+        r, ops = rep.raising_ops[0], rep.diagonal_ops
+        diag = max((svd_norm(a @ b - b @ a) for i, a in enumerate(ops) for b in ops[i + 1:]),
+                   default=0.0)
+        ladder = [d @ r - r @ d - s * r for d, s in zip(ops, rep.structure_d[:, 0])]
+        closure = r @ r.T - r.T @ r - sum(q * d for q, d in zip(rep.closure_q, ops))
         report = verify_cartan(rep)
+        rest = (report.reference_annihilation, report.reference_weights)
+        assert report.diagonal_commutators == diag
         assert report.ladder_relations == max(svd_norm(m) for m in ladder)
         assert report.closure_relation == svd_norm(closure)
+        assert report.max_residual == max(diag, report.ladder_relations,
+                                          report.closure_relation, *rest)
         sub = [svd_norm(np.where(inside, m, 0.0)) for m in (*ladder, closure)]
-        assert report.max_residual_exact_subspace == max(
-            *sub, report.diagonal_commutators, report.reference_annihilation,
-            report.reference_weights)
+        assert report.max_residual_exact_subspace == max(*sub, diag, *rest)
 
 
 # --- verify_cartan on the ladder's nonzeros -----------------------------------
+
+
+def _comm(x, y):
+    """[x, y]; with a diagonal x the products are broadcasts, with the GEMMs' bits."""
+    d = _diagonal(x)
+    if d is None:
+        return x @ y - y @ x
+    return d[:, None] * y - y * d
 
 
 def dense_cartan(rep, tol=1e-12):
@@ -340,21 +358,17 @@ CARTAN_REPS = {
 
 
 @pytest.mark.parametrize("name", list(CARTAN_REPS))
-def test_verify_cartan_is_the_dense_check(monkeypatch, name):
-    """Every field byte for byte, with no dense product formed."""
-    calls = []
-    monkeypatch.setattr(algebra, "_dense_relations",
-                        _recording(calls, algebra._dense_relations))
+def test_verify_cartan_is_the_dense_check(name):
+    """Every field byte for byte."""
     rep = CARTAN_REPS[name]()
     assert report_bytes(verify_cartan(rep)) == report_bytes(dense_cartan(rep))
-    assert calls == []
 
 
 @st.composite
 def shift_reps(draw):
-    """(rep, planted) for reps of real diagonal Ds and one real weighted shift R:
-    random entries with zeros of both signs, a truncated exact subspace, and
-    now and then a NaN planted in a D, in R or in the weights."""
+    """(rep, planted) for random reps: diagonals and ladder with zeros of both
+    signs, a truncated exact subspace, and now and then a NaN planted in a
+    diagonal, in the ladder or in the weights."""
     n = draw(st.integers(1, 12))
     n_diag = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -365,81 +379,70 @@ def shift_reps(draw):
         x[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
         return x
 
-    diagonals = [signed_zeros(rng.normal(size=n) * scale) for _ in range(n_diag)]
-    r = rng.choice([-0.0, 0.0], size=(n, n))
-    r[rng.permutation(n), rng.permutation(n)] = signed_zeros(rng.normal(size=n) * scale)
+    diagonals = signed_zeros(rng.normal(size=(n_diag, n)) * scale)
+    ladder = signed_zeros(rng.normal(size=n - 1) * scale)
     weights = rng.normal(size=n_diag) * scale
     planted = draw(st.sampled_from([None] * 3 + ["diagonal", "ladder", "weights"]))
     if planted == "diagonal":
-        diagonals[int(rng.integers(n_diag))][int(rng.integers(n))] = np.nan
+        diagonals[int(rng.integers(n_diag)), int(rng.integers(n))] = np.nan
     elif planted == "ladder":
-        rows, cols = np.nonzero(r)
-        if len(rows) == 0:
+        steps = np.flatnonzero(ladder)
+        if len(steps) == 0:
             return draw(shift_reps())
-        k = int(rng.integers(len(rows)))
-        r[rows[k], cols[k]] = np.nan
+        ladder[rng.choice(steps)] = np.nan
     elif planted == "weights":
         weights[int(rng.integers(n_diag))] = np.nan
     exact = draw(st.integers(1, n))
     rep = LieAlgebraRep(
-        family="su2", dim=n, diagonal_ops=tuple(np.diag(d) for d in diagonals),
-        raising_ops=(r,), structure_d=rng.normal(size=(n_diag, 1)),
-        closure_q=rng.normal(size=n_diag), weights=weights,
-        reference_state=signed_zeros(rng.normal(size=n)), truncated=exact < n,
-        exact_dim=exact, valid_dim=n, params={})
+        family="su2", dim=n, diagonals=diagonals, ladder=ladder,
+        structure_d=rng.normal(size=(n_diag, 1)), closure_q=rng.normal(size=n_diag),
+        weights=weights, reference_state=signed_zeros(rng.normal(size=n)),
+        truncated=exact < n, exact_dim=exact, valid_dim=n, params={})
     return rep, planted
 
 
-def test_verify_cartan_on_random_shifts_is_the_dense_check(monkeypatch):
+@given(shift_reps())
+def test_verify_cartan_on_random_shifts_is_the_dense_check(case):
     """A finite rep gives the dense check's bits; a planted NaN fails it.
 
     With a NaN the two differ in which fields are NaN: in the dense products
     NaN * 0 spreads a NaN along its row and column, on the nonzeros it stays
     in its entry.  The weights' and the annihilation's NaN reach both maxima.
     """
-    calls = []
-    monkeypatch.setattr(algebra, "_dense_relations",
-                        _recording(calls, algebra._dense_relations))
-
-    @given(shift_reps())
-    def check(case):
-        rep, planted = case
-        calls.clear()
-        report = verify_cartan(rep)
-        assert calls == []
-        if planted is None:
-            assert report_bytes(report) == report_bytes(dense_cartan(rep))
-        else:
-            assert np.isnan(report.max_residual)
-            assert np.isnan(report.max_residual_exact_subspace)
-            assert not report.passed
-
-    check()
+    rep, planted = case
+    report = verify_cartan(rep)
+    if planted is None:
+        assert report_bytes(report) == report_bytes(dense_cartan(rep))
+    else:
+        assert np.isnan(report.max_residual)
+        assert np.isnan(report.max_residual_exact_subspace)
+        assert not report.passed
 
 
-def _other_rep(case):
+# su2 j = 3 with its ladder or its diagonals replaced by what the format cannot hold
+OTHER_REPS = {
+    "not-a-shift": lambda rep: {"ladder": rep.raising_ops[0] + 0.5 * rep.raising_ops[0].T},
+    "complex-ladder": lambda rep: {"ladder": rep.ladder * np.exp(0.3j)},
+    "short-ladder": lambda rep: {"ladder": rep.ladder[:-1]},
+    "two-modes": lambda rep: {"ladder": np.stack([rep.ladder, rep.ladder]),
+                              "structure_d": np.hstack([rep.structure_d, -rep.structure_d])},
+    "non-diagonal-d": lambda rep: {
+        "diagonals": rep.diagonal_ops[0] + 0.25 * (np.eye(rep.dim, k=1) + np.eye(rep.dim, k=-1))},
+    "complex-d": lambda rep: {"diagonals": rep.diagonals * np.exp(0.3j)},
+    "short-diagonals": lambda rep: {"diagonals": rep.diagonals[:, :-1]},
+    "extra-diagonal": lambda rep: {"diagonals": np.vstack([rep.diagonals, rep.diagonals])},
+}
+
+
+@pytest.mark.parametrize("case", list(OTHER_REPS))
+def test_other_reps_are_refused(case):
+    """A rep is real diagonals and one real superdiagonal ladder: anything
+    else is refused when it is built, so no check reads it."""
     rep = build_su2_rep(3.0)
-    r, d = rep.raising_ops[0], rep.diagonal_ops[0]
-    if case == "not-a-shift":
-        return dataclasses.replace(rep, raising_ops=(r + 0.5 * r.T,))
-    if case == "complex-ladder":
-        return dataclasses.replace(rep, raising_ops=(r * np.exp(0.3j),))
-    if case == "non-diagonal-d":
-        d = d.copy()
-        d[1, 2] = d[2, 1] = 0.25
-        return dataclasses.replace(rep, diagonal_ops=(d,))
-    return dataclasses.replace(rep, raising_ops=(r, r.T.copy()),
-                               structure_d=np.hstack([rep.structure_d, -rep.structure_d]))
-
-
-@pytest.mark.parametrize("case", ["not-a-shift", "complex-ladder", "non-diagonal-d", "two-modes"])
-def test_other_reps_take_the_dense_products(monkeypatch, case):
-    calls = []
-    monkeypatch.setattr(algebra, "_dense_relations",
-                        _recording(calls, algebra._dense_relations))
-    rep = _other_rep(case)
-    assert report_bytes(verify_cartan(rep)) == report_bytes(dense_cartan(rep))
-    assert calls == ["_dense_relations"]
+    changes = OTHER_REPS[case](rep)
+    field = "ladder" if "ladder" in changes else "diagonals"
+    with pytest.raises(ValueError, match=f"^{field} must be a real"):
+        dataclasses.replace(rep, **changes)
 
 
 @pytest.mark.parametrize("call", ["verify_cartan", "build_phase_operator"])
@@ -455,6 +458,19 @@ def test_structure_checks_allocate_less_than_one_dense_matrix(call):
     finally:
         tracemalloc.stop()
     assert peak < clock.dim ** 2 * np.dtype(float).itemsize
+
+
+def test_verify_cartan_at_a_large_spin_stays_small():
+    """At su2 j = 20000 the dense products needed 11.9 GiB."""
+    rep = build_su2_rep(20000.0)
+    tracemalloc.start()
+    try:
+        report = verify_cartan(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert np.isfinite(report.max_residual)
 
 
 # --- the interleave of the ladder ends ------------------------------------------
@@ -704,16 +720,11 @@ def test_phase_operator_is_the_dense_one(name):
 
 
 def test_complex_steps_keep_the_dense_arithmetic():
-    """Steps with random phases: the phases are A's steps over their moduli,
-    and U, sin, cos and both residuals are the dense ones of those phases.
-    (A per-rung quotient, as in ``dense_phase_operator``, may differ from
-    the vectorized one in the last bit of a complex step.)"""
-    rep = build_su2_rep(3.0)
-    turns = np.exp(2j * np.pi * np.random.default_rng(5).random((rep.dim, rep.dim)))
-    clock = build_clock(dataclasses.replace(rep, raising_ops=(rep.raising_ops[0] * turns,)))
-    phase = build_phase_operator(clock)
-    steps = np.diagonal(clock.lowering_op.conj().T, -1)
-    assert phase.phases.tobytes() == (steps / np.abs(steps)).tobytes()
+    """Phases on the unit circle: U, sin, cos and both residuals are the
+    dense ones of those phases."""
+    clock = build_clock(build_su2_rep(3.0))
+    turns = np.random.default_rng(5).random(clock.dim - 1)
+    phase = PhaseOperator(phases=np.exp(2j * np.pi * turns))
     u = cyclic_shift(phase.phases)
     sin, cos = (u.conj().T - u) / 2j, (u.conj().T + u) / 2.0
     assert phase.exp_minus_iphi.tobytes() == u.tobytes()
@@ -981,13 +992,10 @@ def test_a_shift_off_the_unit_circle_is_rejected(seed, n, bump):
     assert abs(got - ref) <= 4 * n * np.finfo(float).eps * max(got, 1.0)
 
 
-def test_a_ladder_off_its_subdiagonal_is_refused():
-    """One nonzero count of A refuses it, however small the stray entry, so
-    the guards may read the steps alone; a zero step is refused before."""
+def test_a_vanishing_step_is_refused():
     rep = build_su2_rep(3.0)
-    for row, col, value, message in ((0, 3, 1e-300, "off its subdiagonal"),
-                                     (2, 3, 0.0, "vanishing step")):
-        lowering = rep.raising_ops[0].copy()
-        lowering[row, col] = value  # A = R^dag: R[0, 3] is A[3, 0], R[2, 3] is step 2
-        with pytest.raises(ValueError, match=message):
-            build_phase_operator(build_clock(dataclasses.replace(rep, raising_ops=(lowering,))))
+    for zero in (0.0, -0.0):
+        ladder = rep.ladder.copy()
+        ladder[2] = zero
+        with pytest.raises(ValueError, match="vanishing step"):
+            build_phase_operator(build_clock(dataclasses.replace(rep, ladder=ladder)))
