@@ -85,24 +85,63 @@ def _with_nan(rep, where):
     if where == "weights":
         return dataclasses.replace(rep, weights=np.array([np.nan]))
     if where == "diagonal":
-        d = rep.diagonal_ops[0].copy()
-        d[2, 2] = np.nan
-        return dataclasses.replace(rep, diagonal_ops=(d,))
-    r = rep.raising_ops[0].astype(complex if where == "complex-ladder" else float)
-    r[2, 3] = np.nan
-    return dataclasses.replace(rep, raising_ops=(r,))
+        d = rep.diagonals.copy()
+        d[0, 2] = np.nan
+        return dataclasses.replace(rep, diagonals=d)
+    r = rep.ladder.astype(complex if where == "complex-ladder" else float)
+    r[2] = np.nan
+    return dataclasses.replace(rep, ladder=r)
 
 
 @pytest.mark.parametrize("where", ["weights", "diagonal", "ladder", "complex-ladder"])
 def test_a_nan_fails_verify_cartan(where):
     """Python's max dropped a NaN: weights = [nan] passed with max_residual 4e-15,
-    and a NaN ladder entry on the dense products ended in an SVD error."""
+    and a NaN ladder entry on the dense products ended in an SVD error.  A
+    complex ladder, NaN or not, is refused before any check runs."""
+    if where == "complex-ladder":
+        with pytest.raises(ValueError, match="real vector"):
+            _with_nan(build_su2_rep(3.0), where)
+        return
     report = verify_cartan(_with_nan(build_su2_rep(3.0), where), tol=1e-12)
     assert np.isnan(report.max_residual)
     assert np.isnan(report.max_residual_exact_subspace)
     assert not report.passed
     if where == "weights":
         assert np.isnan(report.reference_weights)
+
+
+def per_rung_ops(family, *args):
+    """(diagonal_ops, raising_ops) as dense matrices filled one rung at a time,
+    the way `build_*_rep` formed them before a rep stored its ladder."""
+    sqrt2 = float(np.sqrt(2.0))
+    if family == "su2":
+        two_j = round(2 * args[0])
+        dim = two_j + 1
+        diagonals = (np.diag(sqrt2 * (np.arange(dim, dtype=float) - two_j / 2.0)),)
+        step = lambda k: np.sqrt((k + 1) * (two_j - k))  # noqa: E731
+    elif family == "h4":
+        dim = args[0] + 1
+        diagonals = (np.diag(np.arange(dim, dtype=float)), np.eye(dim))
+        step = lambda k: np.sqrt(k + 1.0)  # noqa: E731
+    else:
+        k_index, dim = args[0], args[1] + 1
+        diagonals = (np.diag(sqrt2 * (k_index + np.arange(dim, dtype=float))),)
+        step = lambda m: np.sqrt((m + 1) * (2 * k_index + m))  # noqa: E731
+    lowering = np.zeros((dim, dim))
+    for k in range(dim - 1):
+        lowering[k, k + 1] = step(k)
+    return diagonals, (lowering,)
+
+
+@pytest.mark.parametrize("family,args", [
+    *(("su2", (j,)) for j in (0.5, 2.5, 40.0, 400.0)),
+    ("h4", (2,)), ("h4", (317,)), ("su11", (0.5, 16)), ("su11", (1.5, 64)),
+])
+def test_dense_views_are_the_per_rung_matrices(family, args):
+    rep = {"su2": build_su2_rep, "h4": build_h4_rep, "su11": build_su11_rep}[family](*args)
+    diagonals, raising = per_rung_ops(family, *args)
+    assert [d.tobytes() for d in rep.diagonal_ops] == [d.tobytes() for d in diagonals]
+    assert [r.tobytes() for r in rep.raising_ops] == [r.tobytes() for r in raising]
 
 
 def test_su2_weights_and_annihilation():
@@ -121,10 +160,17 @@ def test_structure_constant_normalization():
 
 
 def test_su2_rejects_bad_spin():
-    with pytest.raises(ValueError):
-        build_su2_rep(0.3)
-    with pytest.raises(ValueError):
-        build_su2_rep(0.0)
+    """inf used to raise OverflowError, which the CLI does not read as a refusal."""
+    for j in (0.3, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            build_su2_rep(j)
+
+
+def test_su11_rejects_bad_index():
+    """NaN and inf used to pass ``k <= 0`` and give an all-NaN rep."""
+    for k in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="Bargmann index"):
+            build_su11_rep(k, 8)
 
 
 def test_clock_spectrum_ascends_from_zero():
