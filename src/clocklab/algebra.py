@@ -443,12 +443,12 @@ def verify_cartan(rep: LieAlgebraRep, tol: float = 1e-12) -> CartanReport:
 
 @dataclasses.dataclass(frozen=True)
 class ClockModel:
-    """A ladder Hamiltonian built from one representation.
+    """A ladder Hamiltonian built from one representation, stored as its spectrum.
 
-    ``h_c = scale * (D_1 - g_1 * I)``, ``scale`` the energy unit passed to
-    ``build_clock``, has spectrum ``epsilon * {0 .. dim-1}``
-    with the reference state at exactly zero energy and
-    ``[h_c, R] = -epsilon R`` (the ladder mode lowers the clock).
+    ``energies``, a real length-dim vector, is the diagonal of ``h_c = scale
+    * (D_1 - g_1 * I)``, ``scale`` the energy unit passed to ``build_clock``:
+    ``epsilon * {0 .. dim-1}`` with the reference state at exactly zero
+    energy.  ``[h_c, R] = -epsilon R`` (the ladder mode lowers the clock).
 
     ``epsilon`` is the positive gap ``-scale * d_1``; ``b2`` is signed,
     ``-sum_delta g_delta d_delta``, and feeds the closed-form symbol
@@ -459,15 +459,21 @@ class ClockModel:
     rep: LieAlgebraRep
     epsilon: float
     b2: float
-    h_c: np.ndarray
+    energies: np.ndarray
+
+    def __post_init__(self):
+        e = self.energies
+        if not (isinstance(e, np.ndarray) and e.dtype == np.float64 and e.shape == (self.dim,)):
+            raise ValueError(f"energies must be a real vector of length dim = {self.dim}")
 
     @property
     def dim(self) -> int:
         return self.rep.dim
 
     @property
-    def lowering_op(self) -> np.ndarray:
-        return self.rep.raising_ops[0]
+    def h_c(self) -> np.ndarray:
+        """The dense diagonal ``h_c``, built each time it is read."""
+        return np.diag(self.energies)
 
 
 def build_clock(rep: LieAlgebraRep, scale: float = 1.0) -> ClockModel:
@@ -492,10 +498,8 @@ def build_clock(rep: LieAlgebraRep, scale: float = 1.0) -> ClockModel:
         )
     epsilon = -scale * d1
     g1 = float(rep.weights[0])
-    # the dense scale * (D_1 - g1 I) has these diagonal entries and +0 off it
-    h_c = np.diag(scale * (rep.diagonals[0] - g1))
     b2 = -float(np.dot(rep.weights, rep.structure_d[:, 0]))
-    return ClockModel(rep=rep, epsilon=epsilon, b2=b2, h_c=h_c)
+    return ClockModel(rep=rep, epsilon=epsilon, b2=b2, energies=scale * (rep.diagonals[0] - g1))
 
 
 def intensive_su2_clock(j: float) -> ClockModel:

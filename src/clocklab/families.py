@@ -90,7 +90,18 @@ class _SU2(Family):
         ln_binom = 0.5 * (gammaln(two_j + 1) - gammaln(n + 1) - gammaln(two_j - n + 1))
         s, c = np.sin(rho), np.cos(rho)
         # powers, not logs: endpoints rho = 0, pi/2 are exact this way
-        return np.exp(ln_binom) * s ** n * c ** (two_j - n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps = np.exp(ln_binom) * s ** n * c ** (two_j - n)
+        bad = ~np.isfinite(amps)
+        if bad.any():
+            # past j ~ 1024 the binomial overflows before the powers underflow:
+            # those entries, and only those, are summed in logs
+            m = n[bad]
+            sign = np.sign(s) ** m * np.sign(c) ** (two_j - m)
+            with np.errstate(divide="ignore"):  # log(0) at rho = 0
+                amps[bad] = sign * np.exp(ln_binom[bad] + m * np.log(abs(s))
+                                          + (two_j - m) * np.log(abs(c)))
+        return amps
 
     def symbol(self, clock, rho):
         return float(0.5 * clock.epsilon * clock.b2 * (np.cos(2 * rho) - 1.0))

@@ -42,8 +42,9 @@ def displace(rep: LieAlgebraRep, omega: complex) -> np.ndarray:
 def amplitude_columns(rep: LieAlgebraRep, radii) -> np.ndarray:
     """Column r: the family's closed-form amplitudes at radii[r]."""
     radii = np.asarray(radii, dtype=float)
-    if (radii < 0).any():
-        raise ValueError(f"rho must be nonnegative, got {radii.min()}")
+    bad = radii[~((radii >= 0) & (radii < np.inf))]  # NaN compares False
+    if bad.size:
+        raise ValueError(f"rho must be finite and nonnegative, got {bad[0]}")
     family = lookup(rep.family)
     return np.stack([family.amplitudes(rep, float(r)) for r in radii], axis=1)
 
@@ -83,7 +84,7 @@ def coherent_points(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
     radii, ring = np.unique(rhos, return_inverse=True)
     amps = amplitude_columns(rep, radii)
     lost = 1.0 - np.sum(amps ** 2, axis=0)
-    if lost.max() > TAIL_MASS_LIMIT:
+    if not lost.max() <= TAIL_MASS_LIMIT:  # a NaN lost norm is refused too
         raise ValueError(
             f"the truncation loses norm {lost.max():.3e} above {TAIL_MASS_LIMIT:.0e} "
             "at this radius; raise the cutoff or shrink rho"
@@ -100,7 +101,7 @@ def coherent_vector(rep: LieAlgebraRep, rho: float, phi: float) -> np.ndarray:
 def clock_symbol_numeric(clock: ClockModel, rho: float, phi: float = 0.0) -> float:
     """<lambda|h_c|lambda> evaluated from the state vector."""
     v = coherent_vector(clock.rep, rho, phi)
-    return float(np.vdot(v, clock.h_c @ v).real)
+    return float(np.vdot(v, clock.energies * v).real)
 
 
 def clock_symbol_analytic(clock: ClockModel, rho: float) -> float:
@@ -172,7 +173,7 @@ def phi_derivative_identity_check(
     def bra(p: float) -> np.ndarray:
         return coherent_vector(rep, rho, p)
 
-    lhs = np.vdot(bra(phi), clock.h_c @ omega_vec)
+    lhs = np.vdot(bra(phi), clock.energies * omega_vec)
 
     def resid(step: float) -> float:
         diff = (np.vdot(bra(phi + step), omega_vec)

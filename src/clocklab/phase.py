@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ClockModel, _diagonal, _nonzero_norm2, _scatter, build_clock
+from .algebra import ClockModel, _nonzero_norm2, _scatter, build_clock
 from .families import lookup
 from .gcs import coherent_points, coherent_table, coherent_vector
 
@@ -137,13 +137,10 @@ def commutator_check(clock: ClockModel, phase: PhaseOperator) -> CommutatorRepor
     number is reported so the boundary artifact of the cyclic completion
     stays visible instead of hidden.  The residual is formed only on the
     cyclic band, where sin and cos have every nonzero, with the arithmetic
-    of the dense d[:, None] * sin - sin * d - i eps cos; its exact zeros are
-    dropped and the nonzeros go to the norm.  Refuses a clock whose h_c is
-    not diagonal.
+    of the dense d[:, None] * sin - sin * d - i eps cos, d the clock's
+    energies; its exact zeros are dropped and the nonzeros go to the norm.
     """
-    d = _diagonal(clock.h_c)
-    if d is None:
-        raise ValueError("commutator_check needs a diagonal clock Hamiltonian")
+    d = clock.energies
     dim = clock.dim
     rows, cols, sin, cos = phase.band()
     vals = d[rows] * sin - sin * d[cols]
@@ -159,9 +156,9 @@ def commutator_check(clock: ClockModel, phase: PhaseOperator) -> CommutatorRepor
     )
 
 
-def _moments(op: np.ndarray, vec: np.ndarray) -> tuple[float, float]:
-    mean = float(np.real(np.vdot(vec, op @ vec)))
-    second = float(np.real(np.vdot(op @ vec, op @ vec)))
+def _moments(image: np.ndarray, vec: np.ndarray) -> tuple[float, float]:
+    mean = float(np.real(np.vdot(vec, image)))
+    second = float(np.real(np.vdot(image, image)))
     return mean, max(second - mean * mean, 0.0)
 
 
@@ -181,9 +178,9 @@ def uncertainty_audit(vec: np.ndarray, clock: ClockModel,
     negligible weight on both extremal rungs the completed commutator
     matches the exact one and the slack cannot go below roundoff.
     """
-    _, var_h = _moments(clock.h_c, vec)
-    mean_cos, _ = _moments(phase.cos_phi, vec)
-    _, var_sin = _moments(phase.sin_phi, vec)
+    _, var_h = _moments(clock.energies * vec, vec)
+    mean_cos, _ = _moments(phase.cos_phi @ vec, vec)
+    _, var_sin = _moments(phase.sin_phi @ vec, vec)
     dh, ds = np.sqrt(var_h), np.sqrt(var_sin)
     bound = 0.5 * clock.epsilon * abs(mean_cos)
     return UncertaintyAudit(delta_h=dh, delta_sin=ds, bound=bound,
@@ -202,15 +199,14 @@ def uncertainty_grid_audit(clock: ClockModel, phase: PhaseOperator,
     rr, pp = np.meshgrid(rhos, phis, indexing="ij")
     vecs = coherent_points(clock.rep, rr.ravel(), pp.ravel())
 
-    def moments(op):
-        image = op @ vecs
+    def moments(image):
         mean = np.sum(vecs.conj() * image, axis=0).real
         second = np.sum(image.real ** 2 + image.imag ** 2, axis=0)
         return mean, np.maximum(second - mean * mean, 0.0)
 
-    _, var_h = moments(clock.h_c)
-    mean_cos, _ = moments(phase.cos_phi)
-    _, var_sin = moments(phase.sin_phi)
+    _, var_h = moments(clock.energies[:, None] * vecs)
+    mean_cos, _ = moments(phase.cos_phi @ vecs)
+    _, var_sin = moments(phase.sin_phi @ vecs)
     slacks = np.sqrt(var_h) * np.sqrt(var_sin) - 0.5 * clock.epsilon * np.abs(mean_cos)
     return float(np.min(slacks))
 

@@ -189,7 +189,7 @@ def test_clock_spectrum_ascends_from_zero():
 def test_clock_ladder_commutator():
     """[H_C, R] = -epsilon R: the ladder mode lowers the clock energy."""
     for clock in (build_clock(build_su2_rep(4.0)), build_clock(build_h4_rep(16))):
-        low = clock.lowering_op
+        low = clock.rep.raising_ops[0]
         resid = comm(clock.h_c, low) + clock.epsilon * low
         sub = clock.rep.exact_dim
         assert np.linalg.norm(resid[:sub, :sub]) < 1e-12
@@ -225,3 +225,15 @@ def test_b2_signs():
     assert abs(build_clock(build_su2_rep(3.0)).b2 + 6.0) < 1e-14
     assert abs(build_clock(build_su11_rep(1.5, 16)).b2 - 3.0) < 1e-14
     assert build_clock(build_h4_rep(8)).b2 == 0.0
+
+
+def test_clock_model_refuses_energies_that_are_not_a_real_vector():
+    """A clock is its spectrum: a dense h_c (even a diagonal one), a vector
+    of another length and complex energies are refused when it is built, so
+    no reader has to check that h_c is diagonal."""
+    clock = build_clock(build_su2_rep(3.0))
+    for energies in (clock.h_c, clock.energies[:-1], clock.energies.astype(complex)):
+        with pytest.raises(ValueError, match="^energies must be a real vector"):
+            dataclasses.replace(clock, energies=energies)
+    assert clock.energies.shape == (clock.dim,)
+    assert np.array_equal(clock.h_c, np.diag(clock.energies))

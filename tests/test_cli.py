@@ -194,13 +194,28 @@ def test_library_refusal_exits_two_without_artifacts(tmp_path, capsys):
 
 def test_verify_algebra_checks_a_large_spin(tmp_path, capsys):
     """j = 20000 used to end in a traceback (the dense products needed
-    11.9 GiB); it now fails only the absolute 1e-12 bound, as j >= 80 does."""
-    assert run(["verify-algebra", "--su2-j", "20000", "--out", str(tmp_path)]) == 1
+    11.9 GiB), and h4 cut 30000 was killed for lack of memory; each now
+    fails only the absolute 1e-12 bound, as su2 j >= 80, h4 cut >= 418 and
+    su11 cut >= 70 do."""
+    for flag, size, label in (("--su2-j", "20000", "cartan-su2-j20000.0"),
+                              ("--h4-cut", "30000", "cartan-h4-n30001")):
+        out = tmp_path / label
+        assert run(["verify-algebra", flag, size, "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((only_run_dir(out, "verify-algebra") / "summary.json").read_text())
+        (check,) = [c for c in summary["checks"] if c["check_id"] == label]
+        assert 1e-12 < check["residual"] < 1e-6
+        assert [c["check_id"] for c in summary["checks"] if not c["passed"]] == [label]
+
+
+def test_symbol_at_a_large_spin(tmp_path, capsys):
+    """The su2 symbol at j = 20000 used to end in a traceback (the dense h_c
+    needed 11.9 GiB); its amplitudes overflowed to NaN past j ~ 1024."""
+    cfg = tmp_path / "large.cfg"
+    cfg.write_text("sym_su2_j=20000\n")
+    assert run(["symbol", "--algebra", "su2", "--config", str(cfg),
+                "--out", str(tmp_path / "o")]) == 0
     assert "Traceback" not in capsys.readouterr().err
-    summary = json.loads((only_run_dir(tmp_path, "verify-algebra") / "summary.json").read_text())
-    (check,) = [c for c in summary["checks"] if c["check_id"] == "cartan-su2-j20000.0"]
-    assert 1e-12 < check["residual"] < 1e-6
-    assert [c["check_id"] for c in summary["checks"] if not c["passed"]] == ["cartan-su2-j20000.0"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
@@ -337,9 +352,15 @@ def test_identity_resolution_cap_follows_h4_cutoff(tmp_path):
     assert run(["identity-resolution", "--h4-cut", "64", "--out", str(tmp_path)]) == 0
 
 
-def test_symbol_worst_error_keeps_nan():
+def test_symbol_worst_error_keeps_nan(monkeypatch):
+    """A nan symbol after a finite one; a nan radius is refused before any state is built."""
     clock = intensive_su2_clock(10.0)
-    rows, worst = cli._symbol_rows(clock, "su2", [0.3, float("nan")], relative=False)
+    with pytest.raises(ValueError, match="rho must be finite"):
+        cli._symbol_rows(clock, "su2", [0.3, math.nan], relative=False)
+    numeric = cli.clock_symbol_numeric
+    monkeypatch.setattr(cli, "clock_symbol_numeric",
+                        lambda clock, rho: numeric(clock, rho) if rho < 0.5 else math.nan)
+    rows, worst = cli._symbol_rows(clock, "su2", [0.3, 0.6], relative=False)
     assert len(rows) == 2
     assert math.isnan(worst)
 

@@ -109,6 +109,20 @@ def test_half_integer_spin_takes_j_plus_half_radial_nodes():
     assert identity_resolution_check(rep, n_polar=2) > 0.1
 
 
+@pytest.mark.parametrize("j", [1100.0, 2000.0, 20000.0])
+def test_su2_amplitudes_stay_finite_at_large_spin(j):
+    """Past j ~ 1024 exp(ln_binom) overflowed before the powers underflowed:
+    663 NaN entries at j = 1100 and rho = 0.3, 39537 at j = 20000."""
+    rep = build_su2_rep(j)
+    for rho in (0.0, 0.05, 0.3, np.pi / 4, 1.2, np.pi / 2, 2.0):
+        amps = FAMILIES["su2"].amplitudes(rep, rho)
+        assert not np.isnan(amps).any()
+        assert abs(np.sum(amps ** 2) - 1.0) < 1e-9
+    # past pi/2 the cosine is negative: c_n(rho) = (-1)^(2j - n) c_n(pi - rho)
+    mirror = (-1.0) ** (2 * j - np.arange(rep.dim)) * FAMILIES["su2"].amplitudes(rep, np.pi - 2.0)
+    assert np.abs(amps - mirror).max() < 1e-9
+
+
 def test_rings_are_the_default_nodes():
     """Ring r is nodes r dim ... (r + 1) dim - 1: one radius, one weight, the uniform grid.
 
@@ -218,7 +232,7 @@ def test_clock_lowers_by_the_gap_on_exact_subspace(name):
     def check(case, scale):
         rep, _ = case
         clock = build_clock(rep, scale=scale)
-        r_op = clock.lowering_op
+        r_op = clock.rep.raising_ops[0]
         resid = clock.h_c @ r_op - r_op @ clock.h_c + clock.epsilon * r_op
         exact = rep.exact_dim
         bound = 1e-14 * np.linalg.norm(clock.h_c) * np.linalg.norm(r_op)

@@ -15,6 +15,7 @@ from clocklab.algebra import (
 )
 from clocklab.constraint import conditional_state, gaussian_state
 from clocklab.dynamics import energy_of_rho, quantum_flow_rate, resonant_ladder
+from clocklab import gcs
 from clocklab.families import lookup
 from clocklab.gcs import (
     TAIL_MASS_LIMIT,
@@ -250,6 +251,24 @@ def test_point_queries_refuse_a_radius_the_cutoff_truncates():
     # the quadrature tables cut the tail on purpose and stay unguarded
     column = coherent_table(clock.rep, [6.0], [0.0])[:, 0]
     assert 1.0 - np.vdot(column, column).real > TAIL_MASS_LIMIT
+
+
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), -0.5])
+def test_point_queries_refuse_a_radius_that_is_not_finite(rho):
+    """A NaN radius used to give an all-NaN state: ``radii < 0`` is False for NaN."""
+    for rep in (build_su2_rep(3.0), build_h4_rep(24)):
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            coherent_vector(rep, rho, 0.0)
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            coherent_table(rep, [0.2, rho], [0.0, 0.0])
+
+
+def test_point_queries_refuse_a_nan_lost_norm(monkeypatch):
+    """``lost.max() > limit`` is False for NaN: the tail guard let NaN amplitudes through."""
+    monkeypatch.setattr(gcs, "amplitude_columns",
+                        lambda rep, radii: np.full((rep.dim, len(radii)), np.nan))
+    with pytest.raises(ValueError, match="loses norm nan"):
+        coherent_vector(build_su2_rep(3.0), 0.2, 0.0)
 
 
 @pytest.mark.parametrize("level", [0.45, 0.55])

@@ -1,11 +1,10 @@
 """Phase operator: polar decomposition, commutators, uncertainty relations."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from clocklab.algebra import build_clock, build_h4_rep, build_su2_rep
+from clocklab import phase as phase_module
 from clocklab.gcs import coherent_vector
 from clocklab.phase import (
     build_phase_operator,
@@ -32,7 +31,7 @@ def test_polar_decomposition_identity():
     """
     for clock in (build_clock(build_su2_rep(5.0)), build_clock(build_h4_rep(16))):
         phase = build_phase_operator(clock)
-        a = clock.lowering_op.conj().T
+        a = clock.rep.raising_ops[0].conj().T
         modulus = np.diag(np.sqrt(np.real(np.diag(a @ a.conj().T))))
         assert np.linalg.norm(a - modulus @ phase.exp_minus_iphi) < 1e-12
 
@@ -72,14 +71,6 @@ def test_commutator_wrap_scales_linearly_in_eps():
     assert abs(rep_b.full_residual / rep_a.full_residual - 2.0) < 1e-12
 
 
-def test_commutator_check_refuses_a_clock_that_is_not_diagonal():
-    clock = build_clock(build_su2_rep(3.0))
-    h_c = clock.h_c.copy()
-    h_c[0, 1] = h_c[1, 0] = 0.5
-    with pytest.raises(ValueError, match="diagonal"):
-        commutator_check(dataclasses.replace(clock, h_c=h_c), build_phase_operator(clock))
-
-
 def test_sin_cos_commute():
     """The two quadratures share the cyclic eigenbasis, so they commute."""
     phase = build_phase_operator(build_clock(build_su2_rep(6.0)))
@@ -97,11 +88,20 @@ def test_uncertainty_bound_on_coherent_grid():
     assert worst >= -1e-12
 
 
-def test_uncertainty_grid_keeps_nan():
-    """A nan radius makes the worst slack nan, which fails a ">=" gate."""
+def test_uncertainty_grid_keeps_nan(monkeypatch):
+    """A nan state after finite ones makes the worst slack nan, which fails a
+    ">=" gate.  (A nan radius is refused before any state is built.)"""
     clock = build_clock(build_su2_rep(15.0))
     phase = build_phase_operator(clock)
-    worst = uncertainty_grid_audit(clock, phase, rhos=[0.2, float("nan")], phis=[0.0, 1.0])
+    points = phase_module.coherent_points
+
+    def nan_in_the_last_column(rep, rhos, phis):
+        vecs = points(rep, rhos, phis)
+        vecs[:, -1] = np.nan
+        return vecs
+
+    monkeypatch.setattr(phase_module, "coherent_points", nan_in_the_last_column)
+    worst = uncertainty_grid_audit(clock, phase, rhos=[0.2, 0.3], phis=[0.0, 1.0])
     assert np.isnan(worst)
 
 

@@ -473,6 +473,26 @@ def test_verify_cartan_at_a_large_spin_stays_small():
     assert np.isfinite(report.max_residual)
 
 
+def test_ladder_types_stay_linear_in_the_dimension():
+    """At su2 j = 400 no field of a rep, a clock or a phase operator holds a
+    dim x dim array, and building and checking them peaks below 1 MB (the
+    dense h_c alone took 4.9 MB)."""
+    tracemalloc.start()
+    try:
+        clock = intensive_su2_clock(400.0)
+        phase = build_phase_operator(clock)
+        commutator_check(clock, phase)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    for obj in (clock.rep, clock, phase):
+        for field in dataclasses.fields(obj):
+            value = getattr(obj, field.name)
+            if isinstance(value, np.ndarray):
+                assert value.size <= 2 * clock.dim, field.name
+
+
 # --- the interleave of the ladder ends ------------------------------------------
 
 
@@ -664,7 +684,7 @@ def test_nonzero_scan_takes_the_dense_predicates_route_and_bits(monkeypatch):
 
 def dense_phase_operator(clock):
     """U, sin and cos as dense products, one rung at a time."""
-    a = clock.lowering_op.conj().T
+    a = clock.rep.raising_ops[0].conj().T
     dim = clock.dim
     u = np.zeros((dim, dim), dtype=complex)
     for k in range(dim - 1):
