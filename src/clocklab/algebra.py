@@ -37,30 +37,28 @@ def _diagonal(a: np.ndarray) -> np.ndarray | None:
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
-def _is_identity(a: np.ndarray) -> bool:
-    """True when a is exactly the identity matrix."""
-    d = _diagonal(a) if a.shape[0] == a.shape[1] else None
-    return d is not None and bool(np.all(d == 1))
-
-
 # LAPACK's syevd rescales a matrix whose largest |entry| lies outside
 # [sqrt(safmin/eps), 1/sqrt(safmin/eps)] = [2^-485, 2^485], moving last bits
 _EIGH_UNSCALED = (2.0 ** -485, 2.0 ** 485)
 
 
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh``, or ``(diag, I)`` for a real diagonal that strictly ascends.
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``np.linalg.eigh``, or ``(diag, None)`` for a real diagonal that strictly ascends.
 
-    LAPACK returns exactly that pair then, unless it rescales the matrix.
-    A degenerate or unsorted diagonal goes to eigh: its eigenvector order
-    need not be a stable sort.
+    None stands for the identity: LAPACK returns exactly (diag, I) then,
+    unless it rescales the matrix.  A degenerate or unsorted diagonal goes
+    to eigh: its eigenvector order need not be a stable sort.  A real
+    vector h stands for the diagonal matrix ``np.diag(h)``, which is formed
+    only when eigh has to run.
     """
-    d = _diagonal(h) if h.dtype == np.float64 else None
+    d = None
+    if h.dtype == np.float64:
+        d = h if h.ndim == 1 else _diagonal(h)
     if d is not None and bool(np.all(d[1:] > d[:-1])):
         top = float(np.abs(d).max(initial=0.0))
         if top == 0.0 or _EIGH_UNSCALED[0] <= top <= _EIGH_UNSCALED[1]:
-            return d.copy(), np.eye(len(d))
-    return np.linalg.eigh(h)
+            return d.copy(), None
+    return np.linalg.eigh(np.diag(h) if h.ndim == 1 else h)
 
 
 def _interleave(dim: int) -> np.ndarray:

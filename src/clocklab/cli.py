@@ -56,7 +56,6 @@ from .constraint import (
     ladder_match,
     precs_decomposition_check,
     random_profile,
-    total_hamiltonian,
 )
 from .dynamics import (
     convergence_sweep,
@@ -516,8 +515,9 @@ def run_constraint(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]
         coeff = gaussian_profile(match, center=energy_of_rho(clock, rho),
                                  width=cfg["con_width"])
     psi = build_psi(match, coeff)
-    h_total = total_hamiltonian(clock.h_c, h_system)
-    energy_residual = float(np.linalg.norm(h_total @ psi.vector))
+    # H psi on the product space, for the diagonal h_c and h_system, as a (dc, dg) array
+    h_psi = (clock.energies[:, None] - np.diagonal(h_system)[None, :]) * psi.matrix
+    energy_residual = float(np.linalg.norm(h_psi.reshape(-1)))
     chi_a = conditional_state(psi, clock, rho, phi).chi2
     chi_b = conditional_state(psi, clock, rho, phi + 1.1).chi2
     phase_independence = abs(chi_a - chi_b)

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .algebra import ClockModel, _eigh, _is_identity, _is_shift, _nonzeros, residual_norm2
+from .algebra import ClockModel, _eigh, _is_shift, _nonzeros, residual_norm2
 from .families import lookup
 from .gcs import coherent_points, coherent_table, weighted_outer_sum
 
@@ -31,35 +31,67 @@ class SpectralMatch:
     """Eigendata of both factors plus the list of coinciding levels.
 
     pairs[k] = (i, j) with clock eigenvalue e_i equal to system eigenvalue
-    f_j within the tolerance of ``match_spectra``.  Eigenvectors are
-    columns of the respective arrays.
+    f_j within the tolerance of ``match_spectra``, in row-major order.
+    ``clock_basis`` and ``system_basis`` hold the eigenvectors as columns,
+    or None for the standard basis (the eigenvectors LAPACK returns for a
+    strictly ascending real diagonal, which every ladder factor is).
+    ``clock_evecs`` and ``system_evecs`` are the dense matrices either way,
+    built when read.
     """
 
     clock_evals: np.ndarray
-    clock_evecs: np.ndarray
+    clock_basis: np.ndarray | None
     system_evals: np.ndarray
-    system_evecs: np.ndarray
+    system_basis: np.ndarray | None
     pairs: tuple
 
     @property
+    def clock_evecs(self) -> np.ndarray:
+        return np.eye(len(self.clock_evals)) if self.clock_basis is None else self.clock_basis
+
+    @property
+    def system_evecs(self) -> np.ndarray:
+        return np.eye(len(self.system_evals)) if self.system_basis is None else self.system_basis
+
+    @property
     def shared_energies(self) -> np.ndarray:
-        return np.array([self.clock_evals[i] for i, _ in self.pairs])
+        return self.clock_evals[[i for i, _ in self.pairs]]
 
 
 def match_spectra(h_clock: np.ndarray, h_system: np.ndarray, tol: float = 1e-9) -> SpectralMatch:
     """Diagonalize both operators and pair up coinciding eigenvalues.
 
-    Every (i, j) with |e_i - f_j| <= tol is reported; for nondegenerate
-    spectra the pair count equals the kernel dimension of the composite
-    generator.
+    Every (i, j) with |e_i - f_j| <= tol is reported, in row-major order;
+    for nondegenerate spectra the pair count equals the kernel dimension of
+    the composite generator.  A real vector stands for the diagonal
+    operator that holds it (``_eigh``).
     """
     e_c, v_c = _eigh(h_clock)
     e_g, v_g = _eigh(h_system)
-    idx_c, idx_g = np.nonzero(np.abs(e_c[:, None] - e_g[None, :]) <= tol)
+    idx_c, idx_g = _level_pairs(e_c, e_g, tol)
     return SpectralMatch(
-        clock_evals=e_c, clock_evecs=v_c, system_evals=e_g, system_evecs=v_g,
+        clock_evals=e_c, clock_basis=v_c, system_evals=e_g, system_basis=v_g,
         pairs=tuple(zip(idx_c.tolist(), idx_g.tolist())),
     )
+
+
+def _level_pairs(e_c: np.ndarray, e_g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero(np.abs(e_c[:, None] - e_g[None, :]) <= tol)`` for an ascending e_g.
+
+    fl(e_c[i] - e_g[j]) does not increase with j, so the j that pass form
+    one window for each i.  ``searchsorted`` finds the window of
+    e_c[i] -+ tol widened by 4 eps (|e_c[i]| + tol), more than the roundings
+    of the bounds and of the test can move its ends; the test then runs on
+    the window's candidates only, which it keeps in row-major order.
+    """
+    slack = 4 * np.finfo(float).eps * (np.abs(e_c) + tol)
+    lo = np.searchsorted(e_g, e_c - tol - slack, side="left")
+    counts = np.maximum(np.searchsorted(e_g, e_c + tol + slack, side="right") - lo, 0)
+    idx_c = np.repeat(np.arange(len(e_c)), counts)
+    # candidate p of row i is e_g[lo[i] + p - start[i]], start the exclusive cumsum
+    idx_g = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    keep = np.abs(e_c[idx_c] - e_g[idx_g]) <= tol
+    return idx_c[keep], idx_g[keep]
 
 
 def gaussian_profile(match: SpectralMatch, center: float, width: float) -> np.ndarray:
@@ -128,21 +160,23 @@ def build_psi(match: SpectralMatch, coefficients: np.ndarray) -> CompositeState:
             "single matched pair: the constraint state is separable and the "
             "conditional state will not evolve", stacklevel=2,
         )
-    dc = match.clock_evecs.shape[0]
-    dg = match.system_evecs.shape[0]
+    dc, dg = len(match.clock_evals), len(match.system_evals)
     idx_c, idx_g = np.array(match.pairs).T
-    if _is_identity(match.clock_evecs) and _is_identity(match.system_evecs):
+    svals = None
+    if match.clock_basis is None and match.system_basis is None:
         # |e_k> (x) |f_k> is one basis entry: the GEMM's sum without its zero terms
         mat = np.zeros((dc, dg), dtype=complex)
         np.add.at(mat, (idx_c, idx_g), coefficients)
+        if _is_shift(idx_c, idx_g):  # each coefficient alone in its row and column
+            svals = np.sort(np.abs(coefficients))[::-1]
     else:
         mat = (match.clock_evecs[:, idx_c] * coefficients) @ match.system_evecs[:, idx_g].T
-
-    rows, cols, vals = _nonzeros(mat)
-    if _is_shift(rows, cols):  # the singular values are the moduli, in the SVD's order
-        svals = np.sort(np.abs(vals))[::-1]
-    else:
-        svals = np.linalg.svd(mat, compute_uv=False)
+    if svals is None:
+        rows, cols, vals = _nonzeros(mat)
+        if _is_shift(rows, cols):  # the singular values are the moduli, in the SVD's order
+            svals = np.sort(np.abs(vals))[::-1]
+        else:
+            svals = np.linalg.svd(mat, compute_uv=False)
     probs = svals ** 2
     probs = probs[probs > 1e-300]
     entropy = float(-np.sum(probs * np.log(probs)))
@@ -164,7 +198,7 @@ def ladder_match(clock: ClockModel, h_system: np.ndarray) -> SpectralMatch:
     Levels pair up within 1e-9 of the gap, and within 1e-9 absolute when
     the gap is below one.  Raises when the spectra share no level.
     """
-    match = match_spectra(clock.h_c, h_system, tol=1e-9 * max(clock.epsilon, 1.0))
+    match = match_spectra(clock.energies, h_system, tol=1e-9 * max(clock.epsilon, 1.0))
     if not match.pairs:
         raise ValueError("no constraint states: the spectra share no level")
     return match

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (
-    ClockModel, _diagonal, _eigh, _is_identity, build_clock, build_su2_rep,
+    ClockModel, _diagonal, _eigh, build_clock, build_su2_rep,
     intensive_su2_clock, intensive_h4_clock,
 )
 from .constraint import (
@@ -164,7 +164,7 @@ def quantum_flow_rate(psi: CompositeState, clock: ClockModel,
     phi_max = min(1.2, (n_phi - 1) * np.pi / (2 * max(clock.dim - 1, 1)))
     phis = np.linspace(0.0, phi_max, n_phi)
     comps = _conditional_rows(psi, clock, rho, phis)
-    if not _is_identity(evecs):
+    if evecs is not None:  # None: the standard basis, so comps are the components
         comps = comps @ evecs.conj()  # row a: evecs^H Phi(phis[a])
     scale = float(np.max(np.abs(evals))) or 1.0
     still = (np.abs(comps).min(axis=0) < 1e-8) | (np.abs(evals) < 1e-12 * scale)

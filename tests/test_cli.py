@@ -1,17 +1,32 @@
 """Experiment-runner behavior: exits, artifacts, precedence, determinism."""
 
+import contextlib
 import datetime
+import io
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clocklab import cli, intensive_su2_clock
+from clocklab import (
+    build_psi,
+    cli,
+    energy_of_rho,
+    gaussian_profile,
+    intensive_su2_clock,
+    ladder_match,
+    random_profile,
+    resonant_ladder,
+    total_hamiltonian,
+)
 
 
 def run(args):
@@ -453,3 +468,77 @@ def test_bch_check_keeps_a_nan_after_the_first_point(tmp_path, monkeypatch):
     summary = json.loads((only_run_dir(tmp_path, "bch-check") / "summary.json").read_text())
     first = summary["checks"][0]
     assert not first["passed"] and math.isnan(first["max_difference"])
+
+
+def test_constraint_at_j40_exits_zero(tmp_path, capsys):
+    """--j 40 used to form the dense (dim^2 x dim^2) composite generator,
+    about 1 GB, only to take ||H psi||."""
+    assert run(["constraint", "--j", "40", "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_constraint_at_j20_stays_small(tmp_path):
+    """||H psi|| is formed on the (dim, dim) state: no product-space matrix.
+    The composite generator took the peak to 64.8 MB; it is about 1.4 MB
+    without it."""
+    tracemalloc.start()
+    try:
+        assert run(["constraint", "--j", "20", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("j", ["0.5", "3", "12.5", "20"])
+@pytest.mark.parametrize("profile", ["gaussian", "random"])
+def test_constraint_energy_residual_is_the_product_space_norm(tmp_path, j, profile):
+    """The energy residual formed on the (dim, dim) state has the bits of
+    ||(h_c (x) I - I (x) h_sys) psi|| formed on the product space."""
+    assert run(["constraint", "--j", j, "--profile", profile, "--out", str(tmp_path)]) in (0, 1)
+    summary = json.loads((only_run_dir(tmp_path, "constraint") / "summary.json").read_text())
+    (check,) = [c for c in summary["checks"] if c["check_id"] == "energy-residual"]
+    clock = intensive_su2_clock(float(j))
+    h_system = resonant_ladder(clock, clock.dim)
+    match = ladder_match(clock, h_system)
+    coeff = (random_profile(match, summary["seed"]) if profile == "random" else
+             gaussian_profile(match, energy_of_rho(clock, 0.55), 0.18))
+    psi = build_psi(match, coeff)
+    h_total = total_hamiltonian(clock.h_c, h_system)
+    assert check["residual"] == float(np.linalg.norm(h_total @ psi.vector))
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _edge_values(key):
+    default = cli._TABLE["constraint"][key][1]
+    return st.sampled_from([0.0, 1.0, 2.0, -1.0, -0.5, default, 40.0])
+
+
+@settings(max_examples=40)
+@given(j=_edge_values("con_j"), rho=_edge_values("con_rho"),
+       width=_edge_values("con_width"), profile=st.sampled_from(["gaussian", "random"]))
+def test_constraint_configurations_check_something_or_are_refused(tmp_path_factory, j, rho,
+                                                                  width, profile):
+    """Every accepted configuration ends in exit 0 or 1 with a strict-JSON
+    summary; every other one is refused with exit 2, a one-line reason and
+    nothing written.  No input ends in a traceback."""
+    root = tmp_path_factory.mktemp("constraint")
+    cfg = root / "edge.cfg"
+    cfg.write_text(f"con_j={j}\ncon_rho={rho}\ncon_width={width}\ncon_profile={profile}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = run(["constraint", "--config", str(cfg), "--out", str(root / "o")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert not (root / "o").exists()
+        assert err.getvalue().startswith(("refused:", "config error:"))
+    else:
+        summary = _strict_json((only_run_dir(root / "o", "constraint")
+                                / "summary.json").read_text())
+        assert summary["pass"] is (rc == 0)

@@ -5,10 +5,12 @@ nonzeros: weighted shift, hermitian or anti-hermitian (banded, banded after
 the interleave of the ladder ends, or dense), or the SVD.  Each route is
 compared with a spectral norm computed in the test from an SVD, and route
 and bits with a copy of the dense-predicate form kept in the test.
-``_eigh``, ``build_psi`` (its identity-basis scatter and its entropy), the
-phase operator and its commutator residuals (formed on the cyclic band)
-and the step-vector unitarity guard of ``build_phase_operator`` are
-compared with the dense products or LAPACK calls they stand in for;
+``_eigh`` (a standard eigenbasis returned as None), the level pairing by
+sorted windows, ``build_psi`` (its identity-basis scatter and its
+entropy), the phase operator and its commutator residuals (formed on the
+cyclic band) and the step-vector unitarity guard of
+``build_phase_operator`` are compared with the dense products, outer
+comparisons or LAPACK calls they stand in for;
 ``quantum_flow_rate`` (one table product and one least-squares closed
 form) with a per-phi, per-component reference, within a roundoff bound the
 test derives.
@@ -20,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from clocklab import algebra
@@ -29,7 +31,6 @@ from clocklab.algebra import (
     _diagonal,
     _eigh,
     _interleave,
-    _is_identity,
     build_clock,
     build_h4_rep,
     build_su2_rep,
@@ -41,6 +42,7 @@ from clocklab.algebra import (
 )
 from clocklab.constraint import (
     SpectralMatch,
+    _level_pairs,
     build_psi,
     conditional_state,
     gaussian_profile,
@@ -206,7 +208,14 @@ def test_ascending_diagonal_eigh_is_bit_identical(values):
     h = np.diag(np.sort(np.array(values)))
     if np.any(np.diff(np.diag(h)) <= 0):  # -0.0 and 0.0 are both drawn
         return
-    assert _bits(*_eigh(h)) == _bits(*np.linalg.eigh(h))
+    evals, basis = _eigh(h)
+    view = SpectralMatch(clock_evals=evals, clock_basis=basis, system_evals=evals,
+                         system_basis=basis, pairs=())
+    assert _bits(evals, view.clock_evecs) == _bits(*np.linalg.eigh(h))
+    top = np.abs(evals).max()
+    assert (basis is None) == bool(top == 0.0 or 2.0 ** -485 <= top <= 2.0 ** 485)
+    vec_evals, vec_basis = _eigh(np.diagonal(h).copy())
+    assert vec_evals.tobytes() == evals.tobytes() and (vec_basis is None) == (basis is None)
 
 
 @pytest.mark.parametrize("h", [
@@ -219,6 +228,8 @@ def test_ascending_diagonal_eigh_is_bit_identical(values):
 ])
 def test_other_matrices_fall_back_to_eigh(h):
     assert _bits(*_eigh(h)) == _bits(*np.linalg.eigh(h))
+    if _diagonal(h) is not None:  # the same matrix given as its diagonal
+        assert _bits(*_eigh(np.diagonal(h).copy())) == _bits(*np.linalg.eigh(h))
 
 
 def test_unsorted_diagonal_needs_the_fallback():
@@ -250,8 +261,8 @@ def test_entropy_of_a_dense_psi():
     vc = np.linalg.qr(rng.normal(size=(6, 6)))[0]
     vg = np.linalg.qr(rng.normal(size=(5, 5)))[0]
     energies = np.arange(6.0)
-    match = SpectralMatch(clock_evals=energies, clock_evecs=vc, system_evals=energies[:5],
-                          system_evecs=vg, pairs=tuple((k, k) for k in range(5)))
+    match = SpectralMatch(clock_evals=energies, clock_basis=vc, system_evals=energies[:5],
+                          system_basis=vg, pairs=tuple((k, k) for k in range(5)))
     psi = build_psi(match, rng.normal(size=5) + 1j * rng.normal(size=5))
     assert np.count_nonzero(psi.matrix) == psi.matrix.size
     assert psi.entanglement_entropy == _entropy(psi.matrix)
@@ -491,6 +502,27 @@ def test_ladder_types_stay_linear_in_the_dimension():
             value = getattr(obj, field.name)
             if isinstance(value, np.ndarray):
                 assert value.size <= 2 * clock.dim, field.name
+
+
+def test_a_ladder_match_stays_linear_in_the_dimension():
+    """At su2 j = 400 a ladder match holds no dim x dim field (the standard
+    eigenbases are None), and the Gaussian constraint state is built within
+    1 MB of psi itself (the dense identity eigenbases and the nonzero scan of
+    psi took the peak to 25.7 MB, psi being 10.3 MB)."""
+    clock = intensive_su2_clock(400.0)
+    h_system = resonant_ladder(clock, clock.dim)
+    match = ladder_match(clock, h_system)
+    for field in dataclasses.fields(match):
+        value = getattr(match, field.name)
+        assert not isinstance(value, np.ndarray) or value.size <= 2 * clock.dim, field.name
+    assert match.clock_basis is None and match.system_basis is None
+    tracemalloc.start()
+    try:
+        psi = gaussian_state(clock, h_system, energy_of_rho(clock, 0.45), 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.matrix.nbytes + 2 ** 20
 
 
 # --- the interleave of the ladder ends ------------------------------------------
@@ -768,6 +800,72 @@ def test_commutator_check_allocates_less_than_one_dense_matrix():
     assert peak < clock.dim ** 2 * np.dtype(complex).itemsize
 
 
+# --- level pairing by sorted windows ---------------------------------------------
+
+
+def outer_pairs(e_c, e_g, tol):
+    """The pairs of the dim_c x dim_g comparison the windows stand in for."""
+    idx_c, idx_g = np.nonzero(np.abs(e_c[:, None] - e_g[None, :]) <= tol)
+    return tuple(zip(idx_c.tolist(), idx_g.tolist()))
+
+
+def _one_ulp_around(x):
+    with np.errstate(over="ignore"):  # the ulp above the largest float is inf
+        return st.sampled_from([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+@st.composite
+def spectra_and_tol(draw):
+    """(e_c, e_g, tol): levels drawn with repeats from a few values, e_g
+    ascending and e_c in any order, sometimes from disjoint sets; tol is 0,
+    huge, a small integer, or one ulp either side of (or at) a difference of
+    two levels.  Small integers next to tiny levels make a difference that
+    rounds onto tol although the level lies outside [e - tol, e + tol]."""
+    level = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.floats(-4.0, 4.0), st.integers(-4, 4).map(float),
+                      st.floats(-1e-15, 1e-15))
+    values = draw(st.lists(level, min_size=1, max_size=6))
+    others = values
+    if draw(st.booleans()):  # a system spectrum that shares no level
+        others = [v for v in draw(st.lists(level, min_size=1, max_size=6)) if v not in values]
+        assume(others)
+    e_c = np.array(draw(st.lists(st.sampled_from(values), min_size=1, max_size=10)))
+    e_g = np.sort(np.array(draw(st.lists(st.sampled_from(others), min_size=1, max_size=10))))
+    with np.errstate(over="ignore"):
+        gap = abs(draw(st.sampled_from(values)) - draw(st.sampled_from(others)))
+    tol = draw(st.one_of(st.sampled_from([0.0, 1e-9, 1e300, float(np.finfo(float).max)]),
+                         st.integers(1, 4).map(float),
+                         _one_ulp_around(gap) if np.isfinite(gap) else st.just(0.0)))
+    return e_c, e_g, float(tol)
+
+
+@given(spectra_and_tol())
+@example((np.array([1.0]), np.array([-1e-20, 0.0]), 1.0))  # 1 - (-1e-20) rounds to 1
+@example((np.array([-1.0]), np.array([0.0, 1e-20]), 1.0))
+@example((np.array([0.0, 1.0]), np.array([1.0 - 2 ** -53, 1.0, 1.0]), 2 ** -53))
+def test_window_pairs_are_the_outer_comparison(case):
+    e_c, e_g, tol = case
+    with np.errstate(over="ignore"):
+        expected = outer_pairs(e_c, e_g, tol)
+        idx_c, idx_g = _level_pairs(e_c, e_g, tol)
+        assert tuple(zip(idx_c.tolist(), idx_g.tolist())) == expected
+        match = match_spectra(e_c, e_g, tol)  # vectors: the diagonal operators
+        assert match.pairs == outer_pairs(match.clock_evals, match.system_evals, tol)
+
+
+@pytest.mark.parametrize("make_clock", [
+    lambda: intensive_su2_clock(400.0), lambda: intensive_h4_clock(200.0),
+], ids=["su2-j400", "h4-mean200"])
+def test_ladder_match_pairs_every_level(make_clock):
+    clock = make_clock()
+    match = ladder_match(clock, resonant_ladder(clock, clock.dim))
+    assert match.pairs == tuple((k, k) for k in range(clock.dim))
+    assert match.pairs == outer_pairs(match.clock_evals, match.system_evals,
+                                      1e-9 * max(clock.epsilon, 1.0))
+    assert match.clock_evals.tobytes() == clock.energies.tobytes()
+    assert match.shared_energies.tobytes() == clock.energies.tobytes()
+
+
 # --- constraint states in the identity basis ----------------------------------
 
 
@@ -784,6 +882,7 @@ def gemm_psi(match, coefficients):
 def test_identity_basis_psi_is_the_gemm(make_clock, rho):
     clock = make_clock()
     match = ladder_match(clock, resonant_ladder(clock, clock.dim))
+    assert match.clock_basis is None and match.system_basis is None
     assert np.array_equal(match.clock_evecs, np.eye(clock.dim))
     assert np.array_equal(match.system_evecs, np.eye(clock.dim))
     gauss = build_psi(match, gaussian_profile(match, energy_of_rho(clock, rho), 0.2))
@@ -806,13 +905,6 @@ def test_identity_basis_psi_off_the_diagonal():
     assert np.array_equal(cplx.matrix, gemm_psi(match, cplx.coefficients))
 
 
-def test_is_identity():
-    assert _is_identity(np.eye(4)) and _is_identity(np.eye(3, dtype=complex))
-    for a in (np.diag([1.0, -1.0]), np.diag([1.0, 2.0]), np.eye(3)[[1, 0, 2]],
-              np.eye(3, 4), np.eye(2) + 1e-300 * np.ones((2, 2))):
-        assert not _is_identity(a)
-
-
 def _rotated(dim, energies, seed):
     """A dense hermitian matrix with the given spectrum."""
     rng = np.random.default_rng(seed)
@@ -827,8 +919,9 @@ def test_dense_match_psi_is_the_sum_over_pairs(clock_dense):
     h_g = _rotated(5, np.arange(5.0), 2)
     match = match_spectra(h_c, h_g, tol=1e-9)
     assert len(match.pairs) == 5
-    assert _is_identity(match.clock_evecs) != clock_dense
-    assert not _is_identity(match.system_evecs)
+    assert (match.clock_basis is None) != clock_dense
+    assert np.array_equal(match.clock_evecs, np.eye(7)) != clock_dense
+    assert match.system_basis is not None and not np.array_equal(match.system_evecs, np.eye(5))
     psi = build_psi(match, rng.normal(size=5) + 1j * rng.normal(size=5))
     assert psi.matrix.tobytes() == gemm_psi(match, psi.coefficients).tobytes()
     per_pair = sum(c * np.outer(match.clock_evecs[:, i], match.system_evecs[:, j])
@@ -971,7 +1064,8 @@ def test_flow_rate_in_a_rotated_basis():
     clock = build_clock(build_su2_rep(6.0))
     h_system = _rotated(clock.dim, clock.epsilon * np.arange(clock.dim), 3)
     match = ladder_match(clock, h_system)
-    assert len(match.pairs) == clock.dim and not _is_identity(match.system_evecs)
+    assert len(match.pairs) == clock.dim and match.system_basis is not None
+    assert not np.array_equal(match.system_evecs, np.eye(clock.dim))
     psi = build_psi(match, gaussian_profile(match, energy_of_rho(clock, 0.45), 2.0))
     got = quantum_flow_rate(psi, clock, h_system, 0.45)
     ref = reference_flow_rate(psi, clock, h_system, 0.45)
