@@ -61,7 +61,6 @@ from .constraint import (
     random_profile,
     reduced_density_clock,
     reduced_density_gamma,
-    total_hamiltonian,
 )
 from .dynamics import (
     ConvergenceRecord,
@@ -156,7 +155,6 @@ __all__ = [
     "stationary_residual",
     "su2_first_order_experiment",
     "su2_stationary_experiment",
-    "total_hamiltonian",
     "two_form_coefficient",
     "uncertainty_audit",
     "uncertainty_grid_audit",

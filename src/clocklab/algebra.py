@@ -32,7 +32,13 @@ _SQRT2 = float(np.sqrt(2.0))
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray | None:
-    """The diagonal of a square matrix with no nonzero off the diagonal, else None."""
+    """The energies of a diagonal operator, else None.
+
+    A vector is the diagonal operator that holds it and is returned as it
+    is; a square matrix gives its diagonal when no nonzero lies off it.
+    """
+    if a.ndim == 1:
+        return a
     d = np.diagonal(a)
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
@@ -51,9 +57,7 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     vector h stands for the diagonal matrix ``np.diag(h)``, which is formed
     only when eigh has to run.
     """
-    d = None
-    if h.dtype == np.float64:
-        d = h if h.ndim == 1 else _diagonal(h)
+    d = _diagonal(h) if h.dtype == np.float64 else None
     if d is not None and bool(np.all(d[1:] > d[:-1])):
         top = float(np.abs(d).max(initial=0.0))
         if top == 0.0 or _EIGH_UNSCALED[0] <= top <= _EIGH_UNSCALED[1]:
@@ -146,15 +150,19 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
         position = np.argsort(order)
         band = int(np.max(np.abs(position[rows] - position[cols])))
     if 2 * band + 1 < dim:
-        # lower band storage of m[order][:, order]: row k holds its k-th subdiagonal
-        lower = np.zeros((band + 1, dim), dtype=np.result_type(vals, phase))
+        # lower band storage of m[order][:, order]: row k holds its k-th subdiagonal,
+        # real (dsbevd, not zhbevd) when every scaled nonzero is, as a commutator's are
+        scaled = phase * vals
+        real = not np.iscomplexobj(scaled) or not scaled.imag.any()
+        lower = np.zeros((band + 1, dim), dtype=float if real else scaled.dtype)
         if dense is None:
             below = position[rows] >= position[cols]
             at = position[cols[below]]
-            lower[position[rows[below]] - at, at] = phase * vals[below]
+            lower[position[rows[below]] - at, at] = scaled.real[below] if real else scaled[below]
         else:
             for k in range(band + 1):
-                lower[k, :dim - k] = phase * dense[order[k:], order[:dim - k]]
+                entries = phase * dense[order[k:], order[:dim - k]]
+                lower[k, :dim - k] = entries.real if real else entries
         evals = scipy.linalg.eigvals_banded(lower, lower=True, check_finite=False)
     else:
         # the transpose of a hermitian matrix is its conjugate, with the same

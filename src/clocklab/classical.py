@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import ClockModel, LieAlgebraRep
-from .constraint import CompositeState
+from .constraint import CompositeState, _pair_indices
 from .families import lookup
 from .gcs import amplitude_columns, clock_symbol_analytic, coherent_table
 
@@ -233,13 +233,20 @@ def classical_flow_rate(clock: ClockModel, rho: float = 0.5, hbar: float = 1.0) 
 # --- joint coherent amplitudes over both manifolds --------------------------
 
 def _one_diagonal(psi: CompositeState) -> int | None:
-    """delta when every nonzero of psi lies on m - n = delta, else None."""
-    rows, cols = np.nonzero(psi.matrix)
-    offsets = np.unique(cols - rows)
+    """delta when every nonzero of a standard-basis psi lies on m - n = delta, else None.
+
+    Its nonzeros are the pairs whose coefficient is nonzero; a rotated
+    basis gives None.
+    """
+    if not psi.standard_basis:
+        return None
+    idx_c, idx_g = _pair_indices(psi.pairs)
+    nonzero = psi.coefficients != 0
+    offsets = np.unique(idx_g[nonzero] - idx_c[nonzero])
     return int(offsets[0]) if len(offsets) == 1 else None
 
 
-def _circulant_rows(psi: CompositeState, delta: int, amp_c: np.ndarray, amp_g: np.ndarray):
+def _circulant_rows(mat: np.ndarray, delta: int, amp_c: np.ndarray, amp_g: np.ndarray):
     """|beta|^2 on the first node of each clock ring, a chunk of rings at a time.
 
     Both manifolds have N = dim azimuthal points per ring.  On ring pair
@@ -247,12 +254,14 @@ def _circulant_rows(psi: CompositeState, delta: int, amp_c: np.ndarray, amp_g: n
     exp(-i delta phi_b) F_rs[(a + b) mod N], F_rs the length-N DFT over n of
     A_c[n, r] psi[n, n + delta] A_g[n + delta, s].  So the row a = 0 of a
     clock ring, where system node s N + t is the node of t, holds every
-    value of |beta|^2 on the ring, each at N nodes.  Yields (node, ring, rows).
+    value of |beta|^2 on the ring, each at N nodes.  ``mat`` is psi's matrix.
+    Yields (node, ring, rows).
     """
-    n_azim = psi.dim_clock
-    n = np.arange(max(0, -delta), min(psi.dim_clock, psi.dim_system - delta))
-    system = np.zeros((amp_g.shape[1], psi.dim_clock), dtype=complex)  # (rings_g, n)
-    system[:, n] = amp_g[n + delta].T * psi.matrix[n, n + delta]
+    dim_c, dim_g = mat.shape
+    n_azim = dim_c
+    n = np.arange(max(0, -delta), min(dim_c, dim_g - delta))
+    system = np.zeros((amp_g.shape[1], dim_c), dtype=complex)  # (rings_g, n)
+    system[:, n] = amp_g[n + delta].T * mat[n, n + delta]
     step = max(1, (1 << 22) // (16 * len(system) * n_azim))  # 4 MB of transforms a chunk
     for r in range(0, amp_c.shape[1], step):
         rings = np.arange(r, min(r + step, amp_c.shape[1]))
@@ -265,13 +274,14 @@ def _node_table(rep: LieAlgebraRep) -> np.ndarray:
     return coherent_table(rep, *lookup(rep.family).nodes(rep)[:2])
 
 
-def _streamed_rows(psi: CompositeState, mc: np.ndarray, mg: np.ndarray):
+def _streamed_rows(mat: np.ndarray, mc: np.ndarray, mg: np.ndarray):
     """|beta|^2 on every node row a clock ring at a time, like ``_circulant_rows``: the
-    rows of ``values`` bit for bit, evaluated left to right like it (columns would not be)."""
-    dim, mg_conj = psi.dim_clock, mg.conj()
+    rows of ``values`` bit for bit, evaluated left to right like it (columns would not be).
+    ``mat`` is psi's matrix."""
+    dim, mg_conj = mat.shape[0], mg.conj()
     for a in range(0, mc.shape[1], dim):
         yield np.arange(a, a + dim), np.full(dim, a // dim), np.abs(
-            (mc[:, a:a + dim].conj().T @ psi.matrix) @ mg_conj) ** 2
+            (mc[:, a:a + dim].conj().T @ mat) @ mg_conj) ** 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -333,17 +343,18 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
     (radii_c, w_c), (radii_g, w_g) = (lookup(rep.family).rings(rep) for rep in reps)
     amp_c, amp_g = amplitude_columns(reps[0], radii_c), amplitude_columns(reps[1], radii_g)
     ring_w_c, ring_w_g = w_c * psi.dim_clock, w_g * psi.dim_system
-    normalization = float(ring_w_c @ ((amp_c ** 2).T @ np.abs(psi.matrix) ** 2 @ amp_g ** 2)
+    mat = psi.matrix
+    normalization = float(ring_w_c @ ((amp_c ** 2).T @ np.abs(mat) ** 2 @ amp_g ** 2)
                           @ ring_w_g)
 
     delta = _one_diagonal(psi) if psi.dim_clock == psi.dim_system else None
     if delta is not None:
-        rows = list(_circulant_rows(psi, delta, amp_c, amp_g))
+        rows = list(_circulant_rows(mat, delta, amp_c, amp_g))
         sweeps, multiplicity = (rows, rows), psi.dim_clock
     else:
         mc = _node_table(reps[0])
         mg = mc if reps[1] is reps[0] else _node_table(reps[1])
-        sweeps = (_streamed_rows(psi, mc, mg), _streamed_rows(psi, mc, mg))
+        sweeps = (_streamed_rows(mat, mc, mg), _streamed_rows(mat, mc, mg))
         multiplicity = 1
     peak_val, peak = -1.0, (0, 0)
     for nodes, _, dens in sweeps[0]:

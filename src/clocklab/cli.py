@@ -516,7 +516,7 @@ def run_constraint(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]
                                  width=cfg["con_width"])
     psi = build_psi(match, coeff)
     # H psi on the product space, for the diagonal h_c and h_system, as a (dc, dg) array
-    h_psi = (clock.energies[:, None] - np.diagonal(h_system)[None, :]) * psi.matrix
+    h_psi = (clock.energies[:, None] - h_system[None, :]) * psi.matrix
     energy_residual = float(np.linalg.norm(h_psi.reshape(-1)))
     chi_a = conditional_state(psi, clock, rho, phi).chi2
     chi_b = conditional_state(psi, clock, rho, phi + 1.1).chi2

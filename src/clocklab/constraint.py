@@ -3,12 +3,15 @@
 The composite generator is H = h_c (x) I - I (x) h_g.  Its kernel is
 spanned by products of eigenvectors with coinciding eigenvalues, so a
 nontrivial joint state exists only when the two spectra share more than
-the ground coincidence.  States are stored as vectors in the product
-space together with the matched-pair bookkeeping.
+the ground coincidence.  A state is stored as its matched pairs, the two
+eigenbases (None for the standard basis) and one coefficient per pair;
+for every ladder match that is a weighted shift, so nothing of dim_clock x
+dim_system is kept, and the dense form is built only when it is read.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -18,12 +21,6 @@ from .families import lookup
 from .gcs import coherent_points, coherent_table, weighted_outer_sum
 
 CHI2_FLOOR = 1e-14
-
-
-def total_hamiltonian(h_clock: np.ndarray, h_system: np.ndarray) -> np.ndarray:
-    """kron(h_clock, I) - kron(I, h_system) on the product space."""
-    dc, dg = h_clock.shape[0], h_system.shape[0]
-    return np.kron(h_clock, np.eye(dg)) - np.kron(np.eye(dc), h_system)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,11 +44,11 @@ class SpectralMatch:
 
     @property
     def clock_evecs(self) -> np.ndarray:
-        return np.eye(len(self.clock_evals)) if self.clock_basis is None else self.clock_basis
+        return _evecs(self.clock_basis, len(self.clock_evals))
 
     @property
     def system_evecs(self) -> np.ndarray:
-        return np.eye(len(self.system_evals)) if self.system_basis is None else self.system_basis
+        return _evecs(self.system_basis, len(self.system_evals))
 
     @property
     def shared_energies(self) -> np.ndarray:
@@ -117,20 +114,57 @@ def random_profile(match: SpectralMatch, seed: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def _evecs(basis: np.ndarray | None, dim: int) -> np.ndarray:
+    """The eigenvectors as dense columns: ``basis``, or the identity for None."""
+    return np.eye(dim) if basis is None else basis
+
+
+def _pair_indices(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(clock levels, system levels) of the pairs, as two index arrays.
+
+    ``fromiter`` over the flattened tuple takes a third of ``np.array``'s
+    time on the nested one (3 ms against 7.5 ms at 40001 pairs).
+    """
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
+    return flat[0::2], flat[1::2]
+
+
 @dataclasses.dataclass(frozen=True)
 class CompositeState:
-    """A kernel element of the composite generator.
+    """A kernel element of the composite generator, sum_k c_k |e_k> (x) |f_k>.
 
-    ``matrix`` is the product-space vector reshaped to (dim_clock,
-    dim_system); ``coefficients[k]`` multiplies the k-th matched pair.
+    ``coefficients[k]`` multiplies the k-th matched pair (i, j): clock
+    eigenvector i of ``clock_basis`` times system eigenvector j of
+    ``system_basis``, a None basis standing for the standard one.
+    ``matrix``, the product-space vector reshaped to (dim_clock,
+    dim_system), is built each time it is read.
     """
 
     dim_clock: int
     dim_system: int
     pairs: tuple
     coefficients: np.ndarray
-    matrix: np.ndarray
     entanglement_entropy: float
+    clock_basis: np.ndarray | None = None
+    system_basis: np.ndarray | None = None
+
+    @property
+    def standard_basis(self) -> bool:
+        """True when both factors are in the standard basis: psi[i, j] sums the c_k of pair (i, j)."""
+        return self.clock_basis is None and self.system_basis is None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense state: in the standard basis the coefficients scattered into
+        zeros (the GEMM's sum without its zero terms), else
+        (clock_evecs[:, i] * c) @ system_evecs[:, j]^T over the pairs."""
+        idx_c, idx_g = _pair_indices(self.pairs)
+        if self.standard_basis:
+            mat = np.zeros((self.dim_clock, self.dim_system), dtype=complex)
+            np.add.at(mat, (idx_c, idx_g), self.coefficients)
+            return mat
+        return ((_evecs(self.clock_basis, self.dim_clock)[:, idx_c] * self.coefficients)
+                @ _evecs(self.system_basis, self.dim_system)[:, idx_g].T)
 
     @property
     def vector(self) -> np.ndarray:
@@ -142,7 +176,10 @@ def build_psi(match: SpectralMatch, coefficients: np.ndarray) -> CompositeState:
 
     Warns when only one pair is available (the state is separable and
     carries no relational dynamics).  The constraint residual
-    ||H psi|| <= 1e-10 is asserted against the eigendata.
+    ||H psi|| <= 1e-10 is asserted against the eigendata.  The Schmidt
+    values of a standard-basis shift (each pair alone in its row and
+    column) are the coefficients' moduli; any other state builds its
+    matrix and takes them off its nonzeros or its SVD.
     """
     coefficients = np.asarray(coefficients, dtype=complex)
     if len(coefficients) != len(match.pairs):
@@ -160,18 +197,16 @@ def build_psi(match: SpectralMatch, coefficients: np.ndarray) -> CompositeState:
             "single matched pair: the constraint state is separable and the "
             "conditional state will not evolve", stacklevel=2,
         )
-    dc, dg = len(match.clock_evals), len(match.system_evals)
-    idx_c, idx_g = np.array(match.pairs).T
-    svals = None
-    if match.clock_basis is None and match.system_basis is None:
-        # |e_k> (x) |f_k> is one basis entry: the GEMM's sum without its zero terms
-        mat = np.zeros((dc, dg), dtype=complex)
-        np.add.at(mat, (idx_c, idx_g), coefficients)
-        if _is_shift(idx_c, idx_g):  # each coefficient alone in its row and column
-            svals = np.sort(np.abs(coefficients))[::-1]
+    idx_c, idx_g = _pair_indices(match.pairs)
+    psi = CompositeState(
+        dim_clock=len(match.clock_evals), dim_system=len(match.system_evals),
+        pairs=match.pairs, coefficients=coefficients, entanglement_entropy=0.0,
+        clock_basis=match.clock_basis, system_basis=match.system_basis,
+    )
+    if psi.standard_basis and _is_shift(idx_c, idx_g):
+        svals = np.sort(np.abs(coefficients))[::-1]
     else:
-        mat = (match.clock_evecs[:, idx_c] * coefficients) @ match.system_evecs[:, idx_g].T
-    if svals is None:
+        mat = psi.matrix
         rows, cols, vals = _nonzeros(mat)
         if _is_shift(rows, cols):  # the singular values are the moduli, in the SVD's order
             svals = np.sort(np.abs(vals))[::-1]
@@ -186,10 +221,7 @@ def build_psi(match: SpectralMatch, coefficients: np.ndarray) -> CompositeState:
     ))
     if energy_resid > 1e-10:
         raise ValueError(f"matched pairs are not degenerate enough: ||H psi|| ~ {energy_resid:.2e}")
-    return CompositeState(
-        dim_clock=dc, dim_system=dg, pairs=match.pairs,
-        coefficients=coefficients, matrix=mat, entanglement_entropy=entropy,
-    )
+    return dataclasses.replace(psi, entanglement_entropy=entropy)
 
 
 def ladder_match(clock: ClockModel, h_system: np.ndarray) -> SpectralMatch:
@@ -250,13 +282,25 @@ def conditional_state(psi: CompositeState, clock: ClockModel,
 
 
 def _conditional_rows(psi: CompositeState, clock: ClockModel, rho: float, phis) -> np.ndarray:
-    """Row a: ``conditional_state(psi, clock, rho, phis[a]).unnormalized``, up to roundoff.
+    """Row a: ``conditional_state(psi, clock, rho, phis[a]).unnormalized``.
 
-    One table of bras at a single radius (tail-guarded once) times psi.
+    One table of bras at a single radius (tail-guarded once).  For a
+    standard-basis psi with one pair in each column (every ladder match),
+    entry j of a row is the one product conj(bra[i]) c_k of its pair
+    k = (i, j); any other psi multiplies the table with its matrix.
     """
     _check_clock_dim(psi, clock)
     phis = np.asarray(phis, dtype=float)
-    return coherent_points(clock.rep, np.full(len(phis), float(rho)), phis).conj().T @ psi.matrix
+    bras = coherent_points(clock.rep, np.full(len(phis), float(rho)), phis)
+    idx_c, idx_g = _pair_indices(psi.pairs)
+    if not psi.standard_basis or np.bincount(idx_g).max(initial=0) > 1:
+        return bras.conj().T @ psi.matrix
+    terms = bras[idx_c]
+    np.conjugate(terms, out=terms)
+    terms *= psi.coefficients[:, None]
+    rows = np.zeros((len(phis), psi.dim_system), dtype=complex)
+    rows[:, idx_g] = terms.T
+    return rows
 
 
 def reduced_density_gamma(psi: CompositeState) -> np.ndarray:
@@ -267,13 +311,18 @@ def reduced_density_gamma(psi: CompositeState) -> np.ndarray:
     so a residual built on it takes ``residual_norm2``'s eigenvalue route,
     and it leaves a g that is already hermitian unchanged.
     """
-    g = psi.matrix.conj().T @ psi.matrix
+    return _system_density(psi.matrix)
+
+
+def _system_density(mat: np.ndarray) -> np.ndarray:
+    g = mat.conj().T @ mat
     return (g + g.conj().T) / 2
 
 
 def reduced_density_clock(psi: CompositeState) -> np.ndarray:
     """Clock-side reduced density matrix, trace one."""
-    return psi.matrix @ psi.matrix.conj().T
+    mat = psi.matrix
+    return mat @ mat.conj().T
 
 
 def chi2_identity_residual(psi: CompositeState, clock: ClockModel,
@@ -281,14 +330,15 @@ def chi2_identity_residual(psi: CompositeState, clock: ClockModel,
     """|chi2 - <lambda| rho_clock |lambda>| (an exact identity).
 
     One coherent table serves both sides: its bra product with psi is
-    ``conditional_state``'s and its column the density side's vector.
+    the conditional state and its column the density side's vector.
     """
     _check_clock_dim(psi, clock)
+    mat = psi.matrix
     bra = coherent_points(clock.rep, [rho], [phi])
-    row = (bra.conj().T @ psi.matrix)[0]
+    row = (bra.conj().T @ mat)[0]
     chi2 = float(np.real(np.vdot(row, row)))
     vec = bra[:, 0]
-    via_density = float(np.real(np.vdot(vec, reduced_density_clock(psi) @ vec)))
+    via_density = float(np.real(np.vdot(vec, (mat @ mat.conj().T) @ vec)))
     return abs(chi2 - via_density)
 
 
@@ -303,7 +353,8 @@ def precs_decomposition_check(psi: CompositeState, clock: ClockModel,
     partial trace.  Returns the 2-norm of the difference.
     """
     _check_clock_dim(psi, clock)
+    mat = psi.matrix
     rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim)
-    rows = coherent_table(clock.rep, rhos, phis).conj().T @ psi.matrix
+    rows = coherent_table(clock.rep, rhos, phis).conj().T @ mat
     acc = weighted_outer_sum(rows, weights)
-    return residual_norm2(acc - reduced_density_gamma(psi))
+    return residual_norm2(acc - _system_density(mat))

@@ -4,7 +4,9 @@ Two residuals with deliberately different character live here.  The
 first-order law i*eps*d/dphi Phi = H_sys Phi holds at every clock size
 (only the finite-difference step limits it); the stationary law
 H_sys Phi = E(rho) Phi emerges only as the clock grows.  The sweep
-helpers are built to exhibit exactly that contrast.
+helpers are built to exhibit exactly that contrast.  A system Hamiltonian
+is a matrix, or a real vector of energies standing for the diagonal
+operator (every ladder system below).
 """
 from __future__ import annotations
 
@@ -43,11 +45,12 @@ class FirstOrderResidual:
 
 
 def _apply(h_system: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H v; a broadcast product when H is exactly diagonal (every ladder system).
+    """H v; a broadcast product when H is its energies or exactly diagonal.
 
-    The diagonal route skips the complex copy of H that the dense product
-    makes for a real H; each entry of a real H's product is then the same
-    single multiplication, so the bits are those of the dense product.
+    Every ladder system is its energies.  The diagonal route skips the
+    complex copy of H that the dense product makes for a real H; each entry
+    of a real H's product is then the same single multiplication, so the
+    bits are those of the dense product.
     """
     d = _diagonal(h_system)
     return d * v if d is not None else h_system @ v
@@ -116,7 +119,7 @@ def propagator_deviation(psi: CompositeState, clock: ClockModel,
     The conditional states of the whole grid are one table of bras times
     psi; the worst values propagate NaN, so a NaN state fails the gates.
 
-    When H_sys is exactly diagonal (every ladder system) the exponential is
+    When H_sys is its energies or exactly diagonal the exponential is
     applied as the broadcast exp(-i phi/eps * diag H), which is what
     scipy.linalg.expm itself returns on the diagonal of a diagonal matrix;
     any other generator goes through one scipy.linalg.expm per phi.  A grid
@@ -220,13 +223,14 @@ def convergence_sweep(sizes: Sequence[int],
 # --- canned experiments for the sweeps -------------------------------------
 
 def resonant_ladder(clock: ClockModel, n_levels: int) -> np.ndarray:
-    """System Hamiltonian with the first n_levels rungs of the clock ladder."""
-    return np.diag(clock.epsilon * np.arange(n_levels, dtype=float))
+    """System Hamiltonian with the first n_levels rungs of the clock ladder, as
+    its energies (the real vector stands for the diagonal operator)."""
+    return clock.epsilon * np.arange(n_levels, dtype=float)
 
 
 def detuned_ladder(clock: ClockModel, n_levels: int, offset: float = 0.5) -> np.ndarray:
-    """Ladder shifted off resonance by a fraction of the gap; empty kernel."""
-    return np.diag(clock.epsilon * (np.arange(n_levels, dtype=float) + offset))
+    """Ladder shifted off resonance by a fraction of the gap, as its energies; empty kernel."""
+    return clock.epsilon * (np.arange(n_levels, dtype=float) + offset)
 
 
 def su2_stationary_experiment(j: float, rho: float = 0.6, width: float = 0.25,

@@ -76,17 +76,20 @@ def coherent_points(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
     """``coherent_table`` for point queries, which must not feel the cutoff.
 
     Refuses with ValueError when, at any of the distinct radii, the norm
-    the truncation loses, 1 - sum_n |c_n|^2, exceeds TAIL_MASS_LIMIT: the
-    state is then not the manifold point it is labelled with.  (This is
-    the lost norm, not ``displace``'s mass above ``valid_dim``, which a
-    cut that still holds the whole state can carry.)
+    the truncation of a truncated rep loses, 1 - sum_n |c_n|^2, exceeds
+    TAIL_MASS_LIMIT: the state is then not the manifold point it is
+    labelled with.  (This is the lost norm, not ``displace``'s mass above
+    ``valid_dim``, which a cut that still holds the whole state can carry.)
+    An untruncated rep loses nothing, so its sum's roundoff is not read as
+    a cut; a lost norm that is not finite is refused for every rep.
     """
     radii, ring = np.unique(rhos, return_inverse=True)
     amps = amplitude_columns(rep, radii)
     lost = 1.0 - np.sum(amps ** 2, axis=0)
-    if not lost.max() <= TAIL_MASS_LIMIT:  # a NaN lost norm is refused too
+    worst = lost.max()
+    if not np.isfinite(worst) or (rep.truncated and worst > TAIL_MASS_LIMIT):
         raise ValueError(
-            f"the truncation loses norm {lost.max():.3e} above {TAIL_MASS_LIMIT:.0e} "
+            f"the truncation loses norm {worst:.3e} above {TAIL_MASS_LIMIT:.0e} "
             "at this radius; raise the cutoff or shrink rho"
         )
     return _phased(rep, amps, ring, phis)

@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 
 from clocklab import constraint, gcs
-from clocklab.algebra import build_clock, build_su2_rep, intensive_h4_clock, intensive_su2_clock
+from clocklab.algebra import (
+    build_clock, build_h4_rep, build_su11_rep, build_su2_rep, intensive_h4_clock, intensive_su2_clock,
+)
 from clocklab.constraint import (
     _conditional_rows,
     build_psi,
@@ -19,7 +21,6 @@ from clocklab.constraint import (
     random_profile,
     reduced_density_clock,
     reduced_density_gamma,
-    total_hamiltonian,
 )
 from clocklab.dynamics import detuned_ladder, energy_of_rho, resonant_ladder
 from clocklab.families import lookup
@@ -94,9 +95,11 @@ def test_match_spectra_tolerance_window():
 
 
 def test_total_hamiltonian_annihilates_psi():
-    """The composite state is a numerically exact zero mode of H."""
+    """The composite state is a numerically exact zero mode of
+    H = kron(h_c, I) - kron(I, h_system) on the product space."""
     clock, h_system, _, psi = make_state()
-    h_total = total_hamiltonian(clock.h_c, h_system)
+    eye = np.eye(clock.dim)
+    h_total = np.kron(clock.h_c, eye) - np.kron(eye, np.diag(h_system))
     assert np.linalg.norm(h_total @ psi.vector) < 1e-12
 
 
@@ -168,6 +171,25 @@ def test_conditional_state_floor_refusal():
         _ = cond.normalized
 
 
+def product_roundoff_bound(bra, psi):
+    """Entrywise bound between the gathered row and the dense ``conj(bra) @ psi.matrix``.
+
+    With u the unit roundoff and gamma_2 = 2u / (1 - 2u): a ladder psi has
+    one pair k = (i, j) in column j, so both routes form conj(bra_i) c_k
+    plus exact zeros.  Each real part of that product is a sum of two real
+    products, rounded once each and once added (one complex product), or
+    fused (BLAS's multiply-add); either is within gamma_2 |bra_i||c_k| of
+    the exact part, by Cauchy-Schwarz on the two terms.  The two routes
+    therefore differ by at most 2 gamma_2 |bra_i||c_k| in each part and
+    2 sqrt(2) gamma_2 |bra_i||c_k| in modulus.
+    """
+    u = np.finfo(float).eps / 2
+    bound = np.zeros(psi.dim_system)
+    for (i, j), c in zip(psi.pairs, psi.coefficients):
+        bound[j] += abs(bra[i]) * abs(c)
+    return 2 * np.sqrt(2) * (2 * u / (1 - 2 * u)) * bound
+
+
 @pytest.mark.parametrize("make_clock, rhos", [
     (lambda: intensive_su2_clock(0.5), (0.1, 0.7)),
     (lambda: intensive_su2_clock(10.5), (0.2, 0.55)),
@@ -177,7 +199,8 @@ def test_conditional_state_floor_refusal():
 ], ids=["su2-j0.5", "su2-j10.5", "su2-j400", "h4-mean32", "h4-mean200"])
 @pytest.mark.parametrize("profile", ["gaussian", "random"])
 def test_conditional_state_is_one_row_of_the_sweep(make_clock, rhos, profile):
-    """<lambda|psi> has one route: the sweep's row, bit for bit the per-point bra product."""
+    """<lambda|psi> has one route, the sweep's row, bit for bit; it is the dense
+    per-point bra product within ``product_roundoff_bound``."""
     clock = make_clock()
     match = ladder_match(clock, resonant_ladder(clock, clock.dim))
     if profile == "random":
@@ -185,13 +208,59 @@ def test_conditional_state_is_one_row_of_the_sweep(make_clock, rhos, profile):
     else:
         coeff = gaussian_profile(match, center=energy_of_rho(clock, rhos[-1]), width=0.2)
     psi = build_psi(match, coeff)
+    matrix = psi.matrix
     for rho in rhos:
         for phi in (0.0, 0.9, 4.1):
             cond = conditional_state(psi, clock, rho, phi)
             row = _conditional_rows(psi, clock, rho, [phi])[0]
-            bra_product = np.conj(coherent_vector(clock.rep, rho, phi)) @ psi.matrix
-            assert cond.unnormalized.tobytes() == row.tobytes() == bra_product.tobytes()
-            assert cond.chi2 == float(np.real(np.vdot(bra_product, bra_product)))
+            assert cond.unnormalized.tobytes() == row.tobytes()
+            assert cond.chi2 == float(np.real(np.vdot(row, row)))
+            bra = coherent_vector(clock.rep, rho, phi)
+            bra_product = np.conj(bra) @ matrix
+            assert (np.abs(row - bra_product) <= product_roundoff_bound(bra, psi)).all()
+
+
+def parent_psi_matrix(match, coefficients):
+    """The dense psi as build_psi formed it when it stored the matrix: the
+    coefficients scattered into zeros in the standard basis, else the GEMM."""
+    idx_c, idx_g = np.array(match.pairs).T
+    if match.clock_basis is None and match.system_basis is None:
+        mat = np.zeros((len(match.clock_evals), len(match.system_evals)), dtype=complex)
+        np.add.at(mat, (idx_c, idx_g), coefficients)
+        return mat
+    return (match.clock_evecs[:, idx_c] * coefficients) @ match.system_evecs[:, idx_g].T
+
+
+@pytest.mark.parametrize("make_clock", [
+    lambda: intensive_su2_clock(10.5),
+    lambda: build_clock(build_su2_rep(40.0)),
+    lambda: intensive_h4_clock(32.0),
+    lambda: build_clock(build_h4_rep(64)),
+    lambda: build_clock(build_su11_rep(1.5, 64)),
+], ids=["su2-j10.5", "su2-j40", "h4-mean32", "h4-cut64", "su11-k1.5"])
+@pytest.mark.parametrize("profile", ["gaussian", "random"])
+def test_psi_stores_its_pairs_and_builds_the_parent_matrix(make_clock, profile):
+    """A ladder psi holds its pairs and coefficients, no dim x dim array; its
+    matrix has the bits of the matrix build_psi used to store, in the standard
+    basis, off the diagonal and in a rotated basis."""
+    clock = make_clock()
+    rng = np.random.default_rng(11)
+    q = np.linalg.qr(rng.normal(size=(clock.dim,) * 2) + 1j * rng.normal(size=(clock.dim,) * 2))[0]
+    matches = [ladder_match(clock, resonant_ladder(clock, clock.dim)),
+               ladder_match(clock, clock.epsilon * np.arange(3.0, 9.0)),
+               match_spectra((q * clock.energies) @ q.conj().T, resonant_ladder(clock, 5),
+                             tol=1e-9 * max(clock.epsilon, 1.0))]
+    assert [match.clock_basis is None for match in matches] == [True, True, False]
+    for match in matches:
+        if profile == "random":
+            coeff = random_profile(match, seed=3)
+        else:
+            coeff = gaussian_profile(match, center=match.shared_energies.mean(), width=0.3)
+        psi = build_psi(match, coeff)
+        assert psi.matrix.tobytes() == parent_psi_matrix(match, psi.coefficients).tobytes()
+        if match.clock_basis is None:
+            for value in vars(psi).values():
+                assert not isinstance(value, np.ndarray) or value.size <= clock.dim
 
 
 def test_chi2_equals_husimi_of_reduced_clock():

@@ -179,8 +179,14 @@ LADDER_CLOCKS = {
 }
 
 
+def as_matrix(h_system):
+    """The dense operator: np.diag of a ladder system's energies, a matrix as it is."""
+    return np.diag(h_system) if h_system.ndim == 1 else h_system
+
+
 def dense_propagator(psi, clock, h_system, rho, phi_grid):
     """The oracle loop with a dense expm at every phi: (max deviation, chi2 drift)."""
+    h_system = as_matrix(h_system)
     base = conditional_state(psi, clock, rho, 0.0)
     worst = 0.0
     drift = 0.0
@@ -194,6 +200,7 @@ def dense_propagator(psi, clock, h_system, rho, phi_grid):
 
 def dense_schrodinger_residual(psi, clock, h_system, rho, phi, h):
     """(r(h), r(h/2), slope) with the dense h_system @ lead at each step."""
+    h_system = as_matrix(h_system)
     values = []
     for step in (h, h / 2.0):
         lead = conditional_state(psi, clock, rho, phi)
@@ -207,7 +214,7 @@ def dense_schrodinger_residual(psi, clock, h_system, rho, phi, h):
 
 def dense_stationary_residual(psi, clock, h_system, rho, phi):
     n = conditional_state(psi, clock, rho, phi).normalized
-    return float(np.linalg.norm(h_system @ n - energy_of_rho(clock, rho) * n))
+    return float(np.linalg.norm(as_matrix(h_system) @ n - energy_of_rho(clock, rho) * n))
 
 
 def packed(*values):
@@ -298,10 +305,10 @@ def test_propagator_nan_state_fails_its_gates():
     clock = intensive_su2_clock(5.0)
     h_system = resonant_ladder(clock, clock.dim)
     psi = gaussian_state(clock, h_system, energy_of_rho(clock, 0.45), 0.2)
-    matrix = psi.matrix.copy()
-    matrix[3, 3] = np.nan
+    coefficients = psi.coefficients.copy()
+    coefficients[psi.pairs.index((3, 3))] = np.nan
     with np.errstate(invalid="ignore"):  # the support guard divides by a NaN chi2
-        report = propagator_deviation(dataclasses.replace(psi, matrix=matrix), clock, h_system,
-                                      0.45, PHI_GRID)
+        report = propagator_deviation(dataclasses.replace(psi, coefficients=coefficients),
+                                      clock, h_system, 0.45, PHI_GRID)
     assert np.isnan(report.max_deviation) and np.isnan(report.chi2_drift)
     assert not report.max_deviation <= 1e-9 and not report.chi2_drift <= 1e-12

@@ -278,3 +278,25 @@ def test_large_clock_h4_probe_keeps_its_norm(level):
     clock = intensive_h4_clock(200.0)
     vec = coherent_vector(clock.rep, float(np.sqrt(level * 200.0)), 0.4)
     assert abs(1.0 - np.vdot(vec, vec).real) < 1e-12
+
+
+def test_an_untruncated_rep_has_no_tail_to_guard():
+    """su2 is never cut: at j = 50000, rho = pi/4 the amplitudes' own roundoff
+    loses 1.5e-10 of the norm, which the tail limit used to refuse."""
+    rep = build_su2_rep(50000.0)
+    amps = lookup("su2").amplitudes(rep, np.pi / 4)
+    assert 1.0 - np.sum(amps ** 2) > TAIL_MASS_LIMIT
+    vec = coherent_vector(rep, np.pi / 4, 0.3)
+    assert abs(np.vdot(vec, vec).real - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("rep", [build_su2_rep(3.0), build_h4_rep(24), build_su11_rep(1.5, 24)],
+                         ids=["su2", "h4", "su11"])
+def test_every_rep_refuses_a_lost_norm_that_is_not_finite(monkeypatch, rep, value):
+    """The limit reads only what a cutoff loses; a NaN or infinite lost norm is
+    refused with or without a cutoff."""
+    monkeypatch.setattr(gcs, "amplitude_columns",
+                        lambda rep, radii: np.full((rep.dim, len(radii)), value))
+    with pytest.raises(ValueError, match="loses norm"):
+        coherent_vector(rep, 0.2, 0.0)
