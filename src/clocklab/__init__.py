@@ -37,12 +37,10 @@ from .classical import (
     BetaDistribution,
     DarbouxPoint,
     beta_distribution,
-    chart_hamiltonian,
     classical_constraint_check,
     classical_flow_rate,
     hamilton_check,
     map_F,
-    poisson_bracket_clock,
     pullback_two_form,
     two_form_coefficient,
 )
@@ -115,7 +113,6 @@ __all__ = [
     "build_psi",
     "build_su11_rep",
     "build_su2_rep",
-    "chart_hamiltonian",
     "chi2_identity_residual",
     "classical_constraint_check",
     "classical_flow_rate",
@@ -140,7 +137,6 @@ __all__ = [
     "map_F",
     "match_spectra",
     "phi_derivative_identity_check",
-    "poisson_bracket_clock",
     "precs_decomposition_check",
     "propagator_deviation",
     "pullback_two_form",

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import ClockModel, LieAlgebraRep
-from .constraint import CompositeState, _pair_indices
+from .constraint import CompositeState
 from .families import lookup
 from .gcs import amplitude_columns, clock_symbol_analytic, coherent_table
 
@@ -47,15 +47,6 @@ def map_F(rho: float, phi: float, v: Sequence[float], clock: ClockModel) -> Darb
         p=-c * np.sin(phi) * v,
         v=v, rho=float(rho), phi=float(phi),
     )
-
-
-def chart_hamiltonian(clock: ClockModel, point: DarbouxPoint) -> float:
-    """Isotropic quadratic Hamiltonian (eps/2) * sum(q^2 + p^2).
-
-    Composed with map_F this reproduces the coherent energy surface
-    exactly, which is the defining shell property of the chart.
-    """
-    return 0.5 * clock.epsilon * float(np.sum(point.q ** 2 + point.p ** 2))
 
 
 def two_form_coefficient(clock: ClockModel, rho: float, hbar: float = 1.0) -> float:
@@ -137,29 +128,6 @@ def pullback_two_form(clock: ClockModel, rho: float, phi: float,
     )
 
 
-def poisson_bracket_clock(f: Callable[[float, float], float],
-                          g: Callable[[float, float], float],
-                          point: tuple, clock: ClockModel) -> float:
-    """{f, g} on the clock manifold at point = (rho, phi), with hbar = 1.
-
-    Partial derivatives of the scalar functions are central differences
-    with step 1e-5; the symplectic density is the closed-form coefficient.
-    Points where that coefficient vanishes (rho = 0, and rho = pi/2 on the
-    sphere) are coordinate singularities and are refused.
-    """
-    fd_step = 1e-5
-    rho, phi = float(point[0]), float(point[1])
-    c = _regular_two_form(clock, rho, 1.0)
-
-    def d_rho(fun):
-        return (fun(rho + fd_step, phi) - fun(rho - fd_step, phi)) / (2 * fd_step)
-
-    def d_phi(fun):
-        return (fun(rho, phi + fd_step) - fun(rho, phi - fd_step)) / (2 * fd_step)
-
-    return (d_phi(f) * d_rho(g) - d_rho(f) * d_phi(g)) / c
-
-
 @dataclasses.dataclass(frozen=True)
 class HamiltonReport:
     max_residual: float
@@ -238,9 +206,9 @@ def _one_diagonal(psi: CompositeState) -> int | None:
     Its nonzeros are the pairs whose coefficient is nonzero; a rotated
     basis gives None.
     """
-    if not psi.standard_basis:
+    if not psi.match.standard_basis:
         return None
-    idx_c, idx_g = _pair_indices(psi.pairs)
+    idx_c, idx_g = psi.match.pairs.T
     nonzero = psi.coefficients != 0
     offsets = np.unique(idx_g[nonzero] - idx_c[nonzero])
     return int(offsets[0]) if len(offsets) == 1 else None

@@ -8,8 +8,9 @@ files into a fresh timestamped directory under the output root:
     <out>/<subcommand>/<timestamp>/config.echo   effective configuration
 
 Exit status is 0 when every check passed, 1 when at least one failed,
-and 2 when the configuration did not parse or the library refused it
-(a ``ValueError`` from a runner, printed as ``refused: ...``); on exit 2
+and 2 when the configuration did not parse, the library refused it (a
+``ValueError`` from a runner) or it does not fit in memory (a
+``MemoryError``), the last two printed as ``refused: ...``; on exit 2
 nothing is written.  Progress goes to stderr; the run directory path is
 the only thing printed to stdout.  File contents never embed wall-clock
 times, so rerunning with the same configuration and BLAS thread count
@@ -525,14 +526,14 @@ def run_constraint(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]
                              for r in (0.3, rho, 0.8) for p in (0.0, phi)]))
     precs = precs_decomposition_check(psi, clock)
     rows = [["pair", i, k, float(match.clock_evals[i]), abs(c)]
-            for (i, k), c in zip(psi.pairs, psi.coefficients)]
+            for (i, k), c in zip(match.pairs, psi.coefficients)]
     rows.append(["chi2", 0, 0, chi_a, chi_b])
     checks = [
         _gate(cfg, "energy-residual", "tol_constraint_energy", residual=energy_residual),
         _gate(cfg, "chi2-phase-independence", "tol_chi2_identity", residual=phase_independence),
         _gate(cfg, "chi2-density-identity", "tol_chi2_identity", residual=identity),
         _check("entanglement-entropy", psi.entanglement_entropy > 0.1,
-               entropy=psi.entanglement_entropy, pairs=len(psi.pairs)),
+               entropy=psi.entanglement_entropy, pairs=len(match.pairs)),
         _gate(cfg, "conditional-decomposition", "tol_precs", residual=precs),
     ]
     _progress(f"[constraint] |H psi| {energy_residual:.3e}, entropy "
@@ -600,6 +601,9 @@ def run_stationary_sweep(cfg: dict[str, object]) -> tuple[list[str], list, list[
 
 def run_phase_audit(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     clock = build_clock(build_su2_rep(cfg["ph_j"]))
+    if clock.dim < 4:  # rungs 1..dim-2 then hold no band entry: the gate would pass on none
+        raise ValueError(f"the commutator clock needs 2 j + 1 >= 4 levels, not {clock.dim}, "
+                         "to have an interior to check")
     phase = build_phase_operator(clock)
     comm = commutator_check(clock, phase)
 
@@ -785,8 +789,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             header, rows, checks = run_all(cfg)
         else:
             header, rows, checks = _RUNNERS[args.subcommand](cfg)
-    except ValueError as exc:  # a library refusal of the configured input
-        print(f"refused: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # a library refusal, or an input too large to hold
+        print(f"refused: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     out, passed = write_outputs(cfg, args.subcommand, header, rows, checks)
     _progress(f"[{args.subcommand}] {'ok' if passed else 'FAILED'} -> {out}")

@@ -15,17 +15,16 @@ from clocklab.algebra import (
 from clocklab import classical
 from clocklab.classical import (
     beta_distribution,
-    chart_hamiltonian,
     classical_constraint_check,
     classical_flow_rate,
     hamilton_check,
     map_F,
-    poisson_bracket_clock,
     pullback_two_form,
     two_form_coefficient,
 )
 from clocklab.constraint import (
     CompositeState,
+    SpectralMatch,
     build_psi,
     gaussian_state,
     ladder_match,
@@ -74,8 +73,8 @@ def test_chart_hamiltonian_equals_symbol(clock, v):
     """(eps/2) sum(q^2 + p^2) on the shell equals the coherent symbol."""
     for rho in (0.1, 0.3, 0.5):
         point = map_F(rho, 0.7, v, clock)
-        assert abs(chart_hamiltonian(clock, point)
-                   - energy_of_rho(clock, rho)) < 1e-12
+        shell = 0.5 * clock.epsilon * float(np.sum(point.q ** 2 + point.p ** 2))
+        assert abs(shell - energy_of_rho(clock, rho)) < 1e-12
 
 
 @pytest.mark.parametrize("clock,expected", [
@@ -103,26 +102,6 @@ def test_pullback_hbar_scaling():
     assert abs(b.analytic - 3.0 * a.analytic) < 1e-12
 
 
-def test_poisson_bracket_antisymmetry_and_diagonal():
-    def f(rho, phi):
-        return np.sin(rho) * np.cos(phi)
-
-    def g(rho, phi):
-        return rho * rho + 0.3 * phi
-
-    ab = poisson_bracket_clock(f, g, (0.5, 0.7), SU2)
-    ba = poisson_bracket_clock(g, f, (0.5, 0.7), SU2)
-    aa = poisson_bracket_clock(f, f, (0.5, 0.7), SU2)
-    assert abs(ab + ba) < 1e-9
-    assert abs(aa) < 1e-12
-
-
-def test_poisson_bracket_singularity_refusal():
-    """At rho = 0 the two-form degenerates; the bracket refuses the point."""
-    with pytest.raises(ValueError, match="vanishes"):
-        poisson_bracket_clock(lambda r, p: r, lambda r, p: p, (0.0, 0.3), SU2)
-
-
 def test_hamilton_grid_singularity_refusal():
     """A radial grid that touches rho = 0 is refused, not divided by zero."""
     with pytest.raises(ValueError, match="vanishes"):
@@ -135,13 +114,6 @@ def test_hamilton_grid_singularity_refusal():
 def test_classical_flow_rate_singularity_refusal(clock, rho):
     with pytest.raises(ValueError, match="vanishes"):
         classical_flow_rate(clock, rho=rho)
-
-
-def test_angle_energy_bracket():
-    """{phi, H} = eps / hbar: the angle advances at the uniform clock rate."""
-    value = poisson_bracket_clock(lambda r, p: p, lambda r, p: energy_of_rho(SU2, r),
-                                  (0.5, 0.7), SU2)
-    assert abs(value - SU2.epsilon) < 1e-8
 
 
 @pytest.mark.parametrize("clock", [SU2, H4], ids=["su2", "h4"])
@@ -480,8 +452,11 @@ def test_off_diagonal_psi_takes_the_circulant_route(monkeypatch, delta):
     matrix = np.zeros((clock.dim, clock.dim), dtype=complex)
     matrix[n, n + delta] = rng.normal(size=len(n)) + 1j * rng.normal(size=len(n))
     matrix /= np.linalg.norm(matrix)
-    psi = CompositeState(clock.dim, clock.dim, tuple(zip(n, n + delta)),
-                         matrix[n, n + delta], 0.0)
+    match = SpectralMatch(clock_evals=clock.energies, clock_basis=None,
+                          system_evals=clock.energies, system_basis=None,
+                          pairs=np.stack([n, n + delta], axis=1))
+    psi = CompositeState(match=match, coefficients=matrix[n, n + delta],
+                         entanglement_entropy=0.0)
     assert np.array_equal(psi.matrix, matrix)
     for threshold in (1e-3, 1e-6, 1.0):
         beta = beta_distribution(psi, clock, clock, threshold=threshold)
@@ -501,7 +476,7 @@ def test_rotated_basis_psi_takes_the_streamed_route(monkeypatch, j):
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.normal(size=(clock.dim, clock.dim))
                         + 1j * rng.normal(size=(clock.dim, clock.dim)))
-    rotated = dataclasses.replace(psi, clock_basis=q)
+    rotated = dataclasses.replace(psi, match=dataclasses.replace(psi.match, clock_basis=q))
     for threshold in (1e-3, 1e-6, 1.0):
         beta = beta_distribution(rotated, clock, clock, threshold=threshold)
         norm, peak, counts = streamed_beta(rotated, clock, clock, threshold)

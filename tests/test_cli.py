@@ -13,7 +13,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clocklab import (
@@ -518,7 +518,7 @@ def test_constraint_energy_residual_is_the_product_space_norm(tmp_path, j, profi
     psi = build_psi(match, coeff)
     eye = np.eye(clock.dim)
     h_total = np.kron(clock.h_c, eye) - np.kron(eye, np.diag(h_system))
-    assert check["residual"] == float(np.linalg.norm(h_total @ psi.vector))
+    assert check["residual"] == float(np.linalg.norm(h_total @ psi.matrix.reshape(-1)))
 
 
 def _strict_json(text):
@@ -532,26 +532,65 @@ def _edge_values(key):
     return st.sampled_from([0.0, 1.0, 2.0, -1.0, -0.5, default, 40.0])
 
 
-@settings(max_examples=40)
-@given(j=_edge_values("con_j"), rho=_edge_values("con_rho"),
-       width=_edge_values("con_width"), profile=st.sampled_from(["gaussian", "random"]))
-def test_constraint_configurations_check_something_or_are_refused(tmp_path_factory, j, rho,
-                                                                  width, profile):
-    """Every accepted configuration ends in exit 0 or 1 with a strict-JSON
+def _run_edge_config(root, subcommand, text):
+    """Run ``subcommand`` on the config ``text`` and return its exit status.
+
+    Every accepted configuration ends in exit 0 or 1 with a strict-JSON
     summary; every other one is refused with exit 2, a one-line reason and
-    nothing written.  No input ends in a traceback."""
-    root = tmp_path_factory.mktemp("constraint")
+    nothing written.  No input ends in a traceback.
+    """
     cfg = root / "edge.cfg"
-    cfg.write_text(f"con_j={j}\ncon_rho={rho}\ncon_width={width}\ncon_profile={profile}\n")
+    cfg.write_text(text)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        rc = run(["constraint", "--config", str(cfg), "--out", str(root / "o")])
+        rc = run([subcommand, "--config", str(cfg), "--out", str(root / "o")])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if rc == 2:
         assert not (root / "o").exists()
         assert err.getvalue().startswith(("refused:", "config error:"))
     else:
-        summary = _strict_json((only_run_dir(root / "o", "constraint")
+        summary = _strict_json((only_run_dir(root / "o", subcommand)
                                 / "summary.json").read_text())
         assert summary["pass"] is (rc == 0)
+    return rc
+
+
+@settings(max_examples=40)
+@given(j=_edge_values("con_j"), rho=_edge_values("con_rho"),
+       width=_edge_values("con_width"), profile=st.sampled_from(["gaussian", "random"]))
+def test_constraint_configurations_check_something_or_are_refused(tmp_path_factory, j, rho,
+                                                                  width, profile):
+    """``_run_edge_config`` holds for every drawn ``constraint`` configuration."""
+    _run_edge_config(tmp_path_factory.mktemp("constraint"), "constraint",
+                     f"con_j={j}\ncon_rho={rho}\ncon_width={width}\ncon_profile={profile}\n")
+
+
+@settings(max_examples=60)
+@given(j=st.sampled_from([0.5, 1.0, 1.5, 2.0, 20.0, 40.0]), grid=st.sampled_from([2, 3, 15]),
+       sizes=st.lists(st.sampled_from([0, 1, 2, 10, 80]), min_size=2, max_size=4),
+       rho_min=st.sampled_from([-0.1, 0.0, cli._TABLE["phase-audit"]["ph_rho_min"][1]]))
+@example(j=0.5, grid=15, sizes=[10, 80], rho_min=0.04)
+@example(j=1.0, grid=15, sizes=[10, 80], rho_min=0.04)
+def test_phase_audit_configurations_check_something_or_are_refused(tmp_path_factory, j, grid,
+                                                                   sizes, rho_min):
+    """``_run_edge_config`` holds for every drawn ``phase-audit`` configuration,
+    and a check runs only on a commutator clock with an interior (2 j + 1 >= 4):
+    below that the interior-commutator gate would pass on no entry."""
+    rc = _run_edge_config(tmp_path_factory.mktemp("phase"), "phase-audit",
+                          f"ph_j={j}\nph_grid_n={grid}\nph_rho_min={rho_min}\n"
+                          f"ph_sizes={','.join(map(str, sizes))}\n")
+    assert rc == 2 or 2 * j + 1 >= 4
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 29.9 GiB"), MemoryError()],
+                         ids=["message", "bare"])
+def test_an_allocation_failure_is_refused(tmp_path, monkeypatch, capsys, error):
+    """A runner that cannot allocate exits 2 with ``refused:`` and writes nothing;
+    exit 1 would read as a failed check."""
+    def runner(cfg):
+        raise error
+    monkeypatch.setitem(cli._RUNNERS, "constraint", runner)
+    assert run(["constraint", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err == f"refused: {str(error) or 'MemoryError'}\n"

@@ -84,14 +84,18 @@ def test_match_spectra_finds_all_pairs():
     h_clock = np.diag([0.0, 1.0, 2.0])
     h_system = np.diag([1.0, 1.0, 5.0])
     match = match_spectra(h_clock, h_system, tol=1e-9)
-    assert set(match.pairs) == {(1, 0), (1, 1)}
+    assert match.pairs.tolist() == [[1, 0], [1, 1]]
 
 
 def test_match_spectra_tolerance_window():
+    """The pairs are an (n, 2) intp array, (0, 2) when nothing matches."""
     h_clock = np.diag([0.0, 1.0])
     h_system = np.diag([1.0 + 5e-10, 3.0])
-    assert match_spectra(h_clock, h_system, tol=1e-9).pairs == ((1, 0),)
-    assert match_spectra(h_clock, h_system, tol=1e-12).pairs == ()
+    for tol, expected in ((1e-9, [[1, 0]]), (1e-12, [])):
+        pairs = match_spectra(h_clock, h_system, tol=tol).pairs
+        assert pairs.dtype == np.intp
+        assert pairs.shape == (len(expected), 2)
+        assert pairs.tolist() == expected
 
 
 def test_total_hamiltonian_annihilates_psi():
@@ -100,12 +104,12 @@ def test_total_hamiltonian_annihilates_psi():
     clock, h_system, _, psi = make_state()
     eye = np.eye(clock.dim)
     h_total = np.kron(clock.h_c, eye) - np.kron(eye, np.diag(h_system))
-    assert np.linalg.norm(h_total @ psi.vector) < 1e-12
+    assert np.linalg.norm(h_total @ psi.matrix.reshape(-1)) < 1e-12
 
 
 def test_psi_is_normalized_and_entangled():
     _, _, _, psi = make_state()
-    assert abs(np.linalg.norm(psi.vector) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi.matrix.reshape(-1)) - 1.0) < 1e-12
     assert psi.entanglement_entropy > 0.5
 
 
@@ -185,7 +189,7 @@ def product_roundoff_bound(bra, psi):
     """
     u = np.finfo(float).eps / 2
     bound = np.zeros(psi.dim_system)
-    for (i, j), c in zip(psi.pairs, psi.coefficients):
+    for (i, j), c in zip(psi.match.pairs, psi.coefficients):
         bound[j] += abs(bra[i]) * abs(c)
     return 2 * np.sqrt(2) * (2 * u / (1 - 2 * u)) * bound
 
@@ -223,7 +227,7 @@ def test_conditional_state_is_one_row_of_the_sweep(make_clock, rhos, profile):
 def parent_psi_matrix(match, coefficients):
     """The dense psi as build_psi formed it when it stored the matrix: the
     coefficients scattered into zeros in the standard basis, else the GEMM."""
-    idx_c, idx_g = np.array(match.pairs).T
+    idx_c, idx_g = match.pairs.T
     if match.clock_basis is None and match.system_basis is None:
         mat = np.zeros((len(match.clock_evals), len(match.system_evals)), dtype=complex)
         np.add.at(mat, (idx_c, idx_g), coefficients)
@@ -240,9 +244,10 @@ def parent_psi_matrix(match, coefficients):
 ], ids=["su2-j10.5", "su2-j40", "h4-mean32", "h4-cut64", "su11-k1.5"])
 @pytest.mark.parametrize("profile", ["gaussian", "random"])
 def test_psi_stores_its_pairs_and_builds_the_parent_matrix(make_clock, profile):
-    """A ladder psi holds its pairs and coefficients, no dim x dim array; its
-    matrix has the bits of the matrix build_psi used to store, in the standard
-    basis, off the diagonal and in a rotated basis."""
+    """A ladder psi holds its match and coefficients, no dim x dim array (the
+    pairs are at most dim rows of two); its matrix has the bits of the matrix
+    build_psi used to store, in the standard basis, off the diagonal and in a
+    rotated basis."""
     clock = make_clock()
     rng = np.random.default_rng(11)
     q = np.linalg.qr(rng.normal(size=(clock.dim,) * 2) + 1j * rng.normal(size=(clock.dim,) * 2))[0]
@@ -255,12 +260,17 @@ def test_psi_stores_its_pairs_and_builds_the_parent_matrix(make_clock, profile):
         if profile == "random":
             coeff = random_profile(match, seed=3)
         else:
-            coeff = gaussian_profile(match, center=match.shared_energies.mean(), width=0.3)
+            coeff = gaussian_profile(match, center=match.clock_evals[match.pairs[:, 0]].mean(),
+                                     width=0.3)
         psi = build_psi(match, coeff)
+        assert psi.match is match
         assert psi.matrix.tobytes() == parent_psi_matrix(match, psi.coefficients).tobytes()
         if match.clock_basis is None:
-            for value in vars(psi).values():
-                assert not isinstance(value, np.ndarray) or value.size <= clock.dim
+            assert match.pairs.shape == (len(psi.coefficients), 2)
+            assert len(match.pairs) <= clock.dim
+            for value in [*vars(psi).values(), *vars(match).values()]:
+                assert (not isinstance(value, np.ndarray) or value is match.pairs
+                        or value.size <= clock.dim)
 
 
 def test_chi2_equals_husimi_of_reduced_clock():

@@ -210,7 +210,7 @@ def test_ascending_diagonal_eigh_is_bit_identical(values):
         return
     evals, basis = _eigh(h)
     view = SpectralMatch(clock_evals=evals, clock_basis=basis, system_evals=evals,
-                         system_basis=basis, pairs=())
+                         system_basis=basis, pairs=np.empty((0, 2), dtype=np.intp))
     assert _bits(evals, view.clock_evecs) == _bits(*np.linalg.eigh(h))
     top = np.abs(evals).max()
     assert (basis is None) == bool(top == 0.0 or 2.0 ** -485 <= top <= 2.0 ** 485)
@@ -262,7 +262,7 @@ def test_entropy_of_a_dense_psi():
     vg = np.linalg.qr(rng.normal(size=(5, 5)))[0]
     energies = np.arange(6.0)
     match = SpectralMatch(clock_evals=energies, clock_basis=vc, system_evals=energies[:5],
-                          system_basis=vg, pairs=tuple((k, k) for k in range(5)))
+                          system_basis=vg, pairs=np.repeat(np.arange(5)[:, None], 2, axis=1))
     psi = build_psi(match, rng.normal(size=5) + 1j * rng.normal(size=5))
     assert np.count_nonzero(psi.matrix) == psi.matrix.size
     assert psi.entanglement_entropy == _entropy(psi.matrix)
@@ -506,10 +506,10 @@ def test_ladder_types_stay_linear_in_the_dimension():
 
 def test_a_ladder_match_stays_linear_in_the_dimension():
     """At su2 j = 400 the system is its energies, a ladder match holds no dim x
-    dim field (the standard eigenbases are None), and the Gaussian constraint
-    state holds its pairs and coefficients, built within 1 MB (the stored
-    psi alone was 10.3 MB; with the dense eigenbases and the nonzero scan of
-    psi the peak was 25.7 MB)."""
+    dim field (the standard eigenbases are None, the pairs are dim rows of
+    two), and the Gaussian constraint state holds its match and its
+    coefficients, built within 1 MB (the stored psi alone was 10.3 MB; with
+    the dense eigenbases and the nonzero scan of psi the peak was 25.7 MB)."""
     clock = intensive_su2_clock(400.0)
     h_system = resonant_ladder(clock, clock.dim)
     assert h_system.shape == (clock.dim,)
@@ -524,6 +524,8 @@ def test_a_ladder_match_stays_linear_in_the_dimension():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert [field.name for field in dataclasses.fields(psi)] == [
+        "match", "coefficients", "entanglement_entropy"]
     for field in dataclasses.fields(psi):
         value = getattr(psi, field.name)
         assert not isinstance(value, np.ndarray) or value.size <= clock.dim, field.name
@@ -809,9 +811,15 @@ def test_commutator_check_allocates_less_than_one_dense_matrix():
 
 
 def outer_pairs(e_c, e_g, tol):
-    """The pairs of the dim_c x dim_g comparison the windows stand in for."""
-    idx_c, idx_g = np.nonzero(np.abs(e_c[:, None] - e_g[None, :]) <= tol)
-    return tuple(zip(idx_c.tolist(), idx_g.tolist()))
+    """The pairs of the dim_c x dim_g comparison the windows stand in for, one row each."""
+    return np.argwhere(np.abs(e_c[:, None] - e_g[None, :]) <= tol)
+
+
+def assert_same_pairs(pairs, expected):
+    """Equal row for row, as an (n, 2) intp array; (0, 2) when nothing matches."""
+    assert pairs.dtype == np.intp
+    assert pairs.shape == expected.shape == (len(expected), 2)
+    assert np.array_equal(pairs, expected)
 
 
 def _one_ulp_around(x):
@@ -851,11 +859,9 @@ def spectra_and_tol(draw):
 def test_window_pairs_are_the_outer_comparison(case):
     e_c, e_g, tol = case
     with np.errstate(over="ignore"):
-        expected = outer_pairs(e_c, e_g, tol)
-        idx_c, idx_g = _level_pairs(e_c, e_g, tol)
-        assert tuple(zip(idx_c.tolist(), idx_g.tolist())) == expected
+        assert_same_pairs(_level_pairs(e_c, e_g, tol), outer_pairs(e_c, e_g, tol))
         match = match_spectra(e_c, e_g, tol)  # vectors: the diagonal operators
-        assert match.pairs == outer_pairs(match.clock_evals, match.system_evals, tol)
+        assert_same_pairs(match.pairs, outer_pairs(match.clock_evals, match.system_evals, tol))
 
 
 @pytest.mark.parametrize("make_clock", [
@@ -864,11 +870,11 @@ def test_window_pairs_are_the_outer_comparison(case):
 def test_ladder_match_pairs_every_level(make_clock):
     clock = make_clock()
     match = ladder_match(clock, resonant_ladder(clock, clock.dim))
-    assert match.pairs == tuple((k, k) for k in range(clock.dim))
-    assert match.pairs == outer_pairs(match.clock_evals, match.system_evals,
-                                      1e-9 * max(clock.epsilon, 1.0))
+    assert_same_pairs(match.pairs, np.repeat(np.arange(clock.dim)[:, None], 2, axis=1))
+    assert_same_pairs(match.pairs, outer_pairs(match.clock_evals, match.system_evals,
+                                               1e-9 * max(clock.epsilon, 1.0)))
     assert match.clock_evals.tobytes() == clock.energies.tobytes()
-    assert match.shared_energies.tobytes() == clock.energies.tobytes()
+    assert match.clock_evals[match.pairs[:, 0]].tobytes() == clock.energies.tobytes()
 
 
 # --- constraint states in the identity basis ----------------------------------
@@ -901,7 +907,7 @@ def test_identity_basis_psi_off_the_diagonal():
     """System levels 5..11 of a 21-level clock: pairs (5, 0) .. (11, 6)."""
     clock = build_clock(build_su2_rep(10.0))
     match = ladder_match(clock, np.diag(clock.epsilon * np.arange(5.0, 12.0)))
-    assert match.pairs == tuple((k + 5, k) for k in range(7))
+    assert match.pairs.tolist() == [[k + 5, k] for k in range(7)]
     rng = np.random.default_rng(23)
     real = build_psi(match, rng.uniform(0.5, 1.0, size=7))
     assert real.matrix.shape == (21, 7)
