@@ -86,9 +86,12 @@ def residual_norm2(m: np.ndarray) -> float:
        1j: the largest |eigenvalue|.  Its bandwidth b is read from the
        nonzero pattern; when 2b + 1 >= dim, b of its symmetric permutation
        by ``_interleave`` is read instead (a cyclic band narrows so).
-       ``eigvals_banded`` runs when 2b + 1 < dim, ``eigvalsh`` otherwise.
-    3. Anything else: the largest singular value, or NaN when the SVD fails
-       (it does on a NaN entry).
+       When 2b + 1 < dim, ``eigvals_banded`` finds only the smallest and the
+       largest eigenvalue (dsbevx/zhbevx bisection); otherwise ``eigvalsh``
+       finds them all.
+    3. Anything else: the largest singular value.
+
+    A matrix with a NaN or infinite entry gets NaN, before any route.
 
     One scan finds the nonzeros; every test reads them (``_nonzero_norm2``).
     ``m`` is not modified; only the dense eigenvalue route copies it, once,
@@ -125,6 +128,8 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
     sign that moves the eigenvalues' last bits.  Without it the triplets are
     scattered into zeros.
     """
+    if not np.isfinite(vals).all():
+        return float("nan")  # which fails the caller's gate; LAPACK raises or returns inf
     if _is_shift(rows, cols):
         return float(np.abs(vals).max(initial=0.0))
     # entry mirror[k] is (cols[k], rows[k]) when the pattern is symmetric
@@ -138,10 +143,7 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
         elif np.all(vals == -mirrored):
             phase = 1j
     if phase is None:
-        try:
-            return float(np.linalg.norm(_scatter(dim, rows, cols, vals, dense), 2))
-        except np.linalg.LinAlgError:  # LAPACK's SVD refuses a NaN input
-            return float("nan")  # which fails the caller's gate
+        return float(np.linalg.norm(_scatter(dim, rows, cols, vals, dense), 2))
     order = np.arange(dim)
     position = order
     band = int(np.max(np.abs(rows - cols)))
@@ -151,7 +153,7 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
         band = int(np.max(np.abs(position[rows] - position[cols])))
     if 2 * band + 1 < dim:
         # lower band storage of m[order][:, order]: row k holds its k-th subdiagonal,
-        # real (dsbevd, not zhbevd) when every scaled nonzero is, as a commutator's are
+        # real (dsbevx, not zhbevx) when every scaled nonzero is, as a commutator's are
         scaled = phase * vals
         real = not np.iscomplexobj(scaled) or not scaled.imag.any()
         lower = np.zeros((band + 1, dim), dtype=float if real else scaled.dtype)
@@ -163,12 +165,15 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
             for k in range(band + 1):
                 entries = phase * dense[order[k:], order[:dim - k]]
                 lower[k, :dim - k] = entries.real if real else entries
-        evals = scipy.linalg.eigvals_banded(lower, lower=True, check_finite=False)
-    else:
-        # the transpose of a hermitian matrix is its conjugate, with the same
-        # eigenvalues, and is the Fortran-ordered view LAPACK can overwrite
-        scaled = phase * _scatter(dim, rows, cols, vals, dense)
-        evals = scipy.linalg.eigvalsh(scaled.T, overwrite_a=True, check_finite=False)
+        # only the two ends, each by bisection on the reduced tridiagonal (dstebz)
+        low, high = (scipy.linalg.eigvals_banded(lower, lower=True, select="i",
+                                                 select_range=(k, k), check_finite=False)[0]
+                     for k in (0, dim - 1))
+        return float(max(-low, high))
+    # the transpose of a hermitian matrix is its conjugate, with the same
+    # eigenvalues, and is the Fortran-ordered view LAPACK can overwrite
+    scaled = phase * _scatter(dim, rows, cols, vals, dense)
+    evals = scipy.linalg.eigvalsh(scaled.T, overwrite_a=True, check_finite=False)
     return float(max(-evals[0], evals[-1]))
 
 

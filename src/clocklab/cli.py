@@ -298,10 +298,16 @@ def load_config(path: str | None, overrides: dict[str, object],
     # a zero step divides by zero: the residual is NaN, which summary.json cannot hold
     if cfg["sch_h"] == 0:
         raise ConfigError(f"'sch_h' must be nonzero, got {cfg['sch_h']!r}")
-    # one size leaves no pair to compare, and all() over no pair is true
-    for key in ("ph_sizes", "cls_sizes"):
-        if len(cfg[key]) < 2:
-            raise ConfigError(f"{key!r} needs at least 2 sizes, got {len(cfg[key])}")
+    # one size leaves no pair to compare, and all() over no pair is true; the
+    # decrease gates compare neighbours, so a list out of order fails them on
+    # the input, not the physics (phase-audit compares its sizes rounded)
+    for key, sizes, how in (("ph_sizes", [int(round(s)) for s in cfg["ph_sizes"]],
+                             " once rounded to integers"),
+                            ("cls_sizes", cfg["cls_sizes"], "")):
+        if len(sizes) < 2:
+            raise ConfigError(f"{key!r} needs at least 2 sizes, got {len(sizes)}")
+        if any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise ConfigError(f"{key!r} must strictly ascend{how}, got {_canon(key, cfg[key])}")
     # one grid point is rho = 0 alone, where both symbols vanish exactly
     if not cfg["sym_rho"] and cfg["sym_points"] < 2:
         raise ConfigError(f"'sym_points' must be at least 2, got {cfg['sym_points']!r}")
@@ -601,13 +607,17 @@ def run_stationary_sweep(cfg: dict[str, object]) -> tuple[list[str], list, list[
 
 def run_phase_audit(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     clock = build_clock(build_su2_rep(cfg["ph_j"]))
-    if clock.dim < 4:  # rungs 1..dim-2 then hold no band entry: the gate would pass on none
-        raise ValueError(f"the commutator clock needs 2 j + 1 >= 4 levels, not {clock.dim}, "
-                         "to have an interior to check")
+    grid_clock = build_clock(build_su2_rep(cfg["ph_grid_j"]))
+    # below 4 levels no band entry has both ends inside rungs 1..dim-2, where the
+    # completed commutator is exact: the commutator gate would pass on none, and
+    # the grid clock's uncertainty slack goes negative (-0.47 at 2 levels)
+    for name, small in (("commutator", clock), ("grid", grid_clock)):
+        if small.dim < 4:
+            raise ValueError(f"the {name} clock needs 2 j + 1 >= 4 levels, not {small.dim}, "
+                             "to have an interior to check")
     phase = build_phase_operator(clock)
     comm = commutator_check(clock, phase)
 
-    grid_clock = build_clock(build_su2_rep(cfg["ph_grid_j"]))
     grid_phase = build_phase_operator(grid_clock)
     n = cfg["ph_grid_n"]
     rhos = np.linspace(cfg["ph_rho_min"], cfg["ph_rho_max"], n)

@@ -289,6 +289,23 @@ def test_one_size_phase_sweep_exits_two(tmp_path):
             cli.load_config(None, {key: size}, [])
 
 
+@pytest.mark.parametrize("sub, key, sizes", [
+    ("phase-audit", "ph_sizes", "80,10"),
+    ("phase-audit", "ph_sizes", "10,10"),
+    ("phase-audit", "ph_sizes", "10.2,10.4"),  # 10,10 once rounded
+    ("classical-limit", "cls_sizes", "20,10"),
+    ("classical-limit", "cls_sizes", "10,10"),
+])
+def test_sizes_that_do_not_ascend_exit_two(tmp_path, capsys, sub, key, sizes):
+    """The decrease gates compare neighbours: out of order they failed on the
+    input (exit 1), not on the physics."""
+    assert run([sub, "--sizes", sizes, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert "must strictly ascend" in capsys.readouterr().err
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.load_config(None, {key: sizes}, [])
+
+
 def test_one_point_symbol_grid_exits_two(tmp_path, capsys):
     """One point is rho = 0 alone, where both symbols vanish: every family passed with 0.0."""
     assert run(["symbol", "--points", "1", "--out", str(tmp_path / "o")]) == 2
@@ -566,21 +583,58 @@ def test_constraint_configurations_check_something_or_are_refused(tmp_path_facto
                      f"con_j={j}\ncon_rho={rho}\ncon_width={width}\ncon_profile={profile}\n")
 
 
+def _ascends(sizes):
+    return len(sizes) >= 2 and all(a < b for a, b in zip(sizes, sizes[1:]))
+
+
 @settings(max_examples=60)
 @given(j=st.sampled_from([0.5, 1.0, 1.5, 2.0, 20.0, 40.0]), grid=st.sampled_from([2, 3, 15]),
+       grid_j=st.sampled_from([0.5, 1.0, 1.5, 15.0]),
        sizes=st.lists(st.sampled_from([0, 1, 2, 10, 80]), min_size=2, max_size=4),
        rho_min=st.sampled_from([-0.1, 0.0, cli._TABLE["phase-audit"]["ph_rho_min"][1]]))
-@example(j=0.5, grid=15, sizes=[10, 80], rho_min=0.04)
-@example(j=1.0, grid=15, sizes=[10, 80], rho_min=0.04)
+@example(j=0.5, grid=15, grid_j=15.0, sizes=[10, 80], rho_min=0.04)
+@example(j=1.0, grid=15, grid_j=15.0, sizes=[10, 80], rho_min=0.04)
+@example(j=20.0, grid=15, grid_j=0.5, sizes=[10, 80], rho_min=0.04)
+@example(j=20.0, grid=15, grid_j=1.0, sizes=[10, 80], rho_min=0.04)
+@example(j=20.0, grid=15, grid_j=1.5, sizes=[10, 80], rho_min=0.04)
 def test_phase_audit_configurations_check_something_or_are_refused(tmp_path_factory, j, grid,
-                                                                   sizes, rho_min):
+                                                                   grid_j, sizes, rho_min):
     """``_run_edge_config`` holds for every drawn ``phase-audit`` configuration,
-    and a check runs only on a commutator clock with an interior (2 j + 1 >= 4):
-    below that the interior-commutator gate would pass on no entry."""
+    and a check runs only on commutator and grid clocks with an interior
+    (2 j + 1 >= 4), below which the interior-commutator gate would pass on no
+    entry and the uncertainty slack goes negative, and only on sizes that
+    strictly ascend, since the sweep gates compare neighbours."""
     rc = _run_edge_config(tmp_path_factory.mktemp("phase"), "phase-audit",
-                          f"ph_j={j}\nph_grid_n={grid}\nph_rho_min={rho_min}\n"
-                          f"ph_sizes={','.join(map(str, sizes))}\n")
-    assert rc == 2 or 2 * j + 1 >= 4
+                          f"ph_j={j}\nph_grid_n={grid}\nph_grid_j={grid_j}\n"
+                          f"ph_rho_min={rho_min}\nph_sizes={','.join(map(str, sizes))}\n")
+    assert rc == 2 or (2 * j + 1 >= 4 and 2 * grid_j + 1 >= 4 and _ascends(sizes))
+
+
+@settings(max_examples=40)
+@given(sizes=st.lists(st.sampled_from([0.0, 0.5, 1.0, 5.0, 10.0, 20.0]), min_size=1,
+                      max_size=4),
+       threshold=st.sampled_from([0.0, 1e-6, 1.0, 2.0]),
+       rho=st.sampled_from([-0.1, 0.0, 0.55]))
+@example(sizes=[5.0, 10.0, 20.0], threshold=1e-6, rho=0.55)
+@example(sizes=[20.0, 10.0], threshold=1e-6, rho=0.55)
+@example(sizes=[10.0, 10.0], threshold=1e-6, rho=0.55)
+def test_classical_limit_configurations_check_something_or_are_refused(tmp_path_factory, sizes,
+                                                                       threshold, rho):
+    """``_run_edge_config`` holds for every drawn ``classical-limit``
+    configuration; every size it checks keeps a nonempty support; and a check
+    runs only on sizes that strictly ascend, since the support-mismatch
+    decrease gate compares neighbours."""
+    root = tmp_path_factory.mktemp("classical")
+    rc = _run_edge_config(root, "classical-limit",
+                          f"cls_sizes={','.join(map(str, sizes))}\n"
+                          f"cls_threshold={threshold}\ncls_rho={rho}\n")
+    if rc != 2:
+        assert _ascends(sizes)
+        rows = (only_run_dir(root / "o", "classical-limit") / "data.csv").read_text()
+        header, *lines = rows.splitlines()
+        column = header.split(",").index("n_support")
+        assert len(lines) == len(sizes)
+        assert all(int(line.split(",")[column]) > 0 for line in lines)
 
 
 @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 29.9 GiB"), MemoryError()],

@@ -125,10 +125,62 @@ def test_weighted_shift_norm_is_largest_entry(complex_entries):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_entry_on_the_svd_route_is_nan(bad):
-    """LAPACK's SVD refused the NaN with LinAlgError; NaN fails the caller's gate."""
+    """LAPACK's SVD refuses a NaN with LinAlgError; NaN fails the caller's gate."""
     m = np.arange(16.0).reshape(4, 4)
     m[1, 2] = bad
     assert np.isnan(residual_norm2(m))
+
+
+def _route_matrix(route):
+    """A 12 x 12 matrix that takes ``route``, and the entries to spoil on it:
+    one entry alone (on the diagonal unless a shift), then a mirrored pair."""
+    a = np.random.default_rng(17).normal(size=(12, 12))
+    i, j = np.indices(a.shape)
+    dist = abs(i - j)
+    if route == "shift":  # the reversal, weighted: rows 3 and 8 hold one entry each
+        return np.where(i + j == 11, a, 0.0), [[(3, 8)], [(3, 8), (8, 3)]]
+    m = a + a.T
+    if route == "banded":
+        m = np.where(dist <= 1, m, 0.0)
+    elif route == "interleaved":
+        m = np.where(np.minimum(dist, 12 - dist) <= 1, m, 0.0)
+    return m, [[(3, 3)], [(3, 4), (4, 3)]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", ["shift", "banded", "interleaved", "dense"])
+def test_a_non_finite_entry_is_nan_on_every_route(monkeypatch, route, bad):
+    """NaN before any route, with no LAPACK call: for an infinite entry, which
+    passes the hermitian test, dsbevx raises "did not converge" and
+    ``eigvalsh`` returns inf."""
+    banded = _spy(monkeypatch, "eigvals_banded")
+    dense = _spy(monkeypatch, "eigvalsh")
+    m, spoils = _route_matrix(route)
+    residual_norm2(m)
+    expected = {"shift": ([], []), "banded": (banded_ends(12), []),
+                "interleaved": (banded_ends(12), []), "dense": ([], DENSE_EIGVALSH)}
+    assert (banded, dense) == expected[route]
+    for entries in spoils:
+        spoiled = m.copy()
+        for at in entries:
+            spoiled[at] = bad
+        banded.clear()
+        dense.clear()
+        assert np.isnan(residual_norm2(spoiled))
+        assert banded == dense == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_energy_fails_the_commutator_gate(bad):
+    """Both residuals are NaN, which no ``residual <= tolerance`` gate passes."""
+    clock = build_clock(build_su2_rep(20.0))
+    energies = clock.energies.copy()
+    energies[5] = bad
+    spoiled = dataclasses.replace(clock, energies=energies)
+    with np.errstate(invalid="ignore"):  # inf * 0 on the band's zero diagonal
+        report = commutator_check(spoiled, build_phase_operator(clock))
+    assert np.isnan(report.interior_residual) and np.isnan(report.full_residual)
+    assert not report.interior_residual <= 1e-10
 
 
 @pytest.mark.parametrize("anti", [False, True])
@@ -144,16 +196,26 @@ def test_hermitian_norm_matches_svd(anti, complex_entries, banded):
     check()
 
 
+def _recording(calls, name, fn):
+    """``fn``, appending (name, select, select_range) of each call to ``calls``."""
+    def spy(*args, **kwargs):
+        calls.append((name, kwargs.get("select"), kwargs.get("select_range")))
+        return fn(*args, **kwargs)
+    return spy
+
+
 def _spy(monkeypatch, name):
     calls = []
-    original = getattr(scipy.linalg, name)
-
-    def spy(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, name, spy)
+    monkeypatch.setattr(scipy.linalg, name, _recording(calls, name, getattr(scipy.linalg, name)))
     return calls
+
+
+def banded_ends(dim):
+    """The calls of one banded norm: its smallest and its largest eigenvalue."""
+    return [("eigvals_banded", "i", (k, k)) for k in (0, dim - 1)]
+
+
+DENSE_EIGVALSH = [("eigvalsh", None, None)]
 
 
 @pytest.mark.parametrize("anti", [False, True])
@@ -166,10 +228,10 @@ def test_route_follows_the_bandwidth(monkeypatch, anti):
     i, j = np.indices(m.shape)
     tri = np.where(abs(i - j) <= 3, m, 0.0)  # 2 * 3 + 1 < 9
     residual_norm2(tri)
-    assert (banded, dense) == (["eigvals_banded"], [])
+    assert (banded, dense) == (banded_ends(9), [])
     wide = np.where(abs(i - j) <= 4, m, 0.0)  # 2 * 4 + 1 = 9
     residual_norm2(wide)
-    assert (banded, dense) == (["eigvals_banded"], ["eigvalsh"])
+    assert (banded, dense) == (banded_ends(9), DENSE_EIGVALSH)
 
 
 def test_non_normal_matrix_takes_the_svd(monkeypatch):
@@ -286,16 +348,18 @@ def test_diagonal_products_match_the_gemms(rep):
 def test_cartan_residuals_are_the_svd_norms():
     """Every verify_cartan residual of a ladder family is the SVD 2-norm of its
     dense relation, on the full space and on the exact subspace of a
-    truncated family."""
+    truncated family, whichever route computed it."""
     for rep in (build_su2_rep(40.0), build_h4_rep(64), build_su11_rep(1.5, 64)):
         inside = np.arange(rep.dim) < rep.exact_dim
         inside = np.outer(inside, inside)
         r, ops = rep.raising_ops[0], rep.diagonal_ops
         diag = max((svd_norm(a @ b - b @ a) for i, a in enumerate(ops) for b in ops[i + 1:]),
                    default=0.0)
-        ladder = [d @ r - r @ d - s * r for d, s in zip(ops, rep.structure_d[:, 0])]
+        ladder = [d @ raising - raising @ d - rep.structure_d[delta, m] * raising
+                  for m, raising in enumerate(rep.raising_ops)
+                  for delta, d in enumerate(ops)]
         closure = r @ r.T - r.T @ r - sum(q * d for q, d in zip(rep.closure_q, ops))
-        report = verify_cartan(rep)
+        report = verify_cartan(rep, tol=1e-12)
         rest = (report.reference_annihilation, report.reference_weights)
         assert report.diagonal_commutators == diag
         assert report.ladder_relations == max(svd_norm(m) for m in ladder)
@@ -581,7 +645,7 @@ def test_periodic_tridiagonal_takes_the_interleave(monkeypatch, anti):
     m = _periodic_band(a - a.conj().T if anti else a + a.conj().T, 1)
     assert m[0, -1] != 0 and m[-1, 0] != 0  # the corners make the band full
     assert_close_to_svd(m)
-    assert (banded, dense) == (["eigvals_banded"], [])
+    assert (banded, dense) == (banded_ends(12), [])
 
 
 def test_commutator_residuals_take_the_interleave(monkeypatch):
@@ -590,7 +654,7 @@ def test_commutator_residuals_take_the_interleave(monkeypatch):
     dense = _spy(monkeypatch, "eigvalsh")
     clock = intensive_su2_clock(400.0)
     commutator_check(clock, build_phase_operator(clock))
-    assert (banded, dense) == (["eigvals_banded"] * 2, [])
+    assert (banded, dense) == (banded_ends(clock.dim) * 2, [])
 
 
 def test_band_the_interleave_does_not_narrow_goes_dense(monkeypatch):
@@ -604,20 +668,25 @@ def test_band_the_interleave_does_not_narrow_goes_dense(monkeypatch):
     rows, cols = np.nonzero(m)
     position = np.argsort(_interleave(9))
     assert 2 * int(np.max(abs(position[rows] - position[cols]))) + 1 >= 9
-    assert (banded, dense) == ([], ["eigvalsh"])
+    assert (banded, dense) == ([], DENSE_EIGVALSH)
 
 
 # --- the nonzero scan against the dense predicates ------------------------------
 
 
-def dense_predicate_norm2(m):
-    """``residual_norm2`` as written over the dense matrix: a shift test on
-    column and row counts of ``m != 0``, transposed compares for the
-    (anti-)hermitian test, and LAPACK's storage gathered from ``m``."""
+def dense_predicate_route(m):
+    """(route, phase) of ``residual_norm2`` as written over the dense matrix:
+    "non-finite" for a NaN or infinite entry, "shift" from column and row
+    counts of ``m != 0``, "svd" unless transposed compares find the matrix
+    hermitian (phase 1) or anti-hermitian (phase 1j), then "banded" when its
+    bandwidth b, or that of its interleaved order, has 2b + 1 < dim, else
+    "dense"."""
+    if not np.isfinite(m).all():
+        return "non-finite", None
     nonzero = m != 0
     if not ((np.count_nonzero(nonzero, axis=0) > 1).any()
             or (np.count_nonzero(nonzero, axis=1) > 1).any()):
-        return float(np.abs(m[nonzero]).max(initial=0.0))
+        return "shift", None
     re = m.real
     im = m.imag if np.iscomplexobj(m) else None
     if np.array_equal(re, re.T) and (im is None or np.array_equal(im, -im.T)):
@@ -625,23 +694,37 @@ def dense_predicate_norm2(m):
     elif np.array_equal(re, -re.T) and (im is None or np.array_equal(im, im.T)):
         phase = 1j
     else:
-        return float(np.linalg.norm(m, 2))
+        return "svd", None
     dim = m.shape[0]
     rows, cols = np.nonzero(m)
-    order = np.arange(dim)
     band = int(np.max(np.abs(rows - cols)))
     if 2 * band + 1 >= dim:
-        order = _interleave(dim)
-        position = np.argsort(order)
+        position = np.argsort(_interleave(dim))
         band = int(np.max(np.abs(position[rows] - position[cols])))
-    if 2 * band + 1 < dim:
-        lower = np.zeros((band + 1, dim), dtype=np.result_type(m, phase))
-        for k in range(band + 1):
-            lower[k, :dim - k] = phase * m[order[k:], order[:dim - k]]
-        evals = scipy.linalg.eigvals_banded(lower, lower=True, check_finite=False)
-    else:
-        evals = scipy.linalg.eigvalsh((phase * m).T, overwrite_a=True, check_finite=False)
+    return ("banded" if 2 * band + 1 < dim else "dense"), phase
+
+
+def dense_predicate_norm2(m):
+    """The value of ``dense_predicate_route``'s route, computed on the dense
+    matrix: both eigenvalue routes by ``eigvalsh``, as the dense one runs it."""
+    route, phase = dense_predicate_route(m)
+    if route == "non-finite":
+        return float("nan")
+    if route == "shift":
+        return float(np.abs(m[m != 0]).max(initial=0.0))
+    if route == "svd":
+        return float(np.linalg.norm(m, 2))
+    evals = scipy.linalg.eigvalsh((phase * m).T, overwrite_a=True, check_finite=False)
     return float(max(-evals[0], evals[-1]))
+
+
+ROUTE_CALLS = {
+    "non-finite": lambda dim: [],
+    "shift": lambda dim: [],
+    "svd": lambda dim: [("norm", None, None)],
+    "banded": banded_ends,
+    "dense": lambda dim: DENSE_EIGVALSH,
+}
 
 
 PATTERNS = ("shift", "diagonal", "banded", "cyclic", "full")
@@ -681,44 +764,99 @@ def residual_matrices(draw):
         m[zeros] = signs[0][zeros]
         m[zeros.T] = signs[1][zeros.T]
     if draw(st.integers(0, 9)) == 0:
-        m[rng.integers(n), rng.integers(n)] = np.nan
+        m[rng.integers(n), rng.integers(n)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     return m
 
 
-def _outcome(norm, m):
-    try:
-        return np.float64(norm(m)).tobytes()
-    except np.linalg.LinAlgError as exc:  # the SVD of a NaN need not converge
-        return type(exc)
-
-
-def _recording(calls, fn):
-    def spy(*args, **kwargs):
-        calls.append(fn.__name__)
-        return fn(*args, **kwargs)
-    return spy
-
-
 def test_nonzero_scan_takes_the_dense_predicates_route_and_bits(monkeypatch):
+    """The route the dense predicates pick, with its LAPACK calls, and the
+    dense form's bits on every route but the banded one.
+
+    The banded route bisects for its two ends (dsbevx/zhbevx: a reduction
+    to tridiagonal, then dstebz) where the dense form runs ``eigvalsh``.
+    Both are backward stable: each returns the eigenvalues of some m + E
+    with ||E|| of order dim * eps * ||m||, and by Weyl's inequality every
+    eigenvalue, so also the norm max(-lambda_min, lambda_max), moves by at
+    most ||E||.  So the two agree within ULPS_PER_DIM * dim ulps of the
+    norm, the bound every route here meets against the SVD, not bit for
+    bit."""
     calls = []
     for name in ("eigvals_banded", "eigvalsh"):
-        monkeypatch.setattr(scipy.linalg, name, _recording(calls, getattr(scipy.linalg, name)))
-    monkeypatch.setattr(np.linalg, "norm", _recording(calls, np.linalg.norm))
+        monkeypatch.setattr(scipy.linalg, name,
+                            _recording(calls, name, getattr(scipy.linalg, name)))
+    monkeypatch.setattr(np.linalg, "norm", _recording(calls, "norm", np.linalg.norm))
 
     @given(residual_matrices())
     def check(m):
         before = m.copy()
+        route, _ = dense_predicate_route(m)
+        ref = dense_predicate_norm2(m)
         calls.clear()
-        ref = _outcome(dense_predicate_norm2, m)
-        if ref is np.linalg.LinAlgError:  # where the dense form's SVD fails, NaN
-            ref = np.float64(np.nan).tobytes()
-        ref_route = list(calls)
-        calls.clear()
-        assert _outcome(residual_norm2, m) == ref
-        assert calls == ref_route
+        got = residual_norm2(m)
+        assert calls == ROUTE_CALLS[route](m.shape[0])
+        if route == "banded":
+            assert ulps(got, ref) <= ULPS_PER_DIM * m.shape[0], (got, ref)
+        else:
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
         assert before.tobytes() == m.tobytes()
 
     check()
+
+
+@st.composite
+def narrow_bands(draw):
+    """(m, phase): hermitian (phase 1) or anti-hermitian (phase 1j), real or
+    complex, of bandwidth 1 or 2 with 2b + 1 < dim <= 64, so banded without
+    the interleave.  A real anti-hermitian m has lambda_min = -lambda_max."""
+    band = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(max(4, 2 * band + 2), 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(n, n))
+    if draw(st.booleans()):
+        a = a + 1j * rng.normal(size=(n, n))
+    a = a * draw(scales)
+    anti = draw(st.booleans())
+    m = a - a.conj().T if anti else a + a.conj().T
+    i, j = np.indices((n, n))
+    return np.where(abs(i - j) <= band, m, 0.0), (1j if anti else 1)
+
+
+def test_banded_ends_are_the_dense_spectrums_ends(monkeypatch):
+    """The two eigenvalues the banded route bisects for are the first and the
+    last of the dense spectrum, each within ULPS_PER_DIM * dim ulps of the
+    norm (Weyl's inequality, see above), and so is the norm."""
+    ends = []
+    original = scipy.linalg.eigvals_banded
+
+    def recording(*args, **kwargs):
+        ends.append(original(*args, **kwargs))
+        return ends[-1]
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", recording)
+
+    def check(m, phase):
+        ends.clear()
+        norm = residual_norm2(m)
+        evals = np.linalg.eigvalsh(phase * m)
+        bound = ULPS_PER_DIM * m.shape[0] * np.spacing(norm)
+        assert [e.shape for e in ends] == [(1,), (1,)]
+        (low,), (high,) = ends
+        assert abs(low - evals[0]) <= bound and abs(high - evals[-1]) <= bound, (low, high)
+        assert abs(norm - max(-evals[0], evals[-1])) <= bound
+
+    @given(narrow_bands())
+    def random_bands(case):
+        check(*case)
+
+    random_bands()
+    # lambda_min = -lambda_max exactly: the path graph, spectrum 2 cos(k pi / (n + 1)),
+    # and its antisymmetric orientation, spectrum 2i cos(k pi / (n + 1))
+    for n in (4, 7, 64):
+        up, down = np.diag(np.ones(n - 1), 1), np.diag(np.ones(n - 1), -1)
+        for m, phase in ((up + down, 1), (up - down, 1j)):
+            check(m, phase)
+            (low,), (high,) = ends
+            assert abs(low + high) <= ULPS_PER_DIM * n * np.spacing(high)
 
 
 def dense_phase_operator(clock):
@@ -757,13 +895,19 @@ BAND_CLOCKS = {
 }
 
 
+def assert_dense_residuals(report, full, interior):
+    """Within ULPS_PER_DIM * dim ulps of the dense form's values: its
+    ``eigvalsh`` and the banded route's bisection agree that far, not bit for
+    bit (``test_nonzero_scan_takes_the_dense_predicates_route_and_bits``)."""
+    assert ulps(report.full_residual, full) <= ULPS_PER_DIM * report.dim
+    assert ulps(report.interior_residual, interior) <= ULPS_PER_DIM * report.dim
+
+
 @pytest.mark.parametrize("name", list(BAND_CLOCKS))
 def test_band_commutator_residuals_are_the_dense_ones(name):
     clock = BAND_CLOCKS[name]()
     report = commutator_check(clock, build_phase_operator(clock))
-    full, interior = dense_commutator_residuals(clock)
-    assert np.float64(report.full_residual).tobytes() == np.float64(full).tobytes()
-    assert np.float64(report.interior_residual).tobytes() == np.float64(interior).tobytes()
+    assert_dense_residuals(report, *dense_commutator_residuals(clock))
 
 
 @pytest.mark.parametrize("name", list(BAND_CLOCKS))
@@ -779,8 +923,8 @@ def test_phase_operator_is_the_dense_one(name):
 
 
 def test_complex_steps_keep_the_dense_arithmetic():
-    """Phases on the unit circle: U, sin, cos and both residuals are the
-    dense ones of those phases."""
+    """Phases on the unit circle: U, sin and cos are the dense ones of those
+    phases, and both residuals the dense ones within the banded bound."""
     clock = build_clock(build_su2_rep(3.0))
     turns = np.random.default_rng(5).random(clock.dim - 1)
     phase = PhaseOperator(phases=np.exp(2j * np.pi * turns))
@@ -790,9 +934,7 @@ def test_complex_steps_keep_the_dense_arithmetic():
     assert phase.cos_phi.tobytes() == cos.tobytes()
     assert np.array_equal(phase.sin_phi, sin)
     report = commutator_check(clock, phase)
-    full, interior = dense_commutator_residuals(clock, sin, cos)
-    assert np.float64(report.full_residual).tobytes() == np.float64(full).tobytes()
-    assert np.float64(report.interior_residual).tobytes() == np.float64(interior).tobytes()
+    assert_dense_residuals(report, *dense_commutator_residuals(clock, sin, cos))
 
 
 def test_commutator_check_allocates_less_than_one_dense_matrix():
