@@ -123,10 +123,11 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
 
     Hermitian means each nonzero equals the conjugate of its mirror entry
     (real and imaginary parts compared with ``==``, so a NaN is neither);
-    a nonzero whose mirror is zero fails that.  LAPACK reads ``dense``, the
-    matrix the triplets came from, when it is given: its zeros may carry a
-    sign that moves the eigenvalues' last bits.  Without it the triplets are
-    scattered into zeros.
+    a nonzero whose mirror is zero fails that.  The band storage is filled
+    from the triplets alone.  The dense eigenvalue and SVD routes read
+    ``dense``, the matrix the triplets came from, when it is given: its
+    zeros may carry a sign that moves the eigenvalues' last bits.  Without
+    it the triplets are scattered into zeros.
     """
     if not np.isfinite(vals).all():
         return float("nan")  # which fails the caller's gate; LAPACK raises or returns inf
@@ -144,27 +145,20 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
             phase = 1j
     if phase is None:
         return float(np.linalg.norm(_scatter(dim, rows, cols, vals, dense), 2))
-    order = np.arange(dim)
-    position = order
+    position = np.arange(dim)  # of each row and column in the banded matrix
     band = int(np.max(np.abs(rows - cols)))
     if 2 * band + 1 >= dim:
-        order = _interleave(dim)
-        position = np.argsort(order)
+        position = np.argsort(_interleave(dim))
         band = int(np.max(np.abs(position[rows] - position[cols])))
     if 2 * band + 1 < dim:
-        # lower band storage of m[order][:, order]: row k holds its k-th subdiagonal,
+        # lower band storage of the permuted m: row k holds its k-th subdiagonal,
         # real (dsbevx, not zhbevx) when every scaled nonzero is, as a commutator's are
         scaled = phase * vals
         real = not np.iscomplexobj(scaled) or not scaled.imag.any()
         lower = np.zeros((band + 1, dim), dtype=float if real else scaled.dtype)
-        if dense is None:
-            below = position[rows] >= position[cols]
-            at = position[cols[below]]
-            lower[position[rows[below]] - at, at] = scaled.real[below] if real else scaled[below]
-        else:
-            for k in range(band + 1):
-                entries = phase * dense[order[k:], order[:dim - k]]
-                lower[k, :dim - k] = entries.real if real else entries
+        below = position[rows] >= position[cols]
+        at = position[cols[below]]
+        lower[position[rows[below]] - at, at] = scaled.real[below] if real else scaled[below]
         # only the two ends, each by bisection on the reduced tridiagonal (dstebz)
         low, high = (scipy.linalg.eigvals_banded(lower, lower=True, select="i",
                                                  select_range=(k, k), check_finite=False)[0]

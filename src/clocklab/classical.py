@@ -238,8 +238,8 @@ def _circulant_rows(mat: np.ndarray, delta: int, amp_c: np.ndarray, amp_g: np.nd
 
 
 def _node_table(rep: LieAlgebraRep) -> np.ndarray:
-    """Coherent vectors at the default quadrature nodes of ``rep``, one column each."""
-    return coherent_table(rep, *lookup(rep.family).nodes(rep)[:2])
+    """Coherent vectors on the default quadrature grid of ``rep``, one column per node."""
+    return coherent_table(rep, *lookup(rep.family).rings(rep)[:2])
 
 
 def _streamed_rows(mat: np.ndarray, mc: np.ndarray, mg: np.ndarray):
@@ -256,12 +256,13 @@ def _streamed_rows(mat: np.ndarray, mc: np.ndarray, mg: np.ndarray):
 class BetaDistribution:
     """Joint coherent amplitude beta[i, k] at clock node i and system node k.
 
-    The nodes are the default quadratures ``Family.nodes`` of the two
-    representations, the weights carrying the full invariant measures.
-    Keeps what the classical checks read: the normalization, the (clock
-    node, system node) of the first maximum of |beta|^2 in row-major order,
-    and the support nodes per (clock ring, system ring) pair of
-    ``Family.rings``.  ``values`` builds the whole table on demand.
+    The nodes are the default grids ``Family.rings`` of the two
+    representations, node r dim + a at (radii[r], phis[a]), the weights
+    carrying the full invariant measures.  Keeps what the classical checks
+    read: the normalization, the (clock node, system node) of the first
+    maximum of |beta|^2 in row-major order, and the support nodes per
+    (clock ring, system ring) pair.  ``values`` builds the whole table on
+    demand.
     """
 
     psi: CompositeState
@@ -308,7 +309,7 @@ def beta_distribution(psi: CompositeState, clock_c: ClockModel, clock_g: ClockMo
     if psi.dim_clock != clock_c.dim or psi.dim_system != clock_g.dim:
         raise ValueError("composite state dimensions do not match the two models")
     reps = clock_c.rep, clock_g.rep
-    (radii_c, w_c), (radii_g, w_g) = (lookup(rep.family).rings(rep) for rep in reps)
+    (radii_c, _, w_c), (radii_g, _, w_g) = (lookup(rep.family).rings(rep) for rep in reps)
     amp_c, amp_g = amplitude_columns(reps[0], radii_c), amplitude_columns(reps[1], radii_g)
     ring_w_c, ring_w_g = w_c * psi.dim_clock, w_g * psi.dim_system
     mat = psi.matrix
@@ -364,8 +365,8 @@ def classical_constraint_check(beta: BetaDistribution, clock_c: ClockModel,
     counts = beta.support_counts
     if not counts.any():
         raise ValueError("empty support: nothing to check the constraint on")
-    (radii_c, _), (radii_g, _) = (lookup(rep.family).rings(rep)
-                                  for rep in (beta.rep_clock, beta.rep_system))
+    radii_c, radii_g = (lookup(rep.family).rings(rep)[0]
+                        for rep in (beta.rep_clock, beta.rep_system))
     e_c = np.array([clock_symbol_analytic(clock_c, float(r)) for r in radii_c])
     e_g = np.array([clock_symbol_analytic(clock_g, float(r)) for r in radii_g])
     scale = max(np.max(np.abs(e_c)), np.max(np.abs(e_g)))

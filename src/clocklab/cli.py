@@ -300,8 +300,11 @@ def load_config(path: str | None, overrides: dict[str, object],
         raise ConfigError(f"'sch_h' must be nonzero, got {cfg['sch_h']!r}")
     # one size leaves no pair to compare, and all() over no pair is true; the
     # decrease gates compare neighbours, so a list out of order fails them on
-    # the input, not the physics (phase-audit compares its sizes rounded)
+    # the input, not the physics (phase-audit and stationary-sweep compare their
+    # sizes rounded)
     for key, sizes, how in (("ph_sizes", [int(round(s)) for s in cfg["ph_sizes"]],
+                             " once rounded to integers"),
+                            ("stat_sizes", [int(round(s)) for s in cfg["stat_sizes"]],
                              " once rounded to integers"),
                             ("cls_sizes", cfg["cls_sizes"], "")):
         if len(sizes) < 2:
@@ -436,16 +439,15 @@ def run_verify_algebra(cfg: dict[str, object]) -> tuple[list[str], list, list[di
 
 def run_bch_check(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     n = cfg["bch_points"]
-    # the grid rho-major, one point per (rho, phi)
-    rhos = np.repeat(np.linspace(0.02, cfg["bch_rho_max"], n), n)
-    phis = np.tile(np.linspace(0.0, 2 * np.pi, n, endpoint=False), n)
+    rhos = np.linspace(0.02, cfg["bch_rho_max"], n)
+    phis = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     cases = [("su2", j, build_su2_rep(j)) for j in cfg["bch_su2_j"]]
     cases.append(("h4", cfg["bch_h4_cut"], build_h4_rep(cfg["bch_h4_cut"])))
     rows, checks = [], []
     for family, size, rep in cases:
-        # the expm oracle point by point, the closed forms as one table
+        # the expm oracle point by point, the closed forms as one table, both rho-major
         direct = np.stack([displace(rep, r * np.exp(1j * p))
-                           for r, p in zip(rhos, phis)], axis=1)
+                           for r in rhos for p in phis], axis=1)
         closed = coherent_points(rep, rhos, phis)
         sub = rep.valid_dim if rep.truncated else rep.dim
         # np.max propagates nan, where max() would drop it and pass the gate
@@ -505,7 +507,8 @@ def run_identity_resolution(cfg: dict[str, object]) -> tuple[list[str], list, li
     rows, checks = [], []
     for family, rep, label in cases:
         deviation = identity_resolution_check(rep)
-        rows.append([family, len(lookup(family).nodes(rep)[0]), deviation])
+        radii, phis, _ = lookup(family).rings(rep)
+        rows.append([family, len(radii) * len(phis), deviation])
         checks.append(_gate(cfg, label, f"tol_identity_{family}", deviation=deviation))
         _progress(f"[identity-resolution] {family}: deviation {deviation:.3e}")
     return ["family", "nodes", "deviation"], rows, checks
@@ -590,10 +593,12 @@ def run_stationary_sweep(cfg: dict[str, object]) -> tuple[list[str], list, list[
     else:
         def experiment(size: int):
             return h4_stationary_experiment(size, width=width)
-    for size in sizes:
-        _progress(f"[stationary-sweep] {family} size {size}")
     sweep = convergence_sweep(sizes, experiment)
     rows = [[family, rec.size, rec.residual] for rec in sweep.records]
+    # after the sweep, so that a refused size prints nothing first; the sizes
+    # ascend, and so do the records' dimensions
+    for size, rec in zip(sizes, sweep.records):
+        _progress(f"[stationary-sweep] {family} size {size}: residual {rec.residual:.3e}")
     checks = [
         _check("residual-decreasing", sweep.strictly_decreasing,
                sizes=",".join(str(s) for s in sizes)),

@@ -274,7 +274,7 @@ def _conditional_rows(psi: CompositeState, clock: ClockModel, rho: float, phis) 
     """
     _check_clock_dim(psi, clock)
     phis = np.asarray(phis, dtype=float)
-    bras = coherent_points(clock.rep, np.full(len(phis), float(rho)), phis)
+    bras = coherent_points(clock.rep, [rho], phis)
     idx_c, idx_g = psi.match.pairs.T
     if not psi.match.standard_basis or np.bincount(idx_g).max(initial=0) > 1:
         return bras.conj().T @ psi.matrix
@@ -331,13 +331,13 @@ def precs_decomposition_check(psi: CompositeState, clock: ClockModel,
     """Residual of the coherent-aggregate form of the reduced system state.
 
     Integrates |Phi(Omega)><Phi(Omega)| over the clock manifold with the
-    quadrature of the identity resolution (``Family.nodes``, exact on the
+    quadrature of the identity resolution (``Family.rings``, exact on the
     valid subspace at its default node counts) and compares against the
     partial trace.  Returns the 2-norm of the difference.
     """
     _check_clock_dim(psi, clock)
     mat = psi.matrix
-    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim)
-    rows = coherent_table(clock.rep, rhos, phis).conj().T @ mat
-    acc = weighted_outer_sum(rows, weights)
+    radii, phis, weights = lookup(clock.rep.family).rings(clock.rep, n_polar, n_azim)
+    rows = coherent_table(clock.rep, radii, phis).conj().T @ mat
+    acc = weighted_outer_sum(rows, np.repeat(weights, len(phis)))
     return residual_norm2(acc - _system_density(mat))

@@ -28,7 +28,7 @@ class Family:
       pulled-back two-form;
 
     and, where the family has them, ``rep_for_size`` and the radial rule
-    behind ``rings`` and ``nodes``.  Adding a family means one subclass here
+    behind ``rings``.  Adding a family means one subclass here
     and one builder in ``algebra``.
     """
 
@@ -42,40 +42,28 @@ class Family:
                      n_azim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"no normalizable manifold measure for family {self.name!r}")
 
-    def rings(self, rep: LieAlgebraRep) -> tuple[np.ndarray, np.ndarray]:
-        """The default rule of ``nodes`` before flattening: (radii, node_weights).
-
-        Ring r is the azimuthal grid 2 pi a / ``rep.dim``, a < ``rep.dim``, at
-        radius radii[r], each of its nodes weighing node_weights[r]; it is
-        nodes r dim ... (r + 1) dim - 1 of ``nodes(rep)``.
-        """
-        return self._radial_rule(rep, None, rep.dim)
-
-    def nodes(self, rep: LieAlgebraRep, n_polar: int | None = None,
+    def rings(self, rep: LieAlgebraRep, n_polar: int | None = None,
               n_azim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened (rho, phi, weight) quadrature of the invariant measure.
+        """The quadrature of the invariant measure as a grid: (radii, phis, weights).
 
-        Radial-major order.  The weights carry the full measure, so summing
-        w |c><c| over the nodes gives the resolution of identity.  The
-        defaults are exact on the valid subspace: the azimuthal grid is
-        uniform with ``rep.dim`` points, so the phase cross terms
-        exp(i (n - m) phi) integrate to zero, and the radial rule is
-        Gaussian in the measure's natural variable with the family's node
-        count (su2: Gauss-Legendre in cos(2 rho); h4: Gauss-Laguerre in
-        rho^2).  Fewer than ``rep.valid_dim`` azimuthal points would alias
-        those cross terms and are refused.
+        Node (r, a) is the point (radii[r], phis[a]) and weighs weights[r];
+        the weights carry the full measure, so summing w |c><c| over the
+        grid gives the resolution of identity.  The defaults are exact on
+        the valid subspace: the azimuthal grid is uniform with ``rep.dim``
+        points, so the phase cross terms exp(i (n - m) phi) integrate to
+        zero, and the radial rule is Gaussian in the measure's natural
+        variable with the family's node count (su2: Gauss-Legendre in
+        cos(2 rho); h4: Gauss-Laguerre in rho^2).  Fewer than
+        ``rep.valid_dim`` azimuthal points would alias those cross terms
+        and are refused.
         """
         if n_azim is None:
             n_azim = rep.dim
         if n_azim < rep.valid_dim:
             raise ValueError(f"n_azim = {n_azim} below the valid dimension {rep.valid_dim} "
                              "aliases the phase cross terms")
-        rhos, radial_w = self._radial_rule(rep, n_polar, n_azim)
-        phis = 2 * np.pi * np.arange(n_azim) / n_azim
-        rho_flat = np.repeat(rhos, n_azim)
-        phi_flat = np.tile(phis, len(rhos))
-        w_flat = np.repeat(radial_w, n_azim)
-        return rho_flat, phi_flat, w_flat
+        radii, weights = self._radial_rule(rep, n_polar, n_azim)
+        return radii, 2 * np.pi * np.arange(n_azim) / n_azim, weights
 
 
 class _SU2(Family):

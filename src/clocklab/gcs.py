@@ -49,41 +49,49 @@ def amplitude_columns(rep: LieAlgebraRep, radii) -> np.ndarray:
     return np.stack([family.amplitudes(rep, float(r)) for r in radii], axis=1)
 
 
-def _phased(rep: LieAlgebraRep, amps: np.ndarray, ring: np.ndarray, phis) -> np.ndarray:
-    """amps[:, ring] * exp(i n phi), built in place: one table-sized complex array."""
-    table = 1j * np.multiply.outer(np.arange(rep.dim), np.asarray(phis, dtype=float))
-    np.exp(table, out=table)
-    table *= amps[:, ring]
-    return table
+def _phased(rep: LieAlgebraRep, amps: np.ndarray, phis) -> np.ndarray:
+    """Column r len(phis) + a: amps[:, r] * exp(i n phis[a]), one table-sized complex array.
 
-
-def coherent_table(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
-    """Coherent vectors at many points: column k is the state at (rhos[k], phis[k]).
-
-    The family's closed-form amplitudes are evaluated once per distinct
-    radius and the phases exp(i n phi) in one broadcast, so a quadrature
-    over the manifold costs one amplitude call per ring of nodes.  Uses the
-    exact infinite-dimensional normalization, so for truncated
-    representations each column is the honest restriction of the true
-    state (its norm is < 1 when the tail is cut).  Quadratures cut that
-    tail on purpose; point queries go through ``coherent_points``.
+    The phases are exponentiated once per azimuth and broadcast against the
+    amplitudes of every radius.  At one radius (the conditional sweeps) they
+    are scaled in place: a second array of the table's size costs more than
+    the product.
     """
-    radii, ring = np.unique(rhos, return_inverse=True)
-    return _phased(rep, amplitude_columns(rep, radii), ring, phis)
+    phases = 1j * np.multiply.outer(np.arange(rep.dim), np.asarray(phis, dtype=float))
+    np.exp(phases, out=phases)
+    if amps.shape[1] == 1:
+        phases *= amps
+        return phases
+    table = np.empty((rep.dim, amps.shape[1], phases.shape[1]), dtype=complex)
+    np.multiply(phases[:, None, :], amps[:, :, None], out=table)
+    return table.reshape(rep.dim, -1)
 
 
-def coherent_points(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
+def coherent_table(rep: LieAlgebraRep, radii, phis) -> np.ndarray:
+    """Coherent vectors on a grid: column r len(phis) + a is the state at (radii[r], phis[a]).
+
+    The family's closed-form amplitudes are evaluated once per radius and
+    the phases exp(i n phi) once per azimuth, so a quadrature over the
+    manifold costs one amplitude call per ring of nodes.  Uses the exact
+    infinite-dimensional normalization, so for truncated representations
+    each column is the honest restriction of the true state (its norm is
+    < 1 when the tail is cut).  Quadratures cut that tail on purpose; point
+    queries go through ``coherent_points``.
+    """
+    return _phased(rep, amplitude_columns(rep, radii), phis)
+
+
+def coherent_points(rep: LieAlgebraRep, radii, phis) -> np.ndarray:
     """``coherent_table`` for point queries, which must not feel the cutoff.
 
-    Refuses with ValueError when, at any of the distinct radii, the norm
-    the truncation of a truncated rep loses, 1 - sum_n |c_n|^2, exceeds
+    Refuses with ValueError when, at any of the radii, the norm the
+    truncation of a truncated rep loses, 1 - sum_n |c_n|^2, exceeds
     TAIL_MASS_LIMIT: the state is then not the manifold point it is
     labelled with.  (This is the lost norm, not ``displace``'s mass above
     ``valid_dim``, which a cut that still holds the whole state can carry.)
     An untruncated rep loses nothing, so its sum's roundoff is not read as
     a cut; a lost norm that is not finite is refused for every rep.
     """
-    radii, ring = np.unique(rhos, return_inverse=True)
     amps = amplitude_columns(rep, radii)
     lost = 1.0 - np.sum(amps ** 2, axis=0)
     worst = lost.max()
@@ -92,7 +100,7 @@ def coherent_points(rep: LieAlgebraRep, rhos, phis) -> np.ndarray:
             f"the truncation loses norm {worst:.3e} above {TAIL_MASS_LIMIT:.0e} "
             "at this radius; raise the cutoff or shrink rho"
         )
-    return _phased(rep, amps, ring, phis)
+    return _phased(rep, amps, phis)
 
 
 def coherent_vector(rep: LieAlgebraRep, rho: float, phi: float) -> np.ndarray:
@@ -138,14 +146,15 @@ def identity_resolution_check(rep: LieAlgebraRep, n_polar: int | None = None,
     """Quadrature deviation of the resolution of identity, as a 2-norm.
 
     Sums w |lambda><lambda| over the family's manifold quadrature
-    (``Family.nodes``; su2: the sphere, Gauss-Legendre in cos(theta) with
+    (``Family.rings``; su2: the sphere, Gauss-Legendre in cos(theta) with
     theta = 2*rho; h4: the plane, Gauss-Laguerre in rho^2) and compares
     with the identity on the valid subspace.  With the default node counts
     the rule is exact, so the deviation is roundoff.
     """
-    rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim)
+    radii, phis, weights = lookup(rep.family).rings(rep, n_polar, n_azim)
     nv = rep.valid_dim
-    acc = weighted_outer_sum(coherent_table(rep, rhos, phis)[:nv].T, weights)
+    acc = weighted_outer_sum(coherent_table(rep, radii, phis)[:nv].T,
+                             np.repeat(weights, len(phis)))
     return residual_norm2(acc - np.eye(nv))
 
 

@@ -196,8 +196,7 @@ def uncertainty_grid_audit(clock: ClockModel, phase: PhaseOperator,
     is refused) and each operator applied to the whole table at once.  NaN
     when any slack is NaN, so a bad grid point fails the caller's gate.
     """
-    rr, pp = np.meshgrid(rhos, phis, indexing="ij")
-    vecs = coherent_points(clock.rep, rr.ravel(), pp.ravel())
+    vecs = coherent_points(clock.rep, rhos, phis)
 
     def moments(image):
         mean = np.sum(vecs.conj() * image, axis=0).real

@@ -40,6 +40,13 @@ H4 = intensive_h4_clock(32.0)
 SU11 = build_clock(build_su11_rep(0.5, 96))
 
 
+def flat_nodes(rep):
+    """The default grid of ``rep`` node by node, radius-major: (rho, phi, weight) arrays."""
+    radii, phis, weights = lookup(rep.family).rings(rep)
+    n = len(phis)
+    return np.repeat(radii, n), np.tile(phis, len(radii)), np.repeat(weights, n)
+
+
 def make_state(j, rho=0.55, width=0.18):
     clock = intensive_su2_clock(j)
     h_system = resonant_ladder(clock, clock.dim)
@@ -164,7 +171,7 @@ def test_beta_values_equal_per_node_reference():
     """The table is the per-node one's, bit for bit."""
     clock, psi = make_state(10.0)
     beta = beta_distribution(psi, clock, clock)
-    rhos, phis, _ = lookup(clock.rep.family).nodes(clock.rep)
+    rhos, phis, _ = flat_nodes(clock.rep)
     cols = np.empty((clock.dim, len(rhos)), dtype=complex)
     for i, (r, f) in enumerate(zip(rhos, phis)):
         cols[:, i] = coherent_vector(clock.rep, float(r), float(f))
@@ -252,8 +259,8 @@ def test_constraint_check_equals_dense_reference(j, rho, threshold):
     beta = beta_distribution(psi, clock, clock, threshold=threshold)
     report = classical_constraint_check(beta, clock, clock)
 
-    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep)
-    table = coherent_table(clock.rep, rhos, phis)
+    rhos, _, weights = flat_nodes(clock.rep)
+    table = coherent_table(clock.rep, *lookup(clock.rep.family).rings(clock.rep)[:2])
     dens = np.abs(table.conj().T @ psi.matrix @ table.conj()) ** 2
     mask = dens >= threshold * dens.max()
     energy = np.array([clock_symbol_analytic(clock, float(r)) for r in rhos])
@@ -292,10 +299,10 @@ def streamed_beta(psi, clock_c, clock_g, threshold):
     cut, ring pair by ring pair.  Rows are the same left-to-right products
     as ``BetaDistribution.values``.
     """
-    rho_c, phi_c, w_c = lookup(clock_c.rep.family).nodes(clock_c.rep)
-    rho_g, phi_g, w_g = lookup(clock_g.rep.family).nodes(clock_g.rep)
-    mc = coherent_table(clock_c.rep, rho_c, phi_c)
-    mg_conj = coherent_table(clock_g.rep, rho_g, phi_g).conj()
+    (rho_c, _, w_c), (rho_g, _, w_g) = flat_nodes(clock_c.rep), flat_nodes(clock_g.rep)
+    mc, mg = (coherent_table(rep, *lookup(rep.family).rings(rep)[:2])
+              for rep in (clock_c.rep, clock_g.rep))
+    mg_conj = mg.conj()
     bounds_c = np.r_[0, np.flatnonzero(np.diff(rho_c)) + 1, len(rho_c)]
     starts_g = np.r_[0, np.flatnonzero(np.diff(rho_g)) + 1]
     rings_c = list(zip(bounds_c[:-1], bounds_c[1:]))
@@ -329,7 +336,7 @@ def circulant_density(psi, clock):
     out of |beta|^2.  The sums are direct, not an FFT.
     """
     family = lookup(clock.rep.family)
-    rho, phi, _ = family.nodes(clock.rep)
+    rho, phi, _ = flat_nodes(clock.rep)
     n_azim = clock.dim
     rows, cols = np.nonzero(psi.matrix)
     assert len(np.unique(cols - rows)) == 1
@@ -344,7 +351,7 @@ def circulant_density(psi, clock):
 
 def ring_starts(clock):
     """First node of each ring of ``clock``'s default nodes, read from their radii."""
-    rho = lookup(clock.rep.family).nodes(clock.rep)[0]
+    rho = flat_nodes(clock.rep)[0]
     return np.r_[0, np.flatnonzero(np.diff(rho)) + 1]
 
 

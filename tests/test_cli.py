@@ -610,6 +610,26 @@ def test_phase_audit_configurations_check_something_or_are_refused(tmp_path_fact
     assert rc == 2 or (2 * j + 1 >= 4 and 2 * grid_j + 1 >= 4 and _ascends(sizes))
 
 
+@settings(max_examples=30)
+@given(sizes=st.lists(st.sampled_from([-5.0, 0.0, 2.0, 5.0, 5.2, 5.4, 10.0, 20.0]), min_size=1,
+                      max_size=4),
+       family=st.sampled_from(["su2", "h4"]))
+@example(sizes=[5.0, 5.0, 10.0], family="su2")
+@example(sizes=[5.2, 5.4, 10.0], family="su2")
+@example(sizes=[10.0, 5.0, 20.0], family="h4")
+@example(sizes=[5.0, 10.0, 20.0], family="h4")
+def test_stationary_sweep_configurations_check_something_or_are_refused(tmp_path_factory, sizes,
+                                                                        family):
+    """``_run_edge_config`` holds for every drawn ``stationary-sweep``
+    configuration, and a check runs only on at least three sizes that
+    strictly ascend once rounded to integers, as the sweep uses them: its
+    decrease gate compares neighbours."""
+    rc = _run_edge_config(tmp_path_factory.mktemp("stationary"), "stationary-sweep",
+                          f"stat_family={family}\nstat_sizes={','.join(map(str, sizes))}\n")
+    rounded = [int(round(s)) for s in sizes]
+    assert rc == 2 or (len(sizes) >= 3 and _ascends(rounded) and rounded[0] > 0)
+
+
 @settings(max_examples=40)
 @given(sizes=st.lists(st.sampled_from([0.0, 0.5, 1.0, 5.0, 10.0, 20.0]), min_size=1,
                       max_size=4),

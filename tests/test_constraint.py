@@ -319,10 +319,11 @@ def per_node_precs_residual(psi, clock, n_polar, n_azim):
     """Reference: one conditional_state call and one outer product per node."""
     rho_g = reduced_density_gamma(psi)
     acc = np.zeros_like(rho_g)
-    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim)
-    for rho, phi, w in zip(rhos, phis, weights):
-        vec = conditional_state(psi, clock, float(rho), float(phi)).unnormalized
-        acc += w * np.outer(vec, vec.conj())
+    radii, phis, weights = lookup(clock.rep.family).rings(clock.rep, n_polar, n_azim)
+    for rho, w in zip(radii, weights):
+        for phi in phis:
+            vec = conditional_state(psi, clock, float(rho), float(phi)).unnormalized
+            acc += w * np.outer(vec, vec.conj())
     return float(np.linalg.norm(acc - rho_g, 2))
 
 
@@ -342,8 +343,9 @@ def precs_roundoff_bound(psi, clock, n_polar, n_azim):
     Frobenius norm of sum_k |w_k| b_k b_k^T, at most sum_k |w_k| ||b_k||^2.
     """
     u = np.finfo(float).eps / 2
-    rhos, phis, weights = lookup(clock.rep.family).nodes(clock.rep, n_polar, n_azim)
-    b = np.abs(coherent_table(clock.rep, rhos, phis)).T @ np.abs(psi.matrix)
+    radii, phis, ring_weights = lookup(clock.rep.family).rings(clock.rep, n_polar, n_azim)
+    weights = np.repeat(ring_weights, len(phis))
+    b = np.abs(coherent_table(clock.rep, radii, phis)).T @ np.abs(psi.matrix)
     mass = float(np.sum(np.abs(weights) * np.sum(b ** 2, axis=1)))
     n = 2 * len(weights) + 4 * clock.dim + 4
     return 2 * np.sqrt(2) * n * u / (1 - n * u) * mass

@@ -87,7 +87,7 @@ def test_default_quadrature_resolves_the_identity(name):
     """
     if name not in QUADRATURE_SIZES:
         with pytest.raises(ValueError, match="no normalizable manifold measure"):
-            FAMILIES[name].nodes(REPS[name]()[0])
+            FAMILIES[name].rings(REPS[name]()[0])
         return
 
     @settings(max_examples=8)
@@ -105,7 +105,7 @@ def test_default_quadrature_resolves_the_identity(name):
 def test_half_integer_spin_takes_j_plus_half_radial_nodes():
     """At j = 5/2 the degree-5 integrand needs 3 Gauss-Legendre nodes; 2 are not exact."""
     rep = build_su2_rep(2.5)
-    assert len(FAMILIES["su2"].nodes(rep)[0]) == 3 * rep.dim
+    assert len(FAMILIES["su2"].rings(rep)[0]) == 3
     assert identity_resolution_check(rep, n_polar=2) > 0.1
 
 
@@ -124,19 +124,19 @@ def test_su2_amplitudes_stay_finite_at_large_spin(j):
 
 
 def test_rings_are_the_default_nodes():
-    """Ring r is nodes r dim ... (r + 1) dim - 1: one radius, one weight, the uniform grid.
+    """The default grid is the radial rule times rep.dim uniform azimuths, one weight per radius.
 
-    A family without a normalizable measure refuses, like its nodes.
+    A family without a normalizable measure refuses.
     """
     for rep in ([build_su2_rep(j) for j in (0.5, 3.0, 10.5, 40.0)]
                 + [build_h4_rep(n) for n in (4, 48, 256)]):
         family = FAMILIES[rep.family]
-        radii, weights = family.rings(rep)
-        rho, phi, w = family.nodes(rep)
-        assert np.array_equal(np.repeat(radii, rep.dim), rho)
-        assert np.array_equal(np.repeat(weights, rep.dim), w)
-        grid = 2 * np.pi * np.arange(rep.dim) / rep.dim
-        assert np.array_equal(np.tile(grid, len(radii)), phi)
+        radii, phis, weights = family.rings(rep)
+        rule = family._radial_rule(rep, None, rep.dim)
+        assert np.array_equal(radii, rule[0]) and np.array_equal(weights, rule[1])
+        assert np.array_equal(phis, 2 * np.pi * np.arange(rep.dim) / rep.dim)
+        for given, default in zip(family.rings(rep, n_azim=rep.dim), (radii, phis, weights)):
+            assert np.array_equal(given, default)
     with pytest.raises(ValueError, match="no normalizable manifold measure"):
         FAMILIES["su11"].rings(build_su11_rep(1.0, 32))
 
@@ -148,18 +148,19 @@ def test_nodes_refuse_an_aliasing_azimuthal_grid():
     """
     rep = build_su2_rep(30.0)
     with pytest.raises(ValueError, match="aliases"):
-        FAMILIES["su2"].nodes(rep, n_azim=rep.valid_dim - 1)
+        FAMILIES["su2"].rings(rep, n_azim=rep.valid_dim - 1)
     with pytest.raises(ValueError, match="aliases"):
         identity_resolution_check(rep, n_polar=24, n_azim=24)
-    assert len(FAMILIES["su2"].nodes(rep, n_azim=rep.valid_dim)[0]) == 31 * 61
+    radii, phis, weights = FAMILIES["su2"].rings(rep, n_azim=rep.valid_dim)
+    assert (len(radii), len(phis), len(weights)) == (31, 61, 31)
 
 
 def test_h4_nodes_refuse_overflowing_laguerre_weights():
     """Above about 180 nodes the weights w e^u of the Laguerre rule are not finite."""
     rep = build_h4_rep(48)
     with pytest.raises(ValueError, match="overflow"):
-        FAMILIES["h4"].nodes(rep, n_polar=200)
-    assert np.isfinite(FAMILIES["h4"].nodes(rep, n_polar=160)[2]).all()
+        FAMILIES["h4"].rings(rep, n_polar=200)
+    assert np.isfinite(FAMILIES["h4"].rings(rep, n_polar=160)[2]).all()
 
 
 @names
@@ -177,25 +178,27 @@ def test_displace_equals_closed_form(name):
 
 @names
 def test_coherent_table_columns_equal_coherent_vector(name):
-    """Bit for bit, with radii repeated across columns as on a quadrature ring.
+    """Column r len(phis) + a is the state at (radii[r], phis[a]), bit for bit.
 
-    Both also equal, bit for bit, the per-point closed form written here.
+    Radii repeat (as no quadrature's do) and include 0; each column equals
+    the per-point closed form written here, and so does ``coherent_vector``.
     """
     fractions = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
     @given(st.sampled_from(cases(name)),
-           st.lists(st.tuples(fractions, st.floats(0.0, 2 * np.pi)), min_size=1, max_size=8))
-    def check(case, labels):
+           st.lists(fractions, min_size=1, max_size=5),
+           st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=5))
+    def check(case, fracs, phis):
         rep, rho_max = case
-        rhos = [f * rho_max for f, _ in labels]
-        phis = [phi for _, phi in labels]
-        table = coherent_table(rep, rhos, phis)
-        assert table.shape == (rep.dim, len(labels))
+        radii = [f * rho_max for f in fracs]
+        table = coherent_table(rep, radii, phis)
+        assert table.shape == (rep.dim, len(radii) * len(phis))
         n = np.arange(rep.dim)
-        for k, (rho, phi) in enumerate(zip(rhos, phis)):
-            per_point = FAMILIES[name].amplitudes(rep, rho) * np.exp(1j * n * phi)
-            assert table[:, k].tobytes() == per_point.tobytes()
-            assert coherent_vector(rep, rho, phi).tobytes() == per_point.tobytes()
+        for r, rho in enumerate(radii):
+            for a, phi in enumerate(phis):
+                per_point = FAMILIES[name].amplitudes(rep, rho) * np.exp(1j * n * phi)
+                assert table[:, r * len(phis) + a].tobytes() == per_point.tobytes()
+                assert coherent_vector(rep, rho, phi).tobytes() == per_point.tobytes()
 
     check()
 

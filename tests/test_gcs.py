@@ -184,10 +184,11 @@ def per_node_identity_sum(rep, n_polar=None, n_azim=None):
     refuses the truncated h4 nodes a quadrature keeps on purpose).  Returns
     the accumulated matrix, the node vectors and the weights.
     """
-    rhos, phis, weights = lookup(rep.family).nodes(rep, n_polar, n_azim)
+    radii, phis, ring_weights = lookup(rep.family).rings(rep, n_polar, n_azim)
     nv = rep.valid_dim
     vectors = np.array([coherent_table(rep, [rho], [phi])[:nv, 0]
-                        for rho, phi in zip(rhos, phis)])
+                        for rho in radii for phi in phis])
+    weights = np.repeat(ring_weights, len(phis))
     return per_node_outer_sum(vectors, weights), vectors, weights
 
 

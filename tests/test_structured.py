@@ -1156,7 +1156,7 @@ def flow_rate_roundoff_bound(psi, clock, h_system, rho):
     n_phi = len(phis)
     scale = float(np.max(np.abs(evals))) or 1.0
     moving = ~((np.abs(comps).min(axis=0) < 1e-8) | (np.abs(evals) < 1e-12 * scale))
-    bras = np.abs(coherent_table(clock.rep, np.full(n_phi, rho), phis))
+    bras = np.abs(coherent_table(clock.rep, [rho], phis))
     m = (bras.T @ np.abs(psi.matrix)) @ np.abs(evecs)
     err = np.sqrt(2) * gamma(2 * psi.dim_clock + 2 * psi.dim_system) * m[:, moving]
     absc, e = np.abs(comps[:, moving]), evals[moving]
