@@ -29,6 +29,9 @@ _SQRT2 = float(np.sqrt(2.0))
 # bands.  Each helper below reads that structure off the matrix with an
 # exact predicate and, when it holds, gives the answer the dense LAPACK
 # route would give without the dense work; otherwise it runs that route.
+# A residual's norm is the answer to within rounding, not to the bit: a
+# tridiagonal's two ends come from bisection, a wider band's norm from
+# banded Cholesky tests of definiteness, O(dim b^2) each, no reduction.
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray | None:
@@ -86,9 +89,13 @@ def residual_norm2(m: np.ndarray) -> float:
        1j: the largest |eigenvalue|.  Its bandwidth b is read from the
        nonzero pattern; when 2b + 1 >= dim, b of its symmetric permutation
        by ``_interleave`` is read instead (a cyclic band narrows so).
-       When 2b + 1 < dim, ``eigvals_banded`` finds only the smallest and the
-       largest eigenvalue (dsbevx/zhbevx bisection); otherwise ``eigvalsh``
-       finds them all.
+       When 2b + 1 < dim: for b = 1, ``eigvals_banded`` finds only the
+       smallest and the largest eigenvalue (dsbevx/zhbevx bisection); for
+       b >= 2, the norm is the least float x at which x I - m and x I + m
+       both pass a banded Cholesky (dpbtrf/zpbtrf), found by bisection
+       between the largest |entry| and the largest absolute row sum, with
+       no reduction to tridiagonal.  Otherwise ``eigvalsh`` finds every
+       eigenvalue.
     3. Anything else: the largest singular value.
 
     A matrix with a NaN or infinite entry gets NaN, before any route.
@@ -152,23 +159,75 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
         band = int(np.max(np.abs(position[rows] - position[cols])))
     if 2 * band + 1 < dim:
         # lower band storage of the permuted m: row k holds its k-th subdiagonal,
-        # real (dsbevx, not zhbevx) when every scaled nonzero is, as a commutator's are
+        # real (dsbevx, dpbtrf; not zhbevx, zpbtrf) when every scaled nonzero is, as a
+        # commutator's are
         scaled = phase * vals
         real = not np.iscomplexobj(scaled) or not scaled.imag.any()
         lower = np.zeros((band + 1, dim), dtype=float if real else scaled.dtype)
         below = position[rows] >= position[cols]
         at = position[cols[below]]
         lower[position[rows[below]] - at, at] = scaled.real[below] if real else scaled[below]
-        # only the two ends, each by bisection on the reduced tridiagonal (dstebz)
-        low, high = (scipy.linalg.eigvals_banded(lower, lower=True, select="i",
-                                                 select_range=(k, k), check_finite=False)[0]
-                     for k in (0, dim - 1))
-        return float(max(-low, high))
+        if band == 1:
+            # only the two ends, each by bisection on the tridiagonal (dstebz)
+            low, high = (scipy.linalg.eigvals_banded(lower, lower=True, select="i",
+                                                     select_range=(k, k), check_finite=False)[0]
+                         for k in (0, dim - 1))
+            return float(max(-low, high))
+        # scaled by an even power of two to largest |entry| in [1, 4): exact, and
+        # every step of a Cholesky factorization scales with it, so its verdicts stay
+        mags = np.abs(vals)
+        top = mags.max()
+        shift = 2 * ((int(np.frexp(top)[1]) - 1) // 2)
+        lower = np.ldexp(lower.view(float), -shift).view(lower.dtype)
+        # the norm lies between the largest |entry| and the largest absolute row sum
+        gershgorin = np.bincount(rows, weights=np.ldexp(mags, -shift)).max()
+        return float(np.ldexp(_least_definite(lower, np.ldexp(top, -shift), gershgorin), shift))
     # the transpose of a hermitian matrix is its conjugate, with the same
     # eigenvalues, and is the Fortran-ordered view LAPACK can overwrite
     scaled = phase * _scatter(dim, rows, cols, vals, dense)
     evals = scipy.linalg.eigvalsh(scaled.T, overwrite_a=True, check_finite=False)
     return float(max(-evals[0], evals[-1]))
+
+
+_INF_BITS = int(np.float64(np.inf).view(np.int64))
+
+
+def _least_definite(lower: np.ndarray, low: float, high: float) -> float:
+    """The least float x at which x I - A and x I + A both pass a banded Cholesky.
+
+    A is the hermitian band in lower band storage ``lower``.  Both halves
+    are factored by one dpbtrf (zpbtrf) call on the block band
+    [x I - A | x I + A], whose blocks do not touch.  The search bisects
+    the bit patterns of the floats between ``low`` and ``high``, after
+    checking that the first fails and the last passes and widening the
+    bracket past an end where rounding says otherwise, so the float
+    returned passes and the one below it fails.  A factorization with a
+    NaN pivot fails: dpbtf2 does not test for one.
+    """
+    factor = scipy.linalg.lapack.dpbtrf if lower.dtype == float else scipy.linalg.lapack.zpbtrf
+    pair = np.empty((lower.shape[0], 2 * lower.shape[1]), dtype=lower.dtype, order="F")
+    np.negative(lower, out=pair[:, :lower.shape[1]])
+    pair[:, lower.shape[1]:] = lower
+
+    def definite(bits: int) -> bool:
+        ab = pair.copy(order="F")  # LAPACK's order, so dpbtrf factors the copy in place
+        ab[0] += np.int64(bits).view(np.float64)
+        chol, info = factor(ab, lower=1, overwrite_ab=1)
+        return info == 0 and not np.isnan(chol[0]).any()
+
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (low, high))
+    step = max(hi - lo, 1)
+    while hi < _INF_BITS and not definite(hi):
+        lo, hi, step = hi, min(hi + step, _INF_BITS), 2 * step
+    while definite(lo):  # x = 0 fails: A and -A are not both definite
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while hi - lo > 1:
+        mid = lo + (hi - lo) // 2
+        if definite(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 def _scatter(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,

@@ -7,6 +7,8 @@ them, so checks that compare the two sides stay independent.  Callers turn
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import gammaln, roots_laguerre
 
@@ -112,8 +114,23 @@ class _SU2(Family):
         j = rep.params["j"]
         if n_polar is None:
             n_polar = int(np.floor(j)) + 1
-        x, w = np.polynomial.legendre.leggauss(n_polar)
-        return np.arccos(x) / 2.0, (2 * j + 1) * w / (2.0 * n_azim)
+        radii, w = _gauss_legendre(n_polar)
+        return radii, (2 * j + 1) * w / (2.0 * n_azim)
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radii arccos(x) / 2 and the weights of the n-node Gauss-Legendre rule.
+
+    Computed once per node count (leggauss solves a dense n x n
+    eigenproblem) and read-only, so no caller can change what the next
+    one reads.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    radii = np.arccos(x) / 2.0
+    for a in (radii, w):
+        a.flags.writeable = False
+    return radii, w
 
 
 class _H4(Family):

@@ -141,6 +141,24 @@ def test_rings_are_the_default_nodes():
         FAMILIES["su11"].rings(build_su11_rep(1.0, 32))
 
 
+@pytest.mark.parametrize("j", [3.0, 10.5, 40.0])
+def test_rings_reuse_one_gauss_legendre_rule(j):
+    """The su2 rule is leggauss's, computed once per node count: the cached
+    radii are read-only, and changing what one call returned changes
+    nothing the next call returns."""
+    rep, family = build_su2_rep(j), FAMILIES["su2"]
+    x, w = np.polynomial.legendre.leggauss(int(np.floor(j)) + 1)
+    expected = (np.arccos(x) / 2.0, 2 * np.pi * np.arange(rep.dim) / rep.dim,
+                (2 * j + 1) * w / (2.0 * rep.dim))
+    radii, phis, weights = family.rings(rep)
+    with pytest.raises(ValueError, match="read-only"):
+        radii[0] = 1.0
+    phis[:] = 0.0
+    weights[:] = 0.0
+    for again, ref in zip(family.rings(rep), expected):
+        assert again.tobytes() == ref.tobytes()
+
+
 def test_nodes_refuse_an_aliasing_azimuthal_grid():
     """Fewer phase points than the valid dimension alias the cross terms n - m.
 

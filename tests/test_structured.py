@@ -152,22 +152,24 @@ def _route_matrix(route):
 def test_a_non_finite_entry_is_nan_on_every_route(monkeypatch, route, bad):
     """NaN before any route, with no LAPACK call: for an infinite entry, which
     passes the hermitian test, dsbevx raises "did not converge" and
-    ``eigvalsh`` returns inf."""
+    ``eigvalsh`` returns inf; dpbtrf factors a NaN without reporting it."""
     banded = _spy(monkeypatch, "eigvals_banded")
     dense = _spy(monkeypatch, "eigvalsh")
+    definite = _spy_factorizations(monkeypatch)
     m, spoils = _route_matrix(route)
     residual_norm2(m)
-    expected = {"shift": ([], []), "banded": (banded_ends(12), []),
-                "interleaved": (banded_ends(12), []), "dense": ([], DENSE_EIGVALSH)}
-    assert (banded, dense) == expected[route]
+    expected = {"shift": ([], [], set()), "banded": (banded_ends(12), [], set()),
+                "interleaved": ([], [], {DPBTRF}), "dense": ([], DENSE_EIGVALSH, set())}
+    assert (banded, dense, set(definite)) == expected[route]
     for entries in spoils:
         spoiled = m.copy()
         for at in entries:
             spoiled[at] = bad
         banded.clear()
         dense.clear()
+        definite.clear()
         assert np.isnan(residual_norm2(spoiled))
-        assert banded == dense == []
+        assert banded == dense == definite == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -210,28 +212,44 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _spy_factorizations(monkeypatch, calls=None):
+    """One list (``calls``, or a new one) for the banded Cholesky calls of
+    the definiteness route, real and complex."""
+    calls = [] if calls is None else calls
+    for name in ("dpbtrf", "zpbtrf"):
+        monkeypatch.setattr(scipy.linalg.lapack, name,
+                            _recording(calls, name, getattr(scipy.linalg.lapack, name)))
+    return calls
+
+
 def banded_ends(dim):
-    """The calls of one banded norm: its smallest and its largest eigenvalue."""
+    """The calls of one tridiagonal norm: its smallest and its largest eigenvalue."""
     return [("eigvals_banded", "i", (k, k)) for k in (0, dim - 1)]
 
 
 DENSE_EIGVALSH = [("eigvalsh", None, None)]
+# a band of width b >= 2 is factored, a number of times set by its bisection
+DPBTRF, ZPBTRF = ("dpbtrf", None, None), ("zpbtrf", None, None)
 
 
 @pytest.mark.parametrize("anti", [False, True])
 def test_route_follows_the_bandwidth(monkeypatch, anti):
     banded = _spy(monkeypatch, "eigvals_banded")
     dense = _spy(monkeypatch, "eigvalsh")
+    definite = _spy_factorizations(monkeypatch)
     rng = np.random.default_rng(3)
     a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     m = a - a.conj().T if anti else a + a.conj().T
     i, j = np.indices(m.shape)
-    tri = np.where(abs(i - j) <= 3, m, 0.0)  # 2 * 3 + 1 < 9
-    residual_norm2(tri)
-    assert (banded, dense) == (banded_ends(9), [])
+    residual_norm2(np.where(abs(i - j) <= 1, m, 0.0))
+    assert (banded, dense, definite) == (banded_ends(9), [], [])
+    band = np.where(abs(i - j) <= 3, m, 0.0)  # 2 * 3 + 1 < 9
+    residual_norm2(band)
+    assert (banded, dense, set(definite)) == (banded_ends(9), [], {ZPBTRF})
     wide = np.where(abs(i - j) <= 4, m, 0.0)  # 2 * 4 + 1 = 9
+    definite.clear()
     residual_norm2(wide)
-    assert (banded, dense) == (banded_ends(9), DENSE_EIGVALSH)
+    assert (banded, dense, definite) == (banded_ends(9), DENSE_EIGVALSH, [])
 
 
 def test_non_normal_matrix_takes_the_svd(monkeypatch):
@@ -638,23 +656,28 @@ def test_periodic_band_norm_matches_svd(anti, complex_entries):
 
 @pytest.mark.parametrize("anti", [False, True])
 def test_periodic_tridiagonal_takes_the_interleave(monkeypatch, anti):
+    """Interleaved, the cyclic tridiagonal is a band of width 2: factored, not reduced."""
     banded = _spy(monkeypatch, "eigvals_banded")
     dense = _spy(monkeypatch, "eigvalsh")
+    definite = _spy_factorizations(monkeypatch)
     rng = np.random.default_rng(11)
     a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     m = _periodic_band(a - a.conj().T if anti else a + a.conj().T, 1)
     assert m[0, -1] != 0 and m[-1, 0] != 0  # the corners make the band full
     assert_close_to_svd(m)
-    assert (banded, dense) == (banded_ends(12), [])
+    assert (banded, dense, set(definite)) == ([], [], {ZPBTRF})
 
 
 def test_commutator_residuals_take_the_interleave(monkeypatch):
-    """At su2 j = 400 both commutator residuals are banded; no dense eigvalsh."""
+    """At su2 j = 400 both commutator residuals are banded; no dense eigvalsh.
+    The interior is tridiagonal (two ends by bisection); the full residual
+    is a real band of width 2 after the interleave (factored)."""
     banded = _spy(monkeypatch, "eigvals_banded")
     dense = _spy(monkeypatch, "eigvalsh")
+    definite = _spy_factorizations(monkeypatch)
     clock = intensive_su2_clock(400.0)
     commutator_check(clock, build_phase_operator(clock))
-    assert (banded, dense) == (banded_ends(clock.dim) * 2, [])
+    assert (banded, dense, set(definite)) == (banded_ends(clock.dim), [], {DPBTRF})
 
 
 def test_band_the_interleave_does_not_narrow_goes_dense(monkeypatch):
@@ -671,6 +694,154 @@ def test_band_the_interleave_does_not_narrow_goes_dense(monkeypatch):
     assert (banded, dense) == ([], DENSE_EIGVALSH)
 
 
+# --- the definiteness bisection of a band of width 2 or more --------------------
+
+
+@st.composite
+def definite_bands(draw):
+    """(m, phase, order): a hermitian (phase 1) or anti-hermitian (phase 1j)
+    band, real or complex, that ``residual_norm2`` factors: width 2-4 with
+    2b + 1 < dim, or a cyclic band of width 1-2 that the interleave
+    ``order`` narrows to a band of width 2-4."""
+    cyclic = draw(st.booleans())
+    width = draw(st.integers(1, 2) if cyclic else st.integers(2, 4))
+    n = draw(st.integers(4 * width + 2 if cyclic else 2 * width + 2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(n, n))
+    if draw(st.booleans()):
+        a = a + 1j * rng.normal(size=(n, n))
+    a = a * draw(scales)
+    anti = draw(st.booleans())
+    m = a - a.conj().T if anti else a + a.conj().T
+    if cyclic:
+        return _periodic_band(m, width), (1j if anti else 1), _interleave(n)
+    i, j = np.indices((n, n))
+    return np.where(abs(i - j) <= width, m, 0.0), (1j if anti else 1), np.arange(n)
+
+
+def both_factor(h, x):
+    """Whether x I - h and x I + h both pass LAPACK's banded Cholesky, each
+    factored alone from its own lower band storage (real when h is)."""
+    n = h.shape[0]
+    rows, cols = np.nonzero(h)
+    band = int(np.max(rows - cols))
+    real = not np.iscomplexobj(h) or not h.imag.any()
+    factor = scipy.linalg.lapack.dpbtrf if real else scipy.linalg.lapack.zpbtrf
+    for sign in (-1, 1):
+        a = x * np.eye(n) + sign * (h.real if real else h)
+        lower = np.zeros((band + 1, n), dtype=a.dtype)
+        for k in range(band + 1):
+            lower[k, :n - k] = np.diagonal(a, -k)
+        chol, info = factor(lower, lower=1)
+        if info != 0 or np.isnan(chol[0]).any():
+            return False
+    return True
+
+
+def _rounding_passes_the_largest_entry():
+    """A band of width 2 whose norm is its largest entry c to the last bit
+    (sqrt(c^2 + 1e-18) rounds to c), and at x = c both halves factor:
+    rounding leaves x I - m a positive pivot where the exact one is 0.  The
+    row sums reach c + 1e-9, so the bracket's lower end must be checked."""
+    c = 0.8184808436607272
+    m = np.zeros((6, 6))
+    m[0, 1] = m[1, 0] = c
+    m[1, 3] = m[3, 1] = 1e-9
+    assert both_factor(m, c)
+    return m, 1, np.arange(6)
+
+
+def _rounding_fails_the_row_sum_bound():
+    """The cyclic path with every weight 0.7: its norm is its largest absolute
+    row sum 1.4, and at x = 1.4 rounding leaves a pivot <= 0.  So the
+    bracket's upper end must be checked too."""
+    m = _periodic_band(np.full((8, 8), 0.7), 1) - 0.7 * np.eye(8)
+    order = _interleave(8)
+    assert not both_factor(m[np.ix_(order, order)], 1.4)
+    return m, 1, order
+
+
+def test_the_least_definite_shift_is_the_norm(monkeypatch):
+    """At the norm returned both halves factor, and at the float below it one
+    does not; the norm is the SVD's within ULPS_PER_DIM * dim ulps."""
+    definite = _spy_factorizations(monkeypatch)
+
+    @given(definite_bands())
+    @example(_rounding_passes_the_largest_entry())
+    @example(_rounding_fails_the_row_sum_bound())
+    def check(case):
+        m, phase, order = case
+        definite.clear()
+        x = residual_norm2(m)
+        assert set(definite) in ({DPBTRF}, {ZPBTRF})
+        h = (phase * m)[np.ix_(order, order)]
+        assert both_factor(h, x)
+        assert not both_factor(h, np.nextafter(x, 0.0))
+        assert_close_to_svd(m)
+
+    check()
+
+
+def _times_power_of_two(m, e):
+    """m * 2**e, real and imaginary parts scaled exactly but for underflow."""
+    return np.ldexp(m.view(float), e).view(m.dtype)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e300, "overflowing-rows"])
+def test_definite_route_at_extreme_magnitudes(monkeypatch, scale, complex_entries):
+    """Subnormal, tiny and huge periodic tridiagonals, and one whose largest
+    absolute row sum overflows: a finite norm within ULPS_PER_DIM * dim ulps
+    of the SVD of the matrix brought near 1 by a power of two, after a
+    bounded number of factorizations."""
+    definite = _spy_factorizations(monkeypatch)
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(12, 12))
+    if complex_entries:
+        a = a + 1j * rng.normal(size=(12, 12))
+    m = _periodic_band(a + a.conj().T, 1)
+    m /= np.abs(m).max()
+    if scale == "overflowing-rows":
+        m[0, 1], m[0, -1] = 1.0e308, 0.9e308
+        m[1, 0], m[-1, 0] = m[0, 1], m[0, -1]
+        with np.errstate(over="ignore"):
+            assert np.abs(m).sum(axis=1).max() == np.inf
+    else:
+        m *= scale
+    got = residual_norm2(m)
+    e = int(np.frexp(np.abs(m).max())[1])
+    ref = float(np.ldexp(svd_norm(_times_power_of_two(m, -e)), e))
+    assert np.isfinite(got)
+    assert ulps(got, ref) <= ULPS_PER_DIM * 12, (got, ref)
+    assert set(definite) == {ZPBTRF if complex_entries else DPBTRF}
+    assert len(definite) <= 64
+
+
+def test_commutator_check_at_a_large_spin_stays_linear(monkeypatch):
+    """At su2 j = 20000 the two eigvals_banded calls are the tridiagonal
+    interior's, no band of width 2 is reduced, and the check allocates
+    O(dim), not a dim x dim matrix (25.6 GB complex)."""
+    widths = []
+    original = scipy.linalg.eigvals_banded
+
+    def recording(a_band, *args, **kwargs):
+        widths.append(a_band.shape[0] - 1)
+        return original(a_band, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", recording)
+    clock = intensive_su2_clock(20000.0)
+    phase = build_phase_operator(clock)
+    tracemalloc.start()
+    try:
+        report = commutator_check(clock, phase)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths == [1, 1]
+    assert peak < 64 * clock.dim * np.dtype(complex).itemsize
+    assert report.interior_residual <= 1e-10 < report.full_residual < 1.0
+
+
 # --- the nonzero scan against the dense predicates ------------------------------
 
 
@@ -678,9 +849,9 @@ def dense_predicate_route(m):
     """(route, phase) of ``residual_norm2`` as written over the dense matrix:
     "non-finite" for a NaN or infinite entry, "shift" from column and row
     counts of ``m != 0``, "svd" unless transposed compares find the matrix
-    hermitian (phase 1) or anti-hermitian (phase 1j), then "banded" when its
-    bandwidth b, or that of its interleaved order, has 2b + 1 < dim, else
-    "dense"."""
+    hermitian (phase 1) or anti-hermitian (phase 1j), then "banded" (b = 1)
+    or "definite" (b >= 2) when its bandwidth b, or that of its interleaved
+    order, has 2b + 1 < dim, else "dense"."""
     if not np.isfinite(m).all():
         return "non-finite", None
     nonzero = m != 0
@@ -701,7 +872,9 @@ def dense_predicate_route(m):
     if 2 * band + 1 >= dim:
         position = np.argsort(_interleave(dim))
         band = int(np.max(np.abs(position[rows] - position[cols])))
-    return ("banded" if 2 * band + 1 < dim else "dense"), phase
+    if 2 * band + 1 >= dim:
+        return "dense", phase
+    return ("banded" if band == 1 else "definite"), phase
 
 
 def dense_predicate_norm2(m):
@@ -770,20 +943,21 @@ def residual_matrices(draw):
 
 def test_nonzero_scan_takes_the_dense_predicates_route_and_bits(monkeypatch):
     """The route the dense predicates pick, with its LAPACK calls, and the
-    dense form's bits on every route but the banded one.
+    dense form's bits on every route but the two banded ones.
 
-    The banded route bisects for its two ends (dsbevx/zhbevx: a reduction
-    to tridiagonal, then dstebz) where the dense form runs ``eigvalsh``.
-    Both are backward stable: each returns the eigenvalues of some m + E
-    with ||E|| of order dim * eps * ||m||, and by Weyl's inequality every
-    eigenvalue, so also the norm max(-lambda_min, lambda_max), moves by at
-    most ||E||.  So the two agree within ULPS_PER_DIM * dim ulps of the
-    norm, the bound every route here meets against the SVD, not bit for
-    bit."""
+    The tridiagonal route bisects for its two ends (dsbevx/zhbevx, dstebz)
+    and a wider band bisects for the least x at which x I - m and x I + m
+    both factor (dpbtrf/zpbtrf), where the dense form runs ``eigvalsh``.
+    All are backward stable: each answers for some m + E with ||E|| of
+    order dim * eps * ||m||, and by Weyl's inequality every eigenvalue, so
+    also the norm max(-lambda_min, lambda_max), moves by at most ||E||.  So
+    they agree within ULPS_PER_DIM * dim ulps of the norm, the bound every
+    route here meets against the SVD, not bit for bit."""
     calls = []
     for name in ("eigvals_banded", "eigvalsh"):
         monkeypatch.setattr(scipy.linalg, name,
                             _recording(calls, name, getattr(scipy.linalg, name)))
+    _spy_factorizations(monkeypatch, calls)
     monkeypatch.setattr(np.linalg, "norm", _recording(calls, "norm", np.linalg.norm))
 
     @given(residual_matrices())
@@ -793,8 +967,11 @@ def test_nonzero_scan_takes_the_dense_predicates_route_and_bits(monkeypatch):
         ref = dense_predicate_norm2(m)
         calls.clear()
         got = residual_norm2(m)
-        assert calls == ROUTE_CALLS[route](m.shape[0])
-        if route == "banded":
+        if route == "definite":
+            assert set(calls) in ({DPBTRF}, {ZPBTRF})
+        else:
+            assert calls == ROUTE_CALLS[route](m.shape[0])
+        if route in ("banded", "definite"):
             assert ulps(got, ref) <= ULPS_PER_DIM * m.shape[0], (got, ref)
         else:
             assert np.float64(got).tobytes() == np.float64(ref).tobytes()
@@ -822,9 +999,11 @@ def narrow_bands(draw):
 
 
 def test_banded_ends_are_the_dense_spectrums_ends(monkeypatch):
-    """The two eigenvalues the banded route bisects for are the first and the
-    last of the dense spectrum, each within ULPS_PER_DIM * dim ulps of the
-    norm (Weyl's inequality, see above), and so is the norm."""
+    """The two eigenvalues the tridiagonal route bisects for are the first and
+    the last of the dense spectrum, each within ULPS_PER_DIM * dim ulps of
+    the norm (Weyl's inequality, see above), and so is the norm, on the
+    tridiagonal route and on the factored one (width 2), which records no
+    ends."""
     ends = []
     original = scipy.linalg.eigvals_banded
 
@@ -839,9 +1018,13 @@ def test_banded_ends_are_the_dense_spectrums_ends(monkeypatch):
         norm = residual_norm2(m)
         evals = np.linalg.eigvalsh(phase * m)
         bound = ULPS_PER_DIM * m.shape[0] * np.spacing(norm)
-        assert [e.shape for e in ends] == [(1,), (1,)]
-        (low,), (high,) = ends
-        assert abs(low - evals[0]) <= bound and abs(high - evals[-1]) <= bound, (low, high)
+        rows, cols = np.nonzero(m)
+        if np.max(np.abs(rows - cols)) == 1:
+            assert [e.shape for e in ends] == [(1,), (1,)]
+            (low,), (high,) = ends
+            assert abs(low - evals[0]) <= bound and abs(high - evals[-1]) <= bound, (low, high)
+        else:
+            assert ends == []
         assert abs(norm - max(-evals[0], evals[-1])) <= bound
 
     @given(narrow_bands())
