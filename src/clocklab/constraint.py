@@ -17,8 +17,7 @@ import warnings
 import numpy as np
 
 from .algebra import ClockModel, _eigh, _is_shift, _nonzeros, residual_norm2
-from .families import lookup
-from .gcs import coherent_points, coherent_table, weighted_outer_sum
+from .gcs import _ring_sum, coherent_points
 
 CHI2_FLOOR = 1e-14
 
@@ -337,7 +336,5 @@ def precs_decomposition_check(psi: CompositeState, clock: ClockModel,
     """
     _check_clock_dim(psi, clock)
     mat = psi.matrix
-    radii, phis, weights = lookup(clock.rep.family).rings(clock.rep, n_polar, n_azim)
-    rows = coherent_table(clock.rep, radii, phis).conj().T @ mat
-    acc = weighted_outer_sum(rows, np.repeat(weights, len(phis)))
-    return residual_norm2(acc - _system_density(mat))
+    acc = mat.T @ _ring_sum(clock.rep, n_polar, n_azim).conj() @ mat.conj()
+    return residual_norm2((acc + acc.conj().T) / 2 - _system_density(mat))

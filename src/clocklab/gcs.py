@@ -1,11 +1,15 @@
 """Coherent states on the clock manifolds and their symbol calculus.
 
 States are labelled by a single complex coordinate lambda = rho*exp(i*phi)
-(one ladder mode); a state is its normalized vector.  Two independent construction routes are kept on
-purpose: ``displace`` exponentiates the anti-hermitian generator with a
-dense Pade expm, while ``coherent_vector`` evaluates the family's closed-form
-amplitudes (see ``families``).  Their agreement is the executable
-disentangling check.
+(one ladder mode); a state is its normalized vector, and a batch of states
+is a grid: column r len(phis) + a is the state at (radii[r], phis[a]).
+Two independent construction routes are kept on purpose: ``displace``
+exponentiates the anti-hermitian generator with a dense Pade expm, walking
+each ray from its first radius in equal steps, while ``coherent_points``
+evaluates the family's closed-form amplitudes (see ``families``).  Their
+agreement is the executable disentangling check.  The manifold quadrature
+behind the identity resolution and the PRECS decomposition is summed ring
+by ring (``_ring_sum``), with no table of coherent vectors.
 """
 from __future__ import annotations
 
@@ -19,24 +23,56 @@ from .families import lookup
 TAIL_MASS_LIMIT = 1e-10
 
 
-def displace(rep: LieAlgebraRep, omega: complex) -> np.ndarray:
-    """exp(omega R^dag - conj(omega) R) applied to the reference state.
+# radii within this many ulps of radii[0] + step * arange(n) count as evenly
+# spaced: np.linspace sets its last point to the stop value, which the walk
+# from the first point can miss by one ulp
+EVEN_ULPS = 4
+
+
+def displace(rep: LieAlgebraRep, radii, phis) -> np.ndarray:
+    """exp(rho (e^{i phi} R^dag - e^{-i phi} R)) applied to the reference state, on a grid.
+
+    Column r len(phis) + a is the state at (radii[r], phis[a]), as in
+    ``coherent_points``.  Along one azimuth every generator is rho G_a, so
+    the states at evenly spaced radii are exp(radii[0] G_a) ref followed by
+    repeated products with S_a = exp(step G_a): two Pade ``expm`` calls per
+    azimuth (one for a single radius), each further column one product.
+    Radii that are not evenly spaced (or not finite) are refused with
+    ValueError.  The oracle reads only the generator and ``expm``: no phase
+    rotation, eigendecomposition or closed-form amplitude.
 
     For truncated representations the amplitude above the valid subspace
-    must stay below TAIL_MASS_LIMIT, otherwise the cutoff is being felt
-    and a ValueError is raised.
+    must stay below TAIL_MASS_LIMIT in every column, otherwise the cutoff is
+    being felt and a ValueError is raised.
     """
+    radii = np.asarray(radii, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    n = len(radii)
+    step = (radii[-1] - radii[0]) / (n - 1) if n > 1 else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        off = np.abs(radii - (radii[0] + step * np.arange(n))).max()
+    if not off <= EVEN_ULPS * np.finfo(float).eps * np.abs(radii).max():  # NaN compares False
+        raise ValueError(f"radii must be finite and evenly spaced, off by {off:.3e}")
     r_op = rep.raising_ops[0]
-    gen = omega * r_op.conj().T - np.conj(omega) * r_op
-    vec = expm(gen) @ rep.reference_state.astype(complex)
+    r_dag = r_op.conj().T
+    ref = rep.reference_state.astype(complex)
+    out = np.empty((rep.dim, n, len(phis)), dtype=complex)
+    for a, phi in enumerate(phis):
+        gen = np.exp(1j * phi) * r_dag - np.exp(-1j * phi) * r_op
+        out[:, 0, a] = expm(radii[0] * gen) @ ref
+        if n > 1:
+            walk = expm(step * gen)
+            for r in range(1, n):
+                out[:, r, a] = walk @ out[:, r - 1, a]
+    out = out.reshape(rep.dim, -1)
     if rep.truncated:
-        tail = float(np.sum(np.abs(vec[rep.valid_dim:]) ** 2))
+        tail = float(np.max(np.sum(np.abs(out[rep.valid_dim:]) ** 2, axis=0)))
         if tail > TAIL_MASS_LIMIT:
             raise ValueError(
                 f"tail mass {tail:.3e} above the valid subspace exceeds "
                 f"{TAIL_MASS_LIMIT:.0e}; raise the cutoff or shrink |omega|"
             )
-    return vec
+    return out
 
 
 def amplitude_columns(rep: LieAlgebraRep, radii) -> np.ndarray:
@@ -124,21 +160,26 @@ def clock_symbol_analytic(clock: ClockModel, rho: float) -> float:
     return lookup(clock.rep.family).symbol(clock, rho)
 
 
-def weighted_outer_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k |v_k><v_k| over the rows v_k of ``vectors``, exactly hermitian.
+def _ring_sum(rep: LieAlgebraRep, n_polar: int | None = None,
+              n_azim: int | None = None) -> np.ndarray:
+    """sum_k w_k |v_k><v_k| over the family's quadrature grid, exactly hermitian.
 
-    One matrix product a = (V^T w) conj(V), formed as its conjugate
-    c = (conj(V)^T w) V so that the only temporary the size of ``vectors``
-    is the weighted conjugate, and returned as (a + a^H)/2.  The average
-    equals its conjugate transpose bit for bit (its diagonal is real), so a
-    residual built on it takes ``residual_norm2``'s eigenvalue route.  The
-    product orders the additions differently from a per-row sum; both lie
-    within the N-term summation bound of the exact sum.
+    Node (r, a) contributes w_r A[n, r] A[m, r] exp(i (n - m) phis[a]), so
+    the sum is Q = T o (A W A^T) with A the closed-form amplitudes of the
+    rings and T[n, m] = S(n - m), S(k) = sum_a exp(i k phis[a]) summed on
+    the grid (so a grid that aliases still shows): two dim x dim arrays and
+    no coherent table.  Returned as (Q + Q^H)/2, equal to its conjugate
+    transpose bit for bit, so a residual built on it takes
+    ``residual_norm2``'s eigenvalue route.
     """
-    scaled = vectors.conj()
-    scaled *= np.asarray(weights, dtype=float)[:, None]
-    c = scaled.T @ vectors
-    return (c.conj() + c.T) / 2
+    radii, phis, weights = lookup(rep.family).rings(rep, n_polar, n_azim)
+    amps = amplitude_columns(rep, radii)
+    sums = 1j * np.multiply.outer(np.arange(1 - rep.dim, rep.dim), phis)
+    sums = np.exp(sums, out=sums).sum(axis=1)
+    k = np.arange(rep.dim)
+    q = sums[k[:, None] - k + rep.dim - 1]
+    q *= (amps * weights) @ amps.T
+    return (q + q.conj().T) / 2
 
 
 def identity_resolution_check(rep: LieAlgebraRep, n_polar: int | None = None,
@@ -147,15 +188,13 @@ def identity_resolution_check(rep: LieAlgebraRep, n_polar: int | None = None,
 
     Sums w |lambda><lambda| over the family's manifold quadrature
     (``Family.rings``; su2: the sphere, Gauss-Legendre in cos(theta) with
-    theta = 2*rho; h4: the plane, Gauss-Laguerre in rho^2) and compares
-    with the identity on the valid subspace.  With the default node counts
-    the rule is exact, so the deviation is roundoff.
+    theta = 2*rho; h4: the plane, Gauss-Laguerre in rho^2), ring by ring
+    (``_ring_sum``), and compares with the identity on the valid subspace.
+    With the default node counts the rule is exact, so the deviation is
+    roundoff.
     """
-    radii, phis, weights = lookup(rep.family).rings(rep, n_polar, n_azim)
     nv = rep.valid_dim
-    acc = weighted_outer_sum(coherent_table(rep, radii, phis)[:nv].T,
-                             np.repeat(weights, len(phis)))
-    return residual_norm2(acc - np.eye(nv))
+    return residual_norm2(_ring_sum(rep, n_polar, n_azim)[:nv, :nv] - np.eye(nv))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,7 +219,7 @@ def phi_derivative_identity_check(
     """
     h = 1e-4
     rep = clock.rep
-    omega_vec = displace(rep, omega)
+    omega_vec = displace(rep, [abs(omega)], [np.angle(omega)])[:, 0]
 
     def bra(p: float) -> np.ndarray:
         return coherent_vector(rep, rho, p)

@@ -85,7 +85,7 @@ def test_criterion_02_bch_equivalence():
         worst = 0.0
         for rho in rhos:
             for phi in phis:
-                direct = displace(rep, rho * np.exp(1j * phi))
+                direct = displace(rep, [rho], [phi])[:, 0]
                 closed = coherent_vector(rep, rho, phi)
                 worst = max(worst, float(np.linalg.norm(direct[:sub] - closed[:sub])))
         assert worst < 1e-10, rep.family

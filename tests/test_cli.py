@@ -470,14 +470,11 @@ def test_console_script_entry(tmp_path):
 def test_bch_check_keeps_a_nan_after_the_first_point(tmp_path, monkeypatch):
     """max() over a generator dropped a NaN difference unless it came first."""
     real = cli.displace
-    calls = []
 
-    def nan_on_the_second_point(rep, omega):
-        calls.append(omega)
-        vec = real(rep, omega)
-        if len(calls) == 2:
-            vec = np.full_like(vec, np.nan)
-        return vec
+    def nan_on_the_second_point(rep, radii, phis):
+        grid = real(rep, radii, phis)
+        grid[:, 1] = np.nan
+        return grid
 
     monkeypatch.setattr(cli, "displace", nan_on_the_second_point)
     assert run(["bch-check", "--su2-j", "2", "--points", "3", "--out", str(tmp_path)]) == 1
@@ -581,6 +578,53 @@ def test_constraint_configurations_check_something_or_are_refused(tmp_path_facto
     """``_run_edge_config`` holds for every drawn ``constraint`` configuration."""
     _run_edge_config(tmp_path_factory.mktemp("constraint"), "constraint",
                      f"con_j={j}\ncon_rho={rho}\ncon_width={width}\ncon_profile={profile}\n")
+
+
+@settings(max_examples=25)
+@given(points=st.sampled_from([-1, 0, 1, 2, 3, 12]),
+       su2_j=st.lists(st.sampled_from([-1.0, 0.0, 0.3, 0.5, 2.0, 10.0]), min_size=1, max_size=2),
+       h4_cut=st.sampled_from([-1, 0, 1, 2, 12, 48]),
+       rho_max=st.sampled_from([-0.5, 0.0, 0.02, 0.7, 3.0]))
+@example(points=12, su2_j=[0.5, 2.0], h4_cut=48, rho_max=0.7)
+@example(points=2, su2_j=[0.5], h4_cut=2, rho_max=0.02)
+def test_bch_check_configurations_check_something_or_are_refused(tmp_path_factory, points,
+                                                                 su2_j, h4_cut, rho_max):
+    """``_run_edge_config`` holds for every drawn ``bch-check`` configuration,
+    and a check runs only on at least 2 points per axis, spins that are
+    positive multiples of 1/2, an oscillator cutoff of at least 2 and
+    nonnegative radii."""
+    rc = _run_edge_config(tmp_path_factory.mktemp("bch"), "bch-check",
+                          f"bch_points={points}\nbch_su2_j={','.join(map(str, su2_j))}\n"
+                          f"bch_h4_cut={h4_cut}\nbch_rho_max={rho_max}\n")
+    assert rc == 2 or (points >= 2 and h4_cut >= 2 and rho_max >= 0
+                       and all(j > 0 and (2 * j).is_integer() for j in su2_j))
+
+
+@settings(max_examples=15)
+@given(j=st.sampled_from([-1.0, 0.0, 0.3, 0.5, 2.5, 10.0]),
+       h4_cut=st.sampled_from([-1, 0, 1, 2, 12, 48]))
+@example(j=2.5, h4_cut=48)
+def test_identity_resolution_configurations_check_something_or_are_refused(tmp_path_factory,
+                                                                           j, h4_cut):
+    """``_run_edge_config`` holds for every drawn ``identity-resolution``
+    configuration, and a check runs only on a spin that is a positive
+    multiple of 1/2 and an oscillator cutoff of at least 2."""
+    rc = _run_edge_config(tmp_path_factory.mktemp("identity"), "identity-resolution",
+                          f"idr_j={j}\nidr_h4_cut={h4_cut}\n")
+    assert rc == 2 or (j > 0 and (2 * j).is_integer() and h4_cut >= 2)
+
+
+def test_identity_resolution_at_j400_stays_small(tmp_path):
+    """The quadrature is summed ring by ring: no dim x rings x azimuths coherent
+    table, which at j 400 is 3.83 GiB.  The ring sum peaks near 60 MiB."""
+    tracemalloc.start()
+    try:
+        rc = run(["identity-resolution", "--j", "400", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 128 * 2 ** 20
 
 
 def _ascends(sizes):

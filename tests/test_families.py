@@ -186,7 +186,7 @@ def test_displace_equals_closed_form(name):
     @given(points(name))
     def check(point):
         rep, rho, phi = point
-        direct = displace(rep, rho * np.exp(1j * phi))
+        direct = displace(rep, [rho], [phi])[:, 0]
         closed = coherent_vector(rep, rho, phi)
         nv = rep.valid_dim
         assert np.linalg.norm(direct[:nv] - closed[:nv]) <= 1e-10

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,6 @@ from clocklab.gcs import (
     displace,
     identity_resolution_check,
     phi_derivative_identity_check,
-    weighted_outer_sum,
 )
 
 
@@ -37,7 +37,7 @@ def test_bch_closed_form_matches_exponential_su2(j):
     worst = 0.0
     for rho in np.linspace(0.05, 0.7, 6):
         for phi in np.linspace(0.0, 2 * np.pi, 6, endpoint=False):
-            direct = displace(rep, rho * np.exp(1j * phi))
+            direct = displace(rep, [rho], [phi])[:, 0]
             closed = coherent_vector(rep, rho, phi)
             worst = max(worst, float(np.linalg.norm(direct - closed)))
     assert worst < 1e-10
@@ -49,7 +49,7 @@ def test_bch_closed_form_matches_exponential_h4():
     sub = rep.valid_dim
     worst = 0.0
     for rho in np.linspace(0.05, 1.5, 6):
-        direct = displace(rep, rho * np.exp(0.7j))
+        direct = displace(rep, [rho], [0.7])[:, 0]
         closed = coherent_vector(rep, rho, 0.7)
         worst = max(worst, float(np.linalg.norm(direct[:sub] - closed[:sub])))
     assert worst < 1e-10
@@ -60,9 +60,80 @@ def test_bch_closed_form_matches_exponential_su11():
     rep = build_su11_rep(0.5, 96)
     sub = rep.valid_dim
     for rho in (0.1, 0.3, 0.5):
-        direct = displace(rep, rho * np.exp(1.1j))
+        direct = displace(rep, [rho], [1.1])[:, 0]
         closed = coherent_vector(rep, rho, 1.1)
         assert np.linalg.norm(direct[:sub] - closed[:sub]) < 1e-10
+
+
+GRID_ORACLE_CASES = {
+    "su2-j0.5": (lambda: build_su2_rep(0.5), 0.7),
+    "su2-j2": (lambda: build_su2_rep(2.0), 0.7),
+    "su2-j10": (lambda: build_su2_rep(10.0), 0.7),
+    "su2-j25": (lambda: build_su2_rep(25.0), 0.7),
+    "h4-cut48": (lambda: build_h4_rep(48), 1.5),
+    "su11-k1-cut96": (lambda: build_su11_rep(1.0, 96), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_ORACLE_CASES))
+def test_displace_grid_columns_are_the_per_point_exponentials(name):
+    """Column k len(phis) + a is expm(rho_k G_a) ref within (k + 2) dim u max(1, ||rho_k G_a||).
+
+    The grid reaches column k with k + 1 matrix-vector products: exp(rho_0
+    G_a) ref, then k products with S_a = exp(step G_a).  Every exact factor
+    is unitary (G_a is anti-hermitian), so each product adds at most
+    gamma_dim ~ dim u to the error of a unit vector, and each Pade
+    exponential, backward stable, is off by about dim u max(1, ||A||) at
+    its argument A, whose norm is at most ||rho_k G_a|| here.  With the
+    per-point reference's own exponential that is k + 2 terms of dim u
+    max(1, ||rho_k G_a||) at most.
+    """
+    build, rho_max = GRID_ORACLE_CASES[name]
+    rep = build()
+    radii = np.linspace(0.02, rho_max, 12)
+    phis = np.linspace(0.0, 2 * np.pi, 6, endpoint=False)
+    grid = displace(rep, radii, phis)
+    r_op = rep.raising_ops[0]
+    ref = rep.reference_state.astype(complex)
+    for k, rho in enumerate(radii):
+        for a, phi in enumerate(phis):
+            gen = rho * (np.exp(1j * phi) * r_op.conj().T - np.exp(-1j * phi) * r_op)
+            want = scipy.linalg.expm(gen) @ ref
+            bound = (k + 2) * rep.dim * U * max(1.0, np.linalg.norm(gen, 2))
+            assert np.linalg.norm(grid[:, k * len(phis) + a] - want) <= bound, (k, a)
+
+
+def test_displace_refuses_uneven_radii_and_takes_a_linspace_grid():
+    """The walk needs one step: radii off it by more than a few ulps are refused.
+    linspace(0.02, 0.9, 6) sets its last point to 0.9, one ulp above the walk."""
+    rep = build_su2_rep(2.0)
+    for radii in ([0.1, 0.2, 0.4], [0.1, 0.2, 0.3 + 1e-12], [0.1, np.nan, 0.3], [np.inf]):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            displace(rep, radii, [0.0])
+    radii = np.linspace(0.02, 0.9, 6)
+    walk = radii[0] + (radii[-1] - radii[0]) / 5 * np.arange(6)
+    assert radii[-1] - walk[-1] == np.spacing(radii[-1])
+    grid = displace(rep, radii, [0.4])
+    assert np.linalg.norm(grid[:, -1] - coherent_vector(rep, 0.9, 0.4)) < 1e-14
+
+
+def test_displace_walks_each_ray_with_two_exponentials(monkeypatch):
+    """At most two ``expm`` calls per azimuth, and no closed-form amplitude:
+    the oracle stays independent of the route it checks."""
+    calls = []
+    real = gcs.expm
+    monkeypatch.setattr(gcs, "expm", lambda a: calls.append(a.shape) or real(a))
+
+    def refuse(*args):
+        raise AssertionError("displace read the closed-form amplitudes")
+
+    monkeypatch.setattr(gcs, "amplitude_columns", refuse)
+    phis = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
+    displace(build_su2_rep(10.0), np.linspace(0.02, 0.7, 12), phis)
+    assert len(calls) <= 2 * len(phis)
+    calls.clear()
+    displace(build_h4_rep(48), [0.5], phis)
+    assert len(calls) == len(phis)
 
 
 def test_coherent_vector_is_normalized():
@@ -83,7 +154,7 @@ def test_displace_tail_guard():
     """Pushing a truncated family past its valid subspace raises."""
     rep = build_h4_rep(12)
     with pytest.raises(ValueError):
-        displace(rep, 3.5)
+        displace(rep, [3.5], [0.0])
 
 
 def test_coherent_state_object():
@@ -195,19 +266,23 @@ def per_node_identity_sum(rep, n_polar=None, n_azim=None):
 @pytest.mark.parametrize("rep, n_polar, n_azim", [
     (build_su2_rep(3.0), 24, 24),
     (build_h4_rep(48), 160, 48),
-], ids=["su2-j3", "h4-cut48"])
+    (build_h4_rep(48), 8, 24),
+], ids=["su2-j3", "h4-cut48", "h4-cut48-inexact"])
 def test_identity_resolution_equals_per_node_reference(rep, n_polar, n_azim):
-    """The sum is the per-node sum's within the summation bound, and so is the deviation.
+    """The ring sum is the per-node sum's within the summation bound, and so is the deviation.
 
     |dev - ref| <= ||acc - ref_acc||_2 by the triangle inequality; the two
     2-norm evaluations (eigenvalues, SVD) add a backward error of at most
-    nv^2 u times the norm each.
+    nv^2 u times the norm each.  The third case is no exact rule: 8 radii,
+    below the default 12, and the fewest azimuths ``rings`` accepts
+    (n_azim = valid_dim = 24) leave a deviation of 0.15, and the two sums
+    agree on what the rule gets wrong as well.
     """
     ref_acc, vectors, weights = per_node_identity_sum(rep, n_polar, n_azim)
-    acc = weighted_outer_sum(vectors, weights)
+    nv = rep.valid_dim
+    acc = gcs._ring_sum(rep, n_polar, n_azim)[:nv, :nv]
     bound = outer_sum_bound(vectors, weights)
     assert np.linalg.norm(acc - ref_acc, 2) <= bound
-    nv = rep.valid_dim
     dev = identity_resolution_check(rep, n_polar=n_polar, n_azim=n_azim)
     ref = float(np.linalg.norm(ref_acc - np.eye(nv), 2))
     assert abs(dev - ref) <= bound + nv ** 2 * U * (dev + ref)
@@ -219,7 +294,7 @@ def test_identity_resolution_equals_per_node_reference(rep, n_polar, n_azim):
 def test_quadrature_sum_is_hermitian_and_within_the_bound(rep):
     """su2 j in [1/2, 20] and h4 cuts 4..64 at the default rule."""
     ref_acc, vectors, weights = per_node_identity_sum(rep)
-    acc = weighted_outer_sum(vectors, weights)
+    acc = gcs._ring_sum(rep)[:rep.valid_dim, :rep.valid_dim]
     assert np.array_equal(acc, acc.conj().T)
     assert np.linalg.norm(acc - ref_acc, 2) <= outer_sum_bound(vectors, weights)
 

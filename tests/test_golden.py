@@ -182,10 +182,10 @@ def test_value_comparison_bounds():
 # radii and dim azimuths of a Gaussian psi centred at rho 0.55, width 0.18;
 # and the worst uncertainty slack on the phase-audit grid (j 15, 15 x 15)
 PINNED = {
-    "identity-j10": "0x1.5a0472d0e6b11p-46",
-    "identity-j20": "0x1.3c830705f7c30p-43",
-    "precs-j10": "0x1.197cd53185e74p-50",
-    "precs-j20": "0x1.245a8c70ceaf2p-50",
+    "identity-j10": "0x1.5204cede9196dp-46",
+    "identity-j20": "0x1.3c00124943c9ap-43",
+    "precs-j10": "0x1.1905ff2e79c9ap-50",
+    "precs-j20": "0x1.188ec34937a3ap-50",
     "uncertainty-j15": "0x1.c02bbe0a943f0p-5",
 }
 

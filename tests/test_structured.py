@@ -941,6 +941,44 @@ def residual_matrices(draw):
     return m
 
 
+def _route_examples():
+    """One matrix per route of ``dense_predicate_route``, which the suite's
+    derandomized draws of ``residual_matrices`` do not all reach: route ->
+    matrix, "interleaved" a periodic tridiagonal, banded only in the
+    interleaved order (width 2 there, so the definite route)."""
+    rng = np.random.default_rng(26)
+
+    def hermitian(n, band=None, cyclic=False):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = a + a.conj().T
+        dist = abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        if cyclic:
+            dist = np.minimum(dist, n - dist)
+        return m if band is None else np.where(dist <= band, m, 0.0)
+
+    shift = np.zeros((5, 5))
+    shift[[0, 1, 2, 3, 4], [2, 0, 4, 1, 3]] = rng.normal(size=5)
+    nan = hermitian(6, band=1)
+    nan[2, 3] = np.nan
+    return {
+        "shift": shift,
+        "banded": hermitian(9, band=1).real,
+        "definite": hermitian(12, band=3),
+        "interleaved": hermitian(10, band=1, cyclic=True),
+        "dense": hermitian(5),
+        "svd": rng.normal(size=(6, 6)),
+        "non-finite": nan,
+    }
+
+
+ROUTE_EXAMPLES = _route_examples()
+
+
+def test_every_route_has_an_example():
+    routes = {name: dense_predicate_route(m)[0] for name, m in ROUTE_EXAMPLES.items()}
+    assert routes == {name: name for name in ROUTE_EXAMPLES} | {"interleaved": "definite"}
+
+
 def test_nonzero_scan_takes_the_dense_predicates_route_and_bits(monkeypatch):
     """The route the dense predicates pick, with its LAPACK calls, and the
     dense form's bits on every route but the two banded ones.
@@ -961,6 +999,13 @@ def test_nonzero_scan_takes_the_dense_predicates_route_and_bits(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", _recording(calls, "norm", np.linalg.norm))
 
     @given(residual_matrices())
+    @example(ROUTE_EXAMPLES["shift"])
+    @example(ROUTE_EXAMPLES["banded"])
+    @example(ROUTE_EXAMPLES["definite"])
+    @example(ROUTE_EXAMPLES["interleaved"])
+    @example(ROUTE_EXAMPLES["dense"])
+    @example(ROUTE_EXAMPLES["svd"])
+    @example(ROUTE_EXAMPLES["non-finite"])
     def check(m):
         before = m.copy()
         route, _ = dense_predicate_route(m)
