@@ -4,7 +4,8 @@ pullback symplectic data, and Hamilton's equations on the clock manifold.
 Orientation convention, fixed once for the whole package: the chart maps
 q - i p = C(rho) e^{i phi} with C real, so advancing phi is the forward
 Hamiltonian flow and the extracted rate matches the quantum propagation
-rate with the same sign.
+rate with the same sign.  Planck's constant is 1: the classical limit is
+the growing clock at the intensive scale (an effective one of 1/2j).
 """
 from __future__ import annotations
 
@@ -49,19 +50,19 @@ def map_F(rho: float, phi: float, v: Sequence[float], clock: ClockModel) -> Darb
     )
 
 
-def two_form_coefficient(clock: ClockModel, rho: float, hbar: float = 1.0) -> float:
+def two_form_coefficient(clock: ClockModel, rho: float) -> float:
     """Closed-form coefficient of dphi ^ drho for the pulled-back two-form."""
-    return lookup(clock.rep.family).two_form(clock, rho, hbar)
+    return lookup(clock.rep.family).two_form(clock, rho)
 
 
-def _regular_two_form(clock: ClockModel, rho: float, hbar: float) -> float:
+def _regular_two_form(clock: ClockModel, rho: float) -> float:
     """The two-form coefficient at rho, refused where it vanishes.
 
     Those points (rho = 0, and rho = pi/2 on the sphere) are coordinate
     singularities of the chart, where brackets divide by zero.
     """
-    c = two_form_coefficient(clock, rho, hbar)
-    if abs(c) < 1e-12 * max(1.0, abs(clock.b2) * hbar):
+    c = two_form_coefficient(clock, rho)
+    if abs(c) < 1e-12 * max(1.0, abs(clock.b2)):
         raise ValueError(f"symplectic coefficient vanishes at rho = {rho} "
                          "(a coordinate singularity)")
     return c
@@ -76,20 +77,21 @@ class TwoFormReport:
     phi: float
 
 
-def _jacobian_assembly(hbar: float, d_rho: Callable, d_phi: Callable) -> float:
+def _jacobian_assembly(d_rho: Callable, d_phi: Callable) -> float:
     dq_drho, dp_drho = d_rho()
     dq_dphi, dp_dphi = d_phi()
-    return hbar * float(np.sum(dq_dphi * dp_drho - dq_drho * dp_dphi))
+    return float(np.sum(dq_dphi * dp_drho - dq_drho * dp_dphi))
 
 
 def pullback_two_form(clock: ClockModel, rho: float, phi: float,
-                      v: Sequence[float] = (1.0,), hbar: float = 1.0) -> TwoFormReport:
-    """Pullback of hbar * sum dq_j ^ dp_j through the chart map, three ways.
+                      v: Sequence[float] = (1.0,)) -> TwoFormReport:
+    """Pullback of sum dq_j ^ dp_j through the chart map, three ways.
 
     The closed form, an assembly from analytic partial derivatives, and an
     assembly from Richardson-extrapolated central differences of map_F
     itself (steps 1e-3 and 5e-4).  The last one treats the map as a black
-    box, which is what makes the agreement a real check.
+    box, which is what makes the agreement a real check.  At a coordinate
+    singularity all three vanish, so the point is refused.
     """
     fd_step = 1e-3
     v = np.asarray(v, dtype=float)
@@ -120,10 +122,9 @@ def pullback_two_form(clock: ClockModel, rho: float, phi: float,
         return (4 * d2q - d1q) / 3.0, (4 * d2p - d1p) / 3.0
 
     return TwoFormReport(
-        analytic=two_form_coefficient(clock, rho, hbar),
-        jacobian_analytic=_jacobian_assembly(hbar, analytic_rho, analytic_phi),
-        jacobian_fd=_jacobian_assembly(hbar, lambda: fd_partial("rho"),
-                                       lambda: fd_partial("phi")),
+        analytic=_regular_two_form(clock, rho),
+        jacobian_analytic=_jacobian_assembly(analytic_rho, analytic_phi),
+        jacobian_fd=_jacobian_assembly(lambda: fd_partial("rho"), lambda: fd_partial("phi")),
         rho=float(rho), phi=float(phi),
     )
 
@@ -138,8 +139,8 @@ class HamiltonReport:
 
 def hamilton_check(clock: ClockModel, v: Sequence[float],
                    rho_grid: Sequence[float], phi_grid: Sequence[float],
-                   hbar: float = 1.0, method: str = "analytic") -> HamiltonReport:
-    """Residual of {x_j, H} = (eps/hbar) * dx_j/dphi for x in {q, p}.
+                   method: str = "analytic") -> HamiltonReport:
+    """Residual of {x_j, H} = eps * dx_j/dphi for x in {q, p}.
 
     With analytic partials both sides differ only through two independent
     closed forms of the same quantity, so the residual is a roundoff
@@ -151,11 +152,10 @@ def hamilton_check(clock: ClockModel, v: Sequence[float],
         raise ValueError(f"unknown method {method!r}")
     v = np.asarray(v, dtype=float)
     phis = np.asarray(phi_grid, dtype=float)
-    target = clock.epsilon / hbar
     worst_q = worst_p = 0.0
     for rho in rho_grid:
         rho = float(rho)
-        c_coeff = _regular_two_form(clock, rho, hbar)
+        c_coeff = _regular_two_form(clock, rho)
         c, cp = lookup(clock.rep.family).chart_radius(clock, rho)
         if method == "analytic":
             # one row per phi, broadcast over the components of v
@@ -169,11 +169,11 @@ def hamilton_check(clock: ClockModel, v: Sequence[float],
             dp_dphi = np.array([(f_p.p - f_m.p) / (2 * fd_step) for f_p, f_m in points])
             de_drho = (clock_symbol_analytic(clock, rho + fd_step)
                        - clock_symbol_analytic(clock, rho - fd_step)) / (2 * fd_step)
-        # bracket - target * dx/dphi; np.maximum propagates nan, where max() would drop it
+        # bracket - eps * dx/dphi; np.maximum propagates nan, where max() would drop it
         worst_q = np.maximum(worst_q, np.abs(dq_dphi * de_drho / c_coeff
-                                             - target * dq_dphi).max(initial=0.0))
+                                             - clock.epsilon * dq_dphi).max(initial=0.0))
         worst_p = np.maximum(worst_p, np.abs(dp_dphi * de_drho / c_coeff
-                                             - target * dp_dphi).max(initial=0.0))
+                                             - clock.epsilon * dp_dphi).max(initial=0.0))
     worst_q, worst_p = float(worst_q), float(worst_p)
     return HamiltonReport(
         max_residual=float(np.maximum(worst_q, worst_p)),
@@ -182,20 +182,18 @@ def hamilton_check(clock: ClockModel, v: Sequence[float],
     )
 
 
-def classical_flow_rate(clock: ClockModel, rho: float = 0.5, hbar: float = 1.0) -> float:
-    """Flow coefficient hbar * {q, H} / (dq/dphi) at (rho, phi = 0.7), J = 1.
+def classical_flow_rate(clock: ClockModel) -> float:
+    """Flow coefficient {q, H} / (dq/dphi) at (rho, phi) = (0.5, 0.7), J = 1.
 
-    This is the classical-side number that criterion-style comparisons
-    hold against the quantum propagation rate.
+    This is the classical-side number held against the quantum propagation
+    rate.  A two-form regular at rho = 0.5 makes C, so dq/dphi, nonzero.
     """
-    c_coeff = _regular_two_form(clock, float(rho), hbar)
-    c, cp = lookup(clock.rep.family).chart_radius(clock, float(rho))
+    c_coeff = _regular_two_form(clock, 0.5)
+    c, cp = lookup(clock.rep.family).chart_radius(clock, 0.5)
     dq_dphi = -c * np.sin(0.7)
-    if abs(dq_dphi) < 1e-12:
-        raise ValueError("dq/dphi vanishes at this point; pick phi away from 0 mod pi")
     de_drho = clock.epsilon * c * cp
     bracket = dq_dphi * de_drho / c_coeff
-    return hbar * bracket / dq_dphi
+    return bracket / dq_dphi
 
 
 # --- joint coherent amplitudes over both manifolds --------------------------

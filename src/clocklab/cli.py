@@ -152,7 +152,7 @@ _TABLE: dict[str, dict[str, tuple]] = {
         "stat_family": (("su2", "h4"), "su2", "--family", "clock family"),
         "stat_sizes": ("floatlist", (5.0, 10.0, 20.0, 40.0),
                        "--sizes", "comma list of clock sizes"),
-        "stat_rho": ("float", 0.6, "--rho", "probe radius"),
+        "stat_rho": ("float", 0.6, "--rho", "probe radius (su2 only)"),
         "stat_width": ("float", 0.25, "--width", "profile energy width"),
     },
     "phase-audit": {
@@ -252,6 +252,7 @@ def load_config(path: str | None, overrides: dict[str, object],
                 tol_overrides: Sequence[str]) -> dict[str, object]:
     """Merge defaults, file, then command line; validate everything."""
     cfg = {k: _cast(k, default) for k, (_, default) in _KEYS.items()}
+    given = set()  # the keys the file or the command line set
     if path is not None:
         text = pathlib.Path(path).read_text()
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -265,6 +266,7 @@ def load_config(path: str | None, overrides: dict[str, object],
             if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             cfg[key] = _cast(key, value.strip())
+            given.add(key)
     env_out = os.environ.get(ENV_OUT)
     if env_out:
         cfg["out"] = env_out
@@ -274,6 +276,7 @@ def load_config(path: str | None, overrides: dict[str, object],
         if key not in _KEYS:
             raise ConfigError(f"unknown option {key!r}")
         cfg[key] = _cast(key, value)
+        given.add(key)
     for item in tol_overrides:
         if "=" not in item:
             raise ConfigError(f"--tol-override expects KEY=VAL, got {item!r}")
@@ -311,6 +314,9 @@ def load_config(path: str | None, overrides: dict[str, object],
             raise ConfigError(f"{key!r} needs at least 2 sizes, got {len(sizes)}")
         if any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ConfigError(f"{key!r} must strictly ascend{how}, got {_canon(key, cfg[key])}")
+    # the h4 sweep pins rho to a ladder level, so a radius given for it checks nothing
+    if "stat_rho" in given and cfg["stat_family"] == "h4":
+        raise ConfigError("'stat_rho' is for stat_family=su2 only; h4 pins its rho")
     # one grid point is rho = 0 alone, where both symbols vanish exactly
     if not cfg["sym_rho"] and cfg["sym_points"] < 2:
         raise ConfigError(f"'sym_points' must be at least 2, got {cfg['sym_points']!r}")

@@ -228,27 +228,23 @@ def resonant_ladder(clock: ClockModel, n_levels: int) -> np.ndarray:
     return clock.epsilon * np.arange(n_levels, dtype=float)
 
 
-def detuned_ladder(clock: ClockModel, n_levels: int, offset: float = 0.5) -> np.ndarray:
-    """Ladder shifted off resonance by a fraction of the gap, as its energies; empty kernel."""
+def detuned_ladder(clock: ClockModel, n_levels: int, offset: float) -> np.ndarray:
+    """Ladder shifted off resonance by ``offset`` gaps, as its energies; a
+    non-integer offset empties the kernel."""
     return clock.epsilon * (np.arange(n_levels, dtype=float) + offset)
 
 
-def su2_stationary_experiment(j: float, rho: float = 0.6, width: float = 0.25,
-                              detune: float = 0.0) -> ConvergenceRecord:
+def su2_stationary_experiment(j: float, rho: float = 0.6,
+                              width: float = 0.25) -> ConvergenceRecord:
     """Stationary residual for an intensive spin clock against its own ladder.
 
     The system spectrum copies the full clock ladder, so every level is
     matched; the profile is a Gaussian centered on the energy surface at
     the probed rho, read at phi = 0.3.  Residuals shrink as the coherent
     state sharpens.
-    A nonzero detune (in gap units) empties the kernel, which is the
-    sweep's refusal path.
     """
     clock = intensive_su2_clock(j)
-    if detune:
-        h_system = detuned_ladder(clock, clock.dim, offset=detune)
-    else:
-        h_system = resonant_ladder(clock, clock.dim)
+    h_system = resonant_ladder(clock, clock.dim)
     psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
     value = stationary_residual(psi, clock, h_system, rho, 0.3)
     return ConvergenceRecord(size=clock.dim, residual=value)

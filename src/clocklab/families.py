@@ -26,8 +26,8 @@ class Family:
     - ``symbol(clock, rho)``: the closed-form clock symbol;
     - ``chart_radius(clock, rho)``: the Darboux factor C(rho) and its
       derivative, with (eps/2) C(rho)^2 the coherent energy surface;
-    - ``two_form(clock, rho, hbar)``: the coefficient of dphi ^ drho of the
-      pulled-back two-form;
+    - ``two_form(clock, rho)``: the coefficient of dphi ^ drho of the
+      pulled-back two-form, with Planck's constant 1;
 
     and, where the family has them, ``rep_for_size`` and the radial rule
     behind ``rings``.  Adding a family means one subclass here
@@ -100,8 +100,8 @@ class _SU2(Family):
         amp = np.sqrt(2.0 * abs(clock.b2))
         return amp * np.sin(rho), amp * np.cos(rho)
 
-    def two_form(self, clock, rho, hbar):
-        return hbar * abs(clock.b2) * np.sin(2.0 * rho)
+    def two_form(self, clock, rho):
+        return abs(clock.b2) * np.sin(2.0 * rho)
 
     def rep_for_size(self, size):
         """``size`` is 2j."""
@@ -153,8 +153,8 @@ class _H4(Family):
     def chart_radius(self, clock, rho):
         return np.sqrt(2.0) * rho, np.sqrt(2.0)
 
-    def two_form(self, clock, rho, hbar):
-        return 2.0 * hbar * rho
+    def two_form(self, clock, rho):
+        return 2.0 * rho
 
     def rep_for_size(self, size):
         """``size`` is the Fock cutoff."""
@@ -197,8 +197,8 @@ class _SU11(Family):
         amp = np.sqrt(2.0 * abs(clock.b2))
         return -amp * np.sinh(rho), -amp * np.cosh(rho)
 
-    def two_form(self, clock, rho, hbar):
-        return hbar * abs(clock.b2) * np.sinh(2.0 * rho)
+    def two_form(self, clock, rho):
+        return abs(clock.b2) * np.sinh(2.0 * rho)
 
 
 su2 = _SU2()

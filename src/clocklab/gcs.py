@@ -145,9 +145,9 @@ def coherent_vector(rep: LieAlgebraRep, rho: float, phi: float) -> np.ndarray:
     return coherent_points(rep, [rho], [phi])[:, 0]
 
 
-def clock_symbol_numeric(clock: ClockModel, rho: float, phi: float = 0.0) -> float:
-    """<lambda|h_c|lambda> evaluated from the state vector."""
-    v = coherent_vector(clock.rep, rho, phi)
+def clock_symbol_numeric(clock: ClockModel, rho: float) -> float:
+    """<lambda|h_c|lambda> evaluated from the state vector at phi = 0."""
+    v = coherent_vector(clock.rep, rho, 0.0)
     return float(np.vdot(v, clock.energies * v).real)
 
 

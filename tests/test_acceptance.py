@@ -206,11 +206,11 @@ def test_criterion_10_time_unification():
 
     The quantum side reads the rate off the conditional state's eigenphase
     slopes; the classical side is the bracket coefficient from the Hamilton
-    identity with hbar = 1.  Both are measured, not assumed.
+    identity (hbar = 1).  Both are measured, not assumed.
     """
     clock, h_system, psi = gaussian_state(10.0, rho=0.45, width=0.2)
     quantum = quantum_flow_rate(psi, clock, h_system, rho=0.45)
-    classical = classical_flow_rate(clock, hbar=1.0)
+    classical = classical_flow_rate(clock)
     assert abs(quantum - classical) < 1e-10
 
 

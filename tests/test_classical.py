@@ -103,12 +103,6 @@ def test_pullback_three_routes_agree(clock, v):
     assert abs(report.jacobian_fd - report.analytic) < 1e-10
 
 
-def test_pullback_hbar_scaling():
-    a = pullback_two_form(SU2, 0.5, 0.7, hbar=1.0)
-    b = pullback_two_form(SU2, 0.5, 0.7, hbar=3.0)
-    assert abs(b.analytic - 3.0 * a.analytic) < 1e-12
-
-
 def test_hamilton_grid_singularity_refusal():
     """A radial grid that touches rho = 0 is refused, not divided by zero."""
     with pytest.raises(ValueError, match="vanishes"):
@@ -119,14 +113,19 @@ def test_hamilton_grid_singularity_refusal():
 @pytest.mark.parametrize("clock, rho", [(SU2, 0.0), (SU2, np.pi / 2), (H4, 0.0)],
                          ids=["su2-origin", "su2-pole", "h4-origin"])
 def test_classical_flow_rate_singularity_refusal(clock, rho):
+    """The two-form refusal classical_flow_rate shares, at each chart singularity.
+
+    classical_flow_rate reads rho = 0.5 only, so a one-radius grid of
+    hamilton_check reaches the singular points.
+    """
     with pytest.raises(ValueError, match="vanishes"):
-        classical_flow_rate(clock, rho=rho)
+        hamilton_check(clock, (1.0,), [rho], np.linspace(0.0, 2 * np.pi, 5, endpoint=False))
 
 
 @pytest.mark.parametrize("clock", [SU2, H4], ids=["su2", "h4"])
 @pytest.mark.parametrize("v", [(1.0,), (0.6, 0.8)], ids=["J1", "J2"])
 def test_hamilton_identity_analytic(clock, v):
-    """{x_j, H} = (eps/hbar) d(x_j)/dphi on a 20x20 grid, analytic partials."""
+    """{x_j, H} = eps d(x_j)/dphi on a 20x20 grid, analytic partials."""
     report = hamilton_check(clock, v, np.linspace(0.1, 0.8, 20),
                             np.linspace(0.0, 2 * np.pi, 20, endpoint=False))
     assert report.max_residual < 1e-10
@@ -138,13 +137,6 @@ def test_hamilton_identity_finite_difference():
                             np.linspace(0.0, 2 * np.pi, 5, endpoint=False),
                             method="fd")
     assert report.max_residual < 1e-6
-
-
-def test_hamilton_hbar_consistency():
-    """hbar rescales the bracket and the flow rate together; residual stays zero."""
-    report = hamilton_check(SU2, (1.0,), np.linspace(0.2, 0.6, 5),
-                            np.linspace(0.0, 2 * np.pi, 5, endpoint=False), hbar=2.0)
-    assert report.max_residual < 1e-12
 
 
 def test_classical_flow_rate_is_gap():

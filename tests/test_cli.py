@@ -701,6 +701,123 @@ def test_classical_limit_configurations_check_something_or_are_refused(tmp_path_
         assert all(int(line.split(",")[column]) > 0 for line in lines)
 
 
+def _spin(j):
+    return j > 0 and (2 * j).is_integer()
+
+
+@settings(max_examples=25)
+@given(su2_j=st.lists(st.sampled_from([-1.0, 0.0, 0.3, 0.5, 2.0, 50.0]), min_size=1, max_size=4),
+       h4_cut=st.sampled_from([-1, 0, 1, 2, 12, 256]),
+       su11_k=st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.5]),
+       su11_cut=st.sampled_from([-1, 0, 1, 2, 16, 64]))
+@example(su2_j=[0.5, 2.0, 50.0], h4_cut=256, su11_k=0.5, su11_cut=64)
+def test_verify_algebra_configurations_check_something_or_are_refused(tmp_path_factory, su2_j,
+                                                                      h4_cut, su11_k, su11_cut):
+    """``_run_edge_config`` holds for every drawn ``verify-algebra``
+    configuration, and a check runs only on spins that are positive
+    multiples of 1/2, cutoffs of at least 2 and a positive Bargmann index."""
+    rc = _run_edge_config(tmp_path_factory.mktemp("algebra"), "verify-algebra",
+                          f"alg_su2_j={','.join(map(str, su2_j))}\nalg_h4_cut={h4_cut}\n"
+                          f"alg_su11_k={su11_k}\nalg_su11_cut={su11_cut}\n")
+    assert rc == 2 or (all(_spin(j) for j in su2_j) and h4_cut >= 2
+                       and su11_k > 0 and su11_cut >= 2)
+
+
+@settings(max_examples=30)
+@given(algebra=st.sampled_from(["all", "su2", "h4", "su11"]),
+       rho=st.sampled_from(["", "-1", "0", "0.3", "50", "nan"]),
+       points=st.sampled_from([-1, 0, 1, 2, 15]),
+       su2_j=st.sampled_from([-1.0, 0.0, 0.3, 0.5, 10.0]),
+       h4_mean=st.sampled_from([-1.0, 0.0, 0.5, 24.0]),
+       su11_cut=st.sampled_from([-1, 0, 1, 2, 96]))
+@example(algebra="all", rho="", points=15, su2_j=10.0, h4_mean=24.0, su11_cut=96)
+@example(algebra="su2", rho="50", points=15, su2_j=10.0, h4_mean=24.0, su11_cut=96)
+def test_symbol_configurations_check_something_or_are_refused(tmp_path_factory, algebra, rho,
+                                                              points, su2_j, h4_mean, su11_cut):
+    """``_run_edge_config`` holds for every drawn ``symbol`` configuration,
+    and each family's gate reads one row per point: the one radius given,
+    or a grid of at least 2."""
+    root = tmp_path_factory.mktemp("symbol")
+    rc = _run_edge_config(root, "symbol",
+                          f"sym_algebra={algebra}\nsym_rho={rho}\nsym_points={points}\n"
+                          f"sym_su2_j={su2_j}\nsym_h4_mean={h4_mean}\nsym_su11_cut={su11_cut}\n")
+    if rc != 2:
+        _, *lines = (only_run_dir(root / "o", "symbol") / "data.csv").read_text().splitlines()
+        families = ["su2", "h4", "su11"] if algebra == "all" else [algebra]
+        assert [line.split(",")[0] for line in lines] == [
+            f for f in families for _ in range(1 if rho else points)]
+        assert rho or points >= 2
+
+
+@settings(max_examples=30)
+@given(j=st.sampled_from([-1.0, 0.0, 0.3, 0.5, 1.0, 40.0]),
+       rho=st.sampled_from([-0.1, 0.0, 0.45, 1.5]),
+       phi=st.sampled_from([-1.0, 0.0, 0.6]),
+       h=st.sampled_from([-1e-4, 0.0, 1e-4]),
+       width=st.sampled_from([-0.2, 0.0, 0.2]),
+       phi_points=st.sampled_from([0, 1, 2, 25]))
+@example(j=10.0, rho=0.45, phi=0.6, h=1e-4, width=0.2, phi_points=25)
+def test_schrodinger_configurations_check_something_or_are_refused(tmp_path_factory, j, rho, phi,
+                                                                   h, width, phi_points):
+    """``_run_edge_config`` holds for every drawn ``schrodinger``
+    configuration, and a check runs only on a spin that is a positive
+    multiple of 1/2, a nonnegative radius, a nonzero step, a positive width
+    and at least 2 propagator angles."""
+    rc = _run_edge_config(tmp_path_factory.mktemp("schrodinger"), "schrodinger",
+                          f"sch_j={j}\nsch_rho={rho}\nsch_phi={phi}\nsch_h={h}\n"
+                          f"sch_width={width}\nsch_phi_points={phi_points}\n")
+    assert rc == 2 or (_spin(j) and rho >= 0 and h != 0 and width > 0 and phi_points >= 2)
+
+
+@settings(max_examples=30)
+@given(su2_j=st.sampled_from([-1.0, 0.0, 0.3, 0.5, 10.0]),
+       h4_mean=st.sampled_from([-1.0, 0.0, 0.5, 32.0]),
+       grid=st.sampled_from([0, 1, 2, 20]),
+       rho=st.sampled_from([-0.5, 0.0, 0.5, np.pi / 2]),
+       js=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=4))
+@example(su2_j=10.0, h4_mean=32.0, grid=20, rho=0.5, js=[1.0, 2.0])
+@example(su2_j=10.0, h4_mean=32.0, grid=20, rho=0.0, js=[1.0, 2.0])
+def test_hamilton_configurations_check_something_or_are_refused(tmp_path_factory, su2_j,
+                                                                h4_mean, grid, rho, js):
+    """``_run_edge_config`` holds for every drawn ``hamilton`` configuration,
+    and a check runs only on a spin that is a positive multiple of 1/2, a
+    positive oscillator mean, at least 2 grid points, system sizes J of 1 or
+    2, and a pullback radius off the chart's singular points (rho = 0, and
+    pi/2 on the sphere), where all three routes of the two-form vanish."""
+    rc = _run_edge_config(tmp_path_factory.mktemp("hamilton"), "hamilton",
+                          f"ham_su2_j={su2_j}\nham_h4_mean={h4_mean}\nham_grid={grid}\n"
+                          f"ham_rho={rho}\nham_js={','.join(map(str, js))}\n")
+    assert rc == 2 or (_spin(su2_j) and h4_mean > 0 and grid >= 2
+                       and all(x in (1.0, 2.0) for x in js) and rho in (-0.5, 0.5))
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_a_stationary_radius_for_h4_is_refused(tmp_path, capsys, where):
+    """The h4 sweep pins rho to a ladder level, so a radius given for it, in
+    the config file or on the command line, would check nothing: exit 2,
+    nothing written."""
+    args = ["stationary-sweep", "--family", "h4", "--out", str(tmp_path / "o")]
+    if where == "config":
+        (tmp_path / "c.cfg").write_text("stat_rho=0.6\n")
+        args += ["--config", str(tmp_path / "c.cfg")]
+    else:
+        args += ["--rho", "0.9"]
+    assert run(args) == 2
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err.startswith("config error: 'stat_rho'")
+
+
+def test_a_stationary_radius_for_su2_is_read(tmp_path):
+    """On su2 the radius is the probe point: two radii give two sweeps."""
+    rows = []
+    for rho in ("0.6", "0.9"):
+        out = tmp_path / rho
+        assert run(["stationary-sweep", "--rho", rho, "--sizes", "5,10,20",
+                    "--out", str(out)]) == 0
+        rows.append((only_run_dir(out, "stationary-sweep") / "data.csv").read_text())
+    assert rows[0] != rows[1]
+
+
 @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 29.9 GiB"), MemoryError()],
                          ids=["message", "bare"])
 def test_an_allocation_failure_is_refused(tmp_path, monkeypatch, capsys, error):

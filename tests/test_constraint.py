@@ -125,7 +125,7 @@ def test_single_pair_psi_warns_and_separates():
 
 def test_build_psi_refusals():
     clock = intensive_su2_clock(2.0)
-    match = match_spectra(clock.h_c, detuned_ladder(clock, 3), tol=1e-9 * clock.epsilon)
+    match = match_spectra(clock.h_c, detuned_ladder(clock, 3, 0.5), tol=1e-9 * clock.epsilon)
     with pytest.raises(ValueError, match="no matched pairs"):
         build_psi(match, np.ones(0))
     good = match_spectra(clock.h_c, resonant_ladder(clock, 3), tol=1e-9 * clock.epsilon)

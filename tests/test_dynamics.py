@@ -144,9 +144,14 @@ def test_sweep_requires_three_sizes():
 
 def test_sweep_refusal_on_empty_kernel():
     """A detuned system spectrum shares no level with the clock; refuse."""
+    def detuned(size):
+        clock = intensive_su2_clock(float(size))
+        h_system = detuned_ladder(clock, clock.dim, offset=0.37)
+        psi = gaussian_state(clock, h_system, energy_of_rho(clock, 0.6), 0.25)
+        return ConvergenceRecord(clock.dim, stationary_residual(psi, clock, h_system, 0.6, 0.3))
+
     with pytest.raises(ValueError, match="no constraint states"):
-        convergence_sweep([5, 10, 20],
-                          lambda s: su2_stationary_experiment(float(s), detune=0.37))
+        convergence_sweep([5, 10, 20], detuned)
 
 
 def test_detuned_ladder_has_no_matches():

@@ -228,8 +228,11 @@ def test_numeric_symbol_equals_closed_form(name):
         rep, rho, phi = point
         clock = build_clock(rep, scale=scale)
         analytic = clock_symbol_analytic(clock, rho)
-        assert clock_symbol_numeric(clock, rho, phi) == pytest.approx(
-            analytic, rel=1e-8, abs=1e-12 * clock.epsilon * rep.dim)
+        tol = dict(rel=1e-8, abs=1e-12 * clock.epsilon * rep.dim)
+        # <lambda|h_c|lambda> at the drawn phi as well: the symbol is phi-independent
+        v = coherent_vector(rep, rho, phi)
+        assert float(np.vdot(v, clock.energies * v).real) == pytest.approx(analytic, **tol)
+        assert clock_symbol_numeric(clock, rho) == pytest.approx(analytic, **tol)
 
     check()
 

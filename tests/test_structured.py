@@ -8,9 +8,8 @@ and bits with a copy of the dense-predicate form kept in the test.
 ``_eigh`` (a standard eigenbasis returned as None), the level pairing by
 sorted windows, ``build_psi`` (its identity-basis scatter and its
 entropy), the phase operator and its commutator residuals (formed on the
-cyclic band) and the step-vector unitarity guard of
-``build_phase_operator`` are compared with the dense products, outer
-comparisons or LAPACK calls they stand in for;
+cyclic band) are compared with the dense products, outer comparisons or
+LAPACK calls they stand in for;
 ``quantum_flow_rate`` (one table product and one least-squares closed
 form) with a per-phi, per-component reference, within a roundoff bound the
 test derives.
@@ -55,7 +54,6 @@ from clocklab.dynamics import energy_of_rho, quantum_flow_rate, resonant_ladder
 from clocklab.gcs import coherent_table
 from clocklab.phase import (
     PhaseOperator,
-    _unitarity_residual,
     build_phase_operator,
     commutator_check,
 )
@@ -1455,11 +1453,7 @@ def test_flow_rate_in_a_rotated_basis():
     assert abs(got - clock.epsilon) < 1e-9
 
 
-# --- the unitarity guard of the phase operator ------------------------------
-
-
-def dense_unitarity(u):
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+# --- the phase operator is unitary by construction ---------------------------
 
 
 def cyclic_shift(phases):
@@ -1471,21 +1465,31 @@ def cyclic_shift(phases):
     return u
 
 
+def assert_exactly_unitary(rep):
+    """Each phase is exactly +1 or -1, |s| * phase is the step s bit for bit
+    (the polar identity A = |A| U), and U^dag U is the identity exactly."""
+    steps = rep.ladder
+    phase = build_phase_operator(build_clock(rep))
+    assert np.all((phase.phases == 1.0) | (phase.phases == -1.0))
+    assert (np.sqrt(steps * steps) * phase.phases).tobytes() == steps.tobytes()
+    u = phase.exp_minus_iphi
+    assert np.array_equal(u.conj().T @ u, np.eye(rep.dim))
+
+
 @pytest.mark.parametrize("rep", [build_su2_rep(40.0), build_h4_rep(64),
                                  build_su11_rep(1.5, 64)], ids=["su2", "h4", "su11"])
-def test_unitarity_residual_of_the_ladders_is_the_dense_one(rep):
-    u = build_phase_operator(build_clock(rep)).exp_minus_iphi
-    assert _unitarity_residual(np.diagonal(u, -1)) == dense_unitarity(u)
+def test_the_phase_operator_of_each_ladder_is_exactly_unitary(rep):
+    assert_exactly_unitary(rep)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.floats(1e-12, 1e-3))
-def test_a_shift_off_the_unit_circle_is_rejected(seed, n, bump):
-    rng = np.random.default_rng(seed)
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
-    phases[int(rng.integers(n - 1))] *= 1 + bump  # |step|^2 - 1 is about 2 * bump
-    got, ref = _unitarity_residual(phases), dense_unitarity(cyclic_shift(phases))
-    assert got > 1e-12 and ref > 1e-12
-    assert abs(got - ref) <= 4 * n * np.finfo(float).eps * max(got, 1.0)
+# a step s with s * s neither overflowing nor underflowing, either sign
+real_steps = st.builds(lambda sign, size: sign * size,
+                       st.sampled_from([-1.0, 1.0]), st.floats(1e-150, 1e150))
+
+
+@given(st.lists(real_steps, min_size=2, max_size=12))
+def test_the_phase_operator_of_any_real_nonzero_ladder_is_exactly_unitary(steps):
+    assert_exactly_unitary(dataclasses.replace(build_h4_rep(len(steps)), ladder=np.array(steps)))
 
 
 def test_a_vanishing_step_is_refused():
