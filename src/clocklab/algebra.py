@@ -30,7 +30,7 @@ _SQRT2 = float(np.sqrt(2.0))
 # exact predicate and, when it holds, gives the answer the dense LAPACK
 # route would give without the dense work; otherwise it runs that route.
 # A residual's norm is the answer to within rounding, not to the bit: a
-# tridiagonal's two ends come from bisection, a wider band's norm from
+# tridiagonal's ends come from bisection, a wider band's norm from
 # banded Cholesky tests of definiteness, O(dim b^2) each, no reduction.
 
 
@@ -42,8 +42,11 @@ def _diagonal(a: np.ndarray) -> np.ndarray | None:
     """
     if a.ndim == 1:
         return a
-    d = np.diagonal(a)
-    return d if np.count_nonzero(a) == np.count_nonzero(d) else None
+    # the entries between diagonal k and diagonal k + 1 of the flat matrix are
+    # row k of its (dim - 1) x (dim + 1) reshape, less the last column
+    dim = a.shape[0]
+    off = a.ravel()[1:].reshape(dim - 1, dim + 1)[:, :-1]
+    return None if off.any() else np.diagonal(a)
 
 
 # LAPACK's syevd rescales a matrix whose largest |entry| lies outside
@@ -90,9 +93,11 @@ def residual_norm2(m: np.ndarray) -> float:
        nonzero pattern; when 2b + 1 >= dim, b of its symmetric permutation
        by ``_interleave`` is read instead (a cyclic band narrows so).
        When 2b + 1 < dim: for b = 1, ``eigvals_banded`` finds only the
-       smallest and the largest eigenvalue (dsbevx/zhbevx bisection); for
-       b >= 2, the norm is the least float x at which x I - m and x I + m
-       both pass a banded Cholesky (dpbtrf/zpbtrf), found by bisection
+       smallest and the largest eigenvalue (dsbevx/zhbevx bisection), or
+       only the largest when the diagonal is zero and the spectrum
+       symmetric, as in every interior commutator residual; for b >= 2,
+       the norm is the least float x at which x I - m and x I + m both
+       pass a banded Cholesky (dpbtrf/zpbtrf), found by bisection
        between the largest |entry| and the largest absolute row sum, with
        no reduction to tridiagonal.  Otherwise ``eigvalsh`` finds every
        eigenvalue.
@@ -168,11 +173,15 @@ def _nonzero_norm2(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarra
         at = position[cols[below]]
         lower[position[rows[below]] - at, at] = scaled.real[below] if real else scaled[below]
         if band == 1:
-            # only the two ends, each by bisection on the tridiagonal (dstebz)
-            low, high = (scipy.linalg.eigvals_banded(lower, lower=True, select="i",
-                                                     select_range=(k, k), check_finite=False)[0]
-                         for k in (0, dim - 1))
-            return float(max(-low, high))
+            # the ends, each by bisection on the tridiagonal (dstebz); with a zero
+            # diagonal D T D = -T for D = diag((-1)^k), so lambda_min = -lambda_max
+            def end(k):
+                return scipy.linalg.eigvals_banded(lower, lower=True, select="i",
+                                                   select_range=(k, k), check_finite=False)[0]
+
+            if lower[0].any():
+                return float(max(-end(0), end(dim - 1)))
+            return float(end(dim - 1))
         # scaled by an even power of two to largest |entry| in [1, 4): exact, and
         # every step of a Cholesky factorization scales with it, so its verdicts stay
         mags = np.abs(vals)

@@ -278,6 +278,7 @@ def _conditional_rows(psi: CompositeState, clock: ClockModel, rho: float, phis) 
     if not psi.match.standard_basis or np.bincount(idx_g).max(initial=0) > 1:
         return bras.conj().T @ psi.matrix
     terms = bras[idx_c]
+    del bras  # one call holds two table-sized arrays at once, not three
     np.conjugate(terms, out=terms)
     terms *= psi.coefficients[:, None]
     rows = np.zeros((len(phis), psi.dim_system), dtype=complex)

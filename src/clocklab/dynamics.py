@@ -56,13 +56,6 @@ def _apply(h_system: np.ndarray, v: np.ndarray) -> np.ndarray:
     return d * v if d is not None else h_system @ v
 
 
-def _first_order_residual_at(psi, clock, rho, phi, h, rhs, norm):
-    plus = conditional_state(psi, clock, rho, phi + h).unnormalized
-    minus = conditional_state(psi, clock, rho, phi - h).unnormalized
-    lhs = 1j * clock.epsilon * (plus - minus) / (2.0 * h)
-    return float(np.linalg.norm(lhs - rhs)) / norm
-
-
 def schrodinger_residual(psi: CompositeState, clock: ClockModel,
                          h_system: np.ndarray, rho: float, phi: float,
                          h: float = 1e-4) -> FirstOrderResidual:
@@ -71,14 +64,18 @@ def schrodinger_residual(psi: CompositeState, clock: ClockModel,
     The derivative is a central difference in the clock phase; the
     residual is evaluated at step h and h/2 and the Richardson slope
     log2(r(h)/r(h/2)) reported.  Because chi2 does not depend on phi,
-    normalizing commutes with differentiating.
+    normalizing commutes with differentiating.  The five conditional
+    states of the stencil, at phi, phi +- h and phi +- h/2, are one table
+    of bras times psi; the lead state is refused below the support floor.
     """
-    lead = conditional_state(psi, clock, rho, phi)
-    norm = np.sqrt(lead.chi2)
-    _ = lead.normalized
-    rhs = _apply(h_system, lead.unnormalized)
-    r1 = _first_order_residual_at(psi, clock, rho, phi, h, rhs, norm)
-    r2 = _first_order_residual_at(psi, clock, rho, phi, h / 2.0, rhs, norm)
+    lead, plus, minus, half_plus, half_minus = _conditional_rows(
+        psi, clock, rho, [phi, phi + h, phi - h, phi + h / 2.0, phi - h / 2.0])
+    chi2 = float(np.real(np.vdot(lead, lead)))
+    _ = ConditionalState(rho=float(rho), phi=float(phi), unnormalized=lead, chi2=chi2).normalized
+    norm = np.sqrt(chi2)
+    rhs = _apply(h_system, lead)
+    r1, r2 = (float(np.linalg.norm(1j * clock.epsilon * (p - m) / (2.0 * step) - rhs)) / norm
+              for p, m, step in ((plus, minus, h), (half_plus, half_minus, h / 2.0)))
     if r1 > 0 and r2 > 0:
         slope = float(np.log2(r1 / r2))
     else:

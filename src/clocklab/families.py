@@ -187,7 +187,8 @@ class _SU11(Family):
             amps = np.zeros(rep.dim)
             amps[0] = 1.0
             return amps
-        ln = ln_poch + n * np.log(t) + k * np.log1p(-t * t)
+        with np.errstate(divide="ignore"):  # log1p(-1) once tanh(rho) rounds to 1
+            ln = ln_poch + n * np.log(t) + k * np.log1p(-t * t)
         return np.exp(ln)
 
     def symbol(self, clock, rho):

@@ -14,6 +14,7 @@ by ring (``_ring_sum``), with no table of coherent vectors.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numpy as np
 from scipy.linalg import expm
 
@@ -85,16 +86,34 @@ def amplitude_columns(rep: LieAlgebraRep, radii) -> np.ndarray:
     return np.stack([family.amplitudes(rep, float(r)) for r in radii], axis=1)
 
 
+def _phase_table(dim: int, phis: np.ndarray) -> np.ndarray:
+    """exp(i n phis[a]) at row n < dim, column a, by angle addition.
+
+    With n = q B + r and B = ceil(sqrt(dim)), the entry is
+    exp(i q B phi) * exp(i r phi): two tables of about sqrt(dim) rows are
+    exponentiated and each entry is one complex product.  Like the direct
+    exp(i n phi) it errs by about |n phi| eps / 2, from rounding the
+    argument; at phi = 0 every factor, and so every entry, is exactly 1.
+    Each entry depends on its own (n, phi) only, so a column does not
+    depend on the other phis.
+    """
+    block = math.isqrt(dim - 1) + 1  # ceil(sqrt(dim))
+    # one exponential: rows r < B hold exp(i r phi), the rows after them exp(i q B phi)
+    steps = np.concatenate((np.arange(block), block * np.arange(-(-dim // block))))
+    table = 1j * np.multiply.outer(steps, phis)
+    np.exp(table, out=table)
+    return (table[block:, None] * table[:block]).reshape(-1, len(phis))[:dim]
+
+
 def _phased(rep: LieAlgebraRep, amps: np.ndarray, phis) -> np.ndarray:
     """Column r len(phis) + a: amps[:, r] * exp(i n phis[a]), one table-sized complex array.
 
-    The phases are exponentiated once per azimuth and broadcast against the
-    amplitudes of every radius.  At one radius (the conditional sweeps) they
-    are scaled in place: a second array of the table's size costs more than
-    the product.
+    The phases (``_phase_table``) are formed once per azimuth and broadcast
+    against the amplitudes of every radius.  At one radius (the conditional
+    sweeps) they are scaled in place: a second array of the table's size
+    costs more than the product.
     """
-    phases = 1j * np.multiply.outer(np.arange(rep.dim), np.asarray(phis, dtype=float))
-    np.exp(phases, out=phases)
+    phases = _phase_table(rep.dim, np.asarray(phis, dtype=float))
     if amps.shape[1] == 1:
         phases *= amps
         return phases

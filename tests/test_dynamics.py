@@ -32,6 +32,7 @@ from clocklab.dynamics import (
     su2_first_order_experiment,
     su2_stationary_experiment,
 )
+from clocklab.gcs import coherent_points
 
 
 def make_state(j=10.0, rho=0.45, width=0.2):
@@ -203,18 +204,26 @@ def dense_propagator(psi, clock, h_system, rho, phi_grid):
     return worst, drift
 
 
-def dense_schrodinger_residual(psi, clock, h_system, rho, phi, h):
-    """(r(h), r(h/2), slope) with the dense h_system @ lead at each step."""
-    h_system = as_matrix(h_system)
-    values = []
-    for step in (h, h / 2.0):
-        lead = conditional_state(psi, clock, rho, phi)
-        plus = conditional_state(psi, clock, rho, phi + step).unnormalized
-        minus = conditional_state(psi, clock, rho, phi - step).unnormalized
-        lhs = 1j * clock.epsilon * (plus - minus) / (2.0 * step)
-        values.append(float(np.linalg.norm(lhs - h_system @ lead.unnormalized))
-                      / np.sqrt(lead.chi2))
+def stencil_phis(phi, h):
+    """The five clock phases of the Schroedinger stencil, in the library's order."""
+    return [phi, phi + h, phi - h, phi + h / 2.0, phi - h / 2.0]
+
+
+def residuals_from_rows(clock, rhs, lead, plus, minus, half_plus, half_minus, h):
+    """(r(h), r(h/2), slope) from the stencil's five conditional states and H lead."""
+    norm = np.sqrt(np.vdot(lead, lead).real)
+    values = [float(np.linalg.norm(1j * clock.epsilon * (p - m) / (2.0 * step) - rhs)) / norm
+              for p, m, step in ((plus, minus, h), (half_plus, half_minus, h / 2.0))]
     return values[0], values[1], float(np.log2(values[0] / values[1]))
+
+
+def dense_schrodinger_residual(psi, clock, h_system, rho, phi, h):
+    """(r(h), r(h/2), slope) with the dense h_system @ lead.  The five
+    conditional states are one product of their bras with psi's dense
+    matrix, as the library forms them off a ladder match."""
+    bras = coherent_points(clock.rep, [rho], stencil_phis(phi, h))
+    rows = bras.conj().T @ psi.matrix
+    return residuals_from_rows(clock, as_matrix(h_system) @ rows[0], *rows, h)
 
 
 def dense_stationary_residual(psi, clock, h_system, rho, phi):
@@ -278,6 +287,26 @@ def test_diagonal_oracle_tracks_dense_expm_for_complex_profiles(j):
     assert abs(report.max_deviation - worst) <= bound
     assert report.chi2_drift == drift
     assert report.max_deviation < 1e-9
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "random"])
+@pytest.mark.parametrize("name", sorted(LADDER_CLOCKS))
+def test_stencil_keeps_the_bits_of_five_conditional_states(name, profile):
+    """On a ladder match each conditional entry is one product per (n, phi),
+    so the stencil's one table gives the bits of five ``conditional_state``
+    calls, for a real and for a complex profile."""
+    make_clock, rho = LADDER_CLOCKS[name]
+    clock = make_clock()
+    h_system = resonant_ladder(clock, clock.dim)
+    match = ladder_match(clock, h_system)
+    coeff = (random_profile(match, seed=5) if profile == "random" else
+             gaussian_profile(match, energy_of_rho(clock, rho), 0.2))
+    psi = build_psi(match, coeff)
+    res = schrodinger_residual(psi, clock, h_system, rho, phi=0.6, h=1e-4)
+    states = [conditional_state(psi, clock, rho, p).unnormalized
+              for p in stencil_phis(0.6, 1e-4)]
+    assert packed(res.value, res.value_half_step, res.richardson_slope) == \
+        packed(*residuals_from_rows(clock, h_system * states[0], *states, 1e-4))
 
 
 def test_non_diagonal_generator_goes_through_expm(expm_calls):

@@ -7,6 +7,7 @@ valid subspace, so the truncation is not felt.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -200,6 +201,9 @@ def test_coherent_table_columns_equal_coherent_vector(name):
 
     Radii repeat (as no quadrature's do) and include 0; each column equals
     the per-point closed form written here, and so does ``coherent_vector``.
+    The reference takes its phases by angle addition as the library does,
+    exp(i q B phi) exp(i r phi) with n = q B + r and B = ceil(sqrt(dim));
+    ``test_gcs`` bounds their distance from the direct exp(i n phi).
     """
     fractions = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
@@ -211,10 +215,12 @@ def test_coherent_table_columns_equal_coherent_vector(name):
         radii = [f * rho_max for f in fracs]
         table = coherent_table(rep, radii, phis)
         assert table.shape == (rep.dim, len(radii) * len(phis))
-        n = np.arange(rep.dim)
+        block = math.isqrt(rep.dim - 1) + 1
+        q, rem = np.divmod(np.arange(rep.dim), block)
         for r, rho in enumerate(radii):
             for a, phi in enumerate(phis):
-                per_point = FAMILIES[name].amplitudes(rep, rho) * np.exp(1j * n * phi)
+                phase = np.exp(1j * (q * block) * phi) * np.exp(1j * rem * phi)
+                per_point = FAMILIES[name].amplitudes(rep, rho) * phase
                 assert table[:, r * len(phis) + a].tobytes() == per_point.tobytes()
                 assert coherent_vector(rep, rho, phi).tobytes() == per_point.tobytes()
 

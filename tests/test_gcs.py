@@ -1,5 +1,7 @@
 """Coherent-state construction, symbols, and the identity resolution."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -327,6 +329,37 @@ def test_point_queries_refuse_a_radius_the_cutoff_truncates():
     # the quadrature tables cut the tail on purpose and stay unguarded
     column = coherent_table(clock.rep, [6.0], [0.0])[:, 0]
     assert 1.0 - np.vdot(column, column).real > TAIL_MASS_LIMIT
+
+
+def test_su11_refuses_a_radius_where_tanh_rounds_to_one():
+    """At rho = 50 tanh(rho) is 1.0 and log1p(-1) is -inf, so every amplitude
+    is 0: the lost norm is 1 and refused, with no divide-by-zero warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="loses norm 1.000e"):
+            coherent_vector(build_su11_rep(1.5, 24), 50.0, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 81, 801, 40001])
+def test_phase_table_is_the_direct_exponential_within_rounding(dim):
+    """The angle-addition table against np.exp(1j * n * phi), phi in [-2 pi, 4 pi].
+
+    Rounding an argument x moves exp(i x) by at most u |x|, u = eps / 2.
+    The direct form rounds n phi; angle addition rounds q B phi and r phi,
+    whose moduli sum to |n phi|.  Each exponential is within one ulp, at
+    most u, in each part, so sqrt(2) u in modulus (three of them, one
+    direct), and a complex product of two unit numbers adds at most
+    sqrt(5) u.  So |table - direct| <= 2 u |n phi| + (3 sqrt(2) + sqrt(5)) u,
+    which is below eps (|n phi| + 4).  At phi = 0 every entry is exactly 1.
+    """
+    rng = np.random.default_rng(dim)
+    phis = np.concatenate(([0.0, -2 * np.pi, 4 * np.pi], rng.uniform(-2 * np.pi, 4 * np.pi, 13)))
+    arg = np.multiply.outer(np.arange(dim), phis)
+    table = gcs._phase_table(dim, phis)
+    assert table.shape == (dim, len(phis))
+    eps = np.finfo(float).eps
+    assert (np.abs(table - np.exp(1j * arg)) <= eps * (np.abs(arg) + 4)).all()
+    assert table[:, 0].tobytes() == np.ones(dim, dtype=complex).tobytes()
 
 
 @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -0.5])

@@ -221,8 +221,20 @@ def _spy_factorizations(monkeypatch, calls=None):
 
 
 def banded_ends(dim):
-    """The calls of one tridiagonal norm: its smallest and its largest eigenvalue."""
+    """The calls of one tridiagonal norm with a nonzero diagonal: its smallest
+    and its largest eigenvalue."""
     return [("eigvals_banded", "i", (k, k)) for k in (0, dim - 1)]
+
+
+def banded_top(dim):
+    """The call of one tridiagonal norm with a zero diagonal, whose spectrum
+    is symmetric: its largest eigenvalue."""
+    return [("eigvals_banded", "i", (dim - 1, dim - 1))]
+
+
+def tridiagonal_calls(m):
+    """The calls of the tridiagonal route on m, as its diagonal decides."""
+    return (banded_ends if np.diagonal(m).any() else banded_top)(m.shape[0])
 
 
 DENSE_EIGVALSH = [("eigvalsh", None, None)]
@@ -668,14 +680,15 @@ def test_periodic_tridiagonal_takes_the_interleave(monkeypatch, anti):
 
 def test_commutator_residuals_take_the_interleave(monkeypatch):
     """At su2 j = 400 both commutator residuals are banded; no dense eigvalsh.
-    The interior is tridiagonal (two ends by bisection); the full residual
-    is a real band of width 2 after the interleave (factored)."""
+    The interior is tridiagonal with a zero diagonal (its top end by
+    bisection); the full residual is a real band of width 2 after the
+    interleave (factored)."""
     banded = _spy(monkeypatch, "eigvals_banded")
     dense = _spy(monkeypatch, "eigvalsh")
     definite = _spy_factorizations(monkeypatch)
     clock = intensive_su2_clock(400.0)
     commutator_check(clock, build_phase_operator(clock))
-    assert (banded, dense, set(definite)) == (banded_ends(clock.dim), [], {DPBTRF})
+    assert (banded, dense, set(definite)) == (banded_top(clock.dim), [], {DPBTRF})
 
 
 def test_band_the_interleave_does_not_narrow_goes_dense(monkeypatch):
@@ -816,8 +829,8 @@ def test_definite_route_at_extreme_magnitudes(monkeypatch, scale, complex_entrie
 
 
 def test_commutator_check_at_a_large_spin_stays_linear(monkeypatch):
-    """At su2 j = 20000 the two eigvals_banded calls are the tridiagonal
-    interior's, no band of width 2 is reduced, and the check allocates
+    """At su2 j = 20000 the one eigvals_banded call is the top end of the
+    tridiagonal interior, no band of width 2 is reduced, and the check allocates
     O(dim), not a dim x dim matrix (25.6 GB complex)."""
     widths = []
     original = scipy.linalg.eigvals_banded
@@ -835,7 +848,7 @@ def test_commutator_check_at_a_large_spin_stays_linear(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert widths == [1, 1]
+    assert widths == [1]
     assert peak < 64 * clock.dim * np.dtype(complex).itemsize
     assert report.interior_residual <= 1e-10 < report.full_residual < 1.0
 
@@ -890,11 +903,11 @@ def dense_predicate_norm2(m):
 
 
 ROUTE_CALLS = {
-    "non-finite": lambda dim: [],
-    "shift": lambda dim: [],
-    "svd": lambda dim: [("norm", None, None)],
-    "banded": banded_ends,
-    "dense": lambda dim: DENSE_EIGVALSH,
+    "non-finite": lambda m: [],
+    "shift": lambda m: [],
+    "svd": lambda m: [("norm", None, None)],
+    "banded": tridiagonal_calls,
+    "dense": lambda m: DENSE_EIGVALSH,
 }
 
 
@@ -1013,7 +1026,7 @@ def test_nonzero_scan_takes_the_dense_predicates_route_and_bits(monkeypatch):
         if route == "definite":
             assert set(calls) in ({DPBTRF}, {ZPBTRF})
         else:
-            assert calls == ROUTE_CALLS[route](m.shape[0])
+            assert calls == ROUTE_CALLS[route](m)
         if route in ("banded", "definite"):
             assert ulps(got, ref) <= ULPS_PER_DIM * m.shape[0], (got, ref)
         else:
@@ -1042,11 +1055,11 @@ def narrow_bands(draw):
 
 
 def test_banded_ends_are_the_dense_spectrums_ends(monkeypatch):
-    """The two eigenvalues the tridiagonal route bisects for are the first and
-    the last of the dense spectrum, each within ULPS_PER_DIM * dim ulps of
-    the norm (Weyl's inequality, see above), and so is the norm, on the
-    tridiagonal route and on the factored one (width 2), which records no
-    ends."""
+    """The eigenvalues the tridiagonal route bisects for are the first and
+    the last of the dense spectrum (only the last for a zero diagonal), each
+    within ULPS_PER_DIM * dim ulps of the norm (Weyl's inequality, see
+    above), and so is the norm, on the tridiagonal route and on the factored
+    one (width 2), which records no ends."""
     ends = []
     original = scipy.linalg.eigvals_banded
 
@@ -1062,13 +1075,18 @@ def test_banded_ends_are_the_dense_spectrums_ends(monkeypatch):
         evals = np.linalg.eigvalsh(phase * m)
         bound = ULPS_PER_DIM * m.shape[0] * np.spacing(norm)
         rows, cols = np.nonzero(m)
-        if np.max(np.abs(rows - cols)) == 1:
+        if np.max(np.abs(rows - cols)) == 1 and np.diagonal(m).any():
             assert [e.shape for e in ends] == [(1,), (1,)]
             (low,), (high,) = ends
             assert abs(low - evals[0]) <= bound and abs(high - evals[-1]) <= bound, (low, high)
+        elif np.max(np.abs(rows - cols)) == 1:
+            assert [e.shape for e in ends] == [(1,)]
+            (high,), = ends
+            assert abs(high - evals[-1]) <= bound, high
         else:
             assert ends == []
         assert abs(norm - max(-evals[0], evals[-1])) <= bound
+        return evals
 
     @given(narrow_bands())
     def random_bands(case):
@@ -1080,9 +1098,97 @@ def test_banded_ends_are_the_dense_spectrums_ends(monkeypatch):
     for n in (4, 7, 64):
         up, down = np.diag(np.ones(n - 1), 1), np.diag(np.ones(n - 1), -1)
         for m, phase in ((up + down, 1), (up - down, 1j)):
-            check(m, phase)
-            (low,), (high,) = ends
-            assert abs(low + high) <= ULPS_PER_DIM * n * np.spacing(high)
+            evals = check(m, phase)
+            (high,), = ends
+            assert abs(evals[0] + high) <= ULPS_PER_DIM * n * np.spacing(high)
+
+
+@st.composite
+def zero_diagonal_tridiagonals(draw):
+    """(m, phase): a tridiagonal with a zero diagonal and 4 <= dim <= 64, so
+    2b + 1 < dim: real or complex hermitian (phase 1), or anti-hermitian (a
+    hermitian 1j m, phase 1j).  About a fifth of its off-diagonals are zero,
+    but two adjacent ones are not, so it is no weighted shift; it is scaled
+    by 1e-150 to 1e150, where LAPACK rescales it."""
+    n = draw(st.integers(4, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sub = rng.normal(size=n - 1)
+    if draw(st.booleans()):
+        sub = sub + 1j * rng.normal(size=n - 1)
+    zeros = rng.random(n - 1) < 0.2
+    k = draw(st.integers(0, n - 3))
+    zeros[k:k + 2] = False
+    sub = np.where(zeros, 0.0, sub) * 10.0 ** draw(st.integers(-150, 150))
+    anti = draw(st.booleans())
+    return np.diag(sub, -1) + (-1 if anti else 1) * np.diag(sub.conj(), 1), (1j if anti else 1)
+
+
+def test_zero_diagonal_tridiagonal_takes_its_top_end(monkeypatch):
+    """A zero-diagonal tridiagonal's norm is its top end alone, one bisection.
+
+    D m D = -m for D = diag((-1)^k), so lambda_min = -lambda_max.  Both ends
+    are dstebz bisections on the same tridiagonal, and its Sturm sequence at
+    -x is the negation of the one at x, so both count the eigenvalues of the
+    same nearby matrix.  Each end is the midpoint of a final interval no
+    wider than 2 eps |lambda| (dstebz's RELFAC * ulp) around that matrix's
+    eigenvalue, so within eps |lambda|, at most 2 ulps, of it: the top end
+    and max(-lambda_min, lambda_max) from the two ends differ by at most 4
+    ulps.  Against the dense spectrum the bound is Weyl's, ULPS_PER_DIM * dim
+    ulps (see above).  A spy sees one ``eigvals_banded`` call, and two once
+    one diagonal entry is nonzero."""
+    original = scipy.linalg.eigvals_banded
+    banded = _spy(monkeypatch, "eigvals_banded")
+
+    def two_ends(m, phase):
+        sub = np.diagonal(phase * m, -1)
+        real = not sub.imag.any()
+        lower = np.zeros((2, m.shape[0]), dtype=float if real else complex)
+        lower[1, :-1] = sub.real if real else sub
+        low, high = (original(lower, lower=True, select="i", select_range=(k, k),
+                              check_finite=False)[0] for k in (0, m.shape[0] - 1))
+        return max(-low, high)
+
+    @given(zero_diagonal_tridiagonals(), st.integers(0, 63))
+    def check(case, at):
+        m, phase = case
+        n = m.shape[0]
+        banded.clear()
+        norm = residual_norm2(m)
+        assert banded == banded_top(n)
+        assert ulps(norm, two_ends(m, phase)) <= 4
+        evals = np.linalg.eigvalsh(phase * m)
+        assert abs(norm - max(-evals[0], evals[-1])) <= ULPS_PER_DIM * n * np.spacing(norm)
+        filled = m.astype(complex)
+        filled[at % n, at % n] = np.abs(m).max() / phase  # hermitian again after the phase
+        banded.clear()
+        assert_close_to_svd(filled)
+        assert banded == banded_ends(n)
+
+    check()
+
+
+def count_verdict(a):
+    """The diagonal test as two counts: no nonzero of a lies off its diagonal."""
+    return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
+
+
+@pytest.mark.parametrize("value", [1.0, -2.5j, 1e-300, np.nan, np.inf, -np.inf, 0.0, -0.0])
+def test_diagonal_scan_gives_the_count_verdict(value):
+    """``_diagonal``'s strided scan against the count predicate it replaced,
+    at dims 1 to 40, with ``value`` at each off-diagonal place in turn (the
+    corners included) over diagonals holding NaN, inf and zeros of both
+    signs: a NaN or an inf is nonzero, -0.0 is zero.  A Fortran-ordered
+    copy, which ``ravel`` copies back to C order, gets the same verdict."""
+    fill = np.array([1.0, np.nan, -0.0, np.inf, 0.0, -3.0])
+    for dim in range(1, 41):
+        base = np.diag(fill[np.arange(dim) % len(fill)]).astype(type(value + 0.0))
+        assert _diagonal(base).tobytes() == np.diagonal(base).tobytes()
+        for i, j in zip(*np.nonzero(~np.eye(dim, dtype=bool))):
+            a = base.copy()
+            a[i, j] = value
+            expected = count_verdict(a)
+            assert (_diagonal(a) is not None) == expected
+            assert (_diagonal(np.asfortranarray(a)) is not None) == expected
 
 
 def dense_phase_operator(clock):
