@@ -64,7 +64,6 @@ from .dynamics import (
     ConvergenceRecord,
     ConvergenceSweep,
     convergence_sweep,
-    detuned_ladder,
     energy_of_rho,
     h4_stationary_experiment,
     propagator_deviation,
@@ -123,7 +122,6 @@ __all__ = [
     "commutator_check",
     "conditional_state",
     "convergence_sweep",
-    "detuned_ladder",
     "displace",
     "energy_of_rho",
     "gaussian_profile",

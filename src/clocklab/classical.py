@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import ClockModel, LieAlgebraRep
 from .constraint import CompositeState
 from .families import lookup
-from .gcs import amplitude_columns, clock_symbol_analytic, coherent_table
+from .gcs import amplitude_columns, coherent_table
 
 SUPPORT_THRESHOLD = 1e-6
 
@@ -152,9 +152,12 @@ def hamilton_check(clock: ClockModel, v: Sequence[float],
         raise ValueError(f"unknown method {method!r}")
     v = np.asarray(v, dtype=float)
     phis = np.asarray(phi_grid, dtype=float)
+    rhos = np.asarray(rho_grid, dtype=float)
+    if method == "fd":  # dE/drho at every radius from two symbol calls
+        symbol = lookup(clock.rep.family).symbol
+        de_drhos = (symbol(clock, rhos + fd_step) - symbol(clock, rhos - fd_step)) / (2 * fd_step)
     worst_q = worst_p = 0.0
-    for rho in rho_grid:
-        rho = float(rho)
+    for r, rho in enumerate(rhos.tolist()):
         c_coeff = _regular_two_form(clock, rho)
         c, cp = lookup(clock.rep.family).chart_radius(clock, rho)
         if method == "analytic":
@@ -167,8 +170,7 @@ def hamilton_check(clock: ClockModel, v: Sequence[float],
                       for phi in phis]
             dq_dphi = np.array([(f_p.q - f_m.q) / (2 * fd_step) for f_p, f_m in points])
             dp_dphi = np.array([(f_p.p - f_m.p) / (2 * fd_step) for f_p, f_m in points])
-            de_drho = (clock_symbol_analytic(clock, rho + fd_step)
-                       - clock_symbol_analytic(clock, rho - fd_step)) / (2 * fd_step)
+            de_drho = de_drhos[r]
         # bracket - eps * dx/dphi; np.maximum propagates nan, where max() would drop it
         worst_q = np.maximum(worst_q, np.abs(dq_dphi * de_drho / c_coeff
                                              - clock.epsilon * dq_dphi).max(initial=0.0))
@@ -365,8 +367,8 @@ def classical_constraint_check(beta: BetaDistribution, clock_c: ClockModel,
         raise ValueError("empty support: nothing to check the constraint on")
     radii_c, radii_g = (lookup(rep.family).rings(rep)[0]
                         for rep in (beta.rep_clock, beta.rep_system))
-    e_c = np.array([clock_symbol_analytic(clock_c, float(r)) for r in radii_c])
-    e_g = np.array([clock_symbol_analytic(clock_g, float(r)) for r in radii_g])
+    e_c = lookup(clock_c.rep.family).symbol(clock_c, radii_c)
+    e_g = lookup(clock_g.rep.family).symbol(clock_g, radii_g)
     scale = max(np.max(np.abs(e_c)), np.max(np.abs(e_g)))
     mismatch = np.abs(e_c[:, None] - e_g[None, :]) / scale
     dim_c, dim_g = beta.rep_clock.dim, beta.rep_system.dim

@@ -70,7 +70,6 @@ from .dynamics import (
 )
 from .families import lookup
 from .gcs import (
-    clock_symbol_analytic,
     clock_symbol_numeric,
     coherent_points,
     displace,
@@ -468,9 +467,9 @@ def run_bch_check(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
 
 def _symbol_rows(clock, family: str, rhos: Sequence[float], relative: bool):
     rows = []
-    for rho in rhos:
-        numeric = clock_symbol_numeric(clock, float(rho))
-        analytic = clock_symbol_analytic(clock, float(rho))
+    numeric_all = clock_symbol_numeric(clock, rhos).tolist()
+    analytic_all = lookup(family).symbol(clock, np.asarray(rhos, dtype=float)).tolist()
+    for rho, numeric, analytic in zip(rhos, numeric_all, analytic_all):
         err = abs(numeric - analytic)
         if relative:
             err = err / max(abs(analytic), 1e-30) if analytic != 0.0 else err

@@ -225,12 +225,6 @@ def resonant_ladder(clock: ClockModel, n_levels: int) -> np.ndarray:
     return clock.epsilon * np.arange(n_levels, dtype=float)
 
 
-def detuned_ladder(clock: ClockModel, n_levels: int, offset: float) -> np.ndarray:
-    """Ladder shifted off resonance by ``offset`` gaps, as its energies; a
-    non-integer offset empties the kernel."""
-    return clock.epsilon * (np.arange(n_levels, dtype=float) + offset)
-
-
 def su2_stationary_experiment(j: float, rho: float = 0.6,
                               width: float = 0.25) -> ConvergenceRecord:
     """Stationary residual for an intensive spin clock against its own ladder.

@@ -21,9 +21,9 @@ from .algebra import LieAlgebraRep
 class Family:
     """The closed forms of one family.  Every subclass defines
 
-    - ``amplitudes(rep, rho)``: radial amplitudes c_n >= 0 of the
-      normalized coherent state, stable at every admissible rho;
-    - ``symbol(clock, rho)``: the closed-form clock symbol;
+    - ``amplitudes(rep, radii)``: column r holds the radial amplitudes c_n of
+      the normalized coherent state at radii[r], stable at every admissible rho;
+    - ``symbol(clock, radii)``: the closed-form clock symbol at each radius;
     - ``chart_radius(clock, rho)``: the Darboux factor C(rho) and its
       derivative, with (eps/2) C(rho)^2 the coherent energy surface;
     - ``two_form(clock, rho)``: the coefficient of dphi ^ drho of the
@@ -73,28 +73,32 @@ class _SU2(Family):
 
     name = "su2"
 
-    def amplitudes(self, rep, rho):
+    def amplitudes(self, rep, radii):
         n = np.arange(rep.dim, dtype=float)
         j = rep.params["j"]
         two_j = 2 * j
         ln_binom = 0.5 * (gammaln(two_j + 1) - gammaln(n + 1) - gammaln(two_j - n + 1))
-        s, c = np.sin(rho), np.cos(rho)
-        # powers, not logs: endpoints rho = 0, pi/2 are exact this way
+        s, c = np.sin(radii), np.cos(radii)
+        # powers, not logs: endpoints rho = 0, pi/2 are exact this way; taken
+        # in place, (exp(ln_binom) s^n) c^(2j - n) peaks at two tables
         with np.errstate(over="ignore", invalid="ignore"):
-            amps = np.exp(ln_binom) * s ** n * c ** (two_j - n)
-        bad = ~np.isfinite(amps)
-        if bad.any():
-            # past j ~ 1024 the binomial overflows before the powers underflow:
-            # those entries, and only those, are summed in logs
+            amps = s ** n[:, None]
+            amps *= np.exp(ln_binom)[:, None]
+            amps *= c ** (two_j - n)[:, None]
+        # past j ~ 1024 the binomial overflows before the powers underflow:
+        # those entries, and only those, are summed in logs, column by column
+        for r in np.flatnonzero(~np.isfinite(amps).all(axis=0)):
+            col = amps[:, r]
+            bad = ~np.isfinite(col)
             m = n[bad]
-            sign = np.sign(s) ** m * np.sign(c) ** (two_j - m)
+            sign = np.sign(s[r]) ** m * np.sign(c[r]) ** (two_j - m)
             with np.errstate(divide="ignore"):  # log(0) at rho = 0
-                amps[bad] = sign * np.exp(ln_binom[bad] + m * np.log(abs(s))
-                                          + (two_j - m) * np.log(abs(c)))
+                col[bad] = sign * np.exp(ln_binom[bad] + m * np.log(abs(s[r]))
+                                         + (two_j - m) * np.log(abs(c[r])))
         return amps
 
-    def symbol(self, clock, rho):
-        return float(0.5 * clock.epsilon * clock.b2 * (np.cos(2 * rho) - 1.0))
+    def symbol(self, clock, radii):
+        return 0.5 * clock.epsilon * clock.b2 * (np.cos(2 * radii) - 1.0)
 
     def chart_radius(self, clock, rho):
         amp = np.sqrt(2.0 * abs(clock.b2))
@@ -138,17 +142,16 @@ class _H4(Family):
 
     name = "h4"
 
-    def amplitudes(self, rep, rho):
-        n = np.arange(rep.dim, dtype=float)
-        if rho == 0.0:
-            amps = np.zeros(rep.dim)
-            amps[0] = 1.0
-            return amps
-        ln = n * np.log(rho) - 0.5 * gammaln(n + 1) - rho * rho / 2.0
-        return np.exp(ln)
+    def amplitudes(self, rep, radii):
+        n = np.arange(rep.dim, dtype=float)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # log(0), 0 * -inf at the origin
+            ln = n * np.log(radii) - 0.5 * gammaln(n + 1) - radii * radii / 2.0
+        amps = np.exp(ln, out=ln)
+        amps[:, radii == 0.0] = np.eye(rep.dim, 1)  # the reference state at the origin
+        return amps
 
-    def symbol(self, clock, rho):
-        return float(clock.epsilon * rho * rho)
+    def symbol(self, clock, radii):
+        return clock.epsilon * radii * radii
 
     def chart_radius(self, clock, rho):
         return np.sqrt(2.0) * rho, np.sqrt(2.0)
@@ -178,21 +181,20 @@ class _SU11(Family):
 
     name = "su11"
 
-    def amplitudes(self, rep, rho):
-        n = np.arange(rep.dim, dtype=float)
+    def amplitudes(self, rep, radii):
+        n = np.arange(rep.dim, dtype=float)[:, None]
         k = rep.params["k"]
-        t = np.tanh(rho)
+        t = np.tanh(radii)
         ln_poch = 0.5 * (gammaln(2 * k + n) - gammaln(n + 1) - gammaln(2 * k))
-        if t == 0.0:
-            amps = np.zeros(rep.dim)
-            amps[0] = 1.0
-            return amps
-        with np.errstate(divide="ignore"):  # log1p(-1) once tanh(rho) rounds to 1
+        # log(0) and 0 * -inf at the origin, log1p(-1) once tanh(rho) rounds to 1
+        with np.errstate(divide="ignore", invalid="ignore"):
             ln = ln_poch + n * np.log(t) + k * np.log1p(-t * t)
-        return np.exp(ln)
+        amps = np.exp(ln, out=ln)
+        amps[:, t == 0.0] = np.eye(rep.dim, 1)  # the reference state at the origin
+        return amps
 
-    def symbol(self, clock, rho):
-        return float(0.5 * clock.epsilon * clock.b2 * (np.cosh(2 * rho) - 1.0))
+    def symbol(self, clock, radii):
+        return 0.5 * clock.epsilon * clock.b2 * (np.cosh(2 * radii) - 1.0)
 
     def chart_radius(self, clock, rho):
         amp = np.sqrt(2.0 * abs(clock.b2))

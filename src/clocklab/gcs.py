@@ -77,13 +77,14 @@ def displace(rep: LieAlgebraRep, radii, phis) -> np.ndarray:
 
 
 def amplitude_columns(rep: LieAlgebraRep, radii) -> np.ndarray:
-    """Column r: the family's closed-form amplitudes at radii[r]."""
+    """Column r: the family's closed-form amplitudes at radii[r], from one family call."""
     radii = np.asarray(radii, dtype=float)
+    if not radii.size:
+        raise ValueError("no radii: a table needs at least one")
     bad = radii[~((radii >= 0) & (radii < np.inf))]  # NaN compares False
     if bad.size:
         raise ValueError(f"rho must be finite and nonnegative, got {bad[0]}")
-    family = lookup(rep.family)
-    return np.stack([family.amplitudes(rep, float(r)) for r in radii], axis=1)
+    return lookup(rep.family).amplitudes(rep, radii)
 
 
 def _phase_table(dim: int, phis: np.ndarray) -> np.ndarray:
@@ -125,9 +126,9 @@ def _phased(rep: LieAlgebraRep, amps: np.ndarray, phis) -> np.ndarray:
 def coherent_table(rep: LieAlgebraRep, radii, phis) -> np.ndarray:
     """Coherent vectors on a grid: column r len(phis) + a is the state at (radii[r], phis[a]).
 
-    The family's closed-form amplitudes are evaluated once per radius and
-    the phases exp(i n phi) once per azimuth, so a quadrature over the
-    manifold costs one amplitude call per ring of nodes.  Uses the exact
+    The family's closed-form amplitudes are evaluated in one call for all
+    the radii and the phases exp(i n phi) once per azimuth, so a quadrature
+    over the manifold costs one amplitude call.  Uses the exact
     infinite-dimensional normalization, so for truncated representations
     each column is the honest restriction of the true state (its norm is
     < 1 when the tail is cut).  Quadratures cut that tail on purpose; point
@@ -164,19 +165,20 @@ def coherent_vector(rep: LieAlgebraRep, rho: float, phi: float) -> np.ndarray:
     return coherent_points(rep, [rho], [phi])[:, 0]
 
 
-def clock_symbol_numeric(clock: ClockModel, rho: float) -> float:
-    """<lambda|h_c|lambda> evaluated from the state vector at phi = 0."""
-    v = coherent_vector(clock.rep, rho, 0.0)
-    return float(np.vdot(v, clock.energies * v).real)
+def clock_symbol_numeric(clock: ClockModel, radii) -> np.ndarray:
+    """<lambda|h_c|lambda> at phi = 0 at each radius, from one ``coherent_points``
+    table (so a radius the cutoff truncates is refused) read as contiguous rows."""
+    rows = np.ascontiguousarray(coherent_points(clock.rep, radii, [0.0]).T)
+    return np.array([np.vdot(v, clock.energies * v).real for v in rows])
 
 
 def clock_symbol_analytic(clock: ClockModel, rho: float) -> float:
-    """Closed-form clock symbol.
+    """Closed-form clock symbol at one radius (``Family.symbol`` takes a sweep's).
 
     Trig branch: (eps*b2/2)(cos(2 rho) - 1); hyperbolic branch the same
     with cosh; oscillator: eps * rho^2.
     """
-    return lookup(clock.rep.family).symbol(clock, rho)
+    return float(lookup(clock.rep.family).symbol(clock, rho))
 
 
 def _ring_sum(rep: LieAlgebraRep, n_polar: int | None = None,

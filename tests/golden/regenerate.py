@@ -38,6 +38,7 @@ RUNS = {
     "classical-limit-j20-j40": ("classical-limit", "--sizes", "20,40"),
     "identity-resolution-j2.5": ("identity-resolution", "--j", "2.5"),
     "classical-limit-j80-j160": ("classical-limit", "--sizes", "80,160"),
+    "identity-resolution-j400": ("identity-resolution", "--j", "400"),
 }
 ARTIFACTS = ("data.csv", "summary.json", "config.echo")
 

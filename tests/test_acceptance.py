@@ -96,17 +96,17 @@ def test_criterion_03_symbol_identity():
     """Clock symbol matches its closed form on all three branches."""
     start = time.monotonic()
     su2 = build_clock(build_su2_rep(8.0))
-    for rho in np.linspace(0.0, 0.7, 15):
-        expected = (su2.epsilon * su2.b2 / 2.0) * (np.cos(2 * rho) - 1.0)
-        assert abs(clock_symbol_numeric(su2, rho) - expected) < 1e-10
+    rhos = np.linspace(0.0, 0.7, 15)
+    expected = (su2.epsilon * su2.b2 / 2.0) * (np.cos(2 * rhos) - 1.0)
+    assert (abs(clock_symbol_numeric(su2, rhos) - expected) < 1e-10).all()
     h4 = intensive_h4_clock(24.0)
-    for rho in np.linspace(0.1, 1.5, 8):
-        expected = h4.epsilon * rho * rho
-        assert abs(clock_symbol_numeric(h4, rho) - expected) / expected < 1e-8
+    rhos = np.linspace(0.1, 1.5, 8)
+    expected = h4.epsilon * rhos * rhos
+    assert (abs(clock_symbol_numeric(h4, rhos) - expected) / expected < 1e-8).all()
     su11 = build_clock(build_su11_rep(0.5, 96))
-    for rho in np.linspace(0.05, 0.5, 6):
-        expected = (su11.epsilon * su11.b2 / 2.0) * (np.cosh(2 * rho) - 1.0)
-        assert abs(clock_symbol_numeric(su11, rho) - expected) / abs(expected) < 1e-8
+    rhos = np.linspace(0.05, 0.5, 6)
+    expected = (su11.epsilon * su11.b2 / 2.0) * (np.cosh(2 * rhos) - 1.0)
+    assert (abs(clock_symbol_numeric(su11, rhos) - expected) / abs(expected) < 1e-8).all()
     assert time.monotonic() - start < 10.0
 
 

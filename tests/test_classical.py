@@ -333,7 +333,7 @@ def circulant_density(psi, clock):
     rows, cols = np.nonzero(psi.matrix)
     assert len(np.unique(cols - rows)) == 1
     radii, ring = np.unique(rho, return_inverse=True)
-    amps = np.array([family.amplitudes(clock.rep, float(r)) for r in radii])
+    amps = np.array([family.amplitudes(clock.rep, np.array([r]))[:, 0] for r in radii])
     coeff = amps[:, None, rows] * psi.matrix[rows, cols] * amps[None, :, cols]
     azim = np.rint(phi * n_azim / (2 * np.pi)).astype(int)
     t = (azim[:, None] + azim[None, :]) % n_azim

@@ -397,16 +397,26 @@ def test_identity_resolution_cap_follows_h4_cutoff(tmp_path):
 
 
 def test_symbol_worst_error_keeps_nan(monkeypatch):
-    """A nan symbol after a finite one; a nan radius is refused before any state is built."""
+    """A nan symbol after a finite one fails the gate; a nan radius is refused
+    before any state is built."""
     clock = intensive_su2_clock(10.0)
     with pytest.raises(ValueError, match="rho must be finite"):
         cli._symbol_rows(clock, "su2", [0.3, math.nan], relative=False)
     numeric = cli.clock_symbol_numeric
-    monkeypatch.setattr(cli, "clock_symbol_numeric",
-                        lambda clock, rho: numeric(clock, rho) if rho < 0.5 else math.nan)
+
+    def nan_at_the_second_radius(clock, radii):
+        values = numeric(clock, radii)
+        values[1] = math.nan
+        return values
+
+    monkeypatch.setattr(cli, "clock_symbol_numeric", nan_at_the_second_radius)
     rows, worst = cli._symbol_rows(clock, "su2", [0.3, 0.6], relative=False)
     assert len(rows) == 2
+    assert math.isfinite(rows[0][-1]) and math.isnan(rows[1][-1])
     assert math.isnan(worst)
+    gate = cli._gate({"tol_symbol_su2": 1e-10}, "symbol-su2", "tol_symbol_su2",
+                     worst_error=worst)
+    assert gate["passed"] is False
 
 
 def test_symbol_single_point_h4(tmp_path):

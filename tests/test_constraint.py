@@ -22,7 +22,7 @@ from clocklab.constraint import (
     reduced_density_clock,
     reduced_density_gamma,
 )
-from clocklab.dynamics import detuned_ladder, energy_of_rho, resonant_ladder
+from clocklab.dynamics import energy_of_rho, resonant_ladder
 from clocklab.families import lookup
 from clocklab.gcs import coherent_table, coherent_vector
 
@@ -125,7 +125,9 @@ def test_single_pair_psi_warns_and_separates():
 
 def test_build_psi_refusals():
     clock = intensive_su2_clock(2.0)
-    match = match_spectra(clock.h_c, detuned_ladder(clock, 3, 0.5), tol=1e-9 * clock.epsilon)
+    # a ladder half a gap off resonance shares no level with the clock
+    detuned = clock.epsilon * (np.arange(3) + 0.5)
+    match = match_spectra(clock.h_c, detuned, tol=1e-9 * clock.epsilon)
     with pytest.raises(ValueError, match="no matched pairs"):
         build_psi(match, np.ones(0))
     good = match_spectra(clock.h_c, resonant_ladder(clock, 3), tol=1e-9 * clock.epsilon)

@@ -21,7 +21,6 @@ from clocklab.constraint import (
 from clocklab.dynamics import (
     ConvergenceRecord,
     convergence_sweep,
-    detuned_ladder,
     energy_of_rho,
     h4_stationary_experiment,
     propagator_deviation,
@@ -147,7 +146,7 @@ def test_sweep_refusal_on_empty_kernel():
     """A detuned system spectrum shares no level with the clock; refuse."""
     def detuned(size):
         clock = intensive_su2_clock(float(size))
-        h_system = detuned_ladder(clock, clock.dim, offset=0.37)
+        h_system = clock.epsilon * (np.arange(clock.dim) + 0.37)
         psi = gaussian_state(clock, h_system, energy_of_rho(clock, 0.6), 0.25)
         return ConvergenceRecord(clock.dim, stationary_residual(psi, clock, h_system, 0.6, 0.3))
 
@@ -157,7 +156,7 @@ def test_sweep_refusal_on_empty_kernel():
 
 def test_detuned_ladder_has_no_matches():
     clock = intensive_su2_clock(4.0)
-    match = match_spectra(clock.h_c, detuned_ladder(clock, clock.dim, offset=0.5),
+    match = match_spectra(clock.h_c, clock.epsilon * (np.arange(clock.dim) + 0.5),
                           tol=1e-9 * clock.epsilon)
     assert match.pairs.dtype == np.intp and match.pairs.shape == (0, 2)
 

@@ -8,11 +8,13 @@ valid subspace, so the truncation is not felt.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from clocklab.algebra import build_clock, build_h4_rep, build_su2_rep, build_su11_rep
 from clocklab.classical import map_F
@@ -21,6 +23,7 @@ from clocklab.dynamics import energy_of_rho, resonant_ladder
 from clocklab.families import FAMILIES
 from clocklab.phase import build_phase_operator, uncertainty_audit
 from clocklab.gcs import (
+    amplitude_columns,
     clock_symbol_analytic,
     clock_symbol_numeric,
     coherent_table,
@@ -116,11 +119,12 @@ def test_su2_amplitudes_stay_finite_at_large_spin(j):
     663 NaN entries at j = 1100 and rho = 0.3, 39537 at j = 20000."""
     rep = build_su2_rep(j)
     for rho in (0.0, 0.05, 0.3, np.pi / 4, 1.2, np.pi / 2, 2.0):
-        amps = FAMILIES["su2"].amplitudes(rep, rho)
+        amps = FAMILIES["su2"].amplitudes(rep, np.array([rho]))[:, 0]
         assert not np.isnan(amps).any()
         assert abs(np.sum(amps ** 2) - 1.0) < 1e-9
     # past pi/2 the cosine is negative: c_n(rho) = (-1)^(2j - n) c_n(pi - rho)
-    mirror = (-1.0) ** (2 * j - np.arange(rep.dim)) * FAMILIES["su2"].amplitudes(rep, np.pi - 2.0)
+    mirror = ((-1.0) ** (2 * j - np.arange(rep.dim))
+              * FAMILIES["su2"].amplitudes(rep, np.array([np.pi - 2.0]))[:, 0])
     assert np.abs(amps - mirror).max() < 1e-9
 
 
@@ -220,11 +224,135 @@ def test_coherent_table_columns_equal_coherent_vector(name):
         for r, rho in enumerate(radii):
             for a, phi in enumerate(phis):
                 phase = np.exp(1j * (q * block) * phi) * np.exp(1j * rem * phi)
-                per_point = FAMILIES[name].amplitudes(rep, rho) * phase
+                per_point = FAMILIES[name].amplitudes(rep, np.array([rho]))[:, 0] * phase
                 assert table[:, r * len(phis) + a].tobytes() == per_point.tobytes()
                 assert coherent_vector(rep, rho, phi).tobytes() == per_point.tobytes()
 
     check()
+
+
+# --- one family call per sweep: the array forms against the one-radius forms -
+
+def one_radius_amplitudes(rep, rho):
+    """The amplitudes at the radius ``rho`` (a float), written out as each
+    family evaluated them one radius a call: the array form's reference."""
+    n = np.arange(rep.dim, dtype=float)
+    if rep.family == "su2":
+        two_j = 2 * rep.params["j"]
+        ln_binom = 0.5 * (gammaln(two_j + 1) - gammaln(n + 1) - gammaln(two_j - n + 1))
+        s, c = np.sin(rho), np.cos(rho)
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps = np.exp(ln_binom) * s ** n * c ** (two_j - n)
+        bad = ~np.isfinite(amps)
+        if bad.any():
+            m = n[bad]
+            sign = np.sign(s) ** m * np.sign(c) ** (two_j - m)
+            with np.errstate(divide="ignore"):
+                amps[bad] = sign * np.exp(ln_binom[bad] + m * np.log(abs(s))
+                                          + (two_j - m) * np.log(abs(c)))
+        return amps
+    origin = np.zeros(rep.dim)
+    origin[0] = 1.0
+    if rep.family == "h4":
+        if rho == 0.0:
+            return origin
+        return np.exp(n * np.log(rho) - 0.5 * gammaln(n + 1) - rho * rho / 2.0)
+    k = rep.params["k"]
+    t = np.tanh(rho)
+    if t == 0.0:
+        return origin
+    ln_poch = 0.5 * (gammaln(2 * k + n) - gammaln(n + 1) - gammaln(2 * k))
+    with np.errstate(divide="ignore"):
+        return np.exp(ln_poch + n * np.log(t) + k * np.log1p(-t * t))
+
+
+def one_radius_symbol(clock, rho):
+    """The closed-form symbol at the radius ``rho`` (a float), as a float."""
+    eps, b2 = clock.epsilon, clock.b2
+    if clock.rep.family == "su2":
+        return float(0.5 * eps * b2 * (np.cos(2 * rho) - 1.0))
+    if clock.rep.family == "h4":
+        return float(eps * rho * rho)
+    return float(0.5 * eps * b2 * (np.cosh(2 * rho) - 1.0))
+
+
+# su2 j in [1/2, 20] and past j ~ 1024, where the binomial is summed in logs;
+# h4 cuts 4 to 300; su11 k in {1/2, 1, 3/2}
+SWEEP_REPS = {
+    "su2": st.integers(1, 40).map(lambda two_j: build_su2_rep(two_j / 2))
+    | st.sampled_from([1100.0, 2000.0]).map(build_su2_rep),
+    "h4": st.integers(4, 300).map(build_h4_rep),
+    "su11": st.tuples(st.sampled_from([0.5, 1.0, 1.5]), st.integers(4, 120)).map(
+        lambda kn: build_su11_rep(*kn)),
+}
+# su2 past pi/2 has a negative cosine; su11 runs to where tanh(rho) rounds to 1 (19.06)
+SWEEP_CAP = {"su2": np.pi, "h4": 25.0, "su11": 19.5}
+
+
+def sweeps(name):
+    marked = st.sampled_from([0.0, np.pi / 4, np.pi / 2, 2.0, 3.0])
+    return st.lists(marked | st.floats(0.0, SWEEP_CAP[name]), min_size=1, max_size=6).map(
+        lambda radii: np.array(radii, dtype=float))
+
+
+@names
+def test_amplitude_table_columns_are_the_one_radius_form(name):
+    """Column r of ``amplitudes(rep, radii)`` is the one-radius form at radii[r], byte for byte."""
+    @settings(max_examples=40, deadline=None)
+    @given(SWEEP_REPS[name], sweeps(name))
+    def check(rep, radii):
+        table = FAMILIES[name].amplitudes(rep, radii)
+        assert table.shape == (rep.dim, len(radii))
+        for r, rho in enumerate(radii):
+            assert table[:, r].tobytes() == one_radius_amplitudes(rep, float(rho)).tobytes()
+
+    check()
+
+
+@names
+def test_symbol_entries_are_the_scalar_form(name):
+    """Entry r of ``symbol(clock, radii)`` is the scalar closed form at radii[r], bit for bit."""
+    @settings(max_examples=40, deadline=None)
+    @given(SWEEP_REPS[name], sweeps(name), scales)
+    def check(rep, radii, scale):
+        clock = build_clock(rep, scale=scale)
+        values = FAMILIES[name].symbol(clock, radii)
+        assert values.shape == radii.shape
+        for r, rho in enumerate(radii):
+            assert float(values[r]) == one_radius_symbol(clock, float(rho))
+            assert clock_symbol_analytic(clock, float(rho)) == one_radius_symbol(clock, float(rho))
+
+    check()
+
+
+@names
+def test_a_sweep_makes_one_family_call(name, monkeypatch):
+    """The 12 radii of the bch-check grid make one ``amplitudes`` call, not twelve."""
+    family, calls = FAMILIES[name], []
+
+    def spy(rep, radii):
+        calls.append(len(radii))
+        return type(family).amplitudes(family, rep, radii)
+
+    monkeypatch.setattr(family, "amplitudes", spy)
+    table = amplitude_columns(REPS[name]()[0], np.linspace(0.02, 0.7, 12))
+    assert calls == [12]
+    assert table.shape[1] == 12
+
+
+def test_a_large_spin_table_peaks_at_two_tables():
+    """su2 j = 2000 on 200 radii sums most columns in logs, one column at a
+    time: the peak stays at the table and one temporary, as with one family
+    call per radius (a 2-D index of the overflowed entries took 8.8 tables)."""
+    rep, radii = build_su2_rep(2000.0), np.linspace(0.0, np.pi, 200)
+    tracemalloc.start()
+    try:
+        table = amplitude_columns(rep, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (rep.dim, 200)
+    assert peak < 2.2 * table.nbytes, peak / table.nbytes
 
 
 @names
@@ -238,7 +366,7 @@ def test_numeric_symbol_equals_closed_form(name):
         # <lambda|h_c|lambda> at the drawn phi as well: the symbol is phi-independent
         v = coherent_vector(rep, rho, phi)
         assert float(np.vdot(v, clock.energies * v).real) == pytest.approx(analytic, **tol)
-        assert clock_symbol_numeric(clock, rho) == pytest.approx(analytic, **tol)
+        assert clock_symbol_numeric(clock, [rho])[0] == pytest.approx(analytic, **tol)
 
     check()
 

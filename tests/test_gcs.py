@@ -176,8 +176,8 @@ def test_overlap_peaks_at_equal_labels():
 def test_symbol_su2_closed_form():
     """Spin clock symbol matches (eps*b2/2)(cos(2 rho) - 1) to 1e-10."""
     clock = build_clock(build_su2_rep(6.0))
-    for rho in np.linspace(0.0, 0.7, 11):
-        numeric = clock_symbol_numeric(clock, rho)
+    rhos = np.linspace(0.0, 0.7, 11)
+    for rho, numeric in zip(rhos, clock_symbol_numeric(clock, rhos)):
         analytic = clock_symbol_analytic(clock, rho)
         expected = (clock.epsilon * clock.b2 / 2.0) * (np.cos(2 * rho) - 1.0)
         assert abs(analytic - expected) < 1e-14
@@ -187,8 +187,8 @@ def test_symbol_su2_closed_form():
 def test_symbol_h4_closed_form():
     """Oscillator symbol is eps * rho^2 with relative error below 1e-8."""
     clock = intensive_h4_clock(24.0)
-    for rho in np.linspace(0.1, 1.5, 8):
-        numeric = clock_symbol_numeric(clock, rho)
+    rhos = np.linspace(0.1, 1.5, 8)
+    for rho, numeric in zip(rhos, clock_symbol_numeric(clock, rhos)):
         analytic = clock_symbol_analytic(clock, rho)
         assert abs(analytic - clock.epsilon * rho * rho) < 1e-14
         assert abs(numeric - analytic) / abs(analytic) < 1e-8
@@ -197,8 +197,8 @@ def test_symbol_h4_closed_form():
 def test_symbol_su11_cosh_branch():
     """Hyperbolic symbol follows the cosh form on the guarded range."""
     clock = build_clock(build_su11_rep(0.5, 96))
-    for rho in np.linspace(0.05, 0.5, 6):
-        numeric = clock_symbol_numeric(clock, rho)
+    rhos = np.linspace(0.05, 0.5, 6)
+    for rho, numeric in zip(rhos, clock_symbol_numeric(clock, rhos)):
         expected = (clock.epsilon * clock.b2 / 2.0) * (np.cosh(2 * rho) - 1.0)
         assert abs(clock_symbol_analytic(clock, rho) - expected) < 1e-14
         assert abs(numeric - expected) / abs(expected) < 1e-8
@@ -372,6 +372,18 @@ def test_point_queries_refuse_a_radius_that_is_not_finite(rho):
             coherent_table(rep, [0.2, rho], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("rep", [build_su2_rep(3.0), build_h4_rep(24), build_su11_rep(1.5, 24)],
+                         ids=["su2", "h4", "su11"])
+def test_an_empty_set_of_radii_is_refused(rep):
+    """With one family call per sweep, no radii would give a quiet (dim, 0) table."""
+    clock = build_clock(rep)
+    for query in (lambda: coherent_table(rep, [], [0.0]),
+                  lambda: gcs.coherent_points(rep, [], [0.0]),
+                  lambda: clock_symbol_numeric(clock, [])):
+        with pytest.raises(ValueError, match="no radii"):
+            query()
+
+
 def test_point_queries_refuse_a_nan_lost_norm(monkeypatch):
     """``lost.max() > limit`` is False for NaN: the tail guard let NaN amplitudes through."""
     monkeypatch.setattr(gcs, "amplitude_columns",
@@ -393,7 +405,7 @@ def test_an_untruncated_rep_has_no_tail_to_guard():
     """su2 is never cut: at j = 50000, rho = pi/4 the amplitudes' own roundoff
     loses 1.5e-10 of the norm, which the tail limit used to refuse."""
     rep = build_su2_rep(50000.0)
-    amps = lookup("su2").amplitudes(rep, np.pi / 4)
+    amps = lookup("su2").amplitudes(rep, np.array([np.pi / 4]))[:, 0]
     assert 1.0 - np.sum(amps ** 2) > TAIL_MASS_LIMIT
     vec = coherent_vector(rep, np.pi / 4, 0.3)
     assert abs(np.vdot(vec, vec).real - 1.0) < 1e-9

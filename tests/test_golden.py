@@ -1,10 +1,11 @@
 """Fresh runs of the golden commands against the artifacts in tests/golden.
 
-The commands are ``regenerate.RUNS``: ``clocklab all --seed 1`` and the eight
+The commands are ``regenerate.RUNS``: ``clocklab all --seed 1`` and the nine
 non-default runs ``symbol --algebra su11``, ``stationary-sweep --family h4``,
 ``constraint --profile random``, ``classical-limit --sizes 5,10,20,30``,
 ``schrodinger --j 400``, ``classical-limit --sizes 20,40``,
-``identity-resolution --j 2.5`` and ``classical-limit --sizes 80,160``.
+``identity-resolution --j 2.5``, ``classical-limit --sizes 80,160`` and
+``identity-resolution --j 400``.
 
 Where the environment matches the one recorded next to the golden files
 (numpy, scipy, the OpenBLAS builds and kernels, one BLAS thread) the files
