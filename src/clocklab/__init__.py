@@ -65,17 +65,14 @@ from .dynamics import (
     ConvergenceSweep,
     convergence_sweep,
     energy_of_rho,
-    h4_stationary_experiment,
     propagator_deviation,
     quantum_flow_rate,
     resonant_ladder,
     schrodinger_residual,
+    stationary_experiment,
     stationary_residual,
-    su2_first_order_experiment,
-    su2_stationary_experiment,
 )
 from .gcs import (
-    clock_symbol_analytic,
     clock_symbol_numeric,
     coherent_vector,
     displace,
@@ -116,7 +113,6 @@ __all__ = [
     "classical_constraint_check",
     "classical_flow_rate",
     "classical_phase_expectations",
-    "clock_symbol_analytic",
     "clock_symbol_numeric",
     "coherent_vector",
     "commutator_check",
@@ -126,7 +122,6 @@ __all__ = [
     "energy_of_rho",
     "gaussian_profile",
     "gaussian_state",
-    "h4_stationary_experiment",
     "hamilton_check",
     "identity_resolution_check",
     "intensive_h4_clock",
@@ -146,9 +141,8 @@ __all__ = [
     "resonant_ladder",
     "schrodinger_residual",
     "small_phi_energy_time",
+    "stationary_experiment",
     "stationary_residual",
-    "su2_first_order_experiment",
-    "su2_stationary_experiment",
     "two_form_coefficient",
     "uncertainty_audit",
     "uncertainty_grid_audit",

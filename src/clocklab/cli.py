@@ -61,12 +61,11 @@ from .constraint import (
 from .dynamics import (
     convergence_sweep,
     energy_of_rho,
-    h4_stationary_experiment,
     propagator_deviation,
     quantum_flow_rate,
     resonant_ladder,
     schrodinger_residual,
-    su2_stationary_experiment,
+    stationary_experiment,
 )
 from .families import lookup
 from .gcs import (
@@ -426,10 +425,7 @@ def run_verify_algebra(cfg: dict[str, object]) -> tuple[list[str], list, list[di
     rows, checks = [], []
     for rep in reps:
         rpt = verify_cartan(rep, tol=tol)
-        label = {"su2": f"su2-j{rep.params.get('j', 0)!r}",
-                 "h4": f"h4-n{rep.dim}",
-                 "su11": f"su11-k{rep.params.get('k', 0)!r}-n{rep.dim}",
-                 }[rep.family]
+        label = lookup(rep.family).label(rep)
         measured = rpt.max_residual_exact_subspace if rep.truncated else rpt.max_residual
         rows.append([rep.family, rep.dim, rpt.diagonal_commutators, rpt.ladder_relations,
                      rpt.closure_relation, rpt.reference_annihilation,
@@ -446,19 +442,19 @@ def run_bch_check(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     n = cfg["bch_points"]
     rhos = np.linspace(0.02, cfg["bch_rho_max"], n)
     phis = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    cases = [("su2", j, build_su2_rep(j)) for j in cfg["bch_su2_j"]]
-    cases.append(("h4", cfg["bch_h4_cut"], build_h4_rep(cfg["bch_h4_cut"])))
+    reps = [build_su2_rep(j) for j in cfg["bch_su2_j"]]
+    reps.append(build_h4_rep(cfg["bch_h4_cut"]))
     rows, checks = [], []
-    for family, size, rep in cases:
+    for rep in reps:
         # the expm oracle walked along each ray, the closed forms as one table, both rho-major
         direct = displace(rep, rhos, phis)
         closed = coherent_points(rep, rhos, phis)
         sub = rep.valid_dim if rep.truncated else rep.dim
         # np.max propagates nan, where max() would drop it and pass the gate
         diff = float(np.max(np.linalg.norm(direct[:sub] - closed[:sub], axis=0)))
-        rows.append([family, rep.dim, n * n, diff])
-        label = f"bch-{family}-j{size!r}" if family == "su2" else f"bch-h4-n{rep.dim}"
-        checks.append(_gate(cfg, label, "tol_bch", max_difference=diff))
+        rows.append([rep.family, rep.dim, n * n, diff])
+        checks.append(_gate(cfg, f"bch-{lookup(rep.family).label(rep)}", "tol_bch",
+                            max_difference=diff))
     # after every case, so that a refused radius (the h4 tail) prints only its refusal
     for family, dim, _, diff in rows:
         _progress(f"[bch-check] {family} dim {dim}: max diff {diff:.3e}")
@@ -508,10 +504,11 @@ def run_symbol(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
 def run_identity_resolution(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     j = cfg["idr_j"]
     cut = cfg["idr_h4_cut"]
-    cases = [("su2", build_su2_rep(j), f"identity-su2-j{_canon('idr_j', j)}"),
-             ("h4", build_h4_rep(cut), f"identity-h4-n{cut}")]
+    cases = [(build_su2_rep(j), f"identity-su2-j{_canon('idr_j', j)}"),
+             (build_h4_rep(cut), f"identity-h4-n{cut}")]
     rows, checks = [], []
-    for family, rep, label in cases:
+    for rep, label in cases:
+        family = rep.family
         deviation = identity_resolution_check(rep)
         radii, phis, _ = lookup(family).rings(rep)
         rows.append([family, len(radii) * len(phis), deviation])
@@ -593,12 +590,12 @@ def run_stationary_sweep(cfg: dict[str, object]) -> tuple[list[str], list, list[
     family = cfg["stat_family"]
     sizes = [int(round(s)) for s in cfg["stat_sizes"]]
     rho, width = cfg["stat_rho"], cfg["stat_width"]
-    if family == "su2":
-        def experiment(size: int):
-            return su2_stationary_experiment(float(size), rho=rho, width=width)
-    else:
-        def experiment(size: int):
-            return h4_stationary_experiment(size, width=width)
+    def experiment(size: int):
+        if family == "su2":
+            return stationary_experiment(intensive_su2_clock(float(size)), rho, width)
+        # rho is pinned so the energy surface eps*rho^2 sits exactly on a matched
+        # ladder level: half the mean, well inside the trustworthy half of the cutoff
+        return stationary_experiment(intensive_h4_clock(size), math.sqrt(round(size / 2)), width)
     sweep = convergence_sweep(sizes, experiment)
     rows = [[family, rec.size, rec.residual] for rec in sweep.records]
     # after the sweep, so that a refused size prints nothing first; the sizes
@@ -711,11 +708,11 @@ def run_hamilton(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
     grid_n = cfg["ham_grid"]
     rho_grid = np.linspace(0.1, 0.8, grid_n)
     phi_grid = np.linspace(0.0, 2 * np.pi, grid_n, endpoint=False)
-    clocks = [("su2", intensive_su2_clock(cfg["ham_su2_j"])),
-              ("h4", intensive_h4_clock(cfg["ham_h4_mean"]))]
+    clocks = [intensive_su2_clock(cfg["ham_su2_j"]), intensive_h4_clock(cfg["ham_h4_mean"])]
     vectors = {1: (1.0,), 2: (0.6, 0.8)}
     rows, checks = [], []
-    for family, clock in clocks:
+    for clock in clocks:
+        family = clock.rep.family
         for big_j in (int(round(x)) for x in cfg["ham_js"]):
             v = vectors[big_j]
             pb = pullback_two_form(clock, cfg["ham_rho"], cfg["ham_phi"], v=v)
@@ -730,7 +727,7 @@ def run_hamilton(cfg: dict[str, object]) -> tuple[list[str], list, list[dict]]:
             _progress(f"[hamilton] {family} J={big_j}: pullback err {pull_err:.3e}, "
                       f"hamilton {ham.max_residual:.3e}")
 
-    clock = clocks[0][1]
+    clock = clocks[0]
     h_system = resonant_ladder(clock, clock.dim)
     psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, 0.45), width=0.2)
     q_rate = quantum_flow_rate(psi, clock, h_system, 0.45)

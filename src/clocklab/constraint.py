@@ -294,10 +294,7 @@ def reduced_density_gamma(psi: CompositeState) -> np.ndarray:
     so a residual built on it takes ``residual_norm2``'s eigenvalue route,
     and it leaves a g that is already hermitian unchanged.
     """
-    return _system_density(psi.matrix)
-
-
-def _system_density(mat: np.ndarray) -> np.ndarray:
+    mat = psi.matrix
     g = mat.conj().T @ mat
     return (g + g.conj().T) / 2
 
@@ -321,7 +318,7 @@ def chi2_identity_residual(psi: CompositeState, clock: ClockModel,
     row = (bra.conj().T @ mat)[0]
     chi2 = float(np.real(np.vdot(row, row)))
     vec = bra[:, 0]
-    via_density = float(np.real(np.vdot(vec, (mat @ mat.conj().T) @ vec)))
+    via_density = float(np.real(np.vdot(vec, reduced_density_clock(psi) @ vec)))
     return abs(chi2 - via_density)
 
 
@@ -338,4 +335,4 @@ def precs_decomposition_check(psi: CompositeState, clock: ClockModel,
     _check_clock_dim(psi, clock)
     mat = psi.matrix
     acc = mat.T @ _ring_sum(clock.rep, n_polar, n_azim).conj() @ mat.conj()
-    return residual_norm2((acc + acc.conj().T) / 2 - _system_density(mat))
+    return residual_norm2((acc + acc.conj().T) / 2 - reduced_density_gamma(psi))

@@ -3,8 +3,8 @@
 Two residuals with deliberately different character live here.  The
 first-order law i*eps*d/dphi Phi = H_sys Phi holds at every clock size
 (only the finite-difference step limits it); the stationary law
-H_sys Phi = E(rho) Phi emerges only as the clock grows.  The sweep
-helpers are built to exhibit exactly that contrast.  A system Hamiltonian
+H_sys Phi = E(rho) Phi emerges only as the clock grows, which
+``stationary_experiment`` sweeps over clock sizes.  A system Hamiltonian
 is a matrix, or a real vector of energies standing for the diagonal
 operator (every ladder system below).
 """
@@ -16,20 +16,17 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import (
-    ClockModel, _diagonal, _eigh, build_clock, build_su2_rep,
-    intensive_su2_clock, intensive_h4_clock,
-)
+from .algebra import ClockModel, _diagonal, _eigh
 from .constraint import (
-    CompositeState, ConditionalState, _conditional_rows, build_psi, conditional_state, gaussian_state,
-    ladder_match,
+    CompositeState, ConditionalState, _conditional_rows, conditional_state, gaussian_state,
 )
-from .gcs import clock_symbol_analytic, coherent_vector
+from .families import lookup
 
 
 def energy_of_rho(clock: ClockModel, rho: float) -> float:
-    """Coherent energy surface E(rho); the stationary eigenvalue candidate."""
-    return clock_symbol_analytic(clock, rho)
+    """Coherent energy surface E(rho), the family's closed-form clock symbol;
+    the stationary eigenvalue candidate."""
+    return float(lookup(clock.rep.family).symbol(clock, rho))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,54 +222,15 @@ def resonant_ladder(clock: ClockModel, n_levels: int) -> np.ndarray:
     return clock.epsilon * np.arange(n_levels, dtype=float)
 
 
-def su2_stationary_experiment(j: float, rho: float = 0.6,
-                              width: float = 0.25) -> ConvergenceRecord:
-    """Stationary residual for an intensive spin clock against its own ladder.
+def stationary_experiment(clock: ClockModel, rho: float, width: float) -> ConvergenceRecord:
+    """Stationary residual of a clock against its own ladder, read at phi = 0.3.
 
     The system spectrum copies the full clock ladder, so every level is
     matched; the profile is a Gaussian centered on the energy surface at
-    the probed rho, read at phi = 0.3.  Residuals shrink as the coherent
-    state sharpens.
+    the probed rho.  Residuals shrink as the coherent state sharpens.  The
+    recorded size is the rep's exact dimension (su2: 2j + 1; h4: the cutoff).
     """
-    clock = intensive_su2_clock(j)
     h_system = resonant_ladder(clock, clock.dim)
     psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
     value = stationary_residual(psi, clock, h_system, rho, 0.3)
-    return ConvergenceRecord(size=clock.dim, residual=value)
-
-
-def h4_stationary_experiment(mean_n: int, width: float = 0.15) -> ConvergenceRecord:
-    """Oscillator analogue of the stationary sweep, read at phi = 0.3.
-
-    rho is pinned so the energy surface eps*rho^2 sits exactly on a
-    matched ladder level (half of mean_n, kept well inside the
-    trustworthy half of the truncated space).
-    """
-    clock = intensive_h4_clock(mean_n)
-    level = int(round(0.5 * mean_n))
-    rho = float(np.sqrt(level))
-    h_system = resonant_ladder(clock, clock.dim)
-    psi = gaussian_state(clock, h_system, center=energy_of_rho(clock, rho), width=width)
-    value = stationary_residual(psi, clock, h_system, rho, 0.3)
-    return ConvergenceRecord(size=clock.rep.params["n_cut"], residual=value)
-
-
-def su2_first_order_experiment(j: float) -> ConvergenceRecord:
-    """First-order residual with the conditional amplitudes pinned across j.
-
-    The profile divides out the coherent amplitudes at the probed rho, so
-    the conditional state is literally the same vector, with amplitudes
-    ``targets``, for every clock size and the residual can only reflect
-    the difference step.  This is the exactness contrast to the stationary
-    sweep.
-    """
-    rho, targets = 0.35, (0.55, 0.65, 0.52)
-    clock = build_clock(build_su2_rep(j))
-    n_levels = len(targets)
-    h_system = resonant_ladder(clock, n_levels)
-    match = ladder_match(clock, h_system)
-    amps = coherent_vector(clock.rep, rho, 0.0).real[:n_levels]
-    coeff = np.asarray(targets, dtype=float) / amps
-    psi = build_psi(match, coeff)
-    rec = schrodinger_residual(psi, clock, h_system, rho, 0.4)
-    return ConvergenceRecord(size=clock.dim, residual=rec.value)
+    return ConvergenceRecord(size=clock.rep.exact_dim, residual=value)

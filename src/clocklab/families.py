@@ -28,6 +28,8 @@ class Family:
       derivative, with (eps/2) C(rho)^2 the coherent energy surface;
     - ``two_form(clock, rho)``: the coefficient of dphi ^ drho of the
       pulled-back two-form, with Planck's constant 1;
+    - ``label(rep)``: the representation's name in check ids (``cartan-…``,
+      ``bch-…``);
 
     and, where the family has them, ``rep_for_size`` and the radial rule
     behind ``rings``.  Adding a family means one subclass here
@@ -107,6 +109,9 @@ class _SU2(Family):
     def two_form(self, clock, rho):
         return abs(clock.b2) * np.sin(2.0 * rho)
 
+    def label(self, rep):
+        return f"su2-j{rep.params['j']!r}"
+
     def rep_for_size(self, size):
         """``size`` is 2j."""
         return algebra.build_su2_rep(size / 2.0)
@@ -159,6 +164,9 @@ class _H4(Family):
     def two_form(self, clock, rho):
         return 2.0 * rho
 
+    def label(self, rep):
+        return f"h4-n{rep.dim}"
+
     def rep_for_size(self, size):
         """``size`` is the Fock cutoff."""
         return algebra.build_h4_rep(int(size))
@@ -202,6 +210,9 @@ class _SU11(Family):
 
     def two_form(self, clock, rho):
         return abs(clock.b2) * np.sinh(2.0 * rho)
+
+    def label(self, rep):
+        return f"su11-k{rep.params['k']!r}-n{rep.dim}"
 
 
 su2 = _SU2()

@@ -148,13 +148,15 @@ def coherent_points(rep: LieAlgebraRep, radii, phis) -> np.ndarray:
     An untruncated rep loses nothing, so its sum's roundoff is not read as
     a cut; a lost norm that is not finite is refused for every rep.
     """
+    radii = np.asarray(radii, dtype=float)
     amps = amplitude_columns(rep, radii)
     lost = 1.0 - np.sum(amps ** 2, axis=0)
-    worst = lost.max()
+    at = np.argmax(lost)  # the first NaN, if any
+    worst = lost[at]
     if not np.isfinite(worst) or (rep.truncated and worst > TAIL_MASS_LIMIT):
         raise ValueError(
             f"the truncation loses norm {worst:.3e} above {TAIL_MASS_LIMIT:.0e} "
-            "at this radius; raise the cutoff or shrink rho"
+            f"at rho = {radii[at]}; raise the cutoff or shrink rho"
         )
     return _phased(rep, amps, phis)
 
@@ -170,15 +172,6 @@ def clock_symbol_numeric(clock: ClockModel, radii) -> np.ndarray:
     table (so a radius the cutoff truncates is refused) read as contiguous rows."""
     rows = np.ascontiguousarray(coherent_points(clock.rep, radii, [0.0]).T)
     return np.array([np.vdot(v, clock.energies * v).real for v in rows])
-
-
-def clock_symbol_analytic(clock: ClockModel, rho: float) -> float:
-    """Closed-form clock symbol at one radius (``Family.symbol`` takes a sweep's).
-
-    Trig branch: (eps*b2/2)(cos(2 rho) - 1); hyperbolic branch the same
-    with cosh; oscillator: eps * rho^2.
-    """
-    return float(lookup(clock.rep.family).symbol(clock, rho))
 
 
 def _ring_sum(rep: LieAlgebraRep, n_polar: int | None = None,

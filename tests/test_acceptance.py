@@ -36,10 +36,9 @@ from clocklab.dynamics import (
     quantum_flow_rate,
     resonant_ladder,
     schrodinger_residual,
-    su2_stationary_experiment,
+    stationary_experiment,
 )
 from clocklab.gcs import (
-    clock_symbol_analytic,
     clock_symbol_numeric,
     coherent_vector,
     displace,
@@ -138,8 +137,8 @@ def test_criterion_05_emergent_first_order_equation():
 def test_criterion_06_stationary_limit():
     """Stationary residual strictly decreases over j in {5, 10, 20, 40}."""
     start = time.monotonic()
-    sweep = convergence_sweep([5, 10, 20, 40],
-                              lambda s: su2_stationary_experiment(float(s)))
+    sweep = convergence_sweep(
+        [5, 10, 20, 40], lambda s: stationary_experiment(intensive_su2_clock(float(s)), 0.6, 0.25))
     assert sweep.strictly_decreasing
     assert np.isfinite(sweep.loglog_slope)
     assert sweep.loglog_slope < 0

@@ -33,7 +33,7 @@ from clocklab.constraint import (
 )
 from clocklab.dynamics import energy_of_rho, quantum_flow_rate, resonant_ladder
 from clocklab.families import lookup
-from clocklab.gcs import clock_symbol_analytic, coherent_table, coherent_vector
+from clocklab.gcs import coherent_table, coherent_vector
 
 SU2 = intensive_su2_clock(10.0)
 H4 = intensive_h4_clock(32.0)
@@ -255,7 +255,7 @@ def test_constraint_check_equals_dense_reference(j, rho, threshold):
     table = coherent_table(clock.rep, *lookup(clock.rep.family).rings(clock.rep)[:2])
     dens = np.abs(table.conj().T @ psi.matrix @ table.conj()) ** 2
     mask = dens >= threshold * dens.max()
-    energy = np.array([clock_symbol_analytic(clock, float(r)) for r in rhos])
+    energy = np.array([energy_of_rho(clock, float(r)) for r in rhos])
     scale = np.max(np.abs(energy))
     mismatch = np.abs(energy[:, None] - energy[None, :]) / scale
     peak = np.unravel_index(int(np.argmax(dens)), dens.shape)

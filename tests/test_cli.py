@@ -188,6 +188,15 @@ def test_quadrature_size_keys_are_retired(tmp_path, line):
     assert not (tmp_path / "o").exists()
 
 
+def test_bch_check_names_the_rep_it_checked(tmp_path):
+    """A spin size within build_su2_rep's 1e-12 of j = 1/2 builds that rep, and
+    bch-check names it as verify-algebra does (cartan-su2-j0.5), not by the input."""
+    assert run(["bch-check", "--su2-j", "0.5000000000001", "--points", "3",
+                "--out", str(tmp_path)]) == 0
+    summary = json.loads((only_run_dir(tmp_path, "bch-check") / "summary.json").read_text())
+    assert [c["check_id"] for c in summary["checks"]] == ["bch-su2-j0.5", "bch-h4-n49"]
+
+
 def test_identity_resolution_is_exact_at_a_large_cutoff(tmp_path):
     """The default h4 rule needs no radial cap: cut 128 resolves the identity to roundoff."""
     assert run(["identity-resolution", "--h4-cut", "128", "--out", str(tmp_path)]) == 0
@@ -215,7 +224,7 @@ def test_su11_symbol_at_a_large_radius_prints_only_the_refusal(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 2
     assert result.stderr == ("refused: the truncation loses norm 1.000e+00 above 1e-10 "
-                             "at this radius; raise the cutoff or shrink rho\n")
+                             "at rho = 50.0; raise the cutoff or shrink rho\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from clocklab.algebra import intensive_h4_clock, intensive_su2_clock
+from clocklab.algebra import build_clock, build_su2_rep, intensive_h4_clock, intensive_su2_clock
 from clocklab.classical import classical_flow_rate
 from clocklab.constraint import (
     build_psi,
@@ -22,16 +22,41 @@ from clocklab.dynamics import (
     ConvergenceRecord,
     convergence_sweep,
     energy_of_rho,
-    h4_stationary_experiment,
     propagator_deviation,
     quantum_flow_rate,
     resonant_ladder,
     schrodinger_residual,
+    stationary_experiment,
     stationary_residual,
-    su2_first_order_experiment,
-    su2_stationary_experiment,
 )
-from clocklab.gcs import coherent_points
+from clocklab.gcs import coherent_points, coherent_vector
+
+
+def su2_stationary(size):
+    """The spin stationary sweep at its CLI defaults: rho 0.6, width 0.25."""
+    return stationary_experiment(intensive_su2_clock(float(size)), 0.6, 0.25)
+
+
+def h4_stationary(size):
+    """The oscillator sweep at width 0.15, rho pinned on the ladder level size/2."""
+    return stationary_experiment(intensive_h4_clock(int(size)), np.sqrt(round(size / 2)), 0.15)
+
+
+def su2_first_order(j):
+    """First-order residual with the conditional amplitudes pinned across j.
+
+    The profile divides out the coherent amplitudes at the probed rho, so
+    the conditional state is literally the same vector, with amplitudes
+    ``targets``, for every clock size and the residual can only reflect
+    the difference step.
+    """
+    rho, targets = 0.35, (0.55, 0.65, 0.52)
+    clock = build_clock(build_su2_rep(j))
+    h_system = resonant_ladder(clock, len(targets))
+    amps = coherent_vector(clock.rep, rho, 0.0).real[:len(targets)]
+    psi = build_psi(ladder_match(clock, h_system), np.asarray(targets) / amps)
+    rec = schrodinger_residual(psi, clock, h_system, rho, 0.4)
+    return ConvergenceRecord(size=clock.dim, residual=rec.value)
 
 
 def make_state(j=10.0, rho=0.45, width=0.2):
@@ -103,15 +128,13 @@ def test_quantum_flow_rate_refuses_static_state():
 
 def test_stationary_residual_drops_with_size():
     """H_Gamma Phi ~ E(rho) Phi sharpens as the intensive clock grows."""
-    sweep = convergence_sweep([5, 10, 20, 40],
-                              lambda s: su2_stationary_experiment(float(s)))
+    sweep = convergence_sweep([5, 10, 20, 40], su2_stationary)
     assert sweep.strictly_decreasing
     assert sweep.loglog_slope < -0.3
 
 
 def test_stationary_sweep_h4():
-    sweep = convergence_sweep([8, 16, 32, 64],
-                              lambda s: h4_stationary_experiment(int(s)))
+    sweep = convergence_sweep([8, 16, 32, 64], h4_stationary)
     assert sweep.strictly_decreasing
     assert sweep.loglog_slope < -0.25
 
@@ -125,7 +148,7 @@ def test_first_order_exactness_contrast():
     difference noise, whose cancellation floor at h = 1e-4 is about
     eps * eps_mach / (2h) ~ 7e-13 per unit gap.
     """
-    values = [su2_first_order_experiment(j).residual for j in (5.0, 10.0, 20.0)]
+    values = [su2_first_order(j).residual for j in (5.0, 10.0, 20.0)]
     spread = max(values) - min(values)
     assert spread < 7e-12
 
@@ -133,13 +156,13 @@ def test_first_order_exactness_contrast():
 def test_stationary_residual_direct_value():
     clock, h_system, psi = make_state(j=10.0, rho=0.6, width=0.25)
     value = stationary_residual(psi, clock, h_system, rho=0.6, phi=0.3)
-    record = su2_stationary_experiment(10.0)
+    record = su2_stationary(10)
     assert abs(value - record.residual) < 1e-12
 
 
 def test_sweep_requires_three_sizes():
     with pytest.raises(ValueError, match="at least 3"):
-        convergence_sweep([5, 10], lambda s: su2_stationary_experiment(float(s)))
+        convergence_sweep([5, 10], su2_stationary)
 
 
 def test_sweep_refusal_on_empty_kernel():

@@ -24,7 +24,6 @@ from clocklab.families import FAMILIES
 from clocklab.phase import build_phase_operator, uncertainty_audit
 from clocklab.gcs import (
     amplitude_columns,
-    clock_symbol_analytic,
     clock_symbol_numeric,
     coherent_table,
     coherent_vector,
@@ -36,6 +35,12 @@ REPS = {
     "su2": lambda: [build_su2_rep(j) for j in (0.5, 1.0, 2.5, 10.0, 20.0)],
     "h4": lambda: [build_h4_rep(n) for n in (16, 32, 64)],
     "su11": lambda: [build_su11_rep(k, n) for k, n in ((0.5, 32), (1.0, 32), (2.0, 64))],
+}
+# Family.label of each rep in REPS, in order: the name its check ids carry
+LABELS = {
+    "su2": ["su2-j0.5", "su2-j1.0", "su2-j2.5", "su2-j10.0", "su2-j20.0"],
+    "h4": ["h4-n17", "h4-n33", "h4-n65"],
+    "su11": ["su11-k0.5-n33", "su11-k1.0-n33", "su11-k2.0-n65"],
 }
 RHO_CAP = 1.5
 TAIL = 1e-12
@@ -81,6 +86,12 @@ QUADRATURE_SIZES = {
     "su2": st.integers(1, 120).map(lambda two_j: build_su2_rep(two_j / 2)),
     "h4": st.integers(4, 256).map(build_h4_rep),
 }
+
+
+@names
+def test_label_names_the_rep(name):
+    """j and k as the rep holds them, the dimension for the truncated families."""
+    assert [FAMILIES[name].label(rep) for rep in REPS[name]()] == LABELS[name]
 
 
 @names
@@ -320,7 +331,7 @@ def test_symbol_entries_are_the_scalar_form(name):
         assert values.shape == radii.shape
         for r, rho in enumerate(radii):
             assert float(values[r]) == one_radius_symbol(clock, float(rho))
-            assert clock_symbol_analytic(clock, float(rho)) == one_radius_symbol(clock, float(rho))
+            assert energy_of_rho(clock, float(rho)) == one_radius_symbol(clock, float(rho))
 
     check()
 
@@ -361,7 +372,7 @@ def test_numeric_symbol_equals_closed_form(name):
     def check(point, scale):
         rep, rho, phi = point
         clock = build_clock(rep, scale=scale)
-        analytic = clock_symbol_analytic(clock, rho)
+        analytic = energy_of_rho(clock, rho)
         tol = dict(rel=1e-8, abs=1e-12 * clock.epsilon * rep.dim)
         # <lambda|h_c|lambda> at the drawn phi as well: the symbol is phi-independent
         v = coherent_vector(rep, rho, phi)
@@ -377,7 +388,7 @@ def test_chart_hamiltonian_equals_symbol(name):
     def check(point, scale, v):
         rep, rho, phi = point
         clock = build_clock(rep, scale=scale)
-        analytic = clock_symbol_analytic(clock, rho)
+        analytic = energy_of_rho(clock, rho)
         darboux = map_F(rho, phi, v, clock)
         shell = 0.5 * clock.epsilon * float(np.sum(darboux.q ** 2 + darboux.p ** 2))
         assert shell == pytest.approx(analytic, rel=1e-12, abs=1e-14 * clock.epsilon)

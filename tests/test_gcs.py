@@ -22,7 +22,6 @@ from clocklab import gcs
 from clocklab.families import lookup
 from clocklab.gcs import (
     TAIL_MASS_LIMIT,
-    clock_symbol_analytic,
     clock_symbol_numeric,
     coherent_table,
     coherent_vector,
@@ -178,7 +177,7 @@ def test_symbol_su2_closed_form():
     clock = build_clock(build_su2_rep(6.0))
     rhos = np.linspace(0.0, 0.7, 11)
     for rho, numeric in zip(rhos, clock_symbol_numeric(clock, rhos)):
-        analytic = clock_symbol_analytic(clock, rho)
+        analytic = energy_of_rho(clock, rho)
         expected = (clock.epsilon * clock.b2 / 2.0) * (np.cos(2 * rho) - 1.0)
         assert abs(analytic - expected) < 1e-14
         assert abs(numeric - analytic) < 1e-10
@@ -189,7 +188,7 @@ def test_symbol_h4_closed_form():
     clock = intensive_h4_clock(24.0)
     rhos = np.linspace(0.1, 1.5, 8)
     for rho, numeric in zip(rhos, clock_symbol_numeric(clock, rhos)):
-        analytic = clock_symbol_analytic(clock, rho)
+        analytic = energy_of_rho(clock, rho)
         assert abs(analytic - clock.epsilon * rho * rho) < 1e-14
         assert abs(numeric - analytic) / abs(analytic) < 1e-8
 
@@ -200,7 +199,7 @@ def test_symbol_su11_cosh_branch():
     rhos = np.linspace(0.05, 0.5, 6)
     for rho, numeric in zip(rhos, clock_symbol_numeric(clock, rhos)):
         expected = (clock.epsilon * clock.b2 / 2.0) * (np.cosh(2 * rho) - 1.0)
-        assert abs(clock_symbol_analytic(clock, rho) - expected) < 1e-14
+        assert abs(energy_of_rho(clock, rho) - expected) < 1e-14
         assert abs(numeric - expected) / abs(expected) < 1e-8
 
 
@@ -329,6 +328,15 @@ def test_point_queries_refuse_a_radius_the_cutoff_truncates():
     # the quadrature tables cut the tail on purpose and stay unguarded
     column = coherent_table(clock.rep, [6.0], [0.0])[:, 0]
     assert 1.0 - np.vdot(column, column).real > TAIL_MASS_LIMIT
+
+
+def test_a_refused_sweep_names_its_worst_radius():
+    """The refusal names the radius that loses the most norm, wherever it sits in the sweep."""
+    rep = build_h4_rep(8)
+    with pytest.raises(ValueError, match=r"loses norm 5\.443e-01 above 1e-10 at rho = 3\.0;"):
+        gcs.coherent_points(rep, [0.1, 0.5, 3.0], [0.0])
+    with pytest.raises(ValueError, match=r"at rho = 2\.5;"):
+        clock_symbol_numeric(build_clock(rep), [0.1, 2.5, 2.0, 0.5])
 
 
 def test_su11_refuses_a_radius_where_tanh_rounds_to_one():
